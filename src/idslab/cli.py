@@ -39,7 +39,7 @@ from .montecarlo import (
     semigroup_truncation_diagnostic,
 )
 from .operators import Facet, OperatorSpec, add_facet_dirichlet, discretize, grid_points
-from .spectral import eigenvalues
+from .spectral import NumericalFailure, eigenvalues
 from .ssf import (
     PowerGauge,
     PowerLawGauge,
@@ -53,10 +53,6 @@ from .ssf import (
     weyl_check,
     young_check,
 )
-
-
-class NumericalFailure(RuntimeError):
-    """A named invariant failed during an experiment run."""
 
 
 def _jsonable(obj):

@@ -134,6 +134,8 @@ class Pattern:
             raise ValueError("pattern domain must be nonempty")
         if list(self.sites) != sorted(set(self.sites)):
             raise ValueError("pattern sites must be sorted and distinct")
+        # not a field: eq, hash and repr use sites and symbols only
+        object.__setattr__(self, "_color_of", dict(zip(self.sites, self.symbols)))
 
     @staticmethod
     def from_assignment(assignment: Mapping[Sequence[int], str]) -> "Pattern":
@@ -148,12 +150,9 @@ class Pattern:
     def dimension(self) -> int:
         return len(self.sites[0])
 
-    def assignment(self) -> dict[Site, str]:
-        return dict(zip(self.sites, self.symbols))
-
     def color(self, site: Site) -> str:
         try:
-            return self.assignment()[site]
+            return self._color_of[site]
         except KeyError:
             raise KeyError(f"site {site} outside pattern domain") from None
 

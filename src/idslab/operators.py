@@ -49,6 +49,8 @@ class Prototype:
             raise ValueError("unit-cell grid must be cubic")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "a", a)
+        # not a field: read once per site during assembly
+        object.__setattr__(self, "_cell_mean_v", float(np.mean(v)))
 
     @property
     def dimension(self) -> int:
@@ -60,7 +62,7 @@ class Prototype:
 
     @property
     def cell_mean_v(self) -> float:
-        return float(np.mean(self.v))
+        return self._cell_mean_v
 
     @property
     def has_magnetic(self) -> bool:

@@ -240,27 +240,128 @@ def lp_norm(f: StepFunction, window: EnergyWindow) -> float:
 # Eigenvalue backends
 # ---------------------------------------------------------------------------
 
-def assert_hermitian(H: np.ndarray, rtol: float = 1e-12) -> None:
-    scale = max(float(np.max(np.abs(H))), 1.0)
-    dev = float(np.max(np.abs(H - H.conj().T)))
+HERMITIAN_RTOL = 1e-12
+# a computed eigenvalue this close to the ceiling (relative to max|H|) may
+# fall on either side of it; the count is then bracketed by inertia counts
+CEILING_TIE_RTOL = 1e-9
+# LDL pivots of H - T*I smaller than this (relative to max(1, |T|)) are not
+# trusted to carry the sign of the inertia
+PIVOT_RTOL = 1e-10
+
+
+class NumericalFailure(RuntimeError):
+    """A named invariant failed during an experiment run."""
+
+
+def assert_hermitian(H: np.ndarray, rtol: float = HERMITIAN_RTOL) -> None:
+    # compared in row blocks so that no N x N temporary is allocated
+    n = H.shape[0]
+    step = max(1, (1 << 20) // max(n, 1))
+    scale = 1.0
+    dev = 0.0
+    for i in range(0, n, step):
+        rows = H[i : i + step]
+        scale = max(scale, float(np.max(np.abs(rows))))
+        dev = max(dev, float(np.max(np.abs(rows - H[:, i : i + step].conj().T))))
     if dev > rtol * scale:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev}")
+
+
+def _lower_band(H: np.ndarray) -> tuple[np.ndarray, float]:
+    """H in LAPACK lower band storage, ab[k, j] = H[j + k, j], and max(1, max|H|).
+
+    The band is the narrowest one whose diagonals hold every nonzero of H:
+    diagonals are kept, symmetrically about the main one, until their
+    nonzeros add up to np.count_nonzero(H).  The band must be Hermitian
+    diagonal by diagonal, to the tolerance of assert_hermitian; otherwise
+    ValueError.
+    """
+    n = H.shape[0]
+    nnz = int(np.count_nonzero(H))
+    lower, upper = [np.diagonal(H)], [np.diagonal(H)]
+    kept = int(np.count_nonzero(lower[0]))
+    while kept < nnz:
+        k = len(lower)
+        lower.append(np.diagonal(H, -k))
+        upper.append(np.diagonal(H, k))
+        kept += int(np.count_nonzero(lower[-1])) + int(np.count_nonzero(upper[-1]))
+    scale = max(1.0, *(float(np.max(np.abs(x))) for x in lower + upper))
+    dev = max(float(np.max(np.abs(lo - up.conj()))) for lo, up in zip(lower, upper))
+    if dev > HERMITIAN_RTOL * scale:
+        raise ValueError(f"matrix is not Hermitian: max deviation {dev}")
+    ab = np.zeros((len(lower), n), dtype=H.dtype)
+    for k, lo in enumerate(lower):
+        ab[k, : n - k] = lo
+    return ab, scale
+
+
+def _inertia_count(ab: np.ndarray, H: np.ndarray, T: float) -> int:
+    """#{eigenvalues <= T} of the band matrix, by Sylvester's law of inertia.
+
+    Counts the negative pivots of a symmetric-mode sparse LU of H - T*I,
+    which is an LDL^H factorization when the row and column orderings
+    agree.  When they do not, or a pivot is too small to trust its sign,
+    the dense Bunch-Kaufman count_below_by_inertia decides.
+    """
+    # imported here, not at module level: only certified counts need them
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    n = ab.shape[1]
+    lower = [ab[0].real - T] + [ab[k, : n - k] for k in range(1, ab.shape[0])]
+    A = scipy.sparse.diags(
+        lower + [lo.conj() for lo in lower[1:]],
+        [-k for k in range(len(lower))] + list(range(1, len(lower))),
+        format="csc",
+    )
+    try:
+        lu = scipy.sparse.linalg.splu(
+            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # exactly singular: T is an eigenvalue
+        return count_below_by_inertia(H, T)
+    pivots = lu.U.diagonal()
+    trusted = np.array_equal(lu.perm_r, lu.perm_c) and bool(
+        np.min(np.abs(pivots)) >= PIVOT_RTOL * max(1.0, abs(T))
+    )
+    if not trusted:
+        return count_below_by_inertia(H, T)
+    return int(np.count_nonzero(pivots.real < 0))
 
 
 def eigenvalues(H: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
     """All eigenvalues <= ceiling, sorted ascending with multiplicity.
 
-    Full dense decomposition; exact counts are required downstream, so no
-    iterative backend that might miss eigenvalues is used here.
+    H is a dense Hermitian matrix; only its band, the narrowest set of
+    diagonals holding every nonzero, is solved (LAPACK ?sbevd/?hbevd).  A
+    finite ceiling T certifies the count by Sylvester's law of inertia on
+    H - T*I.  When a computed eigenvalue lies within CEILING_TIE_RTOL *
+    max(1, max|H|) of T, the count only has to lie between the inertia
+    counts on either side of that margin.  A count that fails the
+    certificate raises NumericalFailure.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise ValueError("matrix entries must be finite")
-    assert_hermitian(H)
-    eigs = np.linalg.eigvalsh(H)
-    return eigs[eigs <= ceiling]
+    ab, scale = _lower_band(H)
+    eigs = scipy.linalg.eigvals_banded(ab, lower=True)
+    below = eigs[eigs <= ceiling]
+    if np.isfinite(ceiling):
+        T = float(ceiling)
+        delta = CEILING_TIE_RTOL * scale
+        if np.any(np.abs(eigs - T) <= delta):
+            lo, hi = _inertia_count(ab, H, T - delta), _inertia_count(ab, H, T + delta)
+        else:
+            lo = hi = _inertia_count(ab, H, T)
+        if not lo <= len(below) <= hi:
+            raise NumericalFailure(
+                f"{len(below)} eigenvalues <= {T} computed, but the inertia of "
+                f"H - T*I counts {lo if lo == hi else f'{lo} to {hi}'}"
+            )
+    return below
 
 
 def eigensystem(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

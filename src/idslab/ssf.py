@@ -97,8 +97,8 @@ def spectral_shift(
         raise ValueError("specB must be specA plus extra Dirichlet facets")
     ha = discretize(specA)
     hb = discretize(specB)
-    na = counting_function(eigenvalues(ha), window)
-    nb = counting_function(eigenvalues(hb), window)
+    na = counting_function(eigenvalues(ha, ceiling=window.sup), window)
+    nb = counting_function(eigenvalues(hb, ceiling=window.sup), window)
     return SpectralShift(xi=subtract(na, nb).coalesce(tol), window=window)
 
 

@@ -1,12 +1,19 @@
 """Step functions, counting functions, exact L^p arithmetic, eigen backends."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idslab import spectral
+from idslab.cli import main
 from idslab.spectral import (
     EnergyWindow,
+    NumericalFailure,
     StepFunction,
     count_below_by_inertia,
     counting_function,
@@ -153,11 +160,62 @@ def test_eigenvalues_examples():
     assert len(eigenvalues(two, 2.0)) == 1
 
 
+def _chain(n):
+    return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+
+
 def test_eigenvalues_reject_nonfinite_and_nonhermitian():
-    with pytest.raises(ValueError):
-        eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    stray = _chain(6)
+    stray[0, 5] = 1.0  # outside the tridiagonal band, no mirror entry
+    for H in [
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[0.0, 1.0], [0.0, 0.0]]),  # non-Hermitian band
+        stray,
+        np.diag([1.0 + 1e-6j, 2.0, 3.0]),
+    ]:
+        with pytest.raises(ValueError):
+            eigenvalues(H)
+
+
+def _random_banded(n, bw, seed):
+    rng = np.random.default_rng(seed)
+    A = np.triu(np.tril(rng.normal(size=(n, n)), bw), -bw)
+    return (A + A.T) / 2
+
+
+def _magnetic_2d():
+    from idslab.lattice import PeriodicColoring, cube
+    from idslab.operators import OperatorSpec, Prototype, PrototypeLibrary, discretize
+
+    rng = np.random.default_rng(11)
+    n = 4
+    proto = Prototype("a", rng.uniform(size=(n, n)), tuple(rng.normal(size=(2, n, n))))
+    spec = OperatorSpec(
+        Q=cube(3, 2), coloring=PeriodicColoring(period=(1, 1), cell={(0, 0): "a"}),
+        library=PrototypeLibrary([proto]), backend="continuum", resolution=n,
+    )
+    H = discretize(spec)
+    assert np.iscomplexobj(H)
+    return H
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        _random_banded(40, 5, 1),
+        _chain(50),
+        _random_banded(30, 29, 2),
+        _magnetic_2d(),
+    ],
+    ids=["banded", "tridiagonal", "full", "magnetic-2d"],
+)
+def test_banded_solve_matches_dense(H):
+    dense = np.linalg.eigvalsh(H)
+    got = eigenvalues(H)
+    assert len(got) == len(dense)
+    assert np.max(np.abs(got - dense)) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
+    T = float(np.median(dense)) + 1e-3
+    assert len(eigenvalues(H, T)) == count_below_by_inertia(H, T)
 
 
 def test_fd_chain_spectrum_matches_analytic():
@@ -188,8 +246,43 @@ def test_inertia_cross_check_random_matrices():
         H = (A + A.T) / 2
         T = float(rng.uniform(-2, 2))
         window = EnergyWindow(-10.0, T + 1e-9, p=1.0)
-        counted = counting_function(eigenvalues(H), window)(T)
+        counted = counting_function(eigenvalues(H, T), window)(T)
         assert counted == count_below_by_inertia(H, T)
+
+
+@pytest.mark.parametrize(
+    "H, T, dense_fallback",
+    [
+        (np.diag([0.0, 1.0, 2.0]), 1.0, False),  # ceiling exactly at an eigenvalue
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, True),  # zero pivot of H - T*I
+        (_chain(30), 1.1, False),
+    ],
+    ids=["ceiling-at-eigenvalue", "zero-pivot", "chain"],
+)
+def test_certified_count_matches_inertia(monkeypatch, H, T, dense_fallback):
+    calls = []
+
+    def spy(H, T):
+        calls.append(T)
+        return count_below_by_inertia(H, T)
+
+    monkeypatch.setattr(spectral, "count_below_by_inertia", spy)
+    assert len(eigenvalues(H, T)) == count_below_by_inertia(H, T)
+    assert bool(calls) == dense_fallback
+
+
+def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
+    solve = scipy.linalg.eigvals_banded
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda *a, **k: solve(*a, **k)[1:])
+    assert len(eigenvalues(_chain(8))) == 7  # no ceiling, nothing to certify
+    with pytest.raises(NumericalFailure):
+        eigenvalues(_chain(8), 2.0)
+    default = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    cfg = json.loads(default.read_text())
+    cfg.update(sequence={"kind": "cubes", "sides": [4]}, M_list=[1])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["ids", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
 
 def test_inertia_cross_check_complex():
