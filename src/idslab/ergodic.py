@@ -361,14 +361,6 @@ def pattern_route(
     return linear_combination(functions, weights)
 
 
-def check_table_covers(table: FrequencyTable, occurring: Sequence[Pattern]) -> None:
-    """Raise if a pattern with nonzero tally has no frequency entry."""
-    keys = {P.key() for P in table.entries}
-    missing = sorted({P.key() for P in occurring} - keys)
-    if missing:
-        raise KeyError(f"frequency table lacks entries for occurring patterns: {missing}")
-
-
 # ---------------------------------------------------------------------------
 # Quantitative error bounds
 # ---------------------------------------------------------------------------

@@ -268,15 +268,19 @@ class WindowColoring(Coloring):
         return self.window.get(site, self.background)
 
 
-def _site_uniform(seed: int, site: Site) -> float:
-    """Deterministic uniform draw in [0, 1) keyed by (seed, site).
+def _site_hash(seed: int, site: Site) -> int:
+    """Deterministic 64-bit hash keyed by (seed, site), by blake2b.
 
     Counter-based: the same site always hashes to the same value, so
     overlapping windows and any evaluation order see a consistent coloring.
     """
     buf = struct.pack(f"<q{len(site)}q", seed & 0x7FFFFFFFFFFFFFFF, *site)
-    digest = hashlib.blake2b(buf, digest_size=8).digest()
-    return int.from_bytes(digest, "little") / 2.0 ** 64
+    return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
+
+
+def _site_uniform(seed: int, site: Site) -> float:
+    """Deterministic uniform draw in [0, 1) keyed by (seed, site)."""
+    return _site_hash(seed, site) / 2.0 ** 64
 
 
 @dataclass(frozen=True)

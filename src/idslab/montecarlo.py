@@ -10,8 +10,6 @@ diagnostic rather than assumed.
 
 from __future__ import annotations
 
-import hashlib
-import struct
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -19,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .ergodic import AlmostAdditiveField
-from .lattice import Coloring, RandomColoring, Site, cube
+from .lattice import Coloring, RandomColoring, Site, _site_hash, cube
 from .operators import (
     LATTICE,
     OperatorSpec,
@@ -55,15 +53,10 @@ class SiteDistribution:
         return SiteDistribution(symbols=(a, b), weights=(p, 1.0 - p), seed=seed)
 
 
-def _child_seed(seed: int, index: int) -> int:
-    buf = struct.pack("<qq", seed & 0x7FFFFFFFFFFFFFFF, index)
-    return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
-
-
 def sample_coloring(dist: SiteDistribution, sample_index: int, d: int) -> RandomColoring:
     """Deterministic coloring for one sample: pure function of (seed, index, site)."""
     return RandomColoring(
-        seed=_child_seed(dist.seed, sample_index),
+        seed=_site_hash(dist.seed, (sample_index,)),
         symbols=dist.symbols,
         weights=dist.weights,
         dim=d,

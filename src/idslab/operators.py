@@ -373,22 +373,33 @@ def lattice_model(
 
     Diagonal 2d + vbar(C(x)); off-diagonal -1 between nearest neighbors in
     Q.  Missing neighbors contribute nothing (lattice Dirichlet convention).
+    Rows follow the lexicographic order of Q.
     """
     if not Q:
         raise ValueError("Q must be nonempty")
     color_of = color_of or C.color
     d = dimension_of(Q)
     pts = sorted(Q)
-    index = {p: i for i, p in enumerate(pts)}
-    H = np.zeros((len(pts), len(pts)))
-    for p, i in index.items():
-        H[i, i] = 2.0 * d + library[color_of(p)].cell_mean_v
-        for j in range(d):
-            q = tuple(c + (1 if k == j else 0) for k, c in enumerate(p))
-            iq = index.get(q)
-            if iq is not None:
-                H[i, iq] = -1.0
-                H[iq, i] = -1.0
+    n = len(pts)
+    colors = [color_of(p) for p in pts]
+    mean = {sym: library[sym].cell_mean_v for sym in set(colors)}
+    H = np.zeros((n, n))
+    H.flat[:: n + 1] = [2.0 * d + mean[sym] for sym in colors]
+    # row-major keys over the bounding box, padded by one layer above so that
+    # a +e_j neighbor never wraps; lexicographic order makes them ascending
+    coords = np.array(pts, dtype=np.int64)
+    lo = coords.min(axis=0)
+    shape = (coords.max(axis=0) - lo + 2).tolist()
+    keys = np.ravel_multi_index(tuple((coords - lo).T), shape)
+    stride = 1
+    for j in reversed(range(d)):
+        target = keys + stride
+        pos = np.minimum(np.searchsorted(keys, target), n - 1)
+        linked = keys[pos] == target
+        i, k = np.flatnonzero(linked), pos[linked]
+        H[i, k] = -1.0
+        H[k, i] = -1.0
+        stride *= shape[j]
     from .spectral import assert_hermitian
 
     assert_hermitian(H)

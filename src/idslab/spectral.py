@@ -295,13 +295,13 @@ def _lower_band(H: np.ndarray) -> tuple[np.ndarray, float]:
     return ab, scale
 
 
-def _inertia_count(ab: np.ndarray, H: np.ndarray, T: float) -> int:
-    """#{eigenvalues <= T} of the band matrix, by Sylvester's law of inertia.
+def _sparse_inertia(ab: np.ndarray, T: float) -> int | None:
+    """#{eigenvalues <= T} of the band matrix from a sparse LDL^H, or None.
 
     Counts the negative pivots of a symmetric-mode sparse LU of H - T*I,
     which is an LDL^H factorization when the row and column orderings
-    agree.  When they do not, or a pivot is too small to trust its sign,
-    the dense Bunch-Kaufman count_below_by_inertia decides.
+    agree.  None when they do not, when the factor is exactly singular, or
+    when a pivot is too small to trust its sign.
     """
     # imported here, not at module level: only certified counts need them
     import scipy.sparse
@@ -320,14 +320,29 @@ def _inertia_count(ab: np.ndarray, H: np.ndarray, T: float) -> int:
             options={"SymmetricMode": True},
         )
     except RuntimeError:  # exactly singular: T is an eigenvalue
-        return count_below_by_inertia(H, T)
+        return None
     pivots = lu.U.diagonal()
     trusted = np.array_equal(lu.perm_r, lu.perm_c) and bool(
         np.min(np.abs(pivots)) >= PIVOT_RTOL * max(1.0, abs(T))
     )
-    if not trusted:
-        return count_below_by_inertia(H, T)
-    return int(np.count_nonzero(pivots.real < 0))
+    return int(np.count_nonzero(pivots.real < 0)) if trusted else None
+
+
+def _inertia_count(ab: np.ndarray, H: np.ndarray, T: float, delta: float) -> int:
+    """#{eigenvalues <= T} of the band matrix, by Sylvester's law of inertia.
+
+    When the sparse count at T is not trusted, equal trusted sparse counts
+    at T - delta and T + delta certify it: no eigenvalue lies in
+    (T - delta, T + delta].  Otherwise the dense Bunch-Kaufman
+    count_below_by_inertia decides.
+    """
+    count = _sparse_inertia(ab, T)
+    if count is not None:
+        return count
+    lo = _sparse_inertia(ab, T - delta)
+    if lo is not None and lo == _sparse_inertia(ab, T + delta):
+        return lo
+    return count_below_by_inertia(H, T)
 
 
 def eigenvalues(H: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
@@ -353,9 +368,10 @@ def eigenvalues(H: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
         T = float(ceiling)
         delta = CEILING_TIE_RTOL * scale
         if np.any(np.abs(eigs - T) <= delta):
-            lo, hi = _inertia_count(ab, H, T - delta), _inertia_count(ab, H, T + delta)
+            lo = _inertia_count(ab, H, T - delta, delta)
+            hi = _inertia_count(ab, H, T + delta, delta)
         else:
-            lo = hi = _inertia_count(ab, H, T)
+            lo = hi = _inertia_count(ab, H, T, delta)
         if not lo <= len(below) <= hi:
             raise NumericalFailure(
                 f"{len(below)} eigenvalues <= {T} computed, but the inertia of "
@@ -365,9 +381,21 @@ def eigenvalues(H: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
 
 
 def eigensystem(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition (ascending eigenvalues, orthonormal columns)."""
+    """Full eigendecomposition (ascending eigenvalues, orthonormal columns).
+
+    A real H whose band has at most one off-diagonal (d=1 lattice and
+    continuum models) is solved as a tridiagonal matrix by LAPACK ?stevd;
+    every other H by dense np.linalg.eigh.
+    """
     H = np.asarray(H)
     assert_hermitian(H)
+    n = H.shape[0]
+    # a tridiagonal matrix has at most 3n - 2 nonzeros; skip the band otherwise
+    if not np.iscomplexobj(H) and np.count_nonzero(H) <= 3 * n - 2:
+        ab, _ = _lower_band(H)
+        if ab.shape[0] <= 2:
+            e = ab[1, : n - 1] if ab.shape[0] == 2 else np.zeros(n - 1)
+            return scipy.linalg.eigh_tridiagonal(ab[0], e, lapack_driver="stevd")
     return np.linalg.eigh(H)
 
 

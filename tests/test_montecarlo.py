@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from idslab.lattice import cube, pattern_from_word
+from idslab.lattice import _site_hash, cube, pattern_from_word
 from idslab.montecarlo import (
     McEstimate,
     SiteDistribution,
@@ -52,6 +52,22 @@ def test_sample_determinism_and_distinct_indices():
     assert [c1.color(s) for s in window] == [c2.color(s) for s in window]
     c3 = sample_coloring(dist, 5, d=1)
     assert [c1.color(s) for s in window] != [c3.color(s) for s in window]
+
+
+@pytest.mark.parametrize(
+    "seed, index, expected",
+    [
+        (0, 0, 1041621211125469266),
+        (7, 3, 3405383674353699258),
+        (-1, 12, 18109932358293821849),
+        (2**63 + 5, 1, 6170373840279617265),
+        (123456789, -4, 3871575879335537974),
+    ],
+)
+def test_sample_seed_is_pinned_site_hash(seed, index, expected):
+    # values of the blake2b "<qq" child seed that earlier samples were drawn with
+    assert _site_hash(seed, (index,)) == expected
+    assert sample_coloring(SiteDistribution.point_mass("a", seed), index, d=1).seed == expected
 
 
 def test_symbol_frequency_binomial():

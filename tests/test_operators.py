@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from idslab.lattice import RandomColoring, cube, periodic_word, site_set
+from idslab.lattice import Pattern, RandomColoring, cube, periodic_word, site_set
 from idslab.operators import (
     Facet,
     OperatorSpec,
@@ -283,6 +283,52 @@ def test_lattice_2d_neighbors():
     assert H.shape == (4, 4)
     assert np.all(np.diag(H) == 4.0)
     assert np.sum(H == -1.0) == 8  # 4 edges, both directions
+
+
+def _dict_loop_lattice_model(Q, library, color_of):
+    """Reference assembly: one dict lookup per site and axis."""
+    d = len(next(iter(Q)))
+    pts = sorted(Q)
+    index = {p: i for i, p in enumerate(pts)}
+    H = np.zeros((len(pts), len(pts)))
+    for p, i in index.items():
+        H[i, i] = 2.0 * d + library[color_of(p)].cell_mean_v
+        for j in range(d):
+            q = tuple(c + (1 if k == j else 0) for k, c in enumerate(p))
+            iq = index.get(q)
+            if iq is not None:
+                H[i, iq] = -1.0
+                H[iq, i] = -1.0
+    return H
+
+
+def _scattered_sites(d, seed):
+    """Non-box site set with gaps and negative coordinates."""
+    rng = np.random.default_rng(seed)
+    return site_set(rng.integers(-5, 6, size=(int(rng.integers(1, 80)), d)).tolist())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize(
+    "Q_of",
+    [lambda d: cube(1, d), lambda d: cube(4, d)]
+    + [lambda d, s=s: _scattered_sites(d, s) for s in range(6)],
+    ids=["single", "cube"] + [f"scattered-{s}" for s in range(6)],
+)
+def test_lattice_model_matches_dict_loop_bitwise(d, Q_of):
+    lib = PrototypeLibrary.constant_potentials({"a": 0.3, "b": -1.7, "c": 2.0 / 3.0}, 2, d)
+    C = RandomColoring(seed=5, symbols=("a", "b", "c"), weights=(0.2, 0.3, 0.5), dim=d)
+    Q = Q_of(d)
+    H = lattice_model(C, Q, lib)
+    assert H.tobytes() == _dict_loop_lattice_model(Q, lib, C.color).tobytes()
+
+
+def test_lattice_model_pattern_domain_matches_dict_loop_bitwise():
+    lib = PrototypeLibrary.constant_potentials({"a": 0.3, "b": -1.7}, 2, 2)
+    sites = sorted(_scattered_sites(2, 7))
+    P = Pattern(tuple(sites), tuple("ab"[(x * 3 + y) % 2] for x, y in sites))
+    H = lattice_model(None, P.domain, lib, color_of=P.color)
+    assert H.tobytes() == _dict_loop_lattice_model(P.domain, lib, P.color).tobytes()
 
 
 def test_export_coo(tmp_path):

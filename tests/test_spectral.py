@@ -18,6 +18,7 @@ from idslab.spectral import (
     count_below_by_inertia,
     counting_function,
     dirichlet_chain_eigenvalues,
+    eigensystem,
     eigenvalues,
     integrate_product,
     linear_combination,
@@ -218,6 +219,92 @@ def test_banded_solve_matches_dense(H):
     assert len(eigenvalues(H, T)) == count_below_by_inertia(H, T)
 
 
+def _random_lattice(Q):
+    from idslab.lattice import RandomColoring, dimension_of
+    from idslab.operators import PrototypeLibrary, lattice_model
+
+    d = dimension_of(Q)
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.3}, 2, d)
+    C = RandomColoring(seed=4, symbols=("a", "b"), weights=(0.5, 0.5), dim=d)
+    return lattice_model(C, Q, lib)
+
+
+def _magnetic_1d():
+    from idslab.lattice import cube, periodic_word
+    from idslab.operators import OperatorSpec, Prototype, PrototypeLibrary, discretize
+
+    n = 6
+    lib = PrototypeLibrary([Prototype.constant("a", 0.5, n, 1, a_value=[0.7])])
+    spec = OperatorSpec(Q=cube(3, 1), coloring=periodic_word("a"), library=lib,
+                        backend="continuum", resolution=n)
+    H = discretize(spec)
+    assert np.iscomplexobj(H)
+    return H
+
+
+def _spy_tridiagonal(monkeypatch):
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("lapack_driver"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "H",
+    [
+        _random_lattice(frozenset((i,) for i in range(-20, 21))),
+        _random_lattice(frozenset((i,) for i in [-9, -8, -7, -3, 0, 1, 5, 6])),
+        np.array([[1.5]]),
+        np.array([[1.0, -0.5], [-0.5, 3.0]]),
+        np.diag([3.0, -1.0, 2.0, 2.0]),
+    ],
+    ids=["lattice-chain", "disconnected", "N=1", "N=2", "diagonal"],
+)
+def test_eigensystem_tridiagonal_matches_dense(monkeypatch, H):
+    calls = _spy_tridiagonal(monkeypatch)
+    w, U = eigensystem(H)
+    assert calls == ["stevd"]
+    tol = 1e-12 * max(1.0, np.linalg.norm(H, 2))
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(H))) <= tol
+    assert np.max(np.abs((U * w) @ U.T - H)) <= tol
+    assert np.max(np.abs(U.T @ U - np.eye(len(H)))) <= 1e-12
+
+
+def _ab_chain(n):
+    from idslab.lattice import cube, periodic_word
+    from idslab.operators import PrototypeLibrary, lattice_model
+
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 2, 1)
+    return lattice_model(periodic_word("ab"), cube(n, 1), lib)
+
+
+def _sparse_pentadiagonal():
+    # as few nonzeros as a tridiagonal matrix, but a band of two off-diagonals
+    H = _chain(12)
+    H[0, 2] = H[2, 0] = -0.5
+    H[5, 6] = H[6, 5] = 0.0
+    return H
+
+
+@pytest.mark.parametrize(
+    "H",
+    [_random_lattice(frozenset(np.ndindex(5, 5))), _magnetic_1d(), _sparse_pentadiagonal()],
+    ids=["lattice-2d", "magnetic-1d", "sparse-pentadiagonal"],
+)
+def test_eigensystem_dense_path_unchanged(monkeypatch, H):
+    calls = _spy_tridiagonal(monkeypatch)
+    w, U = eigensystem(H)
+    w0, U0 = np.linalg.eigh(H)
+    assert not calls
+    assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
+
+
 def test_fd_chain_spectrum_matches_analytic():
     # 1-d Dirichlet finite-difference Laplacian, L = 10 cells, h = 1/8
     from idslab.lattice import cube
@@ -254,10 +341,14 @@ def test_inertia_cross_check_random_matrices():
     "H, T, dense_fallback",
     [
         (np.diag([0.0, 1.0, 2.0]), 1.0, False),  # ceiling exactly at an eigenvalue
-        (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, True),  # zero pivot of H - T*I
+        # zero pivot of H - T*I, certified by the sparse counts at T -/+ delta
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, False),
         (_chain(30), 1.1, False),
+        # integer ceiling on an integer potential: SuperLU's ordering is
+        # unsymmetric at T, the counts at T -/+ delta certify it
+        (_ab_chain(256), 3.0, False),
     ],
-    ids=["ceiling-at-eigenvalue", "zero-pivot", "chain"],
+    ids=["ceiling-at-eigenvalue", "zero-pivot", "chain", "ab-chain"],
 )
 def test_certified_count_matches_inertia(monkeypatch, H, T, dense_fallback):
     calls = []
@@ -269,6 +360,20 @@ def test_certified_count_matches_inertia(monkeypatch, H, T, dense_fallback):
     monkeypatch.setattr(spectral, "count_below_by_inertia", spy)
     assert len(eigenvalues(H, T)) == count_below_by_inertia(H, T)
     assert bool(calls) == dense_fallback
+
+
+def test_untrusted_sparse_counts_fall_back_to_dense(monkeypatch):
+    H, T = _chain(30), 1.1
+    calls = []
+
+    def spy(H, T):
+        calls.append(T)
+        return count_below_by_inertia(H, T)
+
+    monkeypatch.setattr(spectral, "_sparse_inertia", lambda ab, T: None)
+    monkeypatch.setattr(spectral, "count_below_by_inertia", spy)
+    assert len(eigenvalues(H, T)) == count_below_by_inertia(H, T)
+    assert calls == [T]
 
 
 def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
