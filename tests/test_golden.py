@@ -1,0 +1,76 @@
+"""Golden hashes of the CLI data files: a refactor must leave every byte as it was.
+
+The sha256 of each data file (everything but ``manifest.json``, whose
+timestamp changes) was recorded before the experiment layer was shared
+between the CLI and the acceptance suite.  The hashes depend on the
+floating-point results of numpy and LAPACK, so a different BLAS build may
+need them re-recorded; on one machine they must not move.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from idslab.cli import main
+
+DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+
+SSF_CONFIG = {
+    "dimension": 2,
+    "backend": "continuum",
+    "resolution": 4,
+    "prototypes": {"kind": "constant", "values": {"a": 0.0, "b": 1.0}},
+    "coloring": {
+        "kind": "periodic", "period": [2, 2],
+        "cell": {"0,0": "a", "1,0": "b", "0,1": "b", "1,1": "a"},
+    },
+    "window": {"lo": 0.0, "hi": 60.0, "p": 2.0},
+    "ssf": {"cells": 3, "count": 30, "powers": [1, 2], "young_trials": 5},
+}
+
+GOLDEN = {
+    "patterns": {
+        "frequencies_M1.json": "b68fab227cd0c61aabe2b6fd3b9846797aa2b60bfa6f0c528aa4c1d336cb8b57",
+        "frequencies_M2.json": "bfa05e68ed164d48a45744fb9cb72f477b284bfa5fb2248cf964fff6e28c299a",
+        "frequencies_M3.json": "9427a1278879cab6eef058244654395bf2013743200f9a555eef97ae880d5f83",
+    },
+    "ids": {
+        "direct_route_j16.csv": "755b928ef461e274106bdc00d0705446cc1c2f242ccbf6a419b4900ed8562dec",
+        "direct_route_j32.csv": "d1dfeeeac93d40fcd20d17f547f5dbd77ae062fd53c156b64bde96935e309e17",
+        "direct_route_j64.csv": "c343595401afe1a9ac0b9629cb9cf4fe988364015bae9dab486d220733513d9f",
+        "direct_route_j8.csv": "b2f14bf73c8d31d01ff5b600c3519d3a388f7cdd945ea92f952d5f698a95c849",
+        "ids_report.json": "3e8da57c1a9574476dc949569c73742d0650bc20a634f7d5eb64c60e58b20c70",
+        "pattern_route_M1.csv": "ef1d29cba6a06dc099e73f463971d807e7236ca47d066fd7739884ae61dcbba8",
+        "pattern_route_M2.csv": "ddcad51715b08649c6c72fb2cd2d460cbebf1bcad5eb7f64e0f4cff371707380",
+        "pattern_route_M3.csv": "05a3052a937a841024d6236bf07f08baabf8455de7a32f02c53da9ddd8ed5e1f",
+    },
+    "weyl": {
+        "weyl_report.json": "f9e13c5f6509099dd3de78e39bd3f6fdfee58b632b75e16bd3ec884eb9640fc5",
+    },
+    "random": {
+        "mc_estimate.csv": "3ddef1d92bb9e3fd2f2ab7f9e867bd5922292f1637444e632145a21004d09352",
+        "random_report.json": "a297c4bdc93a8dafcb7f7858394fa18e19267c24826f6ec1571d88bf16a27812",
+    },
+    "ssf": {
+        "singular_values.csv": "43bc08bfe250fbc78bdc4a60e341c8aeecef760e695c37c68765b21831eb3100",
+        "ssf_report.json": "fa4a19b3c7303415a435e2780515266f3534451db82538a9c726d73664edb196",
+        "xi.csv": "5c38eb23b33b70eb07f97d25a5b096a318178a27ca7001e2d07a8aee075abcbb",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_cli_data_files_match_golden_hashes(tmp_path, command):
+    config = DEFAULT
+    if command == "ssf":
+        config = tmp_path / "ssf.json"
+        config.write_text(json.dumps(SSF_CONFIG))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    hashes = {
+        f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in sorted(out.iterdir()) if f.name != "manifest.json"
+    }
+    assert hashes == GOLDEN[command]
