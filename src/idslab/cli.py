@@ -28,31 +28,20 @@ from .config import (
     config_to_json,
     load_config,
 )
-from .ergodic import counting_field, error_bound_counting, two_route_experiment
+from .ergodic import AlmostAdditiveField, error_bound_counting, two_route_experiment
 from .jobs import Scheduler
 from .lattice import PeriodicColoring, cube, estimated_frequency_table, exact_frequency_table
-from .montecarlo import (
-    SiteDistribution,
-    compare_random_ids,
-    pastur_shubin_mc,
-    sample_coloring,
-    semigroup_truncation_diagnostic,
+from .montecarlo import SiteDistribution, random_ids_experiment
+from .operators import (
+    Facet,
+    OperatorSpec,
+    add_facet_dirichlet,
+    discretize,
+    grid_points,
+    spec_digest,
 )
-from .operators import Facet, OperatorSpec, add_facet_dirichlet, discretize, grid_points
 from .spectral import NumericalFailure, eigenvalues
-from .ssf import (
-    PowerGauge,
-    PowerLawGauge,
-    fit_decay,
-    hs_bound,
-    legendre,
-    legendre_grid_sup,
-    spectral_shift,
-    ssf_lp_integral,
-    veff_singular_values,
-    weyl_check,
-    young_check,
-)
+from .ssf import facet_experiment, fit_decay, weyl_check
 
 
 def _jsonable(obj):
@@ -119,7 +108,10 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     coloring = build_coloring(cfg)
     library = build_library(cfg)
     window = build_window(cfg)
-    field = counting_field(
+    c = cfg.constants
+    if window.sup + float(c.get("C", 1.0)) < 0:
+        raise ConfigError("config.window.hi: the counting-form bound needs hi + constants.C >= 0")
+    field = AlmostAdditiveField(
         coloring, library, window,
         backend=cfg.backend, resolution=cfg.resolution, matrix_cap=cfg.matrix_cap,
     )
@@ -137,7 +129,6 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
         (out / name).write_text(f.to_csv(window=window))
         outputs.append(name)
 
-    c = cfg.constants
     rows = []
     for row in report.route_distances:
         row = dict(row)
@@ -184,10 +175,13 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
             f"config.ssf.cells: dense dimension {len(grid_points(specA))} exceeds dense_cap"
         )
 
-    shift = spectral_shift(specA, specB, window)
+    exp = facet_experiment(
+        specA, specB, window, powers, np.random.default_rng(cfg.seed), trials,
+        count=count, dense_cap=cfg.dense_cap,
+    )
+    shift, series = exp.shift, exp.series
     if not shift.is_nonnegative():
         raise NumericalFailure("facet spectral shift is not nonnegative")
-    series = veff_singular_values(specA, specB, count=count, dense_cap=cfg.dense_cap)
     fit = fit_decay(series, d=d)
     if fit.c_hat <= 0:
         raise NumericalFailure("fitted singular-value decay rate is not positive")
@@ -195,9 +189,7 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
         raise NumericalFailure("one-sided singular-value envelope fails")
 
     bounds = {}
-    for p in powers:
-        direct = ssf_lp_integral(shift, p)
-        bnd = hs_bound(series, PowerGauge(p), T=window.sup)
+    for p, (direct, bnd) in exp.bounds.items():
         bounds[f"p{p:g}"] = {
             "direct_integral": direct,
             "hs_bound": bnd.value,
@@ -206,18 +198,7 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
         }
         if direct > bnd.value:
             raise NumericalFailure(f"heat-semigroup bound fails at p={p:g}")
-
-    rng = np.random.default_rng(cfg.seed)
-    young_ok = 0
-    for _ in range(trials):
-        k = int(rng.integers(1, 6))
-        bp = np.unique(rng.uniform(window.lo, window.hi, size=k))
-        from .spectral import StepFunction
-
-        h = StepFunction(bp, rng.uniform(-2.0, 2.0, size=len(bp) + 1))
-        lhs, rhs = young_check(h, shift, PowerLawGauge(q=1.0), series)
-        if lhs <= rhs + 1e-9:
-            young_ok += 1
+    young_ok = exp.young_passed
     if young_ok != trials:
         raise NumericalFailure("Young-inequality spot checks failed")
 
@@ -225,8 +206,6 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
     (out / "xi.csv").write_text(shift.xi.to_csv(window=window))
     mu_lines = ["n,mu"] + [f"{i + 1},{float(m)!r}" for i, m in enumerate(series.mu)]
     (out / "singular_values.csv").write_text("\n".join(mu_lines) + "\n")
-    from .operators import spec_digest
-
     write_json(out / "ssf_report.json", {
         "cells": cells,
         "resolution": cfg.resolution,
@@ -288,53 +267,24 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
     R = int(rnd.get("truncation_radius", 32))
     npts = int(rnd.get("lambda_points", 201))
     grid = np.linspace(window.lo, window.hi, npts)
-    scheduler = Scheduler(jobs=cfg.jobs)
-
-    estimate = pastur_shubin_mc(
-        dist, library, grid, samples=samples, truncation_radius=R,
+    exp = random_ids_experiment(
+        dist, cfg.seed + 1, library, window, grid, samples, R,
+        omegas=[int(o) for o in rnd.get("omegas", [40, 41, 42, 43, 44])],
+        volumes=[int(v) for v in rnd.get("compare_volumes", [32, 256])],
         d=cfg.dimension, backend=cfg.backend, resolution=cfg.resolution,
-        scheduler=scheduler,
+        matrix_cap=cfg.matrix_cap, scheduler=Scheduler(jobs=cfg.jobs),
     )
-    if np.any(np.diff(estimate.mean) < -1e-12):
+    if np.any(np.diff(exp.estimate.mean) < -1e-12):
         raise NumericalFailure("Monte Carlo mean is not nondecreasing")
-    (out / "mc_estimate.csv").write_text(estimate.to_csv())
-
-    twin = SiteDistribution(symbols=symbols, weights=dist.weights, seed=cfg.seed + 1)
-    estimate2 = pastur_shubin_mc(
-        dist=twin, library=library, lambda_grid=grid, samples=samples,
-        truncation_radius=R, d=cfg.dimension, backend=cfg.backend,
-        resolution=cfg.resolution, scheduler=scheduler,
-    )
-    combined = np.sqrt(estimate.stderr**2 + estimate2.stderr**2)
-    seed_dev = np.abs(estimate.mean - estimate2.mean)
-    seeds_agree = bool(np.all(seed_dev <= 3 * np.maximum(combined, 1e-12)))
-
-    omegas = [int(o) for o in rnd.get("omegas", [40, 41, 42, 43, 44])]
-    volumes = [int(v) for v in rnd.get("compare_volumes", [32, 256])]
-    comparison = compare_random_ids(
-        dist, library, window, estimate, volumes=volumes, omegas=omegas,
-        d=cfg.dimension, backend=cfg.backend, resolution=cfg.resolution,
-        matrix_cap=cfg.matrix_cap,
-    )
-
-    point = SiteDistribution.point_mass(symbols[0], seed=cfg.seed)
-    pm_coloring = sample_coloring(point, 0, cfg.dimension)
-    sg_diag = semigroup_truncation_diagnostic(
-        pm_coloring, library, R=R, d=cfg.dimension,
-        backend=cfg.backend, resolution=cfg.resolution,
-    )
-    pm1 = pastur_shubin_mc(point, library, grid, samples=1, truncation_radius=R,
-                           d=cfg.dimension, backend=cfg.backend, resolution=cfg.resolution)
-    pm2 = pastur_shubin_mc(point, library, grid, samples=1, truncation_radius=2 * R,
-                           d=cfg.dimension, backend=cfg.backend, resolution=cfg.resolution)
-    projector_change = float(np.max(np.abs(pm1.mean - pm2.mean)))
+    (out / "mc_estimate.csv").write_text(exp.estimate.to_csv())
+    comparison = exp.comparison
 
     write_json(out / "random_report.json", {
         "samples": samples,
         "truncation_radius": R,
         "two_seed_agreement": {
-            "agree_within_3se": seeds_agree,
-            "max_abs_difference": float(np.max(seed_dev)),
+            "agree_within_3se": exp.seeds_agree,
+            "max_abs_difference": exp.max_abs_difference,
         },
         "per_omega_distances": {
             "omegas": list(comparison.omegas),
@@ -343,14 +293,14 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
             "decreased": comparison.decreased(),
         },
         "truncation": {
-            "semigroup_diagnostic": sg_diag,
-            "projector_estimate_change_on_R_doubling": projector_change,
+            "semigroup_diagnostic": exp.semigroup_diagnostic,
+            "projector_estimate_change_on_R_doubling": exp.projector_change,
         },
     })
-    print(f"MC: S={samples}, R={R}; two-seed agreement: {seeds_agree}; "
+    print(f"MC: S={samples}, R={R}; two-seed agreement: {exp.seeds_agree}; "
           f"per-omega decrease: {comparison.decreased()}; "
-          f"semigroup truncation diagnostic: {sg_diag:.3e}")
-    if not seeds_agree:
+          f"semigroup truncation diagnostic: {exp.semigroup_diagnostic:.3e}")
+    if not exp.seeds_agree:
         raise NumericalFailure("independent-seed Monte Carlo estimates disagree beyond 3 se")
     write_manifest(out, "random", cfg, ["mc_estimate.csv", "random_report.json"])
     return 0

@@ -13,7 +13,8 @@ parameterizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -86,6 +87,8 @@ class AlmostAdditiveField:
     assembled on Q from the field's coloring; evaluate_pattern(P) returns
     the class function on the canonical representative's domain.  Both hit
     the same cache because invariance makes the representative immaterial.
+    The boundary term and the uniform bound K are calibrated on first read,
+    so a field that only measures distances never pays for them.
     """
 
     def __init__(
@@ -95,10 +98,7 @@ class AlmostAdditiveField:
         window: EnergyWindow,
         backend: str = LATTICE,
         resolution: int = 8,
-        boundary: BoundaryTerm | None = None,
-        K: float | None = None,
         matrix_cap: int = DEFAULT_MATRIX_CAP,
-        cache: bool = True,
     ):
         self.coloring = coloring
         self.library = library
@@ -106,16 +106,20 @@ class AlmostAdditiveField:
         self.backend = backend
         self.resolution = resolution
         self.matrix_cap = matrix_cap
-        self._cache: dict[Pattern, StepFunction] | None = {} if cache else None
-        if boundary is None:
-            scale = calibrate_boundary_scale(
-                coloring, library, window, backend, resolution
-            )
-            boundary = BoundaryTerm(scale=scale, dimension=coloring.dimension)
-        self.boundary = boundary
-        if K is None:
-            K = fit_uniform_bound(coloring, library, window, backend, resolution)
-        self.K = K
+        self._cache: dict[Pattern, StepFunction] = {}
+
+    @cached_property
+    def boundary(self) -> BoundaryTerm:
+        scale = calibrate_boundary_scale(
+            self.coloring, self.library, self.window, self.backend, self.resolution
+        )
+        return BoundaryTerm(scale=scale, dimension=self.dimension)
+
+    @cached_property
+    def K(self) -> float:
+        return fit_uniform_bound(
+            self.coloring, self.library, self.window, self.backend, self.resolution
+        )
 
     @property
     def dimension(self) -> int:
@@ -129,11 +133,6 @@ class AlmostAdditiveField:
             backend=self.backend,
             resolution=self.resolution,
         )
-
-    def matrix_dimension(self, Q: frozenset[Site]) -> int:
-        if self.backend == LATTICE:
-            return len(Q)
-        return len(grid_points(self._spec(Q)))
 
     def _counting(self, spec: OperatorSpec) -> StepFunction:
         dim = len(spec.Q) if spec.backend == LATTICE else len(grid_points(spec))
@@ -153,12 +152,11 @@ class AlmostAdditiveField:
 
     def evaluate_pattern(self, P: Pattern) -> StepFunction:
         canonical = P.canonical()
-        if self._cache is not None and canonical in self._cache:
-            return self._cache[canonical]
-        result = self._counting(pattern_spec(canonical, self._spec(canonical.domain)))
-        if self._cache is not None:
-            self._cache[canonical] = result
-        return result
+        if canonical not in self._cache:
+            self._cache[canonical] = self._counting(
+                pattern_spec(canonical, self._spec(canonical.domain))
+            )
+        return self._cache[canonical]
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +219,8 @@ def fit_uniform_bound(
     window: EnergyWindow,
     backend: str,
     resolution: int,
-    C1: float = 0.0,
 ) -> float:
-    """K = C3 (T + C1)^(d/2) with C3 fitted on single colored cells."""
+    """K: the largest L^p(I) norm of a single colored cell's counting function."""
     d = coloring.dimension
     origin = (0,) * d
     norms = []
@@ -238,36 +235,7 @@ def fit_uniform_bound(
         )
         eigs = eigenvalues(discretize(spec), ceiling=window.sup)
         norms.append(lp_norm(counting_function(eigs, window), window))
-    C3 = max(norms) / (window.sup + C1) ** (d / 2.0)
-    return C3 * (window.sup + C1) ** (d / 2.0)
-
-
-def counting_field(
-    coloring: Coloring,
-    library: PrototypeLibrary,
-    window: EnergyWindow,
-    backend: str = LATTICE,
-    resolution: int = 8,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
-    cache: bool = True,
-    boundary_scale: float | None = None,
-    K: float | None = None,
-) -> AlmostAdditiveField:
-    """The counting field Q -> N(., H^Q) with fitted boundary term and bound."""
-    boundary = None
-    if boundary_scale is not None:
-        boundary = BoundaryTerm(scale=boundary_scale, dimension=coloring.dimension)
-    return AlmostAdditiveField(
-        coloring=coloring,
-        library=library,
-        window=window,
-        backend=backend,
-        resolution=resolution,
-        boundary=boundary,
-        K=K,
-        matrix_cap=matrix_cap,
-        cache=cache,
-    )
+    return max(norms)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +348,8 @@ def error_bound_counting(
     C/M + (C (T+C)^(d/2) + c_pd C^(1/p)) * boundary_ratio
         + C (T+C)^(d/2) * freq_deviation_sum
     """
-    if min(M, C, c_pd, p) <= 0 or boundary_ratio < 0 or freq_deviation_sum < 0:
-        raise ValueError("inputs must be nonnegative, constants positive")
+    if min(M, C, c_pd, p) <= 0 or boundary_ratio < 0 or freq_deviation_sum < 0 or T + C < 0:
+        raise ValueError("inputs must be nonnegative, constants positive, T + C >= 0")
     weyl = C * (T + C) ** (d / 2.0)
     return (
         C / M
@@ -444,9 +412,6 @@ class ErgodicReport:
     fitted_K: float
     fitted_D: float
     boundary_scale: float
-
-    def rows(self) -> list[dict]:
-        return self.route_distances
 
     def summary_table(self) -> str:
         lines = ["j\tM\tdistance\tbound\tbound/distance"]

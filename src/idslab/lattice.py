@@ -17,7 +17,6 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 Site = tuple[int, ...]
-SiteSet = frozenset
 
 
 def site_set(sites: Iterable[Sequence[int]]) -> frozenset[Site]:
@@ -34,10 +33,6 @@ def dimension_of(sites: frozenset[Site]) -> int:
     if not sites:
         raise ValueError("empty site set has no dimension")
     return len(next(iter(sites)))
-
-
-def translate(sites: frozenset[Site], x: Site) -> frozenset[Site]:
-    return frozenset(tuple(s + dx for s, dx in zip(p, x)) for p in sites)
 
 
 def cube(M: int, d: int) -> frozenset[Site]:
@@ -136,11 +131,6 @@ class Pattern:
             raise ValueError("pattern sites must be sorted and distinct")
         # not a field: eq, hash and repr use sites and symbols only
         object.__setattr__(self, "_color_of", dict(zip(self.sites, self.symbols)))
-
-    @staticmethod
-    def from_assignment(assignment: Mapping[Sequence[int], str]) -> "Pattern":
-        items = sorted((tuple(int(c) for c in s), str(a)) for s, a in assignment.items())
-        return Pattern(tuple(s for s, _ in items), tuple(a for _, a in items))
 
     @property
     def domain(self) -> frozenset[Site]:
@@ -283,6 +273,16 @@ def _site_uniform(seed: int, site: Site) -> float:
     return _site_hash(seed, site) / 2.0 ** 64
 
 
+def check_weights(symbols: Sequence[str], weights: Sequence[float]) -> None:
+    """ValueError unless weights are a probability vector parallel to symbols."""
+    if len(symbols) != len(weights):
+        raise ValueError("symbols and weights must be parallel")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
+    if abs(sum(weights) - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {sum(weights)}")
+
+
 @dataclass(frozen=True)
 class RandomColoring(Coloring):
     """Seeded i.i.d. coloring; color at a site is a pure function of (seed, site)."""
@@ -293,12 +293,7 @@ class RandomColoring(Coloring):
     dim: int
 
     def __post_init__(self):
-        if len(self.symbols) != len(self.weights):
-            raise ValueError("symbols and weights must be parallel")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+        check_weights(self.symbols, self.weights)
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -455,28 +450,6 @@ def estimated_frequency_table(C: Coloring, U: frozenset[Site], M: int) -> Freque
     return FrequencyTable(
         M=M, entries=entries, exact=False, sample_windows=sum(tally.values())
     )
-
-
-def frequency(
-    C: Coloring,
-    P: Pattern,
-    mode: str = "exact-periodic",
-    sequence: Sequence[frozenset[Site]] | None = None,
-):
-    """Frequency of P in C.
-
-    mode 'exact-periodic' needs a PeriodicColoring and returns a Fraction;
-    mode 'estimate-along' needs a sequence and returns (ratios, last).
-    """
-    if mode == "exact-periodic":
-        if not isinstance(C, PeriodicColoring):
-            raise TypeError("exact-periodic mode requires a periodic coloring")
-        return frequency_exact(C, P)
-    if mode == "estimate-along":
-        if sequence is None:
-            raise ValueError("estimate-along mode requires a sequence")
-        return frequency_estimate(C, P, sequence)
-    raise ValueError(f"unknown frequency mode {mode!r}")
 
 
 def cube_sequence(js: Sequence[int], d: int) -> list[frozenset[Site]]:

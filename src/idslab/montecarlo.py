@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ergodic import AlmostAdditiveField
-from .lattice import Coloring, RandomColoring, Site, _site_hash, cube
+from .ergodic import DEFAULT_MATRIX_CAP, AlmostAdditiveField
+from .lattice import Coloring, RandomColoring, Site, _site_hash, check_weights, cube
 from .operators import (
     LATTICE,
     OperatorSpec,
@@ -37,12 +37,7 @@ class SiteDistribution:
     seed: int
 
     def __post_init__(self):
-        if len(self.symbols) != len(self.weights):
-            raise ValueError("symbols and weights must be parallel")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be nonnegative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+        check_weights(self.symbols, self.weights)
 
     @staticmethod
     def point_mass(symbol: str, seed: int = 0) -> "SiteDistribution":
@@ -237,7 +232,7 @@ def compare_random_ids(
     d: int = 1,
     backend: str = LATTICE,
     resolution: int = 8,
-    matrix_cap: int = 20_000,
+    matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> RandomIdsReport:
     """Distances between per-sample normalized counting functions and the MC mean."""
     ref = mc_step_function(reference)
@@ -251,10 +246,6 @@ def compare_random_ids(
             backend=backend,
             resolution=resolution,
             matrix_cap=matrix_cap,
-            # Random colorings share the same fitted scales per symbol set;
-            # the bound constants are irrelevant to plain distances.
-            boundary=None,
-            K=None,
         )
         dists = []
         for j in volumes:
@@ -266,4 +257,71 @@ def compare_random_ids(
         omegas=tuple(int(o) for o in omegas),
         volumes=tuple(int(v) for v in volumes),
         distances=np.asarray(rows),
+    )
+
+
+@dataclass(frozen=True)
+class RandomIdsExperiment:
+    """Everything the random-IDS experiment measured, for the CLI and the acceptance suite."""
+
+    estimate: McEstimate
+    twin: McEstimate
+    seeds_agree: bool
+    max_abs_difference: float
+    comparison: RandomIdsReport
+    semigroup_diagnostic: float
+    projector_change: float
+
+
+def random_ids_experiment(
+    dist: SiteDistribution,
+    twin_seed: int,
+    library: PrototypeLibrary,
+    window: EnergyWindow,
+    grid: Sequence[float],
+    samples: int,
+    R: int,
+    omegas: Sequence[int],
+    volumes: Sequence[int],
+    d: int = 1,
+    backend: str = LATTICE,
+    resolution: int = 8,
+    matrix_cap: int = DEFAULT_MATRIX_CAP,
+    scheduler=None,
+) -> RandomIdsExperiment:
+    """Monte Carlo IDS with an independent-seed twin, per-omega distances and truncation checks.
+
+    The twin repeats the estimate with dist's weights under twin_seed; the
+    seeds agree when every lambda's mean difference lies within 3 combined
+    standard errors.  The truncation pair runs the point mass on dist's
+    first symbol at radii R and 2R.
+    """
+    kw = dict(d=d, backend=backend, resolution=resolution)
+    estimate = pastur_shubin_mc(
+        dist, library, grid, samples=samples, truncation_radius=R, scheduler=scheduler, **kw
+    )
+    twin = pastur_shubin_mc(
+        SiteDistribution(dist.symbols, dist.weights, twin_seed), library, grid,
+        samples=samples, truncation_radius=R, scheduler=scheduler, **kw,
+    )
+    combined = np.sqrt(estimate.stderr**2 + twin.stderr**2)
+    deviation = np.abs(estimate.mean - twin.mean)
+    comparison = compare_random_ids(
+        dist, library, window, estimate, volumes=volumes, omegas=omegas,
+        matrix_cap=matrix_cap, **kw,
+    )
+    point = SiteDistribution.point_mass(dist.symbols[0], seed=dist.seed)
+    sg_diag = semigroup_truncation_diagnostic(
+        sample_coloring(point, 0, d), library, R=R, **kw
+    )
+    p1 = pastur_shubin_mc(point, library, grid, samples=1, truncation_radius=R, **kw)
+    p2 = pastur_shubin_mc(point, library, grid, samples=1, truncation_radius=2 * R, **kw)
+    return RandomIdsExperiment(
+        estimate=estimate,
+        twin=twin,
+        seeds_agree=bool(np.all(deviation <= 3 * np.maximum(combined, 1e-12))),
+        max_abs_difference=float(np.max(deviation)),
+        comparison=comparison,
+        semigroup_diagnostic=sg_diag,
+        projector_change=float(np.max(np.abs(p1.mean - p2.mean))),
     )

@@ -280,31 +280,6 @@ def grid_points(spec: OperatorSpec) -> list[Site]:
     return [p for p in pts if p not in removed]
 
 
-def assemble_fields(
-    color_of: Callable[[Site], str],
-    Q: frozenset[Site],
-    library: PrototypeLibrary,
-) -> tuple[dict[Site, float], list[dict[Site, float]]]:
-    """Tile prototype samples over W_Q on the half-open grid.
-
-    Returns the electric field and one vector-potential component per axis,
-    keyed by grid index (units of h).  Each grid point is owned by exactly
-    one cell under the half-open [0,1)^d convention.
-    """
-    d = dimension_of(Q)
-    n = library.resolution
-    V: dict[Site, float] = {}
-    A: list[dict[Site, float]] = [dict() for _ in range(d)]
-    for t in sorted(Q):
-        proto = library[color_of(t)]
-        for local in product(range(n), repeat=d):
-            p = tuple(t[i] * n + local[i] for i in range(d))
-            V[p] = float(proto.v[local])
-            for j in range(d):
-                A[j][p] = float(proto.a[j][local])
-    return V, A
-
-
 def _field_sample(
     spec: OperatorSpec, p: Site, component: int | None
 ) -> float:
@@ -448,17 +423,3 @@ def spec_digest(spec: OperatorSpec) -> str:
         ",".join(spec.library.symbols),
     ]
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
-
-
-def export_matrix_coo(H: np.ndarray, path: str) -> None:
-    """Coordinate-triplet text export: 'i j real [imag]' per nonzero entry."""
-    H = np.asarray(H)
-    with open(path, "w") as fh:
-        fh.write(f"# dimension {H.shape[0]} nnz {int(np.count_nonzero(H))}\n")
-        rows, cols = np.nonzero(H)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            v = H[i, j]
-            if np.iscomplexobj(H):
-                fh.write(f"{i} {j} {float(v.real)!r} {float(v.imag)!r}\n")
-            else:
-                fh.write(f"{i} {j} {float(v)!r}\n")

@@ -30,10 +30,6 @@ class EnergyWindow:
             raise ValueError(f"need p >= 1, got {self.p}")
 
     @property
-    def length(self) -> float:
-        return self.hi - self.lo
-
-    @property
     def sup(self) -> float:
         return self.hi
 
@@ -388,14 +384,15 @@ def eigensystem(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     every other H by dense np.linalg.eigh.
     """
     H = np.asarray(H)
-    assert_hermitian(H)
     n = H.shape[0]
     # a tridiagonal matrix has at most 3n - 2 nonzeros; skip the band otherwise
     if not np.iscomplexobj(H) and np.count_nonzero(H) <= 3 * n - 2:
-        ab, _ = _lower_band(H)
+        ab, _ = _lower_band(H)  # checks H Hermitian, as assert_hermitian would
         if ab.shape[0] <= 2:
             e = ab[1, : n - 1] if ab.shape[0] == 2 else np.zeros(n - 1)
             return scipy.linalg.eigh_tridiagonal(ab[0], e, lapack_driver="stevd")
+    else:
+        assert_hermitian(H)
     return np.linalg.eigh(H)
 
 

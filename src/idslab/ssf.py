@@ -235,20 +235,6 @@ class ConvexGauge:
 
 
 @dataclass(frozen=True)
-class PowerLawGauge(ConvexGauge):
-    """F(x) = x^(q+1), q > 0; pairs with polynomially decaying singular values."""
-
-    q: float
-
-    def __post_init__(self):
-        if not self.q > 0:
-            raise ValueError(f"power-law exponent q must be positive, got {self.q}")
-
-    def __call__(self, x):
-        return np.asarray(x, dtype=float) ** (self.q + 1.0)
-
-
-@dataclass(frozen=True)
 class PowerGauge(ConvexGauge):
     """F(x) = x^p with p >= 1 (the choice feeding the per-facet L^p bound)."""
 
@@ -361,14 +347,6 @@ class _TabulatedLegendre:
 
 def legendre(F: ConvexGauge) -> LegendreTransform:
     """Legendre transform of a convex gauge."""
-    if isinstance(F, PowerLawGauge):
-        q = F.q
-
-        def G(y):
-            y = np.asarray(y, dtype=float)
-            return q * (y / (q + 1.0)) ** ((q + 1.0) / q)
-
-        return LegendreTransform(kind="power-law", evaluator=G)
     if isinstance(F, PowerGauge):
         if F.p == 1.0:
             # F(x) = x: transform is 0 on [0, 1], +inf beyond.
@@ -500,3 +478,51 @@ def weyl_check(
     n = np.arange(1, len(e) + 1, dtype=float)
     lower = (2.0 * math.pi * (1.0 - delta) * d / math.e) * (n / volume) ** (2.0 / d)
     return float(np.min(e - lower + C1))
+
+
+@dataclass(frozen=True)
+class FacetExperiment:
+    """A facet pair's shift function, semigroup singular values and integral bounds.
+
+    bounds maps each exponent p to (direct integral of |xi|^p, its
+    heat-semigroup bound); young_passed counts the Young-inequality trials
+    that held.
+    """
+
+    shift: SpectralShift
+    series: SingularValueSeries
+    bounds: dict[float, tuple[float, HsBound]]
+    young_passed: int
+
+
+def facet_experiment(
+    specA: OperatorSpec,
+    specB: OperatorSpec,
+    window: EnergyWindow,
+    powers: Sequence[float],
+    rng: np.random.Generator,
+    trials: int,
+    count: int | None = None,
+    dense_cap: int = DEFAULT_DENSE_CAP,
+) -> FacetExperiment:
+    """L^p bounds and Young-inequality spot checks for one facet pair.
+
+    Each trial draws a step function h with 1 to 5 random breakpoints in the
+    window and values in [-2, 2] from rng, and checks the Young bound for
+    F(x) = x^2 to within 1e-9.
+    """
+    series = veff_singular_values(specA, specB, count=count, dense_cap=dense_cap)
+    shift = spectral_shift(specA, specB, window)
+    bounds = {
+        p: (ssf_lp_integral(shift, p), hs_bound(series, PowerGauge(p), T=window.sup))
+        for p in powers
+    }
+    passed = 0
+    for _ in range(trials):
+        k = int(rng.integers(1, 6))
+        bp = np.unique(rng.uniform(window.lo, window.hi, size=k))
+        h = StepFunction(bp, rng.uniform(-2.0, 2.0, size=len(bp) + 1))
+        lhs, rhs = young_check(h, shift, PowerGauge(2.0), series)
+        if lhs <= rhs + 1e-9:
+            passed += 1
+    return FacetExperiment(shift=shift, series=series, bounds=bounds, young_passed=passed)

@@ -6,8 +6,6 @@ as the acceptance report.  The same functions back the `idslab verify`
 subcommand.
 """
 
-import pytest
-
 from idslab import acceptance
 
 

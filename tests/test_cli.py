@@ -132,6 +132,27 @@ def test_ids_command_small(tmp_path):
     assert (out / "pattern_route_M2.csv").exists()
 
 
+@pytest.mark.parametrize("window, status", [
+    ({"lo": -1.0, "hi": 0.0}, 0),
+    ({"lo": -3.0, "hi": -1.0}, 0),
+    ({"lo": -5.0, "hi": -3.0}, 2),  # hi + constants.C < 0
+])
+def test_ids_windows_at_or_below_zero(tmp_path, capsys, window, status):
+    cfg = write_cfg(tmp_path, window=window)
+    out = tmp_path / "out"
+    assert main(["ids", "--config", str(cfg), "--out", str(out)]) == status
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if status == 2:
+        assert "config.window.hi" in err
+        return
+    report = json.loads((out / "ids_report.json").read_text())
+    assert isinstance(report["fitted_K"], float)
+    for row in report["route_distances"]:
+        assert isinstance(row["bound_counting_form"], float)
+        assert row["distance"] <= row["bound"]
+
+
 def test_ids_rejects_empty_M_list(tmp_path):
     cfg = write_cfg(tmp_path, M_list=[])
     rc = main(["ids", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -10,11 +10,9 @@ from idslab.ergodic import (
     BoundaryTerm,
     additivity_defect,
     calibrate_boundary_scale,
-    counting_field,
     direct_route,
     error_bound_additive,
     error_bound_counting,
-    field_error_bound,
     pattern_route,
     two_route_experiment,
 )
@@ -34,10 +32,9 @@ LIB_AB = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 8, 1)
 LIB_A = PrototypeLibrary.constant_potentials({"a": 0.0}, 8, 1)
 
 
-def lattice_field(coloring=None, lib=None, window=I045, cache=True):
-    return counting_field(
-        coloring or periodic_word("ab"), lib or LIB_AB, window,
-        backend="lattice", cache=cache,
+def lattice_field(coloring=None, lib=None, window=I045):
+    return AlmostAdditiveField(
+        coloring or periodic_word("ab"), lib or LIB_AB, window, backend="lattice"
     )
 
 
@@ -117,7 +114,7 @@ def test_defect_continuum_bipartition_equals_facet_ssf_norm():
 
     window = EnergyWindow(0.0, 10.0, p=2.0)
     lib = PrototypeLibrary.zero(["a"], 8, 1)
-    field = counting_field(
+    field = AlmostAdditiveField(
         periodic_word("a"), lib, window, backend="continuum", resolution=8
     )
     parts = [site_set([(0,), (1,)]), site_set([(2,), (3,)])]
@@ -138,8 +135,8 @@ def test_defect_continuum_bipartition_equals_facet_ssf_norm():
 ])
 def test_defect_below_budget_on_partition_families_1d(backend, resolution, window):
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, resolution, 1)
-    field = counting_field(periodic_word("ab"), lib, window,
-                           backend=backend, resolution=resolution)
+    field = AlmostAdditiveField(periodic_word("ab"), lib, window,
+                                backend=backend, resolution=resolution)
     L = 8
     partitions = [
         [cube(4, 1), frozenset(((i + 4,) for i in range(4)))],
@@ -156,7 +153,7 @@ def test_defect_below_budget_2d_lattice():
         (0, 0): "a", (1, 0): "b", (0, 1): "b", (1, 1): "a"
     })
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, 2)
-    field = counting_field(C, lib, EnergyWindow(0.0, 9.0, p=2.0), backend="lattice")
+    field = AlmostAdditiveField(C, lib, EnergyWindow(0.0, 9.0, p=2.0), backend="lattice")
     Q = cube(4, 2)
     checkerboard = [frozenset({s}) for s in sorted(Q)]
     halves = [
@@ -197,8 +194,8 @@ def test_direct_route_rejects_non_van_hove():
 
 
 def test_direct_route_volume_guard():
-    field = counting_field(periodic_word("ab"), LIB_AB, I045,
-                           backend="lattice", matrix_cap=10)
+    field = AlmostAdditiveField(periodic_word("ab"), LIB_AB, I045,
+                                backend="lattice", matrix_cap=10)
     with pytest.raises(ValueError):
         direct_route(field, cube_sequence([4, 16], 1))
 
@@ -243,15 +240,25 @@ def test_pattern_route_zero_frequency_ignored():
 
 
 def test_pattern_route_cache_equivalence():
-    cached = lattice_field(cache=True)
-    fresh = lattice_field(cache=False)
+    shared = lattice_field()
     table = exact_frequency_table(periodic_word("ab"), 3)
-    assert pattern_route(cached, table) == pattern_route(fresh, table)
+    route = pattern_route(shared, table)
+    # a cached class function equals the same class computed by a fresh field
+    for P in table.entries:
+        assert shared.evaluate_pattern(P) == lattice_field().evaluate_pattern(P)
+    assert pattern_route(shared, table) == route
 
 
 # ---------------------------------------------------------------------------
 # error bounds
 # ---------------------------------------------------------------------------
+
+def test_error_bound_counting_rejects_negative_T_plus_C():
+    kw = dict(M=1, boundary_ratio=0.1, freq_deviation_sum=0.0, c_pd=1.0, p=2.0, d=1)
+    assert error_bound_counting(C=1.0, T=-1.0, **kw) == pytest.approx(1.1)
+    with pytest.raises(ValueError):
+        error_bound_counting(C=1.0, T=-3.0, **kw)
+
 
 def test_error_bound_counting_arithmetic_example():
     got = error_bound_counting(

@@ -1,0 +1,79 @@
+"""Every import in src/idslab is used (no linter is installed, so this test is the lint)."""
+
+import ast
+import symtable
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "idslab"
+
+
+def _used_below(table: symtable.SymbolTable, name: str) -> bool:
+    """Whether a scope nested in table reads name without binding its own."""
+    for child in table.get_children():
+        try:
+            sym = child.lookup(name)
+        except KeyError:
+            sym = None
+        if sym is not None and not sym.is_global() and (
+            sym.is_parameter() or (sym.is_local() and sym.is_assigned())
+        ):
+            continue
+        if (sym is not None and sym.is_referenced()) or _used_below(child, name):
+            return True
+    return False
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    # symtable skips annotations under `from __future__ import annotations`
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    return {
+        n.id for a in annotations if a is not None
+        for n in ast.walk(a) if isinstance(n, ast.Name)
+    }
+
+
+def unused_imports(source: str, filename: str) -> list[str]:
+    in_annotations = _annotation_names(ast.parse(source))
+    unused = []
+
+    def visit(table):
+        for sym in table.get_symbols():
+            name = sym.get_name()
+            if (
+                sym.is_imported() and name != "annotations"
+                and not sym.is_referenced() and not _used_below(table, name)
+                and name not in in_annotations
+            ):
+                unused.append(f"{filename}: {name} in {table.get_name()}")
+        for child in table.get_children():
+            visit(child)
+
+    visit(symtable.symtable(source, filename, "exec"))
+    return unused
+
+
+def test_checker_flags_unused_and_shadowed_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import Sequence\n"
+        "from dataclasses import field\n"
+        "def f(field, xs: Sequence):\n"
+        "    import json\n"
+        "    return field\n"
+    )
+    assert unused_imports(source, "m.py") == ["m.py: os in top", "m.py: field in top", "m.py: json in f"]
+
+
+def test_src_has_no_unused_imports():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += unused_imports(path.read_text(), path.name)
+    assert found == []

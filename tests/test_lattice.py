@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idslab.lattice import (
-    FrequencyTable,
     Pattern,
     PeriodicColoring,
     RandomColoring,
@@ -21,7 +20,6 @@ from idslab.lattice import (
     enumerate_window_patterns,
     estimated_frequency_table,
     exact_frequency_table,
-    frequency,
     frequency_estimate,
     frequency_exact,
     inner_boundary,
@@ -288,19 +286,9 @@ def test_frequency_exact_examples():
     assert frequency_exact(C, pattern_from_word("aa")) == 0
     const = periodic_word("a")
     assert frequency_exact(const, const.restrict(cube(3, 1))) == 1
-
-
-def test_frequency_mode_dispatch():
-    C = periodic_word("ab")
-    assert frequency(C, pattern_from_word("b")) == Fraction(1, 2)
     rnd = RandomColoring(seed=1, symbols=("a", "b"), weights=(0.5, 0.5), dim=1)
     with pytest.raises(TypeError):
-        frequency(rnd, pattern_from_word("a"), mode="exact-periodic")
-    ratios, last = frequency(
-        C, pattern_from_word("a"), mode="estimate-along",
-        sequence=cube_sequence([4, 8], 1),
-    )
-    assert last == ratios[-1] == Fraction(4, 8)
+        frequency_exact(rnd, pattern_from_word("a"))
 
 
 def test_exact_table_sums_to_one():
@@ -332,7 +320,8 @@ def test_estimate_converges_to_exact():
     C = periodic_word("abc")
     P = pattern_from_word("ab")
     exact = frequency_exact(C, P)
-    ratios, _ = frequency_estimate(C, P, cube_sequence([9, 27, 81], 1))
+    ratios, last = frequency_estimate(C, P, cube_sequence([9, 27, 81], 1))
+    assert last == ratios[-1]
     errors = [abs(r - exact) for r in ratios]
     assert errors[-1] <= errors[0]
     assert float(errors[-1]) < 0.02

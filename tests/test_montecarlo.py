@@ -5,11 +5,9 @@ import pytest
 
 from idslab.lattice import _site_hash, cube, pattern_from_word
 from idslab.montecarlo import (
-    McEstimate,
     SiteDistribution,
     centered_box,
     compare_random_ids,
-    localized_counting,
     mc_step_function,
     pastur_shubin_mc,
     sample_coloring,
@@ -209,7 +207,7 @@ def test_projector_estimate_R_change_is_order_one_over_R():
 # ---------------------------------------------------------------------------
 
 def test_compare_point_mass_reduces_to_deterministic():
-    from idslab.ergodic import counting_field
+    from idslab.ergodic import AlmostAdditiveField
     from idslab.spectral import lp_distance
 
     window = EnergyWindow(0.0, 4.5, p=2.0)
@@ -222,7 +220,7 @@ def test_compare_point_mass_reduces_to_deterministic():
     # degenerate randomness: both sampled colorings are the constant one
     assert np.allclose(report.distances[0], report.distances[1])
     # and they match an explicitly deterministic pipeline
-    field = counting_field(sample_coloring(dist, 0, 1), LIB_A, window, backend="lattice")
+    field = AlmostAdditiveField(sample_coloring(dist, 0, 1), LIB_A, window, backend="lattice")
     expect = lp_distance(
         field.evaluate(cube(8, 1)).scale(1 / 8), mc_step_function(ref), window
     )

@@ -1,20 +1,24 @@
 """Hamiltonian assembly: tiling, Dirichlet bookkeeping, Peierls phases."""
 
-import json
-
 import numpy as np
 import pytest
 
-from idslab.lattice import Pattern, RandomColoring, cube, periodic_word, site_set
+from idslab.lattice import (
+    Pattern,
+    PeriodicColoring,
+    RandomColoring,
+    cube,
+    periodic_word,
+    site_set,
+)
 from idslab.operators import (
     Facet,
     OperatorSpec,
     Prototype,
     PrototypeLibrary,
+    _field_sample,
     add_facet_dirichlet,
-    assemble_fields,
     discretize,
-    export_matrix_coo,
     facet_within,
     grid_points,
     internal_facets,
@@ -57,15 +61,26 @@ def test_library_json_round_trip():
     assert np.array_equal(again["a"].v, lib["a"].v)
 
 
+def _assembled_potential(coloring, Q, lib):
+    """V sampled at every grid point the assembled matrix acts on."""
+    spec = OperatorSpec(
+        Q=Q, coloring=coloring, library=lib,
+        backend="continuum", resolution=lib.resolution,
+    )
+    return spec, {p: _field_sample(spec, p, None) for p in grid_points(spec)}
+
+
 def test_assemble_fields_zero():
-    V, A = assemble_fields(periodic_word("a").color, cube(3, 1), LIB0)
+    spec, V = _assembled_potential(periodic_word("a"), cube(3, 1), LIB0)
     assert all(v == 0.0 for v in V.values())
-    assert all(v == 0.0 for v in A[0].values())
-    assert len(V) == 3 * N
+    assert all(_field_sample(spec, p, 0) == 0.0 for p in V)
+    assert len(V) == 3 * N - 1
 
 
 def test_assemble_fields_period2_tiling():
-    V, _ = assemble_fields(periodic_word("ab").color, cube(2, 1), LIB01)
+    _, V = _assembled_potential(periodic_word("ab"), cube(2, 1), LIB01)
+    # half-open ownership: grid point N (the shared face) belongs to cell 1
+    assert V[(N,)] == 0.0 and V[(N - 1,)] == 1.0
     for p, v in V.items():
         cell = p[0] // N
         assert v == (1.0 if cell % 2 == 0 else 0.0)
@@ -75,13 +90,9 @@ def test_assemble_fields_single_cell_identity():
     rng = np.random.default_rng(0)
     proto = Prototype("a", rng.uniform(size=(4, 4)), (np.zeros((4, 4)), np.zeros((4, 4))))
     lib = PrototypeLibrary([proto])
-    C = periodic_word("a")
-
-    class C2:
-        def color(self, s):
-            return "a"
-
-    V, _ = assemble_fields(C2().color, site_set([(0, 0)]), lib)
+    C = PeriodicColoring(period=(1, 1), cell={(0, 0): "a"})
+    _, V = _assembled_potential(C, site_set([(0, 0)]), lib)
+    assert len(V) == 9
     for (i, j), v in V.items():
         assert v == proto.v[i, j]
 
@@ -329,12 +340,3 @@ def test_lattice_model_pattern_domain_matches_dict_loop_bitwise():
     P = Pattern(tuple(sites), tuple("ab"[(x * 3 + y) % 2] for x, y in sites))
     H = lattice_model(None, P.domain, lib, color_of=P.color)
     assert H.tobytes() == _dict_loop_lattice_model(P.domain, lib, P.color).tobytes()
-
-
-def test_export_coo(tmp_path):
-    H = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    path = tmp_path / "m.txt"
-    export_matrix_coo(H, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# dimension 2 nnz 4"
-    assert lines[1] == "0 0 2.0"

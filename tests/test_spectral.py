@@ -23,8 +23,6 @@ from idslab.spectral import (
     integrate_product,
     linear_combination,
     lp_distance,
-    lp_norm,
-    subtract,
 )
 
 I04 = EnergyWindow(0.0, 4.0, p=2.0)
@@ -168,14 +166,21 @@ def _chain(n):
 def test_eigenvalues_reject_nonfinite_and_nonhermitian():
     stray = _chain(6)
     stray[0, 5] = 1.0  # outside the tridiagonal band, no mirror entry
-    for H in [
-        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    skew = _chain(5)
+    skew[1, 0] = -0.5  # real tridiagonal, one off-diagonal pair unequal
+    nonhermitian = [
         np.array([[0.0, 1.0], [0.0, 0.0]]),  # non-Hermitian band
         stray,
         np.diag([1.0 + 1e-6j, 2.0, 3.0]),
-    ]:
+        skew,
+    ]
+    for H in [np.array([[np.nan, 0.0], [0.0, 1.0]]), *nonhermitian]:
         with pytest.raises(ValueError):
             eigenvalues(H)
+    # eigensystem checks once, on whichever path the matrix takes
+    for H in nonhermitian:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigensystem(H)
 
 
 def _random_banded(n, bw, seed):

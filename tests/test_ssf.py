@@ -11,13 +11,11 @@ from idslab.operators import (
     OperatorSpec,
     PrototypeLibrary,
     add_facet_dirichlet,
-    discretize,
 )
-from idslab.spectral import EnergyWindow, StepFunction, counting_function, eigenvalues
+from idslab.spectral import EnergyWindow, StepFunction
 from idslab.ssf import (
     ExponentialGauge,
     PowerGauge,
-    PowerLawGauge,
     SingularValueSeries,
     TabulatedGauge,
     fit_decay,
@@ -188,13 +186,13 @@ def test_fit_decay_envelope_covers_noise():
 # ---------------------------------------------------------------------------
 
 def test_legendre_power_law_closed_form():
-    G = legendre(PowerLawGauge(q=1.0))  # F(x) = x^2
+    G = legendre(PowerGauge(2.0))  # F(x) = x^2
     ys = np.linspace(0.0, 5.0, 11)
     assert np.allclose(G(ys), ys**2 / 4.0)
 
 
 def test_legendre_power_law_matches_grid_sup():
-    F = PowerLawGauge(q=1.5)
+    F = PowerGauge(2.5)
     G = legendre(F)
     for y in [0.3, 1.0, 2.5, 4.0]:
         oracle = legendre_grid_sup(F, y, x_max=10.0, samples=2_000_001)
@@ -220,7 +218,7 @@ def test_legendre_nonconvex_rejected():
 def test_fenchel_young_identity_grid():
     """F(x) + G(y) >= x y, equality on the subdifferential curve y = F'(x)."""
     q = 2.0
-    F = PowerLawGauge(q=q)
+    F = PowerGauge(q + 1.0)
     G = legendre(F)
     xs = np.linspace(0.0, 3.0, 100)
     ys = np.linspace(0.0, 3.0, 100)
@@ -259,7 +257,7 @@ def test_hs_bound_zero_series():
 
 def test_hs_bound_single_term():
     series = SingularValueSeries(mu=np.array([1.0]))
-    got = hs_bound(series, PowerLawGauge(q=1.0), T=0.0)
+    got = hs_bound(series, PowerGauge(2.0), T=0.0)
     assert got.value == pytest.approx(1.0)
 
 
@@ -303,10 +301,10 @@ def test_young_check_trivial_cases():
     series = veff_singular_values(specA, specB)
     shift = spectral_shift(specA, specB, I010)
     zero = StepFunction.constant(0.0)
-    lhs, rhs = young_check(zero, shift, PowerLawGauge(q=1.0), series)
+    lhs, rhs = young_check(zero, shift, PowerGauge(2.0), series)
     assert lhs == 0.0 and rhs >= 0.0
     trivial = spectral_shift(specA, specA, I010)
-    lhs2, _ = young_check(zero.scale(1.0), trivial, PowerLawGauge(q=1.0), series)
+    lhs2, _ = young_check(zero.scale(1.0), trivial, PowerGauge(2.0), series)
     assert lhs2 == 0.0
 
 
@@ -320,7 +318,7 @@ def test_young_check_randomized():
         bp = np.unique(rng.uniform(0.0, 10.0, size=k))
         vals = rng.uniform(-2.0, 2.0, size=len(bp) + 1)
         h = StepFunction(bp, vals)
-        lhs, rhs = young_check(h, shift, PowerLawGauge(q=1.0), series)
+        lhs, rhs = young_check(h, shift, PowerGauge(2.0), series)
         assert lhs <= rhs + 1e-9
 
 
