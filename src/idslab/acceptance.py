@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from .ergodic import AlmostAdditiveField, additivity_defect, two_route_experiment
-from .jobs import Scheduler
 from .lattice import (
     Pattern,
     PeriodicColoring,
@@ -521,7 +520,6 @@ def criterion_8_random(jobs: int = 1) -> CriterionResult:
     window = EnergyWindow(0.0, 5.0, p=2.0)
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, 1)
     grid = np.linspace(0.0, 5.0, 201)
-    scheduler = Scheduler(jobs=jobs)
 
     # point mass reproduces the deterministic pipeline exactly
     point = SiteDistribution.point_mass("a", seed=MASTER_SEED)
@@ -545,7 +543,7 @@ def criterion_8_random(jobs: int = 1) -> CriterionResult:
     exp = random_ids_experiment(
         SiteDistribution.bernoulli("a", "b", seed=1001), 2002, lib, window, grid,
         samples=200, R=32, omegas=[40, 41, 42, 43, 44], volumes=[32, 256],
-        scheduler=scheduler,
+        jobs=jobs,
     )
     per_omega_decrease = exp.comparison.decreased()
     truncation_ok = exp.semigroup_diagnostic < 1e-3

@@ -29,7 +29,6 @@ from .config import (
     load_config,
 )
 from .ergodic import AlmostAdditiveField, error_bound_counting, two_route_experiment
-from .jobs import Scheduler
 from .lattice import PeriodicColoring, cube, estimated_frequency_table, exact_frequency_table
 from .montecarlo import SiteDistribution, random_ids_experiment
 from .operators import (
@@ -109,7 +108,7 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     library = build_library(cfg)
     window = build_window(cfg)
     c = cfg.constants
-    if window.sup + float(c.get("C", 1.0)) < 0:
+    if window.sup + c["C"] < 0:
         raise ConfigError("config.window.hi: the counting-form bound needs hi + constants.C >= 0")
     field = AlmostAdditiveField(
         coloring, library, window,
@@ -135,7 +134,7 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
         row["bound_counting_form"] = error_bound_counting(
             M=row["M"], boundary_ratio=row["boundary_ratio"],
             freq_deviation_sum=row["freq_deviation_sum"],
-            C=float(c.get("C", 1.0)), c_pd=float(c.get("c_pd", 1.0)),
+            C=float(c["C"]), c_pd=float(c["c_pd"]),
             T=window.sup, p=window.p, d=cfg.dimension,
         )
         rows.append(row)
@@ -159,10 +158,8 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
     library = build_library(cfg)
     window = build_window(cfg)
     d = cfg.dimension
-    cells = int(cfg.ssf.get("cells", 8))
-    powers = [float(p) for p in cfg.ssf.get("powers", [1, 2, 3])]
-    count = int(cfg.ssf.get("count", 60))
-    trials = int(cfg.ssf.get("young_trials", 20))
+    cells, count, trials = cfg.ssf["cells"], cfg.ssf["count"], cfg.ssf["young_trials"]
+    powers = [float(p) for p in cfg.ssf["powers"]]
 
     specA = OperatorSpec(
         Q=cube(cells, d), coloring=coloring, library=library,
@@ -230,8 +227,8 @@ def cmd_weyl(cfg: ExperimentConfig, out: Path) -> int:
     coloring = build_coloring(cfg)
     library = build_library(cfg)
     window = build_window(cfg)
-    delta = float(cfg.constants.get("delta", 0.0))
-    C1 = float(cfg.constants.get("C1", 0.0))
+    delta = float(cfg.constants["delta"])
+    C1 = float(cfg.constants["C1"])
     rows = []
     for Q in build_sequence(cfg):
         spec = OperatorSpec(
@@ -260,19 +257,16 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
     library = build_library(cfg)
     window = build_window(cfg)
     rnd = cfg.random
-    weights = {str(k): float(v) for k, v in rnd.get("weights", {"a": 0.5, "b": 0.5}).items()}
+    weights = {str(k): float(v) for k, v in rnd["weights"].items()}
     symbols = tuple(sorted(weights))
     dist = SiteDistribution(symbols=symbols, weights=tuple(weights[s] for s in symbols), seed=cfg.seed)
-    samples = int(rnd.get("samples", 200))
-    R = int(rnd.get("truncation_radius", 32))
-    npts = int(rnd.get("lambda_points", 201))
-    grid = np.linspace(window.lo, window.hi, npts)
+    samples, R = rnd["samples"], rnd["truncation_radius"]
+    grid = np.linspace(window.lo, window.hi, rnd["lambda_points"])
     exp = random_ids_experiment(
         dist, cfg.seed + 1, library, window, grid, samples, R,
-        omegas=[int(o) for o in rnd.get("omegas", [40, 41, 42, 43, 44])],
-        volumes=[int(v) for v in rnd.get("compare_volumes", [32, 256])],
+        omegas=rnd["omegas"], volumes=rnd["compare_volumes"],
         d=cfg.dimension, backend=cfg.backend, resolution=cfg.resolution,
-        matrix_cap=cfg.matrix_cap, scheduler=Scheduler(jobs=cfg.jobs),
+        matrix_cap=cfg.matrix_cap, jobs=cfg.jobs,
     )
     if np.any(np.diff(exp.estimate.mean) < -1e-12):
         raise NumericalFailure("Monte Carlo mean is not nondecreasing")
@@ -346,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", type=str, default=None, help="JSON config path")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel jobs")
+    parser.add_argument("--jobs", type=int, default=None, help="threads for Monte Carlo samples")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     return parser
 

@@ -18,6 +18,7 @@ from .lattice import (
     PeriodicColoring,
     RandomColoring,
     WindowColoring,
+    check_weights,
     cube_sequence,
     periodic_word,
 )
@@ -33,6 +34,33 @@ def _require_keys(obj: Mapping, allowed: set[str], path: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}; allowed: {sorted(allowed)}")
+
+
+def _section(raw: Mapping, cfg: "ExperimentConfig", key: str) -> dict:
+    """raw's nested section key: keys checked, missing ones filled from cfg's defaults."""
+    given = _get(raw, key, dict, {}, "config")
+    defaults = getattr(cfg, key)
+    _require_keys(given, set(defaults), f"config.{key}")
+    return {**defaults, **given}
+
+
+def _check_int(section: Mapping, key: str, lo: int, path: str) -> None:
+    val = section[key]
+    if not isinstance(val, int) or isinstance(val, bool) or val < lo:
+        raise ConfigError(f"{path}.{key}: need an integer >= {lo}, got {val!r}")
+
+
+def _check_weights(weights, path: str) -> None:
+    if not isinstance(weights, dict):
+        raise ConfigError(f"{path}: expected an object mapping symbols to weights")
+    try:
+        check_weights(list(weights), [float(w) for w in weights.values()])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
+# keys each coloring kind cannot do without
+_COLORING_NEEDS = {"periodic-word": ("word",), "periodic": ("period", "cell"), "window": ("background",)}
 
 
 def _get(obj: Mapping, key: str, kind, default, path: str):
@@ -106,8 +134,14 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         {"kind", "word", "period", "cell", "window", "background", "weights", "seed", "symbol"},
         "config.coloring",
     )
-    if cfg.coloring.get("kind") not in ("periodic-word", "periodic", "window", "random", "constant"):
-        raise ConfigError(f"config.coloring.kind: unknown kind {cfg.coloring.get('kind')!r}")
+    kind = cfg.coloring.get("kind")
+    if kind not in ("periodic-word", "periodic", "window", "random", "constant"):
+        raise ConfigError(f"config.coloring.kind: unknown kind {kind!r}")
+    for key in _COLORING_NEEDS.get(kind, ()):
+        if key not in cfg.coloring:
+            raise ConfigError(f"config.coloring.{key}: required for kind {kind!r}")
+    if kind == "random" and "weights" in cfg.coloring:
+        _check_weights(cfg.coloring["weights"], "config.coloring.weights")
 
     cfg.sequence = dict(_get(raw, "sequence", dict, cfg.sequence, "config"))
     _require_keys(cfg.sequence, {"kind", "sides"}, "config.sequence")
@@ -117,14 +151,9 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     if not (isinstance(sides, list) and sides and all(isinstance(s, int) and s >= 1 for s in sides)):
         raise ConfigError("config.sequence.sides: need a nonempty list of positive integers")
 
-    cfg.window = dict(_get(raw, "window", dict, cfg.window, "config"))
-    _require_keys(cfg.window, {"lo", "hi", "p"}, "config.window")
+    cfg.window = _section(raw, cfg, "window")
     try:
-        EnergyWindow(
-            float(cfg.window.get("lo", 0.0)),
-            float(cfg.window.get("hi", 4.5)),
-            float(cfg.window.get("p", 2.0)),
-        )
+        build_window(cfg)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"config.window: {e}") from None
 
@@ -132,15 +161,14 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     if not cfg.M_list or not all(isinstance(m, int) and m >= 1 for m in cfg.M_list):
         raise ConfigError("config.M_list: need a nonempty list of positive integers")
 
-    cfg.constants = dict(_get(raw, "constants", dict, cfg.constants, "config"))
-    _require_keys(cfg.constants, {"C", "c_pd", "C1", "delta"}, "config.constants")
+    cfg.constants = _section(raw, cfg, "constants")
     for key, lo in (("C", 0.0), ("c_pd", 0.0), ("C1", -1e30), ("delta", 0.0)):
-        val = cfg.constants.get(key)
-        if val is not None and not isinstance(val, (int, float)):
+        val = cfg.constants[key]
+        if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"config.constants.{key}: expected a number")
-        if val is not None and val < lo:
+        if val < lo:
             raise ConfigError(f"config.constants.{key}: must be >= {lo}")
-    if cfg.constants.get("delta", 0.0) >= 1.0:
+    if cfg.constants["delta"] >= 1.0:
         raise ConfigError("config.constants.delta: must be < 1")
 
     cfg.seed = _get(raw, "seed", int, cfg.seed, "config")
@@ -149,16 +177,30 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError("config.jobs: must be >= 1")
     cfg.matrix_cap = _get(raw, "matrix_cap", int, cfg.matrix_cap, "config")
     cfg.dense_cap = _get(raw, "dense_cap", int, cfg.dense_cap, "config")
+    for key in ("matrix_cap", "dense_cap"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"config.{key}: must be >= 1")
 
-    cfg.ssf = dict(_get(raw, "ssf", dict, cfg.ssf, "config"))
-    _require_keys(cfg.ssf, {"cells", "count", "powers", "young_trials"}, "config.ssf")
+    cfg.ssf = _section(raw, cfg, "ssf")
+    _check_int(cfg.ssf, "cells", 2, "config.ssf")  # one internal facet at least
+    _check_int(cfg.ssf, "count", 10, "config.ssf")  # the decay fit needs 10 values
+    _check_int(cfg.ssf, "young_trials", 0, "config.ssf")
+    powers = cfg.ssf["powers"]
+    if not isinstance(powers, list) or not all(
+        isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 1 for p in powers
+    ):
+        raise ConfigError("config.ssf.powers: need a list of numbers >= 1")
 
-    cfg.random = dict(_get(raw, "random", dict, cfg.random, "config"))
-    _require_keys(
-        cfg.random,
-        {"weights", "samples", "truncation_radius", "lambda_points", "omegas", "compare_volumes"},
-        "config.random",
-    )
+    cfg.random = _section(raw, cfg, "random")
+    _check_weights(cfg.random["weights"], "config.random.weights")
+    for key in ("samples", "truncation_radius", "lambda_points"):
+        _check_int(cfg.random, key, 1, "config.random")
+    for key, lo in (("omegas", 0), ("compare_volumes", 1)):
+        val = cfg.random[key]
+        if not isinstance(val, list):
+            raise ConfigError(f"config.random.{key}: expected a list")
+        for i in range(len(val)):
+            _check_int(val, i, lo, f"config.random.{key}")
 
     cfg.output_dir = _get(raw, "output_dir", str, cfg.output_dir, "config")
     return cfg
@@ -261,8 +303,5 @@ def build_sequence(cfg: ExperimentConfig):
 
 
 def build_window(cfg: ExperimentConfig) -> EnergyWindow:
-    return EnergyWindow(
-        float(cfg.window.get("lo", 0.0)),
-        float(cfg.window.get("hi", 4.5)),
-        float(cfg.window.get("p", 2.0)),
-    )
+    w = cfg.window
+    return EnergyWindow(float(w["lo"]), float(w["hi"]), float(w["p"]))

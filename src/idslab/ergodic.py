@@ -36,6 +36,7 @@ from .operators import (
     add_facet_dirichlet,
     discretize,
     grid_points,
+    lattice_model,
     pattern_spec,
 )
 from .spectral import (
@@ -51,6 +52,7 @@ from .ssf import (
     SingularValueSeries,
     facet_ssf_norm_bound,
     semigroup_difference_singular_values,
+    veff_singular_values,
 )
 
 DEFAULT_MATRIX_CAP = 20_000
@@ -185,15 +187,8 @@ def calibration_pair(
             backend=CONTINUUM, resolution=resolution,
         )
         specB = add_facet_dirichlet(specA, Facet(anchor=e1, axis=0))
-        HA, HB = discretize(specA), discretize(specB)
-        ptsA, ptsB = grid_points(specA), grid_points(specB)
-        pos = {p: i for i, p in enumerate(ptsA)}
-        mu = semigroup_difference_singular_values(
-            HA, HB, embed=[pos[p] for p in ptsB]
-        )
+        mu = veff_singular_values(specA, specB, dense_cap=None).mu
     else:
-        from .operators import lattice_model
-
         HA = lattice_model(coloring, Q, library)
         HB = HA.copy()
         HB[0, 1] = HB[1, 0] = 0.0

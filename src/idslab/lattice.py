@@ -69,12 +69,7 @@ def boundary(Q: frozenset[Site], M: int) -> frozenset[Site]:
     d = dimension_of(Q)
     offsets = _ball_offsets(M, d)
     dilation = {tuple(q[i] + o[i] for i in range(d)) for q in Q for o in offsets}
-    outer = dilation - Q
-    inner = {
-        q for q in Q
-        if any(tuple(q[i] + o[i] for i in range(d)) not in Q for o in offsets)
-    }
-    return frozenset(inner | outer)
+    return inner_boundary(Q, M) | (dilation - Q)
 
 
 def inner_boundary(Q: frozenset[Site], M: int = 1) -> frozenset[Site]:

@@ -10,6 +10,7 @@ diagnostic rather than assumed.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -128,14 +129,15 @@ def pastur_shubin_mc(
     d: int = 1,
     backend: str = LATTICE,
     resolution: int = 8,
-    scheduler=None,
+    jobs: int = 1,
 ) -> McEstimate:
     """Monte Carlo estimate of the trace-per-unit-volume distribution function.
 
     Per sample: draw a coloring, assemble the Hamiltonian on the centered
     box, accumulate the origin-cell-localized spectral mass on the lambda
     grid.  Mean and standard error are taken across samples; samples are
-    independent and keyed by index, so a scheduler changes wall time only.
+    independent and keyed by index, so running them on jobs > 1 threads
+    changes wall time only.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -150,13 +152,11 @@ def pastur_shubin_mc(
         )
         return localized_counting(spec, grid)
 
-    if scheduler is None:
-        outputs = [one_sample(s) for s in range(samples)]
+    if jobs > 1:
+        with ThreadPoolExecutor(jobs) as pool:
+            outputs = list(pool.map(one_sample, range(samples)))
     else:
-        dim = len(box) if backend == LATTICE else len(box) * resolution**d
-        outputs = scheduler.map(
-            one_sample, range(samples), cost_bytes=lambda _s: 32 * dim * dim
-        )
+        outputs = [one_sample(s) for s in range(samples)]
     rows = np.vstack(outputs)
     mean = np.mean(rows, axis=0)
     if samples > 1:
@@ -287,7 +287,7 @@ def random_ids_experiment(
     backend: str = LATTICE,
     resolution: int = 8,
     matrix_cap: int = DEFAULT_MATRIX_CAP,
-    scheduler=None,
+    jobs: int = 1,
 ) -> RandomIdsExperiment:
     """Monte Carlo IDS with an independent-seed twin, per-omega distances and truncation checks.
 
@@ -298,11 +298,11 @@ def random_ids_experiment(
     """
     kw = dict(d=d, backend=backend, resolution=resolution)
     estimate = pastur_shubin_mc(
-        dist, library, grid, samples=samples, truncation_radius=R, scheduler=scheduler, **kw
+        dist, library, grid, samples=samples, truncation_radius=R, jobs=jobs, **kw
     )
     twin = pastur_shubin_mc(
         SiteDistribution(dist.symbols, dist.weights, twin_seed), library, grid,
-        samples=samples, truncation_radius=R, scheduler=scheduler, **kw,
+        samples=samples, truncation_radius=R, jobs=jobs, **kw,
     )
     combined = np.sqrt(estimate.stderr**2 + twin.stderr**2)
     deviation = np.abs(estimate.mean - twin.mean)

@@ -162,17 +162,6 @@ class Facet:
         if not 0 <= self.axis < len(self.anchor):
             raise ValueError(f"facet axis {self.axis} outside dimension {len(self.anchor)}")
 
-    def grid_points(self, n: int) -> list[Site]:
-        """Grid indices (units of h = 1/n) lying on the closed facet."""
-        d = len(self.anchor)
-        axes = []
-        for i in range(d):
-            if i == self.axis:
-                axes.append([self.anchor[i] * n])
-            else:
-                axes.append(list(range(self.anchor[i] * n, (self.anchor[i] + 1) * n + 1)))
-        return [tuple(p) for p in product(*axes)]
-
     def adjacent_cells(self) -> tuple[Site, Site]:
         below = tuple(
             c - (1 if i == self.axis else 0) for i, c in enumerate(self.anchor)
@@ -237,60 +226,71 @@ def add_facet_dirichlet(spec: OperatorSpec, S: Facet) -> OperatorSpec:
     return replace(spec, removed_facets=spec.removed_facets + (S,))
 
 
-def internal_facets(Q: frozenset[Site]) -> list[Facet]:
-    """All facets shared by two cells of Q, each listed once."""
-    d = dimension_of(Q)
-    out = []
-    for t in sorted(Q):
-        for j in range(d):
-            above = tuple(c + (1 if i == j else 0) for i, c in enumerate(t))
-            if above in Q:
-                out.append(Facet(anchor=above, axis=j))
-    return out
+def _links(coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis j, the row pairs (i, k) with coords[k] = coords[i] + e_j.
+
+    coords holds distinct points in lexicographic order.  Their row-major
+    keys over the bounding box, padded by one layer above so that a +e_j
+    neighbor never wraps, are then ascending, and searchsorted finds every
+    neighbor.
+    """
+    n, d = coords.shape
+    lo = coords.min(axis=0)
+    shape = (coords.max(axis=0) - lo + 2).tolist()
+    keys = np.ravel_multi_index(tuple((coords - lo).T), shape)
+    links = []
+    stride = 1
+    for j in reversed(range(d)):
+        target = keys + stride
+        pos = np.minimum(np.searchsorted(keys, target), n - 1)
+        linked = keys[pos] == target
+        links.append((np.flatnonzero(linked), pos[linked]))
+        stride *= shape[j]
+    return links[::-1]
 
 
 # ---------------------------------------------------------------------------
 # Continuum finite-difference backend
 # ---------------------------------------------------------------------------
 
-def _interior_grid_points(Q: frozenset[Site], n: int) -> list[Site]:
-    """Grid indices interior to W_Q: every unit cell touching the point is in Q."""
-    d = dimension_of(Q)
-    candidates: set[Site] = set()
-    for t in Q:
-        for local in product(range(n + 1), repeat=d):
-            candidates.add(tuple(t[i] * n + local[i] for i in range(d)))
-    interior = []
-    for p in candidates:
-        owner_options = []
-        for i in range(d):
-            q, r = divmod(p[i], n)
-            owner_options.append([q - 1, q] if r == 0 else [q])
-        if all(tuple(owner) in Q for owner in product(*owner_options)):
-            interior.append(p)
-    return sorted(interior)
+def _interior_grid_points(Q: frozenset[Site], n: int) -> np.ndarray:
+    """Grid indices interior to W_Q, lexicographically sorted, one row each.
+
+    A point p is interior iff all 2^d cells floor((p - s)/n), s in {0,1}^d,
+    touching it are in Q.  Its owner cell floor(p/n) is then in Q, so the
+    candidates are the n^d points each cell of Q owns.
+    """
+    cells = np.array(sorted(Q), dtype=np.int64)
+    d = cells.shape[1]
+    # cells of Q marked over their bounding box, padded by one empty layer
+    lo = cells.min(axis=0) - 1
+    marked = np.zeros(tuple(cells.max(axis=0) - lo + 2), dtype=bool)
+    marked[tuple((cells - lo).T)] = True
+    owned = np.indices((n,) * d).reshape(d, -1).T
+    pts = (cells[:, None, :] * n + owned).reshape(-1, d)
+    interior = np.ones(len(pts), dtype=bool)
+    for s in product((0, 1), repeat=d):
+        interior &= marked[tuple(((pts - s) // n - lo).T)]
+    pts = pts[interior]
+    return pts[np.lexsort(pts.T[::-1])]
+
+
+def _grid_coords(spec: OperatorSpec) -> np.ndarray:
+    """grid_points(spec) as an integer array, one row per point."""
+    n = spec.resolution
+    pts = _interior_grid_points(spec.Q, n)
+    for f in spec.removed_facets:
+        # the closed facet: p_axis = anchor_axis n, anchor_i n <= p_i <= (anchor_i + 1) n
+        corner = np.array(f.anchor) * n
+        on = (pts >= corner) & (pts <= corner + n)
+        on[:, f.axis] = pts[:, f.axis] == corner[f.axis]
+        pts = pts[~on.all(axis=1)]
+    return pts
 
 
 def grid_points(spec: OperatorSpec) -> list[Site]:
     """Index set the assembled matrix acts on (sorted, ready for bookkeeping)."""
-    pts = _interior_grid_points(spec.Q, spec.resolution)
-    removed: set[Site] = set()
-    for f in spec.removed_facets:
-        removed.update(f.grid_points(spec.resolution))
-    return [p for p in pts if p not in removed]
-
-
-def _field_sample(
-    spec: OperatorSpec, p: Site, component: int | None
-) -> float:
-    """Half-open-ownership sample of V (component None) or A_j at grid index p."""
-    n = spec.resolution
-    owner = tuple(c // n for c in p)
-    local = tuple(c % n for c in p)
-    proto = spec.library[spec.color_of(owner)]
-    if component is None:
-        return float(proto.v[local])
-    return float(proto.a[component][local])
+    return list(map(tuple, _grid_coords(spec).tolist()))
 
 
 def discretize(spec: OperatorSpec) -> np.ndarray:
@@ -298,39 +298,37 @@ def discretize(spec: OperatorSpec) -> np.ndarray:
 
     Continuum: (2d/h^2 + V) on the diagonal, -exp(-i h A_j)/h^2 on links,
     acting on interior grid points minus removed-facet points.  Hermitian by
-    construction.  Lattice: see lattice_model.
+    construction; the solvers that consume it check that.  Lattice: see
+    lattice_model.
     """
     if spec.backend == LATTICE:
         return lattice_model(spec.coloring, spec.Q, spec.library, color_of=spec.color_of)
     d = spec.dimension
     n = spec.resolution
     h = 1.0 / n
-    pts = grid_points(spec)
-    if not pts:
+    coords = _grid_coords(spec)
+    if not len(coords):
         raise ValueError("degenerate geometry: no interior grid points remain")
-    index = {p: i for i, p in enumerate(pts)}
+    # half-open ownership: grid point p samples its owner cell p // n at p % n
+    owner, local = np.divmod(coords, n)
+    cells, which = np.unique(owner, axis=0, return_inverse=True)
+    protos = [spec.library[spec.color_of(c)] for c in map(tuple, cells.tolist())]
+    at = (which.reshape(-1), *local.T)
     magnetic = spec.library.has_magnetic
-    dtype = complex if magnetic else float
-    H = np.zeros((len(pts), len(pts)), dtype=dtype)
+    N = len(coords)
+    H = np.zeros((N, N), dtype=complex if magnetic else float)
     inv_h2 = 1.0 / h**2
-    for p, i in index.items():
-        H[i, i] = 2.0 * d * inv_h2 + _field_sample(spec, p, None)
-        for j in range(d):
-            q = tuple(c + (1 if k == j else 0) for k, c in enumerate(p))
-            iq = index.get(q)
-            if iq is None:
-                continue
-            if magnetic:
-                # Peierls phase: A_j sampled at the link tail, which shares
-                # its half-open owner cell with the link midpoint.
-                w = -inv_h2 * np.exp(-1j * h * _field_sample(spec, p, j))
-            else:
-                w = -inv_h2
-            H[i, iq] = w
-            H[iq, i] = np.conjugate(w)
-    from .spectral import assert_hermitian
-
-    assert_hermitian(H)
+    H.flat[:: N + 1] = 2.0 * d * inv_h2 + np.stack([p.v for p in protos])[at]
+    for j, (i, k) in enumerate(_links(coords)):
+        if magnetic:
+            # Peierls phase: A_j sampled at the link tail, which shares
+            # its half-open owner cell with the link midpoint.
+            a = np.stack([p.a[j] for p in protos])[at][i]
+            w = -inv_h2 * np.exp(-1j * h * a)
+        else:
+            w = -inv_h2
+        H[i, k] = w
+        H[k, i] = np.conjugate(w)
     return H
 
 
@@ -360,24 +358,9 @@ def lattice_model(
     mean = {sym: library[sym].cell_mean_v for sym in set(colors)}
     H = np.zeros((n, n))
     H.flat[:: n + 1] = [2.0 * d + mean[sym] for sym in colors]
-    # row-major keys over the bounding box, padded by one layer above so that
-    # a +e_j neighbor never wraps; lexicographic order makes them ascending
-    coords = np.array(pts, dtype=np.int64)
-    lo = coords.min(axis=0)
-    shape = (coords.max(axis=0) - lo + 2).tolist()
-    keys = np.ravel_multi_index(tuple((coords - lo).T), shape)
-    stride = 1
-    for j in reversed(range(d)):
-        target = keys + stride
-        pos = np.minimum(np.searchsorted(keys, target), n - 1)
-        linked = keys[pos] == target
-        i, k = np.flatnonzero(linked), pos[linked]
+    for i, k in _links(np.array(pts, dtype=np.int64)):
         H[i, k] = -1.0
         H[k, i] = -1.0
-        stride *= shape[j]
-    from .spectral import assert_hermitian
-
-    assert_hermitian(H)
     return H
 
 

@@ -144,14 +144,14 @@ def veff_singular_values(
     specA: OperatorSpec,
     specB: OperatorSpec,
     count: int | None = None,
-    dense_cap: int = DEFAULT_DENSE_CAP,
+    dense_cap: int | None = DEFAULT_DENSE_CAP,
 ) -> SingularValueSeries:
-    """Top singular values of the facet-pair heat-semigroup difference."""
+    """Top singular values of the facet-pair heat-semigroup difference (dense_cap None: no cap)."""
     if not specs_facet_related(specA, specB):
         raise ValueError("specB must be specA plus extra Dirichlet facets")
     ptsA = grid_points(specA)
     ptsB = grid_points(specB)
-    if len(ptsA) > dense_cap:
+    if dense_cap is not None and len(ptsA) > dense_cap:
         raise ValueError(
             f"matrix dimension {len(ptsA)} exceeds the dense cap {dense_cap}"
         )
@@ -310,8 +310,7 @@ class LegendreTransform:
 
     For power-law gauges the closed form is exact; for exponential gauges
     the evaluator is the standard upper bound y * (log(1+y)/t)^(1/p); for
-    tabulated gauges it is a sup over the sample grid, flagged unbounded
-    when the sup escapes through the last grid point.
+    tabulated gauges it is a sup over the sample grid.
     """
 
     kind: str
@@ -320,13 +319,6 @@ class LegendreTransform:
 
     def __call__(self, y):
         return self.evaluator(y)
-
-    def unbounded_at(self, y) -> np.ndarray:
-        """Only meaningful for tabulated gauges; elsewhere always False."""
-        arr = np.atleast_1d(np.asarray(y, dtype=float))
-        if self.kind != "tabulated":
-            return np.zeros_like(arr, dtype=bool)
-        return self.evaluator.escape_mask(arr)
 
 
 @dataclass(frozen=True)
@@ -339,10 +331,6 @@ class _TabulatedLegendre:
         vals = arr[:, None] * self.xs[None, :] - self.Fs[None, :]
         out = np.max(vals, axis=1)
         return out if np.asarray(y).ndim else float(out[0])
-
-    def escape_mask(self, arr: np.ndarray) -> np.ndarray:
-        vals = arr[:, None] * self.xs[None, :] - self.Fs[None, :]
-        return np.argmax(vals, axis=1) == len(self.xs) - 1
 
 
 def legendre(F: ConvexGauge) -> LegendreTransform:

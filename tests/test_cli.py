@@ -64,6 +64,37 @@ def test_bad_values_rejected():
         validate_config({"constants": {"delta": 1.5}})
 
 
+@pytest.mark.parametrize("command, overrides, key", [
+    ("ssf", {"backend": "continuum", "ssf": {"cells": "abc"}}, "config.ssf.cells"),
+    ("ssf", {"backend": "continuum", "ssf": {"count": 5}}, "config.ssf.count"),
+    ("random", {"random": {"samples": 0}}, "config.random.samples"),
+    ("random", {"random": {"truncation_radius": 0}}, "config.random.truncation_radius"),
+    ("random", {"random": {"lambda_points": "x"}}, "config.random.lambda_points"),
+    ("random", {"random": {"weights": {"a": 0.7, "b": 0.7}}}, "config.random.weights"),
+    ("ids", {"matrix_cap": 0}, "config.matrix_cap"),
+    ("random", {"matrix_cap": 0}, "config.matrix_cap"),
+    ("ids", {"coloring": {"kind": "periodic", "period": [2]}}, "config.coloring.cell"),
+    ("ids", {"coloring": {"kind": "periodic-word"}}, "config.coloring.word"),
+])
+def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
+    raw = json.loads(DEFAULT.read_text())
+    for name, val in overrides.items():
+        # nested ssf/random entries replace single keys; other values replace wholesale
+        raw[name] = {**raw[name], **val} if name in ("ssf", "random") else val
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_missing_section_keys_take_their_defaults():
+    cfg = validate_config({"window": {"hi": 3.0}, "ssf": {"cells": 4}})
+    assert cfg.window == {"lo": 0.0, "hi": 3.0, "p": 2.0}
+    assert cfg.ssf == {**ExperimentConfig().ssf, "cells": 4}
+    assert cfg.random == ExperimentConfig().random
+
+
 def test_json_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "dimension": 1,\n}\n')

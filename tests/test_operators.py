@@ -1,8 +1,14 @@
 """Hamiltonian assembly: tiling, Dirichlet bookkeeping, Peierls phases."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
+import idslab.ergodic
+import idslab.montecarlo
+import idslab.ssf
+from idslab.ergodic import AlmostAdditiveField
 from idslab.lattice import (
     Pattern,
     PeriodicColoring,
@@ -11,20 +17,20 @@ from idslab.lattice import (
     periodic_word,
     site_set,
 )
+from idslab.montecarlo import localized_counting
 from idslab.operators import (
     Facet,
     OperatorSpec,
     Prototype,
     PrototypeLibrary,
-    _field_sample,
     add_facet_dirichlet,
     discretize,
     facet_within,
     grid_points,
-    internal_facets,
     lattice_model,
 )
-from idslab.spectral import assert_hermitian, dirichlet_chain_eigenvalues, eigenvalues
+from idslab.spectral import EnergyWindow, assert_hermitian, dirichlet_chain_eigenvalues, eigenvalues
+from idslab.ssf import spectral_shift
 
 N = 8
 LIB01 = PrototypeLibrary.constant_potentials({"a": 1.0, "b": 0.0}, N, 1)
@@ -62,18 +68,22 @@ def test_library_json_round_trip():
 
 
 def _assembled_potential(coloring, Q, lib):
-    """V sampled at every grid point the assembled matrix acts on."""
+    """V at every grid point the assembled matrix acts on: its diagonal minus 2d/h^2."""
     spec = OperatorSpec(
         Q=Q, coloring=coloring, library=lib,
         backend="continuum", resolution=lib.resolution,
     )
-    return spec, {p: _field_sample(spec, p, None) for p in grid_points(spec)}
+    H = discretize(spec)
+    V = np.diag(H).real - 2.0 * spec.dimension * spec.resolution**2
+    return H, dict(zip(grid_points(spec), V.tolist()))
 
 
 def test_assemble_fields_zero():
-    spec, V = _assembled_potential(periodic_word("a"), cube(3, 1), LIB0)
+    H, V = _assembled_potential(periodic_word("a"), cube(3, 1), LIB0)
     assert all(v == 0.0 for v in V.values())
-    assert all(_field_sample(spec, p, 0) == 0.0 for p in V)
+    # A = 0: real links of weight -1/h^2
+    assert H.dtype == np.float64
+    assert np.array_equal(np.diag(H, 1), np.full(len(V) - 1, -float(N**2)))
     assert len(V) == 3 * N - 1
 
 
@@ -94,7 +104,8 @@ def test_assemble_fields_single_cell_identity():
     _, V = _assembled_potential(C, site_set([(0, 0)]), lib)
     assert len(V) == 9
     for (i, j), v in V.items():
-        assert v == proto.v[i, j]
+        # grid point (i, j) samples local index (i, j) of the cell it owns
+        assert v == pytest.approx(proto.v[i, j], abs=1e-13)
 
 
 def test_missing_prototype_rejected():
@@ -238,8 +249,9 @@ def test_all_internal_facets_of_c2_2d():
 
     spec = OperatorSpec(Q=cube(2, 2), coloring=Const2(), library=lib,
                         backend="continuum", resolution=n)
-    facets = internal_facets(spec.Q)
-    assert len(facets) == 4
+    # the four facets shared by two cells of the 2x2 cube
+    facets = [Facet(anchor=(1, 0), axis=0), Facet(anchor=(1, 1), axis=0),
+              Facet(anchor=(0, 1), axis=1), Facet(anchor=(1, 1), axis=1)]
     for f in facets:
         spec = add_facet_dirichlet(spec, f)
     H = discretize(spec)
@@ -340,3 +352,117 @@ def test_lattice_model_pattern_domain_matches_dict_loop_bitwise():
     P = Pattern(tuple(sites), tuple("ab"[(x * 3 + y) % 2] for x, y in sites))
     H = lattice_model(None, P.domain, lib, color_of=P.color)
     assert H.tobytes() == _dict_loop_lattice_model(P.domain, lib, P.color).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# continuum assembly against the point-by-point reference
+# ---------------------------------------------------------------------------
+
+def _set_loop_grid_points(spec):
+    """Reference grid points: every cell's closed grid, each owner checked in Q."""
+    Q, n = spec.Q, spec.resolution
+    d = len(next(iter(Q)))
+    candidates = set()
+    for t in Q:
+        for local in product(range(n + 1), repeat=d):
+            candidates.add(tuple(t[i] * n + local[i] for i in range(d)))
+    interior = []
+    for p in candidates:
+        owner_options = []
+        for i in range(d):
+            q, r = divmod(p[i], n)
+            owner_options.append([q - 1, q] if r == 0 else [q])
+        if all(tuple(owner) in Q for owner in product(*owner_options)):
+            interior.append(p)
+    removed = set()
+    for f in spec.removed_facets:
+        axes = [
+            [f.anchor[i] * n] if i == f.axis
+            else range(f.anchor[i] * n, (f.anchor[i] + 1) * n + 1)
+            for i in range(d)
+        ]
+        removed.update(product(*axes))
+    return [p for p in sorted(interior) if p not in removed]
+
+
+def _dict_loop_discretize(spec):
+    """Reference continuum assembly: one dict and one colour lookup per point and link."""
+    d, n = spec.dimension, spec.resolution
+    h = 1.0 / n
+    index = {p: i for i, p in enumerate(_set_loop_grid_points(spec))}
+
+    def sample(p, component):
+        proto = spec.library[spec.color_of(tuple(c // n for c in p))]
+        local = tuple(c % n for c in p)
+        return float((proto.v if component is None else proto.a[component])[local])
+
+    magnetic = spec.library.has_magnetic
+    H = np.zeros((len(index), len(index)), dtype=complex if magnetic else float)
+    inv_h2 = 1.0 / h**2
+    for p, i in index.items():
+        H[i, i] = 2.0 * d * inv_h2 + sample(p, None)
+        for j in range(d):
+            q = tuple(c + (1 if k == j else 0) for k, c in enumerate(p))
+            iq = index.get(q)
+            if iq is None:
+                continue
+            w = -inv_h2 * np.exp(-1j * h * sample(p, j)) if magnetic else -inv_h2
+            H[i, iq] = w
+            H[iq, i] = np.conjugate(w)
+    return H
+
+
+def _random_library(d, n, magnetic, seed):
+    rng = np.random.default_rng(seed)
+    zero = np.zeros((n,) * d)
+    return PrototypeLibrary(
+        Prototype(s, rng.normal(size=(n,) * d),
+                  tuple(rng.normal(size=(n,) * d) if magnetic else zero for _ in range(d)))
+        for s in "abc"
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize(
+    "Q_of",
+    [lambda d: cube(3 if d < 3 else 2, d)]
+    + [lambda d, s=s: _scattered_sites(d, s) for s in range(2)],
+    ids=["cube", "scattered-0", "scattered-1"],
+)
+def test_discretize_matches_dict_loop_bitwise(d, n, Q_of):
+    Q = Q_of(d)
+    C = RandomColoring(seed=11, symbols=("a", "b", "c"), weights=(0.3, 0.3, 0.4), dim=d)
+    for magnetic, facet in product([False, True], repeat=2):
+        spec = OperatorSpec(Q=Q, coloring=C, library=_random_library(d, n, magnetic, n),
+                            backend="continuum", resolution=n)
+        if facet:
+            spec = add_facet_dirichlet(spec, Facet(anchor=sorted(Q)[len(Q) // 2], axis=d - 1))
+        assert grid_points(spec) == _set_loop_grid_points(spec)
+        H = discretize(spec)
+        assert H.dtype == (np.complex128 if magnetic else np.float64)
+        assert H.tobytes() == _dict_loop_discretize(spec).tobytes()
+
+
+def test_consumers_reject_non_hermitian_assembly(monkeypatch):
+    """Assembly does not check symmetry; every solver its matrices reach does."""
+
+    def skewed(spec):
+        H = discretize(spec)
+        H[0, 1] += 0.5
+        return H
+
+    for module in (idslab.ergodic, idslab.montecarlo, idslab.ssf):
+        monkeypatch.setattr(module, "discretize", skewed)
+    window = EnergyWindow(0.0, 4.5)
+    field = AlmostAdditiveField(periodic_word("ab"), LIB01, window)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        field.evaluate(cube(4, 1))
+    box = OperatorSpec(Q=site_set([(-1,), (0,), (1,)]), coloring=periodic_word("ab"),
+                       library=LIB01, backend="lattice")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        localized_counting(box, np.linspace(0.0, 4.5, 5))
+    specA = two_cell_spec()
+    specB = add_facet_dirichlet(specA, Facet(anchor=(1,), axis=0))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        spectral_shift(specA, specB, EnergyWindow(0.0, 100.0))
