@@ -30,6 +30,29 @@ SSF_CONFIG = {
     "ssf": {"cells": 3, "count": 30, "powers": [1, 2], "young_trials": 5},
 }
 
+# the d=2 i.i.d. path: estimated frequency tables and window tallies of a
+# random coloring, whose tally order feeds freq_deviation_sum
+IDS_RANDOM_2D_CONFIG = {
+    "dimension": 2,
+    "backend": "lattice",
+    "prototypes": {"kind": "constant", "values": {"a": 0.0, "b": 1.0}},
+    "coloring": {"kind": "random", "weights": {"a": 0.5, "b": 0.5}, "seed": 1},
+    "sequence": {"kind": "cubes", "sides": [8, 16, 24]},
+    "window": {"lo": 0.0, "hi": 4.5, "p": 2.0},
+    "M_list": [1, 2, 3],
+    "seed": 1,
+}
+
+# golden case -> (command, config written to a file; None for configs/default.json)
+CASES = {
+    "patterns": ("patterns", None),
+    "ids": ("ids", None),
+    "ids-random-2d": ("ids", IDS_RANDOM_2D_CONFIG),
+    "weyl": ("weyl", None),
+    "random": ("random", None),
+    "ssf": ("ssf", SSF_CONFIG),
+}
+
 GOLDEN = {
     "patterns": {
         "frequencies_M1.json": "b68fab227cd0c61aabe2b6fd3b9846797aa2b60bfa6f0c528aa4c1d336cb8b57",
@@ -45,6 +68,15 @@ GOLDEN = {
         "pattern_route_M1.csv": "ef1d29cba6a06dc099e73f463971d807e7236ca47d066fd7739884ae61dcbba8",
         "pattern_route_M2.csv": "ddcad51715b08649c6c72fb2cd2d460cbebf1bcad5eb7f64e0f4cff371707380",
         "pattern_route_M3.csv": "05a3052a937a841024d6236bf07f08baabf8455de7a32f02c53da9ddd8ed5e1f",
+    },
+    "ids-random-2d": {
+        "direct_route_j256.csv": "673dcfc58374625ecc9ac7bb4946dfa33d08b931a959c43eef29537232a20c5a",
+        "direct_route_j576.csv": "111cb29d4509e7d13c1ca54dbc5aff5486188ae7fb59b752aeec77629a482981",
+        "direct_route_j64.csv": "7f60b6cf30977c8e66d5ca41062e16411e4adafadda90ec1706c085517bbf026",
+        "ids_report.json": "97d30b008831d7473ab8d246a083a34690d10861a84f3a831fc4045013c2cc4b",
+        "pattern_route_M1.csv": "ffd0e698d58660f0a9608980849038b6928c1d25d239e7a1df1e9b7c18d7da47",
+        "pattern_route_M2.csv": "d901c89f4959121a5377d1a8baaaafdf5fc9937cc64f55cf44f32149efaa77db",
+        "pattern_route_M3.csv": "e582b70c315b9517c0618c5b3c808d97203bcca7b63621118e651c6435fa213d",
     },
     "weyl": {
         "weyl_report.json": "f9e13c5f6509099dd3de78e39bd3f6fdfee58b632b75e16bd3ec884eb9640fc5",
@@ -63,12 +95,13 @@ GOLDEN = {
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_cli_data_files_match_golden_hashes(tmp_path, command):
+    cli_command, raw = CASES[command]
     config = DEFAULT
-    if command == "ssf":
-        config = tmp_path / "ssf.json"
-        config.write_text(json.dumps(SSF_CONFIG))
+    if raw is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    assert main([cli_command, "--config", str(config), "--out", str(out)]) == 0
     hashes = {
         f.name: hashlib.sha256(f.read_bytes()).hexdigest()
         for f in sorted(out.iterdir()) if f.name != "manifest.json"
