@@ -1,8 +1,11 @@
 """Lattice combinatorics: sites, cubes, boundaries, colorings, patterns, frequencies.
 
 Sites are plain integer tuples, finite site sets are frozensets of such
-tuples.  Everything here is exact integer / rational arithmetic; nothing
-touches floating point except pseudorandom color draws.
+tuples.  Boundaries and window tallies are computed on boolean masks and
+integer symbol codes over a set's bounding box, so their cost scales with
+the box volume; they return sites and patterns again.  Everything here is
+exact integer / rational arithmetic; nothing touches floating point except
+pseudorandom color draws.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 Site = tuple[int, ...]
 
@@ -52,24 +58,56 @@ def bounding_box(sites: frozenset[Site]) -> tuple[Site, Site]:
     return lo, hi
 
 
-def _ball_offsets(M: int, d: int) -> list[Site]:
-    return list(product(range(-M, M + 1), repeat=d))
+def _site_mask(Q: Iterable[Site], pad: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Q marked in a boolean array over its bounding box padded by `pad`.
+
+    Returns the mask, the coordinates of its index 0, and the index tuple
+    of Q's sites in the order given.
+    """
+    coords = np.array(list(Q), dtype=np.int64)
+    lo = coords.min(axis=0) - pad
+    mask = np.zeros(tuple(coords.max(axis=0) - lo + pad + 1), dtype=bool)
+    at = tuple((coords - lo).T)
+    mask[at] = True
+    return mask, lo, at
+
+
+def _box_reduce(mask: np.ndarray, width: int, pad: int, reduce) -> np.ndarray:
+    """reduce (np.any or np.all) of mask over each width^d box, one axis at a time.
+
+    Each axis is first padded by `pad` empty layers on both sides, so with
+    pad = (width - 1) / 2 the box is centered and the shape is kept; with
+    pad = 0 the box is anchored at its low corner and only boxes inside the
+    mask are taken.
+    """
+    for axis in range(mask.ndim):
+        if pad:
+            widths = [(0, 0)] * mask.ndim
+            widths[axis] = (pad, pad)
+            mask = np.pad(mask, widths)
+        mask = reduce(sliding_window_view(mask, width, axis=axis), axis=-1)
+    return mask
+
+
+def _sites_of(mask: np.ndarray, lo: np.ndarray) -> frozenset[Site]:
+    return frozenset(map(tuple, (np.argwhere(mask) + lo).tolist()))
 
 
 def boundary(Q: frozenset[Site], M: int) -> frozenset[Site]:
     """Two-sided combinatorial M-boundary of Q in the Chebyshev metric.
 
     Sites of Q within distance M of the complement, together with sites of
-    the complement within distance M of Q.
+    the complement within distance M of Q: the dilation of Q by the
+    (2M+1)^d box minus its erosion.
     """
     if not Q:
         raise ValueError("boundary of the empty set is undefined")
     if M < 1:
         raise ValueError(f"boundary width must be >= 1, got {M}")
-    d = dimension_of(Q)
-    offsets = _ball_offsets(M, d)
-    dilation = {tuple(q[i] + o[i] for i in range(d)) for q in Q for o in offsets}
-    return inner_boundary(Q, M) | (dilation - Q)
+    mask, lo, _ = _site_mask(Q, M)
+    dilation = _box_reduce(mask, 2 * M + 1, M, np.any)
+    erosion = _box_reduce(mask, 2 * M + 1, M, np.all)
+    return _sites_of(dilation & ~erosion, lo)
 
 
 def inner_boundary(Q: frozenset[Site], M: int = 1) -> frozenset[Site]:
@@ -80,12 +118,10 @@ def inner_boundary(Q: frozenset[Site], M: int = 1) -> frozenset[Site]:
     """
     if not Q:
         raise ValueError("boundary of the empty set is undefined")
-    d = dimension_of(Q)
-    offsets = _ball_offsets(M, d)
-    return frozenset(
-        q for q in Q
-        if any(tuple(q[i] + o[i] for i in range(d)) not in Q for o in offsets)
-    )
+    if M < 1:
+        raise ValueError(f"boundary width must be >= 1, got {M}")
+    mask, lo, _ = _site_mask(Q, 0)
+    return _sites_of(mask & ~_box_reduce(mask, 2 * M + 1, M, np.all), lo)
 
 
 def van_hove_ratios(sequence: Sequence[frozenset[Site]], M: int) -> tuple[list[Fraction], bool]:
@@ -339,23 +375,37 @@ def enumerate_window_patterns(
 
     For every x with C_M + x contained in U, the canonicalized restriction
     of C to that window is counted once; the total tally equals the number
-    of admissible x.
+    of admissible x.  Classes appear in the order of their first window,
+    windows taken in lexicographic order of x.
     """
     if M < 1:
         raise ValueError(f"window parameter must be >= 1, got {M}")
     if not U:
         return Counter()
-    d = dimension_of(U)
-    offsets = sorted(cube(M, d))
-    lo, hi = bounding_box(U)
-    tally: Counter[tuple[str, ...]] = Counter()
-    ranges = [range(lo[i], hi[i] - M + 2) for i in range(d)]
-    for x in product(*ranges):
-        window = [tuple(x[i] + o[i] for i in range(d)) for o in offsets]
-        if all(w in U for w in window):
-            tally[tuple(C.color(w) for w in window)] += 1
-    sites = tuple(offsets)
-    return Counter({Pattern(sites, syms): k for syms, k in tally.items()})
+    sites = list(U)
+    mask, _, at = _site_mask(sites, 0)
+    if min(mask.shape) < M:
+        return Counter()
+    d = mask.ndim
+    # each site colored once; symbols numbered in the order first seen
+    number: dict[str, int] = {}
+    codes = np.zeros(mask.shape, dtype=np.int64)
+    codes[at] = [number.setdefault(C.color(s), len(number)) for s in sites]
+    # anchors x in row-major order, each window's codes in sorted-offset order
+    inside = _box_reduce(mask, M, 0, np.all)
+    rows = sliding_window_view(codes, (M,) * d)[inside].reshape(-1, M**d)
+    # one integer key per window, re-ranked after each offset so it cannot overflow
+    key = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        key = np.unique(key * len(number) + column, return_inverse=True)[1]
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    symbols = list(number)
+    offsets = tuple(sorted(cube(M, d)))
+    tally: Counter[Pattern] = Counter()
+    for i, k in zip(first[order].tolist(), counts[order].tolist()):
+        tally[Pattern(offsets, tuple(symbols[c] for c in rows[i].tolist()))] = k
+    return tally
 
 
 def frequency_exact(C: PeriodicColoring, P: Pattern) -> Fraction:

@@ -1,8 +1,9 @@
 """Lattice combinatorics against brute-force oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from idslab.lattice import (
     bounding_box,
     cube,
     cube_sequence,
+    dimension_of,
     enumerate_window_patterns,
     estimated_frequency_table,
     exact_frequency_table,
@@ -77,6 +79,48 @@ def occurrences_oracle(P, Pp):
     return count
 
 
+def _ball_offsets(M, d):
+    return list(product(range(-M, M + 1), repeat=d))
+
+
+def boundary_set_loop(Q, M):
+    """The set-dilation boundary that the mask version replaced, kept as its oracle."""
+    d = dimension_of(Q)
+    offsets = _ball_offsets(M, d)
+    dilation = {tuple(q[i] + o[i] for i in range(d)) for q in Q for o in offsets}
+    return inner_boundary_set_loop(Q, M) | (dilation - Q)
+
+
+def inner_boundary_set_loop(Q, M=1):
+    d = dimension_of(Q)
+    offsets = _ball_offsets(M, d)
+    return frozenset(
+        q for q in Q
+        if any(tuple(q[i] + o[i] for i in range(d)) not in Q for o in offsets)
+    )
+
+
+def window_tally_scan(C, U, M):
+    """The per-anchor scan that the array version replaced, kept as its oracle.
+
+    Anchors run in lexicographic order and each class enters the Counter at
+    its first window, so list(items()) fixes the order as well as the counts.
+    """
+    if not U:
+        return Counter()
+    d = dimension_of(U)
+    offsets = sorted(cube(M, d))
+    lo, hi = bounding_box(U)
+    tally = Counter()
+    ranges = [range(lo[i], hi[i] - M + 2) for i in range(d)]
+    for x in product(*ranges):
+        window = [tuple(x[i] + o[i] for i in range(d)) for o in offsets]
+        if all(w in U for w in window):
+            tally[tuple(C.color(w) for w in window)] += 1
+    sites = tuple(offsets)
+    return Counter({Pattern(sites, syms): k for syms, k in tally.items()})
+
+
 def random_connectedish_set(rng, d, max_size):
     """Random subset of a moderate box (may be scattered)."""
     side = rng.randint(2, 8 if d == 2 else 30)
@@ -128,6 +172,98 @@ def test_boundary_matches_oracle_up_to_400_sites():
         box = list(product(range(25), range(25)))
         Q = frozenset(rng.sample(box, 400))
         assert boundary(Q, 1) == boundary_oracle(Q, 1)
+
+
+def test_boundary_rejects_empty_set_and_width_below_one():
+    with pytest.raises(ValueError):
+        boundary(frozenset(), 1)
+    with pytest.raises(ValueError):
+        boundary(cube(2, 2), 0)
+    with pytest.raises(ValueError):
+        inner_boundary(frozenset())
+    with pytest.raises(ValueError):
+        inner_boundary(cube(2, 2), 0)
+    with pytest.raises(ValueError):
+        enumerate_window_patterns(periodic_word("a"), cube(2, 1), 0)
+
+
+# side of the sampling box per dimension, small enough for the set loops in d=3
+_BOX_SIDE = {1: 40, 2: 12, 3: 6}
+
+
+def _oracle_cases():
+    """(Q, M) over d=1-3 and M=1-3: cubes, and scattered sets with gaps and
+    negative coordinates (some a single site, some narrower than a window)."""
+    rng = random.Random(2024)
+    cases = []
+    for d, M in product((1, 2, 3), (1, 2, 3)):
+        cases.append((cube(rng.randint(1, 5), d), M))
+        for _ in range(4):
+            side = rng.randint(1, _BOX_SIDE[d])
+            shift = [rng.randint(-9, 3) for _ in range(d)]
+            box = [tuple(c + s for c, s in zip(x, shift)) for x in product(range(side), repeat=d)]
+            cases.append((frozenset(rng.sample(box, rng.randint(1, len(box)))), M))
+    return cases
+
+
+def test_boundary_and_inner_boundary_match_set_loop():
+    for Q, M in _oracle_cases():
+        assert boundary(Q, M) == boundary_set_loop(Q, M)
+        assert inner_boundary(Q, M) == inner_boundary_set_loop(Q, M)
+
+
+def _coloring_cases(d, seed):
+    cell = {x: "abc"[sum(x) % 3] for x in product(range(3), *[range(2)] * (d - 1))}
+    return [
+        PeriodicColoring(period=(3,) + (2,) * (d - 1), cell=cell),
+        WindowColoring(
+            window={(0,) * d: "x", (1,) + (-2,) * (d - 1): "y", (-3,) * d: "x"},
+            background="b", dim=d,
+        ),
+        RandomColoring(seed=seed, symbols=("a", "b", "c"), weights=(0.2, 0.5, 0.3), dim=d),
+    ]
+
+
+def test_window_tally_matches_scan_in_order():
+    empty = 0
+    for k, (U, M) in enumerate(_oracle_cases()):
+        for C in _coloring_cases(len(next(iter(U))), seed=k):
+            got = enumerate_window_patterns(C, U, M)
+            want = window_tally_scan(C, U, M)
+            assert list(got.items()) == list(want.items())
+            assert all(type(v) is int for v in got.values())
+            empty += not got
+    assert empty  # some U is narrower than its window
+
+
+# lattice symmetries g: an axis permutation, then a sign per axis, then a shift
+_symmetry = st.tuples(
+    st.sampled_from(sorted(permutations(range(3)))),
+    st.tuples(*[st.sampled_from((-1, 1))] * 3),
+    st.tuples(*[st.integers(-20, 20)] * 3),
+)
+
+
+def _act(g, d, sites):
+    perm, signs, shift = g
+    perm = [p for p in perm if p < d]
+    return frozenset(
+        tuple(signs[i] * x[perm[i]] + shift[i] for i in range(d)) for x in sites
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.integers(1, 3),
+    st.sets(st.tuples(*[st.integers(-4, 4)] * 3), min_size=1, max_size=40),
+    _symmetry,
+)
+def test_boundaries_commute_with_lattice_symmetries(d, M, points, g):
+    Q = frozenset(p[:d] for p in points)
+    gQ = _act(g, d, Q)
+    assert boundary(gQ, M) == _act(g, d, boundary(Q, M))
+    assert inner_boundary(gQ, M) == _act(g, d, inner_boundary(Q, M))
 
 
 def test_inner_boundary_subset():

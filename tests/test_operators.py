@@ -1,9 +1,11 @@
 """Hamiltonian assembly: tiling, Dirichlet bookkeeping, Peierls phases."""
 
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import idslab.ergodic
 import idslab.montecarlo
@@ -13,6 +15,7 @@ from idslab.lattice import (
     Pattern,
     PeriodicColoring,
     RandomColoring,
+    WindowColoring,
     cube,
     periodic_word,
     site_set,
@@ -306,6 +309,34 @@ def test_lattice_2d_neighbors():
     assert H.shape == (4, 4)
     assert np.all(np.diag(H) == 4.0)
     assert np.sum(H == -1.0) == 8  # 4 edges, both directions
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 3),
+    st.dictionaries(st.tuples(*[st.integers(-2, 2)] * 3), st.sampled_from("ab"),
+                    min_size=1, max_size=30),
+    st.sampled_from(sorted(permutations(range(3)))),
+    st.tuples(*[st.sampled_from((-1, 1))] * 3),
+)
+def test_lattice_spectrum_invariant_under_window_symmetries(d, marks, perm, signs):
+    """Reflecting a window coloring or permuting its axes, together with Q,
+    relabels the sites of the lattice model and keeps its spectrum."""
+    perm = [p for p in perm if p < d]
+
+    def g(x):
+        return tuple(signs[i] * x[perm[i]] for i in range(d))
+
+    window = {x[:d]: sym for x, sym in marks.items()}
+    Q = frozenset(window)
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0, "c": 2.5}, 2, d)
+    H = lattice_model(WindowColoring(window=window, background="c", dim=d), Q, lib)
+    gH = lattice_model(
+        WindowColoring(window={g(x): sym for x, sym in window.items()}, background="c", dim=d),
+        frozenset(map(g, Q)), lib,
+    )
+    tol = 1e-12 * max(1.0, np.linalg.norm(H, 2))
+    assert np.max(np.abs(np.linalg.eigvalsh(gH) - np.linalg.eigvalsh(H))) <= tol
 
 
 def _dict_loop_lattice_model(Q, library, color_of):
