@@ -9,6 +9,7 @@ field explicitly with its default value.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
@@ -61,6 +62,30 @@ def _check_weights(weights, path: str) -> None:
 
 # keys each coloring kind cannot do without
 _COLORING_NEEDS = {"periodic-word": ("word",), "periodic": ("period", "cell"), "window": ("background",)}
+# the key that holds each coloring kind's symbols
+_COLORING_SYMBOLS = {
+    "constant": "symbol", "periodic-word": "word", "periodic": "cell", "window": "window",
+    "random": "weights",
+}
+
+
+def _prototype_symbols(prototypes: Mapping, path: str) -> set[str] | None:
+    """Symbols the prototypes section provides; None when they live in a file."""
+    kind = prototypes.get("kind", "constant")
+    if kind == "constant":
+        values = prototypes.get("values")
+        if not isinstance(values, dict):
+            raise ConfigError(f"{path}.values: kind 'constant' needs an object mapping symbols to numbers")
+        for sym, v in values.items():
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+                raise ConfigError(f"{path}.values.{sym}: expected a finite number, got {v!r}")
+        return set(values)
+    if kind == "zero":
+        alphabet = prototypes.get("alphabet", ["a"])
+        if not isinstance(alphabet, list):
+            raise ConfigError(f"{path}.alphabet: expected a list of symbols")
+        return {str(s) for s in alphabet}
+    return None
 
 
 def _get(obj: Mapping, key: str, kind, default, path: str):
@@ -127,6 +152,7 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     kind = cfg.prototypes.get("kind", "constant")
     if kind not in ("constant", "file", "zero"):
         raise ConfigError(f"config.prototypes.kind: unknown kind {kind!r}")
+    provided = _prototype_symbols(cfg.prototypes, "config.prototypes")
 
     cfg.coloring = dict(_get(raw, "coloring", dict, cfg.coloring, "config"))
     _require_keys(
@@ -142,6 +168,21 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
             raise ConfigError(f"config.coloring.{key}: required for kind {kind!r}")
     if kind == "random" and "weights" in cfg.coloring:
         _check_weights(cfg.coloring["weights"], "config.coloring.weights")
+    for key in ("cell", "window"):
+        if not isinstance(cfg.coloring.get(key, {}), dict):
+            raise ConfigError(f"config.coloring.{key}: expected an object mapping site keys to symbols")
+    try:
+        alphabet = build_coloring(cfg).alphabet
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config.coloring: {e}") from None
+    missing = sorted(set(alphabet) - provided) if provided is not None else []
+    if missing:
+        key = _COLORING_SYMBOLS[kind]
+        if kind == "window" and str(cfg.coloring["background"]) in missing:
+            key = "background"
+        raise ConfigError(f"config.coloring.{key}: no prototype for symbols {missing}")
 
     cfg.sequence = dict(_get(raw, "sequence", dict, cfg.sequence, "config"))
     _require_keys(cfg.sequence, {"kind", "sides"}, "config.sequence")

@@ -75,6 +75,11 @@ def test_bad_values_rejected():
     ("random", {"matrix_cap": 0}, "config.matrix_cap"),
     ("ids", {"coloring": {"kind": "periodic", "period": [2]}}, "config.coloring.cell"),
     ("ids", {"coloring": {"kind": "periodic-word"}}, "config.coloring.word"),
+    ("ids", {"prototypes": {"kind": "constant"}}, "config.prototypes.values"),
+    ("ids", {"prototypes": {"kind": "constant", "values": {"a": "x", "b": 1.0}}},
+     "config.prototypes.values.a"),
+    ("ids", {"coloring": {"kind": "periodic", "period": [2], "cell": "x"}}, "config.coloring.cell"),
+    ("ids", {"coloring": {"kind": "constant", "symbol": "q"}}, "config.coloring.symbol"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())
