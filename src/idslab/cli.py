@@ -36,7 +36,7 @@ from .operators import (
     OperatorSpec,
     add_facet_dirichlet,
     discretize,
-    grid_points,
+    matrix_dimension,
     spec_digest,
 )
 from .spectral import NumericalFailure, eigenvalues
@@ -167,10 +167,9 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
     )
     anchor = tuple(cells // 2 if i == 0 else 0 for i in range(d))
     specB = add_facet_dirichlet(specA, Facet(anchor=anchor, axis=0))
-    if len(grid_points(specA)) > cfg.dense_cap:
-        raise ConfigError(
-            f"config.ssf.cells: dense dimension {len(grid_points(specA))} exceeds dense_cap"
-        )
+    dim = matrix_dimension(specA)
+    if dim > cfg.dense_cap:
+        raise ConfigError(f"config.ssf.cells: dense dimension {dim} exceeds dense_cap")
 
     exp = facet_experiment(
         specA, specB, window, powers, np.random.default_rng(cfg.seed), trials,
@@ -235,7 +234,7 @@ def cmd_weyl(cfg: ExperimentConfig, out: Path) -> int:
             Q=Q, coloring=coloring, library=library,
             backend=cfg.backend, resolution=cfg.resolution,
         )
-        dim = len(Q) if cfg.backend == "lattice" else len(grid_points(spec))
+        dim = matrix_dimension(spec)
         if dim > cfg.matrix_cap:
             raise ConfigError(f"config.sequence: matrix dimension {dim} exceeds matrix_cap")
         eigs = eigenvalues(discretize(spec), ceiling=window.sup)

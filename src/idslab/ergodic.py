@@ -35,8 +35,8 @@ from .operators import (
     PrototypeLibrary,
     add_facet_dirichlet,
     discretize,
-    grid_points,
     lattice_model,
+    matrix_dimension,
     pattern_spec,
 )
 from .spectral import (
@@ -137,7 +137,7 @@ class AlmostAdditiveField:
         )
 
     def _counting(self, spec: OperatorSpec) -> StepFunction:
-        dim = len(spec.Q) if spec.backend == LATTICE else len(grid_points(spec))
+        dim = matrix_dimension(spec)
         if dim > self.matrix_cap:
             raise ValueError(
                 f"matrix dimension {dim} exceeds the configured cap {self.matrix_cap}"

@@ -293,6 +293,11 @@ def grid_points(spec: OperatorSpec) -> list[Site]:
     return list(map(tuple, _grid_coords(spec).tolist()))
 
 
+def matrix_dimension(spec: OperatorSpec) -> int:
+    """Dimension of discretize(spec), counted without listing the grid points."""
+    return len(spec.Q) if spec.backend == LATTICE else len(_grid_coords(spec))
+
+
 def discretize(spec: OperatorSpec) -> np.ndarray:
     """Assemble the Hamiltonian matrix for the spec's backend.
 
