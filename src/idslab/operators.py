@@ -275,17 +275,22 @@ def _interior_grid_points(Q: frozenset[Site], n: int) -> np.ndarray:
     return pts[np.lexsort(pts.T[::-1])]
 
 
-def _grid_coords(spec: OperatorSpec) -> np.ndarray:
-    """grid_points(spec) as an integer array, one row per point."""
-    n = spec.resolution
-    pts = _interior_grid_points(spec.Q, n)
-    for f in spec.removed_facets:
+def _off_facets(pts: np.ndarray, facets: Iterable[Facet], n: int) -> np.ndarray:
+    """Mask of the grid points (rows of pts) that lie on none of the closed facets."""
+    keep = np.ones(len(pts), dtype=bool)
+    for f in facets:
         # the closed facet: p_axis = anchor_axis n, anchor_i n <= p_i <= (anchor_i + 1) n
         corner = np.array(f.anchor) * n
         on = (pts >= corner) & (pts <= corner + n)
         on[:, f.axis] = pts[:, f.axis] == corner[f.axis]
-        pts = pts[~on.all(axis=1)]
-    return pts
+        keep &= ~on.all(axis=1)
+    return keep
+
+
+def _grid_coords(spec: OperatorSpec) -> np.ndarray:
+    """grid_points(spec) as an integer array, one row per point."""
+    pts = _interior_grid_points(spec.Q, spec.resolution)
+    return pts[_off_facets(pts, spec.removed_facets, spec.resolution)]
 
 
 def grid_points(spec: OperatorSpec) -> list[Site]:
@@ -296,6 +301,13 @@ def grid_points(spec: OperatorSpec) -> list[Site]:
 def matrix_dimension(spec: OperatorSpec) -> int:
     """Dimension of discretize(spec), counted without listing the grid points."""
     return len(spec.Q) if spec.backend == LATTICE else len(_grid_coords(spec))
+
+
+def grid_embedding(spec: OperatorSpec, finer: OperatorSpec) -> np.ndarray:
+    """Positions in grid_points(spec) of grid_points(finer), where finer is
+    spec with additional Dirichlet facets (its grid is spec's minus their points)."""
+    pts = _grid_coords(spec)
+    return np.flatnonzero(_off_facets(pts, finer.removed_facets, spec.resolution))
 
 
 def discretize(spec: OperatorSpec) -> np.ndarray:

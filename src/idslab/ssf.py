@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 import scipy.integrate
 
-from .operators import OperatorSpec, discretize, grid_points
+from .operators import OperatorSpec, discretize, grid_embedding, matrix_dimension
 from .spectral import (
     EnergyWindow,
     StepFunction,
@@ -149,20 +149,15 @@ def veff_singular_values(
     """Top singular values of the facet-pair heat-semigroup difference (dense_cap None: no cap)."""
     if not specs_facet_related(specA, specB):
         raise ValueError("specB must be specA plus extra Dirichlet facets")
-    ptsA = grid_points(specA)
-    ptsB = grid_points(specB)
-    if dense_cap is not None and len(ptsA) > dense_cap:
-        raise ValueError(
-            f"matrix dimension {len(ptsA)} exceeds the dense cap {dense_cap}"
-        )
-    posA = {p: i for i, p in enumerate(ptsA)}
-    embed = [posA[p] for p in ptsB]
+    dim = matrix_dimension(specA)
+    if dense_cap is not None and dim > dense_cap:
+        raise ValueError(f"matrix dimension {dim} exceeds the dense cap {dense_cap}")
     mu = semigroup_difference_singular_values(
-        discretize(specA), discretize(specB), embed=embed, count=count
+        discretize(specA), discretize(specB), embed=grid_embedding(specA, specB), count=count
     )
     src = (
         f"facets+{len(specB.removed_facets) - len(specA.removed_facets)}"
-        f" dim={len(ptsA)} n={specA.resolution}"
+        f" dim={dim} n={specA.resolution}"
     )
     return SingularValueSeries(mu=mu, source=src)
 

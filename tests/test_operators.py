@@ -29,6 +29,7 @@ from idslab.operators import (
     add_facet_dirichlet,
     discretize,
     facet_within,
+    grid_embedding,
     grid_points,
     lattice_model,
 )
@@ -473,6 +474,22 @@ def test_discretize_matches_dict_loop_bitwise(d, n, Q_of):
         H = discretize(spec)
         assert H.dtype == (np.complex128 if magnetic else np.float64)
         assert H.tobytes() == _dict_loop_discretize(spec).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_embedding_matches_point_lookup(d, seed):
+    Q = _scattered_sites(d, seed)
+    cells = sorted(Q)
+    spec = OperatorSpec(Q=Q, coloring=PeriodicColoring(period=(1,) * d, cell={(0,) * d: "a"}),
+                        library=PrototypeLibrary.zero(["a"], 3, d),
+                        backend="continuum", resolution=3)
+    spec = add_facet_dirichlet(spec, Facet(anchor=cells[0], axis=0))
+    finer = spec
+    for k, cell in enumerate(cells[1::3]):
+        finer = add_facet_dirichlet(finer, Facet(anchor=cell, axis=k % d))
+    pos = {p: i for i, p in enumerate(grid_points(spec))}
+    assert grid_embedding(spec, finer).tolist() == [pos[p] for p in grid_points(finer)]
 
 
 def test_consumers_reject_non_hermitian_assembly(monkeypatch):
