@@ -23,8 +23,10 @@ from .config import (
     ExperimentConfig,
     build_coloring,
     build_library,
+    build_model,
     build_sequence,
     build_window,
+    check_prototypes,
     config_to_json,
     load_config,
 )
@@ -104,8 +106,7 @@ def cmd_patterns(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
-    coloring = build_coloring(cfg)
-    library = build_library(cfg)
+    coloring, library = build_model(cfg)
     window = build_window(cfg)
     c = cfg.constants
     if window.sup + c["C"] < 0:
@@ -154,8 +155,7 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.backend != "continuum":
         raise ConfigError("config.backend: ssf facet experiments need the continuum backend")
-    coloring = build_coloring(cfg)
-    library = build_library(cfg)
+    coloring, library = build_model(cfg)
     window = build_window(cfg)
     d = cfg.dimension
     cells, count, trials = cfg.ssf["cells"], cfg.ssf["count"], cfg.ssf["young_trials"]
@@ -223,8 +223,7 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def cmd_weyl(cfg: ExperimentConfig, out: Path) -> int:
-    coloring = build_coloring(cfg)
-    library = build_library(cfg)
+    coloring, library = build_model(cfg)
     window = build_window(cfg)
     delta = float(cfg.constants["delta"])
     C1 = float(cfg.constants["C1"])
@@ -257,6 +256,7 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
     window = build_window(cfg)
     rnd = cfg.random
     weights = {str(k): float(v) for k, v in rnd["weights"].items()}
+    check_prototypes(weights, library, "config.random.weights")
     symbols = tuple(sorted(weights))
     dist = SiteDistribution(symbols=symbols, weights=tuple(weights[s] for s in symbols), seed=cfg.seed)
     samples, R = rnd["samples"], rnd["truncation_radius"]

@@ -69,23 +69,14 @@ _COLORING_SYMBOLS = {
 }
 
 
-def _prototype_symbols(prototypes: Mapping, path: str) -> set[str] | None:
-    """Symbols the prototypes section provides; None when they live in a file."""
-    kind = prototypes.get("kind", "constant")
-    if kind == "constant":
-        values = prototypes.get("values")
-        if not isinstance(values, dict):
-            raise ConfigError(f"{path}.values: kind 'constant' needs an object mapping symbols to numbers")
-        for sym, v in values.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ConfigError(f"{path}.values.{sym}: expected a finite number, got {v!r}")
-        return set(values)
-    if kind == "zero":
-        alphabet = prototypes.get("alphabet", ["a"])
-        if not isinstance(alphabet, list):
-            raise ConfigError(f"{path}.alphabet: expected a list of symbols")
-        return {str(s) for s in alphabet}
-    return None
+def _finite(val, path: str) -> float:
+    try:
+        x = float(val)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{path}: expected a finite number, got {val!r}")
+    return x
 
 
 def _get(obj: Mapping, key: str, kind, default, path: str):
@@ -152,7 +143,6 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     kind = cfg.prototypes.get("kind", "constant")
     if kind not in ("constant", "file", "zero"):
         raise ConfigError(f"config.prototypes.kind: unknown kind {kind!r}")
-    provided = _prototype_symbols(cfg.prototypes, "config.prototypes")
 
     cfg.coloring = dict(_get(raw, "coloring", dict, cfg.coloring, "config"))
     _require_keys(
@@ -171,18 +161,6 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     for key in ("cell", "window"):
         if not isinstance(cfg.coloring.get(key, {}), dict):
             raise ConfigError(f"config.coloring.{key}: expected an object mapping site keys to symbols")
-    try:
-        alphabet = build_coloring(cfg).alphabet
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"config.coloring: {e}") from None
-    missing = sorted(set(alphabet) - provided) if provided is not None else []
-    if missing:
-        key = _COLORING_SYMBOLS[kind]
-        if kind == "window" and str(cfg.coloring["background"]) in missing:
-            key = "background"
-        raise ConfigError(f"config.coloring.{key}: no prototype for symbols {missing}")
 
     cfg.sequence = dict(_get(raw, "sequence", dict, cfg.sequence, "config"))
     _require_keys(cfg.sequence, {"kind", "sides"}, "config.sequence")
@@ -278,6 +256,15 @@ def _parse_site_key(key: str, d: int, path: str) -> tuple[int, ...]:
 
 
 def build_coloring(cfg: ExperimentConfig) -> Coloring:
+    try:
+        return _coloring(cfg)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config.coloring: {e}") from None
+
+
+def _coloring(cfg: ExperimentConfig) -> Coloring:
     spec = cfg.coloring
     kind = spec["kind"]
     d = cfg.dimension
@@ -319,16 +306,25 @@ def build_library(cfg: ExperimentConfig, base_dir: Path | None = None) -> Protot
     spec = cfg.prototypes
     kind = spec.get("kind", "constant")
     if kind == "constant":
-        values = {str(k): float(v) for k, v in spec["values"].items()}
+        values = spec.get("values")
+        if not isinstance(values, dict):
+            raise ConfigError("config.prototypes.values: kind 'constant' needs an object mapping symbols to numbers")
+        values = {str(k): _finite(v, f"config.prototypes.values.{k}") for k, v in values.items()}
         return PrototypeLibrary.constant_potentials(values, cfg.resolution, cfg.dimension)
     if kind == "zero":
         alphabet = [str(s) for s in spec.get("alphabet", ["a"])]
         return PrototypeLibrary.zero(alphabet, cfg.resolution, cfg.dimension)
     if kind == "file":
+        if "path" not in spec:
+            raise ConfigError("config.prototypes.path: required for kind 'file'")
         path = Path(spec["path"])
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        lib = PrototypeLibrary.from_json(path.read_text())
+        try:
+            text = path.read_text()
+        except OSError as e:
+            raise ConfigError(f"config.prototypes.path: {e}") from None
+        lib = PrototypeLibrary.from_json(text)
         if lib.dimension != cfg.dimension:
             raise ConfigError(f"config.prototypes: file dimension {lib.dimension} != {cfg.dimension}")
         if cfg.backend == "continuum" and lib.resolution != cfg.resolution:
@@ -337,6 +333,25 @@ def build_library(cfg: ExperimentConfig, base_dir: Path | None = None) -> Protot
             )
         return lib
     raise ConfigError(f"config.prototypes.kind: unknown kind {kind!r}")
+
+
+def check_prototypes(symbols, library: PrototypeLibrary, path: str) -> None:
+    """ConfigError at path unless the library has a prototype for every symbol."""
+    missing = sorted(set(symbols) - set(library.symbols))
+    if missing:
+        raise ConfigError(f"{path}: no prototype for symbols {missing}")
+
+
+def build_model(cfg: ExperimentConfig) -> tuple[Coloring, PrototypeLibrary]:
+    """The coloring and the prototype library, checked to fit each other."""
+    coloring = build_coloring(cfg)
+    library = build_library(cfg)
+    kind = cfg.coloring["kind"]
+    key = _COLORING_SYMBOLS[kind]
+    if kind == "window" and str(cfg.coloring["background"]) not in library.symbols:
+        key = "background"
+    check_prototypes(coloring.alphabet, library, f"config.coloring.{key}")
+    return coloring, library
 
 
 def build_sequence(cfg: ExperimentConfig):

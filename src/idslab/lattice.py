@@ -394,11 +394,7 @@ def enumerate_window_patterns(
     # anchors x in row-major order, each window's codes in sorted-offset order
     inside = _box_reduce(mask, M, 0, np.all)
     rows = sliding_window_view(codes, (M,) * d)[inside].reshape(-1, M**d)
-    # one integer key per window, re-ranked after each offset so it cannot overflow
-    key = np.zeros(len(rows), dtype=np.int64)
-    for column in rows.T:
-        key = np.unique(key * len(number) + column, return_inverse=True)[1]
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    _, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
     order = np.argsort(first)
     symbols = list(number)
     offsets = tuple(sorted(cube(M, d)))

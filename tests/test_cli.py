@@ -80,6 +80,10 @@ def test_bad_values_rejected():
      "config.prototypes.values.a"),
     ("ids", {"coloring": {"kind": "periodic", "period": [2], "cell": "x"}}, "config.coloring.cell"),
     ("ids", {"coloring": {"kind": "constant", "symbol": "q"}}, "config.coloring.symbol"),
+    ("random", {"random": {"weights": {"a": 0.5, "q": 0.5}}}, "config.random.weights"),
+    ("ids", {"prototypes": {"kind": "file"}}, "config.prototypes.path"),
+    ("ids", {"prototypes": {"kind": "file", "path": "no/such/prototypes.json"}},
+     "config.prototypes.path"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())
@@ -91,6 +95,34 @@ def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+SMALL_RANDOM = {"samples": 6, "truncation_radius": 3, "lambda_points": 11,
+                "omegas": [0], "compare_volumes": [4, 8]}
+
+
+@pytest.mark.parametrize("command, overrides", [
+    # random reads neither the coloring (the default one needs dimension 1) nor its symbols
+    ("random", {"dimension": 2, "coloring": None}),
+    ("random", {"prototypes": {"kind": "constant", "values": {"x": 0.0, "y": 1.0}},
+                "random": {"weights": {"x": 0.5, "y": 0.5}}}),
+    # patterns never assembles, so the prototypes need not cover the coloring
+    ("patterns", {"prototypes": {"kind": "constant", "values": {"x": 0.0}}}),
+    # the library builder applies float() and str() to these
+    ("ids", {"prototypes": {"kind": "constant", "values": {"a": "0.0", "b": "1.0"}}}),
+    ("ids", {"prototypes": {"kind": "zero", "alphabet": "ab"}}),
+])
+def test_sections_a_command_does_not_read_are_not_refused(tmp_path, command, overrides):
+    raw = {**json.loads(DEFAULT.read_text()), "sequence": {"kind": "cubes", "sides": [4, 8]},
+           "M_list": [1], "random": SMALL_RANDOM}
+    for name, val in overrides.items():
+        if val is None:
+            del raw[name]
+        else:
+            raw[name] = {**raw[name], **val} if name == "random" else val
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
 def test_missing_section_keys_take_their_defaults():
