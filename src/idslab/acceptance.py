@@ -419,7 +419,7 @@ def criterion_5_singular_value_decay() -> CriterionResult:
     rows = []
     ok = True
     for name, d, specA, specB, _window in _facet_experiments():
-        series = veff_singular_values(specA, specB, dense_cap=3000)
+        series = veff_singular_values(specA, specB)
         fit = fit_decay(series, d=d)
         good = fit.c_hat > 0 and fit.envelope_ok
         ok = ok and good
@@ -487,7 +487,7 @@ def criterion_7_two_routes() -> CriterionResult:
     fld = AlmostAdditiveField(coloring, lib, window, backend="lattice")
     tables = {M: exact_frequency_table(coloring, M) for M in range(1, 7)}
     sequence = cube_sequence([8, 16, 32, 64, 128, 256], 1)
-    report = two_route_experiment(fld, coloring, sequence, tables)
+    report = two_route_experiment(fld, sequence, tables)
     bound_violations = sum(
         1 for row in report.route_distances if row["distance"] > row["bound"]
     )
@@ -642,7 +642,7 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(out_dir: Path | None = None, jobs: int = 1) -> list[CriterionResult]:
+def run_all(jobs: int = 1) -> list[CriterionResult]:
     results = []
     for fn in ALL_CRITERIA:
         if fn is criterion_8_random:

@@ -117,7 +117,7 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     )
     sequence = build_sequence(cfg)
     tables = _frequency_tables(cfg, coloring, cfg.M_list)
-    report = two_route_experiment(field, coloring, sequence, tables)
+    report = two_route_experiment(field, sequence, tables)
 
     outputs = []
     for vol, f in zip(report.volumes, report.direct_normalized):
@@ -302,7 +302,7 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     from .acceptance import run_all
 
-    results = run_all(out_dir=out, jobs=cfg.jobs)
+    results = run_all(jobs=cfg.jobs)
     width = max(len(r.name) for r in results)
     print(f"{'criterion':<{width}}  status  seconds")
     failed = 0

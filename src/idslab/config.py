@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
+from .ergodic import DEFAULT_MATRIX_CAP
 from .lattice import (
     Coloring,
     PeriodicColoring,
@@ -25,6 +26,7 @@ from .lattice import (
 )
 from .operators import PrototypeLibrary
 from .spectral import EnergyWindow
+from .ssf import DEFAULT_DENSE_CAP
 
 
 class ConfigError(ValueError):
@@ -109,8 +111,8 @@ class ExperimentConfig:
         "C": 1.0, "c_pd": 1.0, "C1": 0.0, "delta": 0.0})
     seed: int = 1234
     jobs: int = 1
-    matrix_cap: int = 20_000
-    dense_cap: int = 3000
+    matrix_cap: int = DEFAULT_MATRIX_CAP
+    dense_cap: int = DEFAULT_DENSE_CAP
     ssf: dict = field(default_factory=lambda: {
         "cells": 8, "count": 60, "powers": [1, 2, 3], "young_trials": 20})
     random: dict = field(default_factory=lambda: {

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .lattice import (
     Coloring,
@@ -24,9 +24,11 @@ from .lattice import (
     Pattern,
     Site,
     cube,
+    enumerate_window_patterns,
     inner_boundary,
     van_hove_ratios,
 )
+from .lattice import boundary as two_sided_boundary
 from .operators import (
     CONTINUUM,
     LATTICE,
@@ -431,10 +433,8 @@ class ErgodicReport:
 
 def two_route_experiment(
     field: AlmostAdditiveField,
-    coloring,
     sequence: Sequence[frozenset[Site]],
     tables: Mapping[int, FrequencyTable],
-    boundary_width_for: Callable[[int], int] | None = None,
 ) -> ErgodicReport:
     """Run both routes and evaluate the error bound for every (j, M) pair.
 
@@ -442,9 +442,6 @@ def two_route_experiment(
     route; the bound for a pair (U_j, M) uses the two-sided M-boundary ratio
     of U_j and the summed frequency deviations measured on U_j.
     """
-    from .lattice import boundary as two_sided_boundary
-    from .lattice import enumerate_window_patterns
-
     route = direct_route(field, sequence)
     pattern_values = {M: pattern_route(field, tables[M]) for M in tables}
     rows = []
@@ -452,7 +449,7 @@ def two_route_experiment(
         vol = len(U)
         for M, table in sorted(tables.items()):
             ratio = len(two_sided_boundary(U, M)) / vol
-            tally = enumerate_window_patterns(coloring, U, M)
+            tally = enumerate_window_patterns(field.coloring, U, M)
             dev = 0.0
             seen = set()
             for P, k in tally.items():

@@ -404,32 +404,6 @@ def enumerate_window_patterns(
     return tally
 
 
-def frequency_exact(C: PeriodicColoring, P: Pattern) -> Fraction:
-    """Exact frequency of P in a periodic coloring: occurrences per period cell."""
-    if not isinstance(C, PeriodicColoring):
-        raise TypeError("exact frequencies require a periodic coloring")
-    hits = 0
-    for x in product(*(range(p) for p in C.period)):
-        if all(
-            C.color(tuple(sc + xc for sc, xc in zip(s, x))) == sym
-            for s, sym in zip(P.sites, P.symbols)
-        ):
-            hits += 1
-    return Fraction(hits, C.cell_volume)
-
-
-def frequency_estimate(
-    C: Coloring, P: Pattern, sequence: Sequence[frozenset[Site]]
-) -> tuple[list[Fraction], Fraction]:
-    """Occurrence ratios #_P(C|U_j) / #U_j along a sequence; last value returned too."""
-    if not sequence:
-        raise ValueError("need at least one set to estimate a frequency")
-    ratios = [
-        Fraction(occurrences(P, C.restrict(U)), len(U)) for U in sequence
-    ]
-    return ratios, ratios[-1]
-
-
 @dataclass(frozen=True)
 class FrequencyTable:
     """Frequencies of canonical M-window pattern classes.

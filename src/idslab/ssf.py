@@ -4,19 +4,19 @@ A facet Dirichlet condition removes grid points, so the restricted operator
 is a principal submatrix and interlacing makes the shift function a
 nonnegative integer-valued step function.  The heat-semigroup difference
 V_eff = exp(-H_restricted) - exp(-H) is the compact object whose singular
-values control every integral bound here; its decay law is fitted, and the
-convex-gauge (Legendre/Young) machinery converts the decay into bounds on
-integrals of the shift function.
+values control every integral bound here; its decay law is fitted, and
+power gauges F(x) = x^p with their closed-form Legendre transforms (Young's
+inequality) convert the singular values into bounds on integrals of the
+shift function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-import scipy.integrate
 
 from .operators import OperatorSpec, discretize, grid_embedding, matrix_dimension
 from .spectral import (
@@ -213,24 +213,11 @@ def fit_decay(
 
 
 # ---------------------------------------------------------------------------
-# Convex gauges and the Legendre transform
+# Power gauges and the Legendre transform
 # ---------------------------------------------------------------------------
 
-class ConvexGauge:
-    """Convex F: [0, inf) -> [0, inf) with F(0) = 0."""
-
-    def __call__(self, x):
-        raise NotImplementedError
-
-    def increments(self, count: int) -> np.ndarray:
-        """phi(n) = F(n) - F(n-1) for n = 1..count."""
-        n = np.arange(0, count + 1, dtype=float)
-        vals = np.asarray(self(n), dtype=float)
-        return np.diff(vals)
-
-
 @dataclass(frozen=True)
-class PowerGauge(ConvexGauge):
+class PowerGauge:
     """F(x) = x^p with p >= 1 (the choice feeding the per-facet L^p bound)."""
 
     p: float
@@ -242,126 +229,29 @@ class PowerGauge(ConvexGauge):
     def __call__(self, x):
         return np.asarray(x, dtype=float) ** self.p
 
-
-@dataclass(frozen=True)
-class ExponentialGauge(ConvexGauge):
-    """F(x) = integral_0^x (exp(t y^p) - 1) dy, t > 0, p > 0.
-
-    The matching choice when the singular values decay like exp(-c n^p)
-    with t < c.
-    """
-
-    t: float
-    p: float
-
-    def __post_init__(self):
-        if not (self.t > 0 and self.p > 0):
-            raise ValueError("exponential gauge needs t > 0 and p > 0")
-
-    def _scalar(self, x: float) -> float:
-        if x == 0:
-            return 0.0
-        val, _ = scipy.integrate.quad(lambda y: math.expm1(self.t * y**self.p), 0.0, x)
-        return val
-
-    def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return self._scalar(float(arr))
-        return np.asarray([self._scalar(v) for v in arr])
+    def increments(self, count: int) -> np.ndarray:
+        """phi(n) = F(n) - F(n-1) for n = 1..count."""
+        return np.diff(self(np.arange(0, count + 1, dtype=float)))
 
 
-@dataclass(frozen=True)
-class TabulatedGauge(ConvexGauge):
-    """Convex samples (x_i, F_i) on an increasing grid with F(0) = 0."""
+def legendre(F: PowerGauge) -> Callable[[np.ndarray], np.ndarray]:
+    """Closed-form Legendre transform G(y) = sup_{x >= 0} (x y - F(x))."""
+    if F.p == 1.0:
+        # F(x) = x: transform is 0 on [0, 1], +inf beyond.
+        def G1(y):
+            return np.where(np.asarray(y, dtype=float) <= 1.0, 0.0, np.inf)
 
-    xs: np.ndarray
-    Fs: np.ndarray
+        return G1
+    q = F.p - 1.0
 
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        Fs = np.asarray(self.Fs, dtype=float)
-        if xs[0] != 0 or Fs[0] != 0:
-            raise ValueError("tabulated gauge must start at F(0) = 0")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("sample grid must be strictly increasing")
-        slopes = np.diff(Fs) / np.diff(xs)
-        if np.any(np.diff(slopes) < -1e-12):
-            raise ValueError("tabulated samples are not convex")
-        if np.any(np.diff(Fs) < -1e-12):
-            raise ValueError("tabulated gauge must be nondecreasing")
-        xs.setflags(write=False)
-        Fs.setflags(write=False)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "Fs", Fs)
+    def Gp(y):
+        y = np.asarray(y, dtype=float)
+        return q * (y / (q + 1.0)) ** ((q + 1.0) / q)
 
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.Fs)
+    return Gp
 
 
-@dataclass(frozen=True)
-class LegendreTransform:
-    """G(y) = sup_{x >= 0} (x y - F(x)) with evaluation metadata.
-
-    For power-law gauges the closed form is exact; for exponential gauges
-    the evaluator is the standard upper bound y * (log(1+y)/t)^(1/p); for
-    tabulated gauges it is a sup over the sample grid.
-    """
-
-    kind: str
-    evaluator: object
-    is_upper_bound: bool = False
-
-    def __call__(self, y):
-        return self.evaluator(y)
-
-
-@dataclass(frozen=True)
-class _TabulatedLegendre:
-    xs: np.ndarray
-    Fs: np.ndarray
-
-    def __call__(self, y):
-        arr = np.atleast_1d(np.asarray(y, dtype=float))
-        vals = arr[:, None] * self.xs[None, :] - self.Fs[None, :]
-        out = np.max(vals, axis=1)
-        return out if np.asarray(y).ndim else float(out[0])
-
-
-def legendre(F: ConvexGauge) -> LegendreTransform:
-    """Legendre transform of a convex gauge."""
-    if isinstance(F, PowerGauge):
-        if F.p == 1.0:
-            # F(x) = x: transform is 0 on [0, 1], +inf beyond.
-            def G1(y):
-                y = np.asarray(y, dtype=float)
-                out = np.where(y <= 1.0, 0.0, np.inf)
-                return out
-
-            return LegendreTransform(kind="power-law", evaluator=G1)
-        q = F.p - 1.0
-
-        def Gp(y):
-            y = np.asarray(y, dtype=float)
-            return q * (y / (q + 1.0)) ** ((q + 1.0) / q)
-
-        return LegendreTransform(kind="power-law", evaluator=Gp)
-    if isinstance(F, ExponentialGauge):
-        t, p = F.t, F.p
-
-        def Gexp(y):
-            y = np.asarray(y, dtype=float)
-            return y * (np.log1p(y) / t) ** (1.0 / p)
-
-        return LegendreTransform(kind="exponential", evaluator=Gexp, is_upper_bound=True)
-    if isinstance(F, TabulatedGauge):
-        return LegendreTransform(
-            kind="tabulated", evaluator=_TabulatedLegendre(F.xs, F.Fs)
-        )
-    raise TypeError(f"no Legendre rule for gauge {type(F).__name__}")
-
-
-def legendre_grid_sup(F: ConvexGauge, y, x_max: float, samples: int = 200_001) -> float:
+def legendre_grid_sup(F: PowerGauge, y, x_max: float, samples: int = 200_001) -> float:
     """Brute-force sup_x (x y - F(x)) over a dense grid (independent oracle)."""
     xs = np.linspace(0.0, x_max, samples)
     return float(np.max(xs * y - np.asarray(F(xs), dtype=float)))
@@ -382,7 +272,7 @@ class HsBound:
 
 def hs_bound(
     series: SingularValueSeries,
-    F: ConvexGauge,
+    F: PowerGauge,
     T: float,
     tail_tol: float = 1e-14,
 ) -> HsBound:
@@ -429,7 +319,7 @@ def facet_ssf_norm_bound(
 def young_check(
     h: StepFunction,
     shift: SpectralShift,
-    F: ConvexGauge,
+    F: PowerGauge,
     series: SingularValueSeries,
 ) -> tuple[float, float]:
     """(lhs, rhs) of the Young-type bound: integral of h*xi vs hs_bound + integral of G(|h|)."""

@@ -287,7 +287,7 @@ def test_cross_route_distance_below_field_bound():
     coloring = periodic_word("ab")
     field = lattice_field()
     tables = {M: exact_frequency_table(coloring, M) for M in (1, 2, 3)}
-    report = two_route_experiment(field, coloring, cube_sequence([8, 16, 32], 1), tables)
+    report = two_route_experiment(field, cube_sequence([8, 16, 32], 1), tables)
     assert report.route_distances
     for row in report.route_distances:
         assert row["distance"] <= row["bound"]
@@ -297,7 +297,7 @@ def test_two_route_report_serializes():
     coloring = periodic_word("ab")
     field = lattice_field()
     tables = {1: exact_frequency_table(coloring, 1)}
-    report = two_route_experiment(field, coloring, cube_sequence([4, 8], 1), tables)
+    report = two_route_experiment(field, cube_sequence([4, 8], 1), tables)
     obj = report.to_json_dict()
     assert obj["fitted_K"] > 0 and obj["fitted_D"] > 0
     table = report.summary_table()

@@ -1,7 +1,11 @@
-"""Every import in src/idslab is used (no linter is installed, so this test is the lint)."""
+"""Every import in src/idslab is used (no linter is installed, so this test is the lint),
+and importing the CLI stays cheap."""
 
 import ast
+import os
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "idslab"
@@ -77,3 +81,16 @@ def test_src_has_no_unused_imports():
     for path in sorted(SRC.glob("*.py")):
         found += unused_imports(path.read_text(), path.name)
     assert found == []
+
+
+def test_cli_import_skips_scipy_integrate_and_optimize():
+    """Start-up cost: importing the CLI loads neither scipy.integrate nor scipy.optimize."""
+    probe = (
+        "import sys, idslab.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -22,8 +22,6 @@ from idslab.lattice import (
     enumerate_window_patterns,
     estimated_frequency_table,
     exact_frequency_table,
-    frequency_estimate,
-    frequency_exact,
     inner_boundary,
     occurrences,
     pattern_from_word,
@@ -418,13 +416,10 @@ def test_enumerate_total_tally_formula():
 
 def test_frequency_exact_examples():
     C = periodic_word("ab")
-    assert frequency_exact(C, pattern_from_word("a")) == Fraction(1, 2)
-    assert frequency_exact(C, pattern_from_word("aa")) == 0
+    assert exact_frequency_table(C, 1).entries[pattern_from_word("a")] == Fraction(1, 2)
+    assert pattern_from_word("aa") not in exact_frequency_table(C, 2).entries
     const = periodic_word("a")
-    assert frequency_exact(const, const.restrict(cube(3, 1))) == 1
-    rnd = RandomColoring(seed=1, symbols=("a", "b"), weights=(0.5, 0.5), dim=1)
-    with pytest.raises(TypeError):
-        frequency_exact(rnd, pattern_from_word("a"))
+    assert exact_frequency_table(const, 3).entries == {const.restrict(cube(3, 1)): 1}
 
 
 def test_exact_table_sums_to_one():
@@ -455,12 +450,13 @@ def test_estimated_table_normalization_is_window_fraction():
 def test_estimate_converges_to_exact():
     C = periodic_word("abc")
     P = pattern_from_word("ab")
-    exact = frequency_exact(C, P)
-    ratios, last = frequency_estimate(C, P, cube_sequence([9, 27, 81], 1))
-    assert last == ratios[-1]
-    errors = [abs(r - exact) for r in ratios]
+    exact = exact_frequency_table(C, 2).entries[P]
+    errors = [
+        abs(estimated_frequency_table(C, U, 2).entries[P] - exact)
+        for U in cube_sequence([9, 27, 81], 1)
+    ]
     assert errors[-1] <= errors[0]
-    assert float(errors[-1]) < 0.02
+    assert errors[-1] < 0.02
 
 
 def test_frequency_table_serialization_round_trip_keys():

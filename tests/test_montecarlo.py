@@ -193,9 +193,10 @@ def test_mc_csv_deterministic():
 def test_semigroup_truncation_diagnostic_tiny_and_decaying():
     dist = SiteDistribution.point_mass("a")
     C = sample_coloring(dist, 0, d=1)
-    d1 = semigroup_truncation_diagnostic(C, LIB_A, R=1, d=1)
-    d2 = semigroup_truncation_diagnostic(C, LIB_A, R=2, d=1)
-    d8 = semigroup_truncation_diagnostic(C, LIB_A, R=8, d=1)
+    grid = np.linspace(0.2, 3.8, 19)
+    d1, _ = semigroup_truncation_diagnostic(C, LIB_A, 1, grid, d=1)
+    d2, _ = semigroup_truncation_diagnostic(C, LIB_A, 2, grid, d=1)
+    d8, _ = semigroup_truncation_diagnostic(C, LIB_A, 8, grid, d=1)
     assert d2 < d1
     assert d8 < 1e-12  # round-trip heat-kernel decay saturates machine precision
 
@@ -209,6 +210,11 @@ def test_projector_estimate_R_change_is_order_one_over_R():
     change = np.max(np.abs(e1.mean - e2.mean))
     assert change < 3.0 / 17.0  # staircase envelope
     assert change > 1e-3  # and genuinely not semigroup-small
+    # the truncation pair reads the same change off its own eigensystems
+    _, pair_change = semigroup_truncation_diagnostic(
+        sample_coloring(dist, 0, d=1), LIB_A, 16, grid, d=1
+    )
+    assert pair_change == change
 
 
 # ---------------------------------------------------------------------------

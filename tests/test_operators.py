@@ -33,8 +33,9 @@ from idslab.operators import (
     grid_points,
     lattice_model,
 )
-from idslab.spectral import EnergyWindow, assert_hermitian, dirichlet_chain_eigenvalues, eigenvalues
+from idslab.spectral import EnergyWindow, assert_hermitian, eigenvalues
 from idslab.ssf import spectral_shift
+from oracles import dirichlet_chain_eigenvalues
 
 N = 8
 LIB01 = PrototypeLibrary.constant_potentials({"a": 1.0, "b": 0.0}, N, 1)

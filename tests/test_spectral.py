@@ -17,13 +17,13 @@ from idslab.spectral import (
     StepFunction,
     count_below_by_inertia,
     counting_function,
-    dirichlet_chain_eigenvalues,
     eigensystem,
     eigenvalues,
     integrate_product,
     linear_combination,
     lp_distance,
 )
+from oracles import dirichlet_chain_eigenvalues
 
 I04 = EnergyWindow(0.0, 4.0, p=2.0)
 
