@@ -170,6 +170,8 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
     dim = matrix_dimension(specA)
     if dim > cfg.dense_cap:
         raise ConfigError(f"config.ssf.cells: dense dimension {dim} exceeds dense_cap")
+    if count > dim:
+        raise ConfigError(f"config.ssf.count: {count} exceeds the matrix dimension {dim}")
 
     exp = facet_experiment(
         specA, specB, window, powers, np.random.default_rng(cfg.seed), trials,
@@ -178,7 +180,10 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
     shift, series = exp.shift, exp.series
     if not shift.is_nonnegative():
         raise NumericalFailure("facet spectral shift is not nonnegative")
-    fit = fit_decay(series, d=d)
+    try:
+        fit = fit_decay(series, d=d)
+    except ValueError as e:  # too few singular values above the floor
+        raise NumericalFailure(str(e)) from e
     if fit.c_hat <= 0:
         raise NumericalFailure("fitted singular-value decay rate is not positive")
     if not fit.envelope_ok:

@@ -346,21 +346,34 @@ def eigenvalues(H: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
 
     H is a dense Hermitian matrix; only its band, the narrowest set of
     diagonals holding every nonzero, is solved (LAPACK ?sbevd/?hbevd).  A
-    finite ceiling T certifies the count by Sylvester's law of inertia on
-    H - T*I.  When a computed eigenvalue lies within CEILING_TIE_RTOL *
-    max(1, max|H|) of T, the count only has to lie between the inertia
-    counts on either side of that margin.  A count that fails the
-    certificate raises NumericalFailure.
+    finite ceiling certifies the count as certified_below does.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise ValueError("matrix entries must be finite")
-    ab, scale = _lower_band(H)
-    eigs = scipy.linalg.eigvals_banded(ab, lower=True)
+    band = _lower_band(H)
+    return certified_below(H, scipy.linalg.eigvals_banded(band[0], lower=True), ceiling, band)
+
+
+def certified_below(
+    H: np.ndarray,
+    eigs: np.ndarray,
+    ceiling: float,
+    band: tuple[np.ndarray, float] | None = None,
+) -> np.ndarray:
+    """The computed eigenvalues eigs of H that are <= ceiling, in eigs' order.
+
+    A finite ceiling T certifies their count by Sylvester's law of inertia
+    on H - T*I; when one of eigs lies within CEILING_TIE_RTOL * max(1,
+    max|H|) of T, the count only has to lie between the inertia counts on
+    either side of that margin.  band is _lower_band(H) when the caller has
+    it already.  A count that fails the certificate raises NumericalFailure.
+    """
     below = eigs[eigs <= ceiling]
     if np.isfinite(ceiling):
+        ab, scale = _lower_band(H) if band is None else band
         T = float(ceiling)
         delta = CEILING_TIE_RTOL * scale
         if np.any(np.abs(eigs - T) <= delta):

@@ -8,6 +8,12 @@ values control every integral bound here; its decay law is fitted, and
 power gauges F(x) = x^p with their closed-form Legendre transforms (Young's
 inequality) convert the singular values into bounds on integrals of the
 shift function.
+
+V_eff is Hermitian, so its singular values are the absolute values of its
+eigenvalues (one dense eigvalsh, no SVD).  facet_experiment solves each of
+its two operators once: the eigendecomposition that forms exp(-H) also
+gives the eigenvalues of the shift function, whose counts below the window
+top are certified by Sylvester inertia as in spectral.eigenvalues.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .operators import OperatorSpec, discretize, grid_embedding, matrix_dimensio
 from .spectral import (
     EnergyWindow,
     StepFunction,
+    assert_hermitian,
+    certified_below,
     counting_function,
     eigensystem,
     eigenvalues,
@@ -87,25 +95,59 @@ def specs_facet_related(specA: OperatorSpec, specB: OperatorSpec) -> bool:
 def spectral_shift(
     specA: OperatorSpec, specB: OperatorSpec, window: EnergyWindow, tol: float = 1e-8
 ) -> SpectralShift:
-    """Counting-function difference N(., A) - N(., B) on the window.
+    """Counting-function difference N(., A) - N(., B) on the window (banded eigenvalues)."""
+    if not specs_facet_related(specA, specB):
+        raise ValueError("specB must be specA plus extra Dirichlet facets")
+    return _shift(
+        eigenvalues(discretize(specA), ceiling=window.sup),
+        eigenvalues(discretize(specB), ceiling=window.sup),
+        window, tol,
+    )
+
+
+def _shift(
+    eigs_a: np.ndarray, eigs_b: np.ndarray, window: EnergyWindow, tol: float = 1e-8
+) -> SpectralShift:
+    """The shift from the certified eigenvalues <= window.sup of A and of B.
 
     Jump locations that coincide analytically can split at machine
     precision in the two decompositions; breakpoint clusters within tol are
     merged so the shift keeps its exact integer staircase form.
     """
-    if not specs_facet_related(specA, specB):
-        raise ValueError("specB must be specA plus extra Dirichlet facets")
-    ha = discretize(specA)
-    hb = discretize(specB)
-    na = counting_function(eigenvalues(ha, ceiling=window.sup), window)
-    nb = counting_function(eigenvalues(hb, ceiling=window.sup), window)
+    na = counting_function(eigs_a, window)
+    nb = counting_function(eigs_b, window)
     return SpectralShift(xi=subtract(na, nb).coalesce(tol), window=window)
 
 
-def _semigroup(H: np.ndarray) -> np.ndarray:
-    """exp(-H) via the eigendecomposition (time parameter fixed to 1)."""
-    w, U = eigensystem(H)
+def _semigroup(w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """exp(-H) from H's eigendecomposition (time parameter fixed to 1)."""
     return (U * np.exp(-w)) @ U.conj().T
+
+
+def _difference_singular_values(
+    ea: np.ndarray, eb: np.ndarray, embed: Sequence[int] | None, count: int | None
+) -> np.ndarray:
+    """Singular values of V_eff = eb - ea, descending; ea is overwritten by V_eff.
+
+    When eb acts on a subset of ea's index set, embed gives eb's row/column
+    positions inside ea's indexing and eb counts as zero at the removed
+    indices.  V_eff is Hermitian, so its singular values are the absolute
+    values of its eigenvalues.
+    """
+    if embed is None and eb.shape != ea.shape:
+        raise ValueError("need embedding indices when dimensions differ")
+    if embed is not None and len(embed) != eb.shape[0]:
+        raise ValueError("embedding index count must match HB's dimension")
+    # -ea + eb has the bits of eb - ea, without a padded copy of eb
+    np.negative(ea, out=ea)
+    if embed is None:
+        ea += eb
+    else:
+        idx = np.asarray(embed, dtype=int)
+        ea[np.ix_(idx, idx)] += eb
+    assert_hermitian(ea)
+    mu = np.sort(np.abs(np.linalg.eigvalsh(ea)))[::-1]
+    return mu if count is None else mu[:count]
 
 
 def semigroup_difference_singular_values(
@@ -121,23 +163,44 @@ def semigroup_difference_singular_values(
     zeros at the removed indices (the removed states are absent, which is
     the discrete counterpart of restriction to the slit domain).
     """
-    ea = _semigroup(HA)
-    eb_small = _semigroup(HB)
-    if embed is None:
-        if HB.shape != HA.shape:
-            raise ValueError("need embedding indices when dimensions differ")
-        eb = eb_small
-    else:
-        if len(embed) != HB.shape[0]:
-            raise ValueError("embedding index count must match HB's dimension")
-        eb = np.zeros_like(ea)
-        idx = np.asarray(embed, dtype=int)
-        eb[np.ix_(idx, idx)] = eb_small
-    veff = eb - ea
-    mu = np.linalg.svd(veff, compute_uv=False)
-    if count is not None:
-        mu = mu[:count]
-    return mu
+    ea = _semigroup(*eigensystem(HA))
+    eb = _semigroup(*eigensystem(HB))
+    return _difference_singular_values(ea, eb, embed, count)
+
+
+def _solve_once(spec: OperatorSpec, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
+    """Certified eigenvalues <= ceiling and exp(-H) of discretize(spec), from one eigensystem."""
+    H = discretize(spec)
+    w, U = eigensystem(H)
+    below = certified_below(H, w, ceiling)
+    del H  # freed before the semigroup product allocates
+    return below, _semigroup(w, U)
+
+
+def _facet_pair(
+    specA: OperatorSpec,
+    specB: OperatorSpec,
+    ceiling: float,
+    count: int | None,
+    dense_cap: int | None,
+) -> tuple[np.ndarray, np.ndarray, SingularValueSeries]:
+    """Certified eigenvalues <= ceiling of A and of B, and V_eff's singular values.
+
+    Each operator is assembled and solved once (dense_cap None: no cap).
+    """
+    if not specs_facet_related(specA, specB):
+        raise ValueError("specB must be specA plus extra Dirichlet facets")
+    dim = matrix_dimension(specA)
+    if dense_cap is not None and dim > dense_cap:
+        raise ValueError(f"matrix dimension {dim} exceeds the dense cap {dense_cap}")
+    eigs_a, ea = _solve_once(specA, ceiling)
+    eigs_b, eb = _solve_once(specB, ceiling)
+    mu = _difference_singular_values(ea, eb, grid_embedding(specA, specB), count)
+    src = (
+        f"facets+{len(specB.removed_facets) - len(specA.removed_facets)}"
+        f" dim={dim} n={specA.resolution}"
+    )
+    return eigs_a, eigs_b, SingularValueSeries(mu=mu, source=src)
 
 
 def veff_singular_values(
@@ -147,19 +210,7 @@ def veff_singular_values(
     dense_cap: int | None = DEFAULT_DENSE_CAP,
 ) -> SingularValueSeries:
     """Top singular values of the facet-pair heat-semigroup difference (dense_cap None: no cap)."""
-    if not specs_facet_related(specA, specB):
-        raise ValueError("specB must be specA plus extra Dirichlet facets")
-    dim = matrix_dimension(specA)
-    if dense_cap is not None and dim > dense_cap:
-        raise ValueError(f"matrix dimension {dim} exceeds the dense cap {dense_cap}")
-    mu = semigroup_difference_singular_values(
-        discretize(specA), discretize(specB), embed=grid_embedding(specA, specB), count=count
-    )
-    src = (
-        f"facets+{len(specB.removed_facets) - len(specA.removed_facets)}"
-        f" dim={dim} n={specA.resolution}"
-    )
-    return SingularValueSeries(mu=mu, source=src)
+    return _facet_pair(specA, specB, np.inf, count, dense_cap)[2]
 
 
 @dataclass(frozen=True)
@@ -382,10 +433,12 @@ def facet_experiment(
 
     Each trial draws a step function h with 1 to 5 random breakpoints in the
     window and values in [-2, 2] from rng, and checks the Young bound for
-    F(x) = x^2 to within 1e-9.
+    F(x) = x^2 to within 1e-9.  Each operator is assembled and solved once:
+    its eigendecomposition gives both its semigroup and its certified
+    eigenvalues <= window.sup.
     """
-    series = veff_singular_values(specA, specB, count=count, dense_cap=dense_cap)
-    shift = spectral_shift(specA, specB, window)
+    eigs_a, eigs_b, series = _facet_pair(specA, specB, window.sup, count, dense_cap)
+    shift = _shift(eigs_a, eigs_b, window)
     bounds = {
         p: (ssf_lp_integral(shift, p), hs_bound(series, PowerGauge(p), T=window.sup))
         for p in powers

@@ -1,6 +1,8 @@
-"""Closed-form spectra the tests compare numerical eigenvalues against."""
+"""Independent computations the tests compare idslab's results against."""
 
 import numpy as np
+
+from idslab.spectral import eigensystem
 
 
 def dirichlet_chain_eigenvalues(num_cells: int, resolution: int) -> np.ndarray:
@@ -13,3 +15,26 @@ def dirichlet_chain_eigenvalues(num_cells: int, resolution: int) -> np.ndarray:
     h = 1.0 / n
     k = np.arange(1, n * L)
     return (2.0 / h**2) * (1.0 - np.cos(k * np.pi * h / L))
+
+
+def svd_semigroup_difference_singular_values(HA, HB, embed=None, count=None) -> np.ndarray:
+    """Singular values of exp(-HB) - exp(-HA) by a dense SVD, descending.
+
+    HB's semigroup is padded with zeros outside its embed positions inside
+    HA's indexing.  Both semigroups come from idslab's eigensystem, so only
+    the route from V_eff to its singular values differs from idslab's.
+    """
+    ea = _semigroup(HA)
+    eb = _semigroup(HB)
+    if embed is not None:
+        padded = np.zeros_like(ea)
+        idx = np.asarray(embed, dtype=int)
+        padded[np.ix_(idx, idx)] = eb
+        eb = padded
+    mu = np.linalg.svd(eb - ea, compute_uv=False)
+    return mu if count is None else mu[:count]
+
+
+def _semigroup(H):
+    w, U = eigensystem(H)
+    return (U * np.exp(-w)) @ U.conj().T

@@ -84,6 +84,14 @@ def test_bad_values_rejected():
     ("ids", {"prototypes": {"kind": "file"}}, "config.prototypes.path"),
     ("ids", {"prototypes": {"kind": "file", "path": "no/such/prototypes.json"}},
      "config.prototypes.path"),
+    # more singular values than the matrix dimension (3, and 121 on the golden operator)
+    ("ssf", {"backend": "continuum", "resolution": 2, "ssf": {"cells": 2, "count": 10}},
+     "config.ssf.count"),
+    ("ssf", {"dimension": 2, "backend": "continuum", "resolution": 4,
+             "coloring": {"kind": "periodic", "period": [2, 2],
+                          "cell": {"0,0": "a", "1,0": "b", "0,1": "b", "1,1": "a"}},
+             "window": {"lo": 0.0, "hi": 60.0, "p": 2.0}, "ssf": {"cells": 3, "count": 500}},
+     "config.ssf.count"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())
@@ -95,6 +103,16 @@ def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+def test_ssf_with_too_few_singular_values_above_the_floor_exits_1(tmp_path, capsys):
+    # dimension 11 holds 11 values, but only 9 lie above the fit's floor
+    path = write_cfg(tmp_path, backend="continuum", resolution=2,
+                     ssf={"cells": 6, "count": 11})
+    assert main(["ssf", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "singular values above" in err
+    assert "Traceback" not in err
 
 
 SMALL_RANDOM = {"samples": 6, "truncation_radius": 3, "lambda_points": 11,

@@ -4,7 +4,11 @@ The sha256 of each data file (everything but ``manifest.json``, whose
 timestamp changes) was recorded before the experiment layer was shared
 between the CLI and the acceptance suite.  The hashes depend on the
 floating-point results of numpy and LAPACK, so a different BLAS build may
-need them re-recorded; on one machine they must not move.
+need them re-recorded; on one machine they must not move.  The ``ssf`` files
+and the ``ids-random-2d`` report were re-recorded when the singular values of
+the semigroup difference moved from a dense SVD to the absolute eigenvalues
+of the Hermitian difference, and the shift function to the eigenvalues of
+the same eigendecompositions (changes of a few ulps).
 """
 
 import hashlib
@@ -73,7 +77,7 @@ GOLDEN = {
         "direct_route_j256.csv": "673dcfc58374625ecc9ac7bb4946dfa33d08b931a959c43eef29537232a20c5a",
         "direct_route_j576.csv": "111cb29d4509e7d13c1ca54dbc5aff5486188ae7fb59b752aeec77629a482981",
         "direct_route_j64.csv": "7f60b6cf30977c8e66d5ca41062e16411e4adafadda90ec1706c085517bbf026",
-        "ids_report.json": "97d30b008831d7473ab8d246a083a34690d10861a84f3a831fc4045013c2cc4b",
+        "ids_report.json": "2ce81b31cdc881044957a37aab1dc131f96cd17a90b430afc8dd0a675675ac47",
         "pattern_route_M1.csv": "ffd0e698d58660f0a9608980849038b6928c1d25d239e7a1df1e9b7c18d7da47",
         "pattern_route_M2.csv": "d901c89f4959121a5377d1a8baaaafdf5fc9937cc64f55cf44f32149efaa77db",
         "pattern_route_M3.csv": "e582b70c315b9517c0618c5b3c808d97203bcca7b63621118e651c6435fa213d",
@@ -86,9 +90,9 @@ GOLDEN = {
         "random_report.json": "a297c4bdc93a8dafcb7f7858394fa18e19267c24826f6ec1571d88bf16a27812",
     },
     "ssf": {
-        "singular_values.csv": "43bc08bfe250fbc78bdc4a60e341c8aeecef760e695c37c68765b21831eb3100",
-        "ssf_report.json": "fa4a19b3c7303415a435e2780515266f3534451db82538a9c726d73664edb196",
-        "xi.csv": "5c38eb23b33b70eb07f97d25a5b096a318178a27ca7001e2d07a8aee075abcbb",
+        "singular_values.csv": "c6f6af3b1e6d22123c1a8a4ab47672b4d7e302b7b4ef75115fcdb45c58856fec",
+        "ssf_report.json": "e70c067c85df09958a09da6057c5fd0c8c118493f1383cb8c865d459aacf161b",
+        "xi.csv": "0e350698c1ff2c661ac56f16dfbdd9707823ea3b50e34a023819338842be40f3",
     },
 }
 

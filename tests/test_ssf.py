@@ -1,32 +1,43 @@
 """Spectral shift functions, singular-value decay, Legendre/Young bounds."""
 
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idslab import cli, ssf
+from idslab.acceptance import _facet_experiments
 from idslab.lattice import cube, periodic_word
 from idslab.operators import (
     Facet,
     OperatorSpec,
     PrototypeLibrary,
     add_facet_dirichlet,
+    discretize,
+    grid_embedding,
 )
 from idslab.spectral import EnergyWindow, StepFunction
 from idslab.ssf import (
     PowerGauge,
     SingularValueSeries,
+    facet_experiment,
     fit_decay,
     hs_bound,
     legendre,
     legendre_grid_sup,
+    semigroup_difference_singular_values,
     spectral_shift,
     ssf_lp_integral,
     veff_singular_values,
     weyl_check,
     young_check,
 )
-from oracles import dirichlet_chain_eigenvalues
+from oracles import dirichlet_chain_eigenvalues, svd_semigroup_difference_singular_values
+from test_golden import SSF_CONFIG
 
 I010 = EnergyWindow(0.0, 10.0, p=2.0)
 
@@ -136,10 +147,96 @@ def test_veff_separated_facets_merge():
     assert np.allclose(series_both.mu, merged, atol=1e-6)
 
 
+def _random_hermitian(rng, n, complex_):
+    A = rng.uniform(-1.0, 1.0, (n, n))
+    if complex_:
+        A = A + 1j * rng.uniform(-1.0, 1.0, (n, n))
+    return (A + A.conj().T) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 12), st.booleans(), st.booleans())
+def test_veff_eigvalsh_matches_svd_oracle(seed, n, complex_, embedded):
+    rng = np.random.default_rng(seed)
+    HA = _random_hermitian(rng, n, complex_)
+    embed = None
+    HB = _random_hermitian(rng, n, complex_)
+    if embedded:
+        embed = np.flatnonzero(rng.random(n) < 0.7)
+        if len(embed) == 0:
+            embed = np.array([0])
+        HB = HB[np.ix_(embed, embed)]
+    oracle = svd_semigroup_difference_singular_values(HA, HB, embed=embed)
+    mu = semigroup_difference_singular_values(HA, HB, embed=embed)
+    assert mu.shape == oracle.shape
+    assert np.max(np.abs(mu - oracle)) <= 1e-14 * max(1.0, oracle[0])
+
+
+def test_facet_decay_fit_matches_svd_oracle():
+    """c_hat of the acceptance facet pairs is the SVD route's to 1e-7 relative."""
+    for name, d, specA, specB, _window in _facet_experiments():
+        fit = fit_decay(veff_singular_values(specA, specB), d=d)
+        oracle = svd_semigroup_difference_singular_values(
+            discretize(specA), discretize(specB), embed=grid_embedding(specA, specB)
+        )
+        fit_oracle = fit_decay(SingularValueSeries(mu=oracle), d=d)
+        assert fit.points_used == fit_oracle.points_used, name
+        assert fit.c_hat == pytest.approx(fit_oracle.c_hat, rel=1e-7), name
+
+
 def test_veff_dense_cap():
     specA, specB = interval_pair(cells=2, n=32)
     with pytest.raises(ValueError):
         veff_singular_values(specA, specB, dense_cap=10)
+
+
+# ---------------------------------------------------------------------------
+# one solve per operator in facet_experiment
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch):
+    """Count the assemblies, solves and inertia certificates made through the ssf module's names."""
+    calls = Counter()
+    for name in ("discretize", "eigensystem", "eigenvalues", "certified_below"):
+        def counted(*args, _fn=getattr(ssf, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ssf, name, counted)
+    return calls
+
+
+def _assert_shift_matches_banded_route(shift, specA, specB, window):
+    banded = spectral_shift(specA, specB, window)
+    assert np.array_equal(shift.xi.values, banded.xi.values)
+    assert np.allclose(shift.xi.breakpoints, banded.xi.breakpoints, rtol=0.0, atol=1e-9)
+
+
+def test_facet_experiment_solves_each_operator_once(monkeypatch):
+    for name, _d, specA, specB, window in _facet_experiments():
+        calls = _count_calls(monkeypatch)
+        exp = facet_experiment(specA, specB, window, (2.0,), np.random.default_rng(0), 3)
+        assert calls == Counter(discretize=2, eigensystem=2, certified_below=2), name
+        monkeypatch.undo()
+        _assert_shift_matches_banded_route(exp.shift, specA, specB, window)
+
+
+def test_cli_ssf_solves_each_operator_once(tmp_path, monkeypatch):
+    seen = []
+
+    def recorded(specA, specB, window, *args, **kwargs):
+        calls = _count_calls(monkeypatch)
+        exp = facet_experiment(specA, specB, window, *args, **kwargs)
+        seen.append((specA, specB, window, exp.shift, calls))
+        return exp
+
+    monkeypatch.setattr(cli, "facet_experiment", recorded)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SSF_CONFIG))
+    assert cli.main(["ssf", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+    [(specA, specB, window, shift, calls)] = seen
+    assert calls == Counter(discretize=2, eigensystem=2, certified_below=2)
+    _assert_shift_matches_banded_route(shift, specA, specB, window)
 
 
 # ---------------------------------------------------------------------------
