@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +31,12 @@ from .config import (
     config_to_json,
     load_config,
 )
-from .ergodic import AlmostAdditiveField, error_bound_counting, two_route_experiment
+from .ergodic import (
+    AlmostAdditiveField,
+    VanHoveError,
+    error_bound_counting,
+    two_route_experiment,
+)
 from .lattice import PeriodicColoring, cube, estimated_frequency_table, exact_frequency_table
 from .montecarlo import SiteDistribution, random_ids_experiment
 from .operators import (
@@ -77,6 +83,17 @@ def write_manifest(out: Path, command: str, cfg: ExperimentConfig, outputs: list
     write_json(out / "manifest.json", manifest)
 
 
+def _check_exp_hi(window) -> None:
+    """ConfigError unless exp(hi), the factor of the heat-semigroup bound, is a float."""
+    try:
+        math.exp(window.sup)
+    except OverflowError:
+        raise ConfigError(
+            f"config.window.hi: exp(hi) overflows a float at hi = {window.sup!r}, "
+            "and the heat-semigroup bound multiplies by it"
+        ) from None
+
+
 def _frequency_tables(cfg: ExperimentConfig, coloring, Ms):
     if isinstance(coloring, PeriodicColoring):
         return {M: exact_frequency_table(coloring, M) for M in Ms}
@@ -111,13 +128,17 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     c = cfg.constants
     if window.sup + c["C"] < 0:
         raise ConfigError("config.window.hi: the counting-form bound needs hi + constants.C >= 0")
+    _check_exp_hi(window)
     field = AlmostAdditiveField(
         coloring, library, window,
         backend=cfg.backend, resolution=cfg.resolution, matrix_cap=cfg.matrix_cap,
     )
     sequence = build_sequence(cfg)
     tables = _frequency_tables(cfg, coloring, cfg.M_list)
-    report = two_route_experiment(field, sequence, tables)
+    try:
+        report = two_route_experiment(field, sequence, tables)
+    except VanHoveError as e:
+        raise ConfigError(f"config.sequence.sides: {e}") from None
 
     outputs = []
     for vol, f in zip(report.volumes, report.direct_normalized):
@@ -157,6 +178,7 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
         raise ConfigError("config.backend: ssf facet experiments need the continuum backend")
     coloring, library = build_model(cfg)
     window = build_window(cfg)
+    _check_exp_hi(window)
     d = cfg.dimension
     cells, count, trials = cfg.ssf["cells"], cfg.ssf["count"], cfg.ssf["young_trials"]
     powers = [float(p) for p in cfg.ssf["powers"]]

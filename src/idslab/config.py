@@ -173,6 +173,8 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError("config.sequence.sides: need a nonempty list of positive integers")
 
     cfg.window = _section(raw, cfg, "window")
+    for key in ("lo", "hi", "p"):
+        _finite(cfg.window[key], f"config.window.{key}")
     try:
         build_window(cfg)
     except (TypeError, ValueError) as e:

@@ -44,9 +44,11 @@ from .operators import (
 from .spectral import (
     EnergyWindow,
     StepFunction,
+    certified_below,
     counting_function,
     eigenvalues,
     linear_combination,
+    lower_band,
     lp_distance,
     lp_norm,
 )
@@ -89,8 +91,9 @@ class AlmostAdditiveField:
 
     evaluate(Q) returns the unnormalized counting function of the operator
     assembled on Q from the field's coloring; evaluate_pattern(P) returns
-    the class function on the canonical representative's domain.  Both hit
-    the same cache because invariance makes the representative immaterial.
+    the class function on the canonical representative's domain, and
+    evaluate_patterns(Ps) those of many classes at once.  All hit the same
+    cache because invariance makes the representative immaterial.
     The boundary term and the uniform bound K are calibrated on first read,
     so a field that only measures distances never pays for them.
     """
@@ -138,15 +141,6 @@ class AlmostAdditiveField:
             resolution=self.resolution,
         )
 
-    def _counting(self, spec: OperatorSpec) -> StepFunction:
-        dim = matrix_dimension(spec)
-        if dim > self.matrix_cap:
-            raise ValueError(
-                f"matrix dimension {dim} exceeds the configured cap {self.matrix_cap}"
-            )
-        eigs = eigenvalues(discretize(spec), ceiling=self.window.sup)
-        return counting_function(eigs, self.window)
-
     def evaluate(self, Q: frozenset[Site]) -> StepFunction:
         if not Q:
             raise ValueError("cannot evaluate the field on the empty set")
@@ -155,12 +149,34 @@ class AlmostAdditiveField:
     __call__ = evaluate
 
     def evaluate_pattern(self, P: Pattern) -> StepFunction:
-        canonical = P.canonical()
-        if canonical not in self._cache:
-            self._cache[canonical] = self._counting(
-                pattern_spec(canonical, self._spec(canonical.domain))
-            )
-        return self._cache[canonical]
+        return self.evaluate_patterns([P])[0]
+
+    def evaluate_patterns(self, Ps: Sequence[Pattern]) -> list[StepFunction]:
+        """The class functions of Ps, in order.
+
+        Each class not yet cached is assembled and solved once, and the
+        counts below the window's top of all of them are certified together:
+        classes that share a band shape share one factorization
+        (spectral.certified_below).
+        """
+        classes = [P.canonical() for P in Ps]
+        new = [P for P in dict.fromkeys(classes) if P not in self._cache]
+        bands, eigs = [], []
+        for P in new:
+            spec = pattern_spec(P, self._spec(P.domain))
+            dim = matrix_dimension(spec)
+            if dim > self.matrix_cap:
+                raise ValueError(
+                    f"matrix dimension {dim} exceeds the configured cap {self.matrix_cap}"
+                )
+            H = discretize(spec)
+            band = lower_band(H)
+            eigs.append(eigenvalues(H, band=band))
+            bands.append(band)
+            del H  # the certificate needs only the band
+        for P, below in zip(new, certified_below(bands, eigs, self.window.sup)):
+            self._cache[P] = counting_function(below, self.window)
+        return [self._cache[P] for P in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +285,10 @@ def additivity_defect(
 # The two approximation routes
 # ---------------------------------------------------------------------------
 
+class VanHoveError(ValueError):
+    """A sequence whose boundary/volume ratios do not decay."""
+
+
 @dataclass(frozen=True)
 class DirectRoute:
     """Normalized counting functions along a sequence plus Cauchy diagnostics."""
@@ -289,7 +309,7 @@ def direct_route(
         raise ValueError("need a nonempty sequence")
     ratios, monotone = van_hove_ratios(sequence, boundary_width)
     if len(sequence) > 1 and not monotone and ratios[-1] >= ratios[0]:
-        raise ValueError(
+        raise VanHoveError(
             "sequence fails the van Hove sanity check: boundary/volume ratios do not decay"
         )
     normalized = [
@@ -313,17 +333,11 @@ def pattern_route(
     if not table.entries:
         raise ValueError("frequency table is empty")
     cell_volume = len(cube(table.M, field.dimension))
-    functions: list[StepFunction] = []
-    weights: list[float] = []
-    for P in sorted(table.entries, key=lambda p: p.key()):
-        nu = table.entries[P]
-        if nu == 0:
-            continue
-        functions.append(field.evaluate_pattern(P))
-        weights.append(float(nu) / cell_volume)
-    if not functions:
+    classes = [P for P in sorted(table.entries, key=lambda p: p.key()) if table.entries[P]]
+    if not classes:
         return StepFunction.constant(0.0)
-    return linear_combination(functions, weights)
+    weights = [float(table.entries[P]) / cell_volume for P in classes]
+    return linear_combination(field.evaluate_patterns(classes), weights)
 
 
 # ---------------------------------------------------------------------------

@@ -299,11 +299,6 @@ def _site_hash(seed: int, site: Site) -> int:
     return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
 
 
-def _site_uniform(seed: int, site: Site) -> float:
-    """Deterministic uniform draw in [0, 1) keyed by (seed, site)."""
-    return _site_hash(seed, site) / 2.0 ** 64
-
-
 def check_weights(symbols: Sequence[str], weights: Sequence[float]) -> None:
     """ValueError unless weights are a probability vector parallel to symbols."""
     if len(symbols) != len(weights):
@@ -322,6 +317,8 @@ class RandomColoring(Coloring):
     symbols: tuple[str, ...]
     weights: tuple[float, ...]
     dim: int
+    # colors already drawn, by site; kept out of eq, hash and repr (spec_digest reads repr)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         check_weights(self.symbols, self.weights)
@@ -335,13 +332,17 @@ class RandomColoring(Coloring):
         return self.dim
 
     def color(self, site: Site) -> str:
-        u = _site_uniform(self.seed, site)
-        acc = 0.0
-        for sym, w in zip(self.symbols, self.weights):
-            acc += w
-            if u < acc:
-                return sym
-        return self.symbols[-1]
+        sym = self._memo.get(site)
+        if sym is None:
+            u = _site_hash(self.seed, site) / 2.0**64  # uniform in [0, 1)
+            acc = 0.0
+            # the first symbol whose cumulative weight exceeds u, else the last one
+            for sym, w in zip(self.symbols, self.weights):
+                acc += w
+                if u < acc:
+                    break
+            self._memo[site] = sym
+        return sym
 
 
 # ---------------------------------------------------------------------------

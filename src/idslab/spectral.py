@@ -24,10 +24,10 @@ class EnergyWindow:
     p: float = 2.0
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.p < 1:
-            raise ValueError(f"need p >= 1, got {self.p}")
+        if not -np.inf < self.lo < self.hi < np.inf:
+            raise ValueError(f"need finite lo < hi, got [{self.lo}, {self.hi}]")
+        if not 1 <= self.p < np.inf:
+            raise ValueError(f"need 1 <= p < inf, got {self.p}")
 
     @property
     def sup(self) -> float:
@@ -147,7 +147,7 @@ def counting_function(eigs: Sequence[float], window: EnergyWindow) -> StepFuncti
     Jumps only at eigenvalues inside [lo, hi]; the base value counts the
     eigenvalues strictly below lo (needed by spectral-shift differences).
     """
-    e = np.asarray(sorted(eigs), dtype=float)
+    e = np.sort(np.asarray(eigs, dtype=float), kind="stable")
     if len(e) and not np.all(np.isfinite(e)):
         raise ValueError("eigenvalues must be finite")
     base = int(np.searchsorted(e, window.lo, side="left"))
@@ -263,7 +263,7 @@ def assert_hermitian(H: np.ndarray, rtol: float = HERMITIAN_RTOL) -> None:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev}")
 
 
-def _lower_band(H: np.ndarray) -> tuple[np.ndarray, float]:
+def lower_band(H: np.ndarray) -> tuple[np.ndarray, float]:
     """H in LAPACK lower band storage, ab[k, j] = H[j + k, j], and max(1, max|H|).
 
     The band is the narrowest one whose diagonals hold every nonzero of H:
@@ -291,99 +291,131 @@ def _lower_band(H: np.ndarray) -> tuple[np.ndarray, float]:
     return ab, scale
 
 
-def _sparse_inertia(ab: np.ndarray, T: float) -> int | None:
-    """#{eigenvalues <= T} of the band matrix from a sparse LDL^H, or None.
+def _shifted_blocks(ab: np.ndarray, shifts: np.ndarray):
+    """The sparse block-diagonal matrix (CSC) of the band matrices ab[b] - shifts[b]*I."""
+    import scipy.sparse  # imported here: only certified counts need it
 
-    Counts the negative pivots of a symmetric-mode sparse LU of H - T*I,
-    which is an LDL^H factorization when the row and column orderings
-    agree.  None when they do not, when the factor is exactly singular, or
-    when a pivot is too small to trust its sign.
-    """
-    # imported here, not at module level: only certified counts need them
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-    n = ab.shape[1]
-    lower = [ab[0].real - T] + [ab[k, : n - k] for k in range(1, ab.shape[0])]
-    A = scipy.sparse.diags(
+    k, width, n = ab.shape
+    # diagonal -j of the block-diagonal matrix: the zeros that lower_band
+    # leaves at the end of each band row fill the gaps between blocks, and
+    # the sparse matrix drops them
+    lower = [(ab[:, 0].real - np.asarray(shifts, dtype=float)[:, None]).reshape(-1)]
+    lower += [ab[:, j].reshape(-1)[: k * n - j] for j in range(1, width)]
+    return scipy.sparse.diags(
         lower + [lo.conj() for lo in lower[1:]],
-        [-k for k in range(len(lower))] + list(range(1, len(lower))),
+        [-j for j in range(width)] + list(range(1, width)),
         format="csc",
     )
+
+
+def _sparse_inertia(ab: np.ndarray, shifts: Sequence[float]) -> list[int | None]:
+    """#{eigenvalues <= shifts[b]} of each band matrix ab[b] of a stack, or None.
+
+    ab holds k lower bands of one shape.  The block-diagonal matrix of the
+    blocks ab[b] - shifts[b]*I is factored once by a symmetric-mode sparse
+    LU.  Elimination never mixes blocks, so on each block whose row and
+    column orderings agree the factor is an LDL^H factorization, and its
+    negative pivots count that block's eigenvalues below its shift.  A
+    block's count is None when its orderings disagree or when one of its
+    pivots is too small to trust its sign.  An exactly singular factor is
+    split in halves until the singular block stands alone, with count None.
+    """
+    import scipy.sparse.linalg  # imported here: only certified counts need it
+
+    k, _, n = ab.shape
+    shifts = np.asarray(shifts, dtype=float)
     try:
         lu = scipy.sparse.linalg.splu(
-            A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+            _shifted_blocks(ab, shifts), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
             options={"SymmetricMode": True},
         )
-    except RuntimeError:  # exactly singular: T is an eigenvalue
-        return None
-    pivots = lu.U.diagonal()
-    trusted = np.array_equal(lu.perm_r, lu.perm_c) and bool(
-        np.min(np.abs(pivots)) >= PIVOT_RTOL * max(1.0, abs(T))
+    except RuntimeError:  # exactly singular: a shift is an eigenvalue of a block
+        if k == 1:
+            return [None]
+        half = k // 2
+        return _sparse_inertia(ab[:half], shifts[:half]) + _sparse_inertia(ab[half:], shifts[half:])
+    # perm_c[i] is the pivot position of row and column i
+    pivots = lu.U.diagonal()[lu.perm_c].reshape(k, n)
+    trusted = (lu.perm_r == lu.perm_c).reshape(k, n).all(axis=1) & (
+        np.min(np.abs(pivots), axis=1) >= PIVOT_RTOL * np.maximum(1.0, np.abs(shifts))
     )
-    return int(np.count_nonzero(pivots.real < 0)) if trusted else None
+    counts = np.count_nonzero(pivots.real < 0, axis=1)
+    return [int(c) if t else None for c, t in zip(counts, trusted)]
 
 
-def _inertia_count(ab: np.ndarray, H: np.ndarray, T: float, delta: float) -> int:
-    """#{eigenvalues <= T} of the band matrix, by Sylvester's law of inertia.
+def _untrusted_count(ab: np.ndarray, T: float, delta: float) -> int:
+    """#{eigenvalues <= T} of the band matrix ab when its sparse count at T is not trusted.
 
-    When the sparse count at T is not trusted, equal trusted sparse counts
-    at T - delta and T + delta certify it: no eigenvalue lies in
-    (T - delta, T + delta].  Otherwise the dense Bunch-Kaufman
-    count_below_by_inertia decides.
+    Equal trusted sparse counts at T - delta and T + delta certify it: no
+    eigenvalue lies in (T - delta, T + delta].  Otherwise the dense
+    Bunch-Kaufman count_below_by_inertia decides.
     """
-    count = _sparse_inertia(ab, T)
-    if count is not None:
-        return count
-    lo = _sparse_inertia(ab, T - delta)
-    if lo is not None and lo == _sparse_inertia(ab, T + delta):
+    [lo] = _sparse_inertia(ab[None], [T - delta])
+    if lo is not None and [lo] == _sparse_inertia(ab[None], [T + delta]):
         return lo
-    return count_below_by_inertia(H, T)
+    return count_below_by_inertia(_shifted_blocks(ab[None], [0.0]).toarray(), T)
 
 
-def eigenvalues(H: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
+def eigenvalues(
+    H: np.ndarray, ceiling: float = np.inf, band: tuple[np.ndarray, float] | None = None
+) -> np.ndarray:
     """All eigenvalues <= ceiling, sorted ascending with multiplicity.
 
     H is a dense Hermitian matrix; only its band, the narrowest set of
-    diagonals holding every nonzero, is solved (LAPACK ?sbevd/?hbevd).  A
-    finite ceiling certifies the count as certified_below does.
+    diagonals holding every nonzero, is solved (LAPACK ?sbevd/?hbevd).  band
+    is lower_band(H) when the caller has it already.  A finite ceiling
+    certifies the count as certified_below does.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise ValueError("matrix entries must be finite")
-    band = _lower_band(H)
-    return certified_below(H, scipy.linalg.eigvals_banded(band[0], lower=True), ceiling, band)
+    band = lower_band(H) if band is None else band
+    eigs = scipy.linalg.eigvals_banded(band[0], lower=True)
+    return certified_below([band], [eigs], ceiling)[0]
 
 
 def certified_below(
-    H: np.ndarray,
-    eigs: np.ndarray,
+    bands: Sequence[tuple[np.ndarray, float]],
+    eigs: Sequence[np.ndarray],
     ceiling: float,
-    band: tuple[np.ndarray, float] | None = None,
-) -> np.ndarray:
-    """The computed eigenvalues eigs of H that are <= ceiling, in eigs' order.
+) -> list[np.ndarray]:
+    """For each matrix, its computed eigenvalues that are <= ceiling, in eigs' order.
 
-    A finite ceiling T certifies their count by Sylvester's law of inertia
-    on H - T*I; when one of eigs lies within CEILING_TIE_RTOL * max(1,
-    max|H|) of T, the count only has to lie between the inertia counts on
-    either side of that margin.  band is _lower_band(H) when the caller has
-    it already.  A count that fails the certificate raises NumericalFailure.
+    bands[i] is lower_band(H_i) and eigs[i] holds the computed eigenvalues
+    of H_i.  A finite ceiling T certifies each count by Sylvester's law of
+    inertia on H_i - T*I; when one of eigs[i] lies within CEILING_TIE_RTOL *
+    max(1, max|H_i|) of T, the count only has to lie between the inertia
+    counts on either side of that margin.  The sparse inertia of all
+    matrices with one band shape comes from one factorization
+    (_sparse_inertia); a matrix whose count there is not trusted falls back
+    to its own factorizations.  A count that fails the certificate raises
+    NumericalFailure.
     """
-    below = eigs[eigs <= ceiling]
-    if np.isfinite(ceiling):
-        ab, scale = _lower_band(H) if band is None else band
-        T = float(ceiling)
+    below = [e[e <= ceiling] for e in eigs]
+    if not np.isfinite(ceiling):
+        return below
+    T = float(ceiling)
+    # (matrix, shift) pairs grouped by band shape, one factorization per group
+    groups: dict[tuple[int, ...], list[tuple[int, float]]] = {}
+    for i, ((ab, scale), e) in enumerate(zip(bands, eigs)):
         delta = CEILING_TIE_RTOL * scale
-        if np.any(np.abs(eigs - T) <= delta):
-            lo = _inertia_count(ab, H, T - delta, delta)
-            hi = _inertia_count(ab, H, T + delta, delta)
-        else:
-            lo = hi = _inertia_count(ab, H, T, delta)
-        if not lo <= len(below) <= hi:
+        shifts = [T - delta, T + delta] if np.any(np.abs(e - T) <= delta) else [T]
+        groups.setdefault(ab.shape, []).extend((i, s) for s in shifts)
+    counts: list[list[int]] = [[] for _ in bands]
+    for group in groups.values():
+        stack = np.stack([bands[i][0] for i, _ in group])
+        for (i, s), count in zip(group, _sparse_inertia(stack, [s for _, s in group])):
+            if count is None:
+                ab, scale = bands[i]
+                count = _untrusted_count(ab, s, CEILING_TIE_RTOL * scale)
+            counts[i].append(count)
+    for e, c in zip(below, counts):
+        lo, hi = c[0], c[-1]
+        if not lo <= len(e) <= hi:
             raise NumericalFailure(
-                f"{len(below)} eigenvalues <= {T} computed, but the inertia of "
+                f"{len(e)} eigenvalues <= {T} computed, but the inertia of "
                 f"H - T*I counts {lo if lo == hi else f'{lo} to {hi}'}"
             )
     return below
@@ -400,7 +432,7 @@ def eigensystem(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = H.shape[0]
     # a tridiagonal matrix has at most 3n - 2 nonzeros; skip the band otherwise
     if not np.iscomplexobj(H) and np.count_nonzero(H) <= 3 * n - 2:
-        ab, _ = _lower_band(H)  # checks H Hermitian, as assert_hermitian would
+        ab, _ = lower_band(H)  # checks H Hermitian, as assert_hermitian would
         if ab.shape[0] <= 2:
             e = ab[1, : n - 1] if ab.shape[0] == 2 else np.zeros(n - 1)
             return scipy.linalg.eigh_tridiagonal(ab[0], e, lapack_driver="stevd")

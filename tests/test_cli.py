@@ -62,6 +62,9 @@ def test_bad_values_rejected():
         validate_config({"window": {"lo": 2.0, "hi": 1.0}})
     with pytest.raises(ConfigError):
         validate_config({"constants": {"delta": 1.5}})
+    for window in ({"lo": 0.0, "hi": float("inf")}, {"lo": float("nan"), "hi": 1.0}):
+        with pytest.raises(ConfigError, match="config.window"):
+            validate_config({"window": window})
 
 
 @pytest.mark.parametrize("command, overrides, key", [
@@ -92,6 +95,16 @@ def test_bad_values_rejected():
                           "cell": {"0,0": "a", "1,0": "b", "0,1": "b", "1,1": "a"}},
              "window": {"lo": 0.0, "hi": 60.0, "p": 2.0}, "ssf": {"cells": 3, "count": 500}},
      "config.ssf.count"),
+    # the paper's exponent is 1 <= p < inf
+    ("ids", {"window": {"lo": 0.0, "hi": 4.5, "p": float("inf")}}, "config.window.p"),
+    ("random", {"window": {"lo": 0.0, "hi": 4.5, "p": float("nan")}}, "config.window.p"),
+    # exp(hi) of the heat-semigroup bound overflows
+    ("ids", {"window": {"lo": 0.0, "hi": 710.0, "p": 2.0}}, "config.window.hi"),
+    ("ssf", {"backend": "continuum", "window": {"lo": 0.0, "hi": 710.0, "p": 2.0}},
+     "config.window.hi"),
+    # not a van Hove sequence
+    ("ids", {"sequence": {"kind": "cubes", "sides": [8, 8]}}, "config.sequence.sides"),
+    ("ids", {"sequence": {"kind": "cubes", "sides": [16, 8]}}, "config.sequence.sides"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())

@@ -1,10 +1,15 @@
 """Almost-additive engine: defects vs budgets, two routes, error bounds."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idslab import ergodic
 from idslab.ergodic import (
     AlmostAdditiveField,
     BoundaryTerm,
@@ -18,8 +23,11 @@ from idslab.ergodic import (
 )
 from idslab.lattice import (
     PeriodicColoring,
+    RandomColoring,
+    WindowColoring,
     cube,
     cube_sequence,
+    estimated_frequency_table,
     exact_frequency_table,
     periodic_word,
     site_set,
@@ -247,6 +255,65 @@ def test_pattern_route_cache_equivalence():
     for P in table.entries:
         assert shared.evaluate_pattern(P) == lattice_field().evaluate_pattern(P)
     assert pattern_route(shared, table) == route
+
+
+def test_pattern_route_solves_each_class_once_and_factors_once_per_band_shape(monkeypatch):
+    calls = Counter()
+
+    def count(owner, name):
+        def counted(*args, _fn=getattr(owner, name), **kwargs):
+            calls[name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(ergodic, "discretize")
+    count(ergodic, "eigenvalues")
+    count(scipy.sparse.linalg, "splu")
+    coloring = RandomColoring(seed=3, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 8, 2)
+    tables = [estimated_frequency_table(coloring, cube(12, 2), M) for M in (2, 3)]
+    field = AlmostAdditiveField(coloring, lib, I045, backend="lattice")
+    for table in tables:
+        calls.clear()
+        pattern_route(field, table)
+        k = len(table.entries)
+        assert k > 2 and calls == Counter(discretize=k, eigenvalues=k, splu=1)
+    # classes of two band shapes in one call: one factorization per shape
+    fresh = AlmostAdditiveField(coloring, lib, I045, backend="lattice")
+    calls.clear()
+    classes = [P for table in tables for P in table.entries]
+    assert fresh.evaluate_patterns(classes) == [field.evaluate_pattern(P) for P in classes]
+    assert calls == Counter(discretize=len(classes), eigenvalues=len(classes), splu=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**31 - 1), st.integers(1, 2),
+    st.sampled_from(["lattice", "continuum"]),
+)
+def test_periodic_coloring_and_its_window_give_the_same_fields(p1, p2, seed, M, backend):
+    rng = np.random.default_rng(seed)
+    periodic = PeriodicColoring(
+        period=(p1, p2), cell={x: str(rng.choice(["a", "b", "c"])) for x in np.ndindex(p1, p2)}
+    )
+    U = cube(6, 2)  # holds every M-window class: side >= period + M - 1
+    written = WindowColoring(window={x: periodic.color(x) for x in U}, background="a", dim=2)
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0, "c": 2.5}, 2, 2)
+    window = EnergyWindow(0.0, 40.0, p=2.0)
+
+    def field(coloring):
+        return AlmostAdditiveField(coloring, lib, window, backend=backend, resolution=2)
+
+    table = estimated_frequency_table(periodic, U, M)
+    assert table.entries == estimated_frequency_table(written, U, M).entries
+    assert set(table.entries) == set(exact_frequency_table(periodic, M).entries)
+    fp, fw = field(periodic), field(written)
+    classes = sorted(table.entries, key=lambda P: P.key())
+    batched = fp.evaluate_patterns(classes)
+    assert batched == fw.evaluate_patterns(classes)
+    assert batched == [field(periodic).evaluate_pattern(P) for P in classes]
+    assert pattern_route(fp, table) == pattern_route(fw, table)
+    assert fp.evaluate(U) == fw.evaluate(U)
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,7 @@ def test_untrusted_sparse_counts_fall_back_to_dense(monkeypatch):
         calls.append(T)
         return count_below_by_inertia(H, T)
 
-    monkeypatch.setattr(spectral, "_sparse_inertia", lambda ab, T: None)
+    monkeypatch.setattr(spectral, "_sparse_inertia", lambda ab, shifts: [None] * len(ab))
     monkeypatch.setattr(spectral, "count_below_by_inertia", spy)
     assert len(eigenvalues(H, T)) == count_below_by_inertia(H, T)
     assert calls == [T]
@@ -393,6 +393,83 @@ def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["ids", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    # one eigenvalue of one class ("ab" of "ab" and "ba") goes missing in the
+    # M=2 pattern route, whose two classes are certified by one factorization
+    dropped, stacks = [], []
+
+    def drop_in_first_pair(ab, **kwargs):
+        w = solve(ab, **kwargs)
+        if ab.shape[1] == 2 and not dropped:
+            dropped.append(ab)
+            return w[1:]
+        return w
+
+    sparse_inertia = spectral._sparse_inertia
+
+    def recorded(ab, shifts):
+        stacks.append(len(ab))
+        return sparse_inertia(ab, shifts)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", drop_in_first_pair)
+    monkeypatch.setattr(spectral, "_sparse_inertia", recorded)
+    cfg.update(M_list=[2])
+    path.write_text(json.dumps(cfg))
+    assert main(["ids", "--config", str(path), "--out", str(tmp_path / "out2")]) == 1
+    assert len(dropped) == 1 and stacks[-1] == 2
+
+
+def _dense_from_band(ab):
+    n = ab.shape[1]
+    H = np.diag(ab[0].real).astype(ab.dtype)
+    for k in range(1, len(ab)):
+        H += np.diag(ab[k, : n - k], -k) + np.diag(ab[k, : n - k].conj(), k)
+    return H
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 12), st.integers(1, 4),
+    st.booleans(),
+)
+def test_stacked_certificate_matches_dense_inertia(seed, k, n, width, complex_):
+    rng = np.random.default_rng(seed)
+    width = min(width, n)
+    ab = rng.normal(size=(k, width, n))
+    if complex_:
+        ab = ab + 1j * rng.normal(size=ab.shape)
+    for j in range(1, width):
+        ab[:, j, n - j :] = 0.0
+    T = float(rng.uniform(-2.0, 2.0))
+    # block `tie` is diagonal with T as an exact eigenvalue
+    tie = int(rng.integers(k))
+    ab[tie] = 0.0
+    ab[tie, 0] = rng.normal(size=n)
+    ab[tie, 0, rng.integers(n)] = T
+    bands = [(b, max(1.0, float(np.max(np.abs(b))))) for b in ab]
+    eigs = [scipy.linalg.eigvals_banded(b, lower=True) for b in ab]
+    stacks, denses = [], []
+    sparse_inertia = spectral._sparse_inertia
+
+    def sparse_spy(stack, shifts):
+        stacks.append(stack)
+        return sparse_inertia(stack, shifts)
+
+    def dense_spy(H, T):
+        denses.append(H)
+        return count_below_by_inertia(H, T)
+
+    dense = [_dense_from_band(b) for b in ab]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_sparse_inertia", sparse_spy)
+        mp.setattr(spectral, "count_below_by_inertia", dense_spy)
+        below = spectral.certified_below(bands, eigs, T)
+    assert [len(x) for x in below] == [count_below_by_inertia(H, T) for H in dense]
+    # one factorization holds every block, the tie block at T -/+ delta; any
+    # further factorization or dense count is of the tie block alone
+    assert len(stacks[0]) == k + 1
+    assert all(np.array_equal(b, ab[tie]) for stack in stacks[1:] for b in stack)
+    assert all(np.array_equal(H, dense[tie]) for H in denses)
 
 
 def test_inertia_cross_check_complex():
