@@ -38,7 +38,7 @@ from .ergodic import (
     two_route_experiment,
 )
 from .lattice import PeriodicColoring, cube, estimated_frequency_table, exact_frequency_table
-from .montecarlo import SiteDistribution, random_ids_experiment
+from .montecarlo import SiteDistribution, random_ids_experiment, sample_coloring
 from .operators import (
     Facet,
     OperatorSpec,
@@ -101,6 +101,19 @@ def _frequency_tables(cfg: ExperimentConfig, coloring, Ms):
     return {M: estimated_frequency_table(coloring, U, M) for M in Ms}
 
 
+def _check_matrix_cap(cfg: ExperimentConfig, coloring, library, domains) -> None:
+    """Stop before any solve when an operator on one of domains exceeds config.matrix_cap."""
+    for Q in domains:
+        spec = OperatorSpec(
+            Q=Q, coloring=coloring, library=library, backend=cfg.backend, resolution=cfg.resolution,
+        )
+        dim = matrix_dimension(spec)
+        if dim > cfg.matrix_cap:
+            raise ConfigError(
+                f"config.matrix_cap: matrix dimension {dim} exceeds the cap {cfg.matrix_cap}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -134,6 +147,8 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
         backend=cfg.backend, resolution=cfg.resolution, matrix_cap=cfg.matrix_cap,
     )
     sequence = build_sequence(cfg)
+    windows = [cube(M, cfg.dimension) for M in cfg.M_list]
+    _check_matrix_cap(cfg, coloring, library, [*sequence, *windows])
     tables = _frequency_tables(cfg, coloring, cfg.M_list)
     try:
         report = two_route_experiment(field, sequence, tables)
@@ -288,6 +303,10 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
     dist = SiteDistribution(symbols=symbols, weights=tuple(weights[s] for s in symbols), seed=cfg.seed)
     samples, R = rnd["samples"], rnd["truncation_radius"]
     grid = np.linspace(window.lo, window.hi, rnd["lambda_points"])
+    _check_matrix_cap(
+        cfg, sample_coloring(dist, 0, cfg.dimension), library,
+        [cube(j, cfg.dimension) for j in rnd["compare_volumes"]],
+    )
     exp = random_ids_experiment(
         dist, cfg.seed + 1, library, window, grid, samples, R,
         omegas=rnd["omegas"], volumes=rnd["compare_volumes"],

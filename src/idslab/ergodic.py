@@ -47,6 +47,7 @@ from .spectral import (
     certified_below,
     counting_function,
     eigenvalues,
+    large_band,
     linear_combination,
     lower_band,
     lp_distance,
@@ -154,14 +155,17 @@ class AlmostAdditiveField:
     def evaluate_patterns(self, Ps: Sequence[Pattern]) -> list[StepFunction]:
         """The class functions of Ps, in order.
 
-        Each class not yet cached is assembled and solved once, and the
-        counts below the window's top of all of them are certified together:
+        Each class not yet cached is assembled and solved once.  A class on
+        a large band (spectral.large_band) is solved up to the window's top and
+        certified in its own solve, which may slice the spectrum.  The counts
+        below the window's top of all other classes are certified together:
         classes that share a band shape share one factorization
         (spectral.certified_below).
         """
+        T = self.window.sup
         classes = [P.canonical() for P in Ps]
         new = [P for P in dict.fromkeys(classes) if P not in self._cache]
-        bands, eigs = [], []
+        batch, bands, eigs = [], [], []
         for P in new:
             spec = pattern_spec(P, self._spec(P.domain))
             dim = matrix_dimension(spec)
@@ -171,10 +175,14 @@ class AlmostAdditiveField:
                 )
             H = discretize(spec)
             band = lower_band(H)
-            eigs.append(eigenvalues(H, band=band))
-            bands.append(band)
+            if large_band(band[0]):
+                self._cache[P] = counting_function(eigenvalues(H, T, band=band), self.window)
+            else:
+                batch.append(P)
+                eigs.append(eigenvalues(H, band=band))
+                bands.append(band)
             del H  # the certificate needs only the band
-        for P, below in zip(new, certified_below(bands, eigs, self.window.sup)):
+        for P, below in zip(batch, certified_below(bands, eigs, T)):
             self._cache[P] = counting_function(below, self.window)
         return [self._cache[P] for P in classes]
 

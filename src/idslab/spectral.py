@@ -8,6 +8,7 @@ breakpoint merging, never by quadrature.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -243,6 +244,15 @@ CEILING_TIE_RTOL = 1e-9
 # LDL pivots of H - T*I smaller than this (relative to max(1, |T|)) are not
 # trusted to carry the sign of the inertia
 PIVOT_RTOL = 1e-10
+# Spectrum slicing replaces the O(N^2 * width) banded solve of a finite
+# ceiling where it was measured faster (BENCH_slicing.json): on bands with
+# N * width >= SLICE_MIN_WORK and at most SLICE_MAX_SHARE * N * width
+# eigenvalues below the ceiling
+SLICE_MIN_WORK = 1 << 14
+SLICE_MAX_SHARE = 2e-3
+# eigenvalues per slice, and Ritz values sought beyond a slice's count
+SLICE_SIZE = 200
+SLICE_MARGIN = 5
 
 
 class NumericalFailure(RuntimeError):
@@ -257,7 +267,10 @@ def assert_hermitian(H: np.ndarray, rtol: float = HERMITIAN_RTOL) -> None:
     dev = 0.0
     for i in range(0, n, step):
         rows = H[i : i + step]
-        scale = max(scale, float(np.max(np.abs(rows))))
+        peak = float(np.max(np.abs(rows)))  # NaN compares False below, so check it here
+        if not np.isfinite(peak):
+            raise ValueError("matrix entries must be finite")
+        scale = max(scale, peak)
         dev = max(dev, float(np.max(np.abs(rows - H[:, i : i + step].conj().T))))
     if dev > rtol * scale:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev}")
@@ -268,9 +281,9 @@ def lower_band(H: np.ndarray) -> tuple[np.ndarray, float]:
 
     The band is the narrowest one whose diagonals hold every nonzero of H:
     diagonals are kept, symmetrically about the main one, until their
-    nonzeros add up to np.count_nonzero(H).  The band must be Hermitian
-    diagonal by diagonal, to the tolerance of assert_hermitian; otherwise
-    ValueError.
+    nonzeros add up to np.count_nonzero(H).  The band must be finite and
+    Hermitian diagonal by diagonal, to the tolerance of assert_hermitian;
+    otherwise ValueError.
     """
     n = H.shape[0]
     nnz = int(np.count_nonzero(H))
@@ -281,7 +294,11 @@ def lower_band(H: np.ndarray) -> tuple[np.ndarray, float]:
         lower.append(np.diagonal(H, -k))
         upper.append(np.diagonal(H, k))
         kept += int(np.count_nonzero(lower[-1])) + int(np.count_nonzero(upper[-1]))
-    scale = max(1.0, *(float(np.max(np.abs(x))) for x in lower + upper))
+    # NaN and inf are nonzeros, so the band holds them; np.max propagates them
+    peaks = [float(np.max(np.abs(x))) for x in lower + upper]
+    if not all(map(math.isfinite, peaks)):
+        raise ValueError("matrix entries must be finite")
+    scale = max(1.0, *peaks)
     dev = max(float(np.max(np.abs(lo - up.conj()))) for lo, up in zip(lower, upper))
     if dev > HERMITIAN_RTOL * scale:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev}")
@@ -298,12 +315,13 @@ def _shifted_blocks(ab: np.ndarray, shifts: np.ndarray):
     k, width, n = ab.shape
     # diagonal -j of the block-diagonal matrix: the zeros that lower_band
     # leaves at the end of each band row fill the gaps between blocks, and
-    # the sparse matrix drops them
+    # the sparse matrix drops them; all-zero diagonals are left out
+    offsets = [j for j in range(1, width) if np.any(ab[:, j])]
     lower = [(ab[:, 0].real - np.asarray(shifts, dtype=float)[:, None]).reshape(-1)]
-    lower += [ab[:, j].reshape(-1)[: k * n - j] for j in range(1, width)]
+    lower += [ab[:, j].reshape(-1)[: k * n - j] for j in offsets]
     return scipy.sparse.diags(
         lower + [lo.conj() for lo in lower[1:]],
-        [-j for j in range(width)] + list(range(1, width)),
+        [0, *(-j for j in offsets), *offsets],
         format="csc",
     )
 
@@ -356,24 +374,116 @@ def _untrusted_count(ab: np.ndarray, T: float, delta: float) -> int:
     return count_below_by_inertia(_shifted_blocks(ab[None], [0.0]).toarray(), T)
 
 
+def large_band(ab: np.ndarray) -> bool:
+    """Whether eigenvalues(H, ceiling) may slice the band ab, certifying its own count.
+
+    Callers that certify many small bands together (certified_below) pass
+    the ceiling only for large bands.
+    """
+    return ab.size >= SLICE_MIN_WORK
+
+
+def _gershgorin_floor(ab: np.ndarray) -> float:
+    """A lower bound of the spectrum of the Hermitian band matrix ab (Gershgorin discs)."""
+    width, n = ab.shape
+    radius = np.zeros(n)
+    for k in range(1, width):
+        offdiag = np.abs(ab[k, : n - k])  # H[j + k, j] for row j + k, its mirror for row j
+        radius[k:] += offdiag
+        radius[: n - k] += offdiag
+    return float(np.min(ab[0].real - radius))
+
+
+def _sliced(band: tuple[np.ndarray, float], T: float, count: int) -> np.ndarray | None:
+    """The count eigenvalues <= T of a band matrix by spectrum slicing, or None.
+
+    (g, T] is cut into equal slices for about SLICE_SIZE eigenvalues each,
+    g a Gershgorin bound below the spectrum, and the inner edges are
+    counted by one _sparse_inertia call.  Each nonempty slice is solved by
+    shift-invert Lanczos (ARPACK) about its midpoint, with a symmetric-mode
+    sparse LU as the inverse and a fixed start vector.  A slice is accepted
+    only when as many Ritz values lie in it as its inertia counts; it gets a
+    second try with more Ritz values.  None when a slice still fails, a Ritz
+    value on the wrong side of a slice edge included.
+    """
+    import scipy.sparse.linalg  # imported here: only sliced solves need it
+
+    ab, scale = band
+    width, n = ab.shape
+    if count == 0:
+        return np.zeros(0)
+    delta = CEILING_TIE_RTOL * scale
+    parts = -(-count // SLICE_SIZE)
+    edges = np.linspace(_gershgorin_floor(ab) - delta, T, parts + 1)
+    stack = np.broadcast_to(ab, (parts - 1, width, n))
+    counts = [0, *(_sparse_inertia(stack, edges[1:-1]) if parts > 1 else []), count]
+    if None in counts:
+        return None
+    H = _shifted_blocks(ab[None], [0.0])
+    v0 = np.random.default_rng(0).standard_normal(n).astype(ab.dtype)  # reruns repeat bit for bit
+    found: list[np.ndarray] = []
+    for lo, hi, m in zip(edges, edges[1:], np.diff(counts)):
+        if m == 0:
+            continue
+        mid = (lo + hi) / 2
+        try:
+            lu = scipy.sparse.linalg.splu(
+                _shifted_blocks(ab[None], [mid]), permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError:  # mid is an eigenvalue
+            return None
+        inverse = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=ab.dtype)
+        for k in (m + SLICE_MARGIN, 2 * m + SLICE_MARGIN):
+            if k > n - 2:
+                return None
+            try:
+                w = np.sort(scipy.sparse.linalg.eigsh(
+                    H, k=k, sigma=mid, OPinv=inverse, tol=0, v0=v0, return_eigenvectors=False,
+                ))
+            except scipy.sparse.linalg.ArpackError:
+                continue
+            inside = w[(w > lo) & (w <= hi)]
+            if len(inside) == m:
+                found.append(inside)
+                break
+        else:
+            return None
+    return np.concatenate(found)
+
+
 def eigenvalues(
     H: np.ndarray, ceiling: float = np.inf, band: tuple[np.ndarray, float] | None = None
 ) -> np.ndarray:
     """All eigenvalues <= ceiling, sorted ascending with multiplicity.
 
     H is a dense Hermitian matrix; only its band, the narrowest set of
-    diagonals holding every nonzero, is solved (LAPACK ?sbevd/?hbevd).  band
-    is lower_band(H) when the caller has it already.  A finite ceiling
-    certifies the count as certified_below does.
+    diagonals holding every nonzero, is solved.  band is lower_band(H) when
+    the caller has it already.  A finite ceiling certifies the count as
+    certified_below does.  On a large band (large_band) the ceiling's count
+    comes first, from one sparse factorization; when it is trusted and at
+    most SLICE_MAX_SHARE * N * width, the eigenvalues come from spectrum
+    slicing (_sliced).  Otherwise, or when a slice fails, they come from
+    LAPACK ?sbevd/?hbevd, and certified_below applies its tie rule when the
+    ceiling's count was not trusted.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("matrix entries must be finite")
     band = lower_band(H) if band is None else band
-    eigs = scipy.linalg.eigvals_banded(band[0], lower=True)
-    return certified_below([band], [eigs], ceiling)[0]
+    ab = band[0]
+    T = float(ceiling)
+    count = None
+    if np.isfinite(T) and large_band(ab):
+        [count] = _sparse_inertia(ab[None], [T])  # None at a tie: the banded solve decides
+        if count is not None and count <= SLICE_MAX_SHARE * ab.size:
+            sliced = _sliced(band, T, count)
+            if sliced is not None:
+                return sliced
+    eigs = scipy.linalg.eigvals_banded(ab, lower=True)
+    if count is not None and np.count_nonzero(eigs <= T) == count:
+        return eigs[eigs <= T]  # certified by the count that chose the solver
+    return certified_below([band], [eigs], T)[0]
 
 
 def certified_below(

@@ -105,6 +105,9 @@ def test_bad_values_rejected():
     # not a van Hove sequence
     ("ids", {"sequence": {"kind": "cubes", "sides": [8, 8]}}, "config.sequence.sides"),
     ("ids", {"sequence": {"kind": "cubes", "sides": [16, 8]}}, "config.sequence.sides"),
+    # an operator larger than the cap (dimension 16 in ids, 32 in random)
+    ("ids", {"matrix_cap": 10}, "config.matrix_cap"),
+    ("random", {"matrix_cap": 10}, "config.matrix_cap"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())

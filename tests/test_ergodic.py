@@ -286,6 +286,33 @@ def test_pattern_route_solves_each_class_once_and_factors_once_per_band_shape(mo
     assert calls == Counter(discretize=len(classes), eigenvalues=len(classes), splu=2)
 
 
+def test_large_classes_are_sliced_and_agree_with_the_batched_certificate(monkeypatch):
+    from idslab import spectral
+
+    # the direct route's continuum cubes: side 4 at resolution 8 is a band
+    # of N = 961 rows and width 32, with 30 eigenvalues <= 30
+    coloring = PeriodicColoring(period=(2, 2), cell={(0, 0): "a", (1, 0): "b",
+                                                     (0, 1): "b", (1, 1): "a"})
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 8, 2)
+    window = EnergyWindow(0.0, 30.0, p=2.0)
+    patterns = [coloring.restrict(cube(side, 2)) for side in (4, 2, 1)]
+
+    def field():
+        return AlmostAdditiveField(coloring, lib, window, backend="continuum", resolution=8)
+
+    sliced = []
+    solve = spectral._sliced
+    monkeypatch.setattr(spectral, "_sliced", lambda *a: sliced.append(solve(*a)) or sliced[-1])
+    got = field().evaluate_patterns(patterns)
+    assert len(sliced) == 1 and len(sliced[0]) == 30
+    monkeypatch.setattr(ergodic, "large_band", lambda ab: False)  # every class batched
+    want = field().evaluate_patterns(patterns)
+    assert len(sliced) == 1
+    for f, g in zip(got, want):
+        assert np.array_equal(f.values, g.values)
+        assert np.allclose(f.breakpoints, g.breakpoints, rtol=1e-10, atol=0)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**31 - 1), st.integers(1, 2),

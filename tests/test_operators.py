@@ -515,3 +515,33 @@ def test_consumers_reject_non_hermitian_assembly(monkeypatch):
     specB = add_facet_dirichlet(specA, Facet(anchor=(1,), axis=0))
     with pytest.raises(ValueError, match="not Hermitian"):
         spectral_shift(specA, specB, EnergyWindow(0.0, 100.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1), st.booleans(),
+    st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 3), st.integers(0, 2)),
+        min_size=1, max_size=5, unique=True,
+    ),
+)
+def test_dirichlet_facets_never_raise_the_counting_function_2d(seed, magnetic, facets):
+    # each facet deletes grid points: H_B is a principal submatrix of H_A,
+    # and interlacing gives N(lambda, H_B) <= N(lambda, H_A) at every lambda
+    from idslab.spectral import counting_function, subtract
+
+    n = 4
+    rng = np.random.default_rng(seed)
+    a = tuple(rng.normal(size=(2, n, n))) if magnetic else (np.zeros((n, n)),) * 2
+    lib = PrototypeLibrary([Prototype(s, rng.uniform(0.0, 5.0, size=(n, n)), a) for s in "ab"])
+    coloring = PeriodicColoring(period=(2, 2), cell={x: str(rng.choice(["a", "b"]))
+                                                     for x in np.ndindex(2, 2)})
+    specA = OperatorSpec(Q=cube(3, 2), coloring=coloring, library=lib,
+                         backend="continuum", resolution=n)
+    specB = specA
+    for axis, i, j in facets:
+        specB = add_facet_dirichlet(specB, Facet(anchor=(i, j) if axis == 0 else (j, i), axis=axis))
+    window = EnergyWindow(0.0, 80.0, p=2.0)
+    FA, FB = (counting_function(eigenvalues(discretize(s), window.sup), window)
+              for s in (specA, specB))
+    assert np.all(subtract(FA, FB).values >= 0)

@@ -183,6 +183,16 @@ def test_eigenvalues_reject_nonfinite_and_nonhermitian():
             eigensystem(H)
 
 
+def test_eigensystem_rejects_nonfinite():
+    dense = np.ones((3, 3))
+    dense[0, 1] = dense[1, 0] = np.nan  # a full matrix takes the dense path
+    chain = _chain(4)
+    chain[2, 3] = chain[3, 2] = -np.inf  # a tridiagonal one takes ?stevd
+    for H in (dense, chain):
+        with pytest.raises(ValueError, match="finite"):
+            eigensystem(H)
+
+
 def _random_banded(n, bw, seed):
     rng = np.random.default_rng(seed)
     A = np.triu(np.tril(rng.normal(size=(n, n)), bw), -bw)
@@ -470,6 +480,157 @@ def test_stacked_certificate_matches_dense_inertia(seed, k, n, width, complex_):
     assert len(stacks[0]) == k + 1
     assert all(np.array_equal(b, ab[tie]) for stack in stacks[1:] for b in stack)
     assert all(np.array_equal(H, dense[tie]) for H in denses)
+
+
+# ---------------------------------------------------------------------------
+# spectrum slicing
+# ---------------------------------------------------------------------------
+
+def _continuum_2d(seed, side, n, magnetic):
+    from idslab.lattice import PeriodicColoring, cube
+    from idslab.operators import OperatorSpec, Prototype, PrototypeLibrary, discretize
+
+    rng = np.random.default_rng(seed)
+    a = tuple(rng.normal(size=(2, n, n))) if magnetic else (np.zeros((n, n)),) * 2
+    protos = [Prototype(s, rng.uniform(0.0, 5.0, size=(n, n)), a) for s in "ab"]
+    spec = OperatorSpec(
+        Q=cube(side, 2), library=PrototypeLibrary(protos), backend="continuum", resolution=n,
+        coloring=PeriodicColoring(period=(2, 1), cell={(0, 0): "a", (1, 0): "b"}),
+    )
+    return discretize(spec)
+
+
+def _slice_everything(mp):
+    """Make eigenvalues() slice every finite ceiling, however small the band."""
+    mp.setattr(spectral, "SLICE_MIN_WORK", 0)
+    mp.setattr(spectral, "SLICE_MAX_SHARE", 1.0)
+
+
+def _spy(mp, owner, name, edit=None):
+    calls = []
+    fn = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(kwargs)
+        return out if edit is None else edit(out, kwargs, len(calls))
+
+    mp.setattr(owner, name, spy)
+    return calls
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(3, 5), st.booleans(),
+    st.floats(0.02, 0.3), st.integers(3, 40),
+)
+def test_sliced_solver_matches_banded(seed, side, n, magnetic, share, size):
+    H = _continuum_2d(seed, side, n, magnetic)
+    assert np.iscomplexobj(H) == magnetic
+    band = spectral.lower_band(H)
+    dense = scipy.linalg.eigvals_banded(band[0], lower=True)
+    T = float(dense[max(1, int(share * len(dense)))]) + 1e-3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "SLICE_SIZE", size)  # several slices on small matrices
+        got = spectral._sliced(band, T, count_below_by_inertia(H, T))
+    want = dense[dense <= T]
+    assert got is not None and len(got) == len(want) == count_below_by_inertia(H, T)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+
+
+def test_sliced_degenerate_eigenvalues():
+    from idslab.lattice import cube, periodic_word
+    from idslab.operators import OperatorSpec, PrototypeLibrary, discretize
+
+    # a constant potential on a square: E_ij = E_ji exactly
+    lib = PrototypeLibrary.constant_potentials({"a": 1.5}, 4, 2)
+    H = discretize(OperatorSpec(Q=cube(3, 2), coloring=periodic_word("a"), library=lib,
+                                backend="continuum", resolution=4))
+    dense = np.linalg.eigvalsh(H)
+    assert np.min(np.diff(dense)) < 1e-9  # degenerate
+    T = float(dense[40]) + 1e-3
+    with pytest.MonkeyPatch.context() as mp:
+        _slice_everything(mp)
+        mp.setattr(spectral, "SLICE_SIZE", 15)
+        got = eigenvalues(H, T)
+    want = dense[dense <= T]
+    assert len(got) == len(want) == count_below_by_inertia(H, T)
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, T)
+
+
+def test_sliced_ceiling_at_an_eigenvalue():
+    from idslab.lattice import PeriodicColoring, cube
+    from idslab.operators import PrototypeLibrary, lattice_model
+
+    # 7x7 lattice Laplacian: 4 - 2cos(i pi/8) - 2cos(j pi/8) = 4 exactly when i + j = 8
+    lib = PrototypeLibrary.zero(["a"], 2, 2)
+    H = lattice_model(PeriodicColoring(period=(1, 1), cell={(0, 0): "a"}), cube(7, 2), lib)
+    dense = np.linalg.eigvalsh(H)
+    T = 4.0
+    delta = spectral.CEILING_TIE_RTOL * max(1.0, np.max(np.abs(H)))
+    sure, loose = count_below_by_inertia(H, T - delta), count_below_by_inertia(H, T + delta)
+    assert (sure, loose) == (21, 28)
+    with pytest.MonkeyPatch.context() as mp:
+        _slice_everything(mp)
+        mp.setattr(spectral, "SLICE_SIZE", 12)
+        got = eigenvalues(H, T)
+    assert sure <= len(got) <= loose
+    assert np.max(np.abs(got[:sure] - dense[:sure])) <= 1e-10 * T
+
+
+def test_large_band_at_a_tie_needs_no_dense_count():
+    from idslab.lattice import RandomColoring, cube
+    from idslab.operators import PrototypeLibrary, lattice_model
+
+    # a 26x26 lattice cube (N * width = 676 * 27, a large band) whose ceiling is a
+    # computed eigenvalue: the sparse count at T is not trusted, those at T -/+ delta are
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 2, 2)
+    coloring = RandomColoring(seed=0, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
+    H = lattice_model(coloring, cube(26, 2), lib)
+    assert spectral.large_band(spectral.lower_band(H)[0])
+    T = float(np.linalg.eigvalsh(H)[40])
+    with pytest.MonkeyPatch.context() as mp:
+        dense_counts = _spy(mp, spectral, "count_below_by_inertia")
+        got = eigenvalues(H, T)
+    assert len(got) in (40, 41) and not dense_counts
+
+
+@pytest.mark.parametrize("always", [False, True], ids=["retry", "fallback"])
+def test_dropped_ritz_value_is_retried_or_falls_back(always):
+    H = _continuum_2d(5, 3, 4, magnetic=False)
+    dense = np.linalg.eigvalsh(H)
+    T = float(dense[30]) + 1e-3
+
+    def drop_nearest_shift(w, kwargs, call):
+        if not always and call > 1:
+            return w
+        return np.delete(w, np.argmin(np.abs(w - kwargs["sigma"])))
+
+    import scipy.sparse.linalg
+
+    with pytest.MonkeyPatch.context() as mp:
+        _slice_everything(mp)
+        mp.setattr(spectral, "SLICE_SIZE", 10)
+        ritz = _spy(mp, scipy.sparse.linalg, "eigsh", drop_nearest_shift)
+        banded = _spy(mp, scipy.linalg, "eigvals_banded")
+        got = eigenvalues(H, T)
+    assert len(got) == count_below_by_inertia(H, T) == 31
+    assert np.max(np.abs(got - dense[:31])) <= 1e-10 * T
+    slices = 4  # 31 eigenvalues, 10 per slice
+    if always:  # both tries of the first slice fail: the banded solve takes over
+        assert len(ritz) == 2 and len(banded) == 1
+    else:  # the second try of the first slice succeeds
+        assert len(ritz) == slices + 1 and not banded
+
+
+def test_sliced_solves_repeat_bit_for_bit():
+    H = _continuum_2d(9, 3, 5, magnetic=True)
+    T = float(np.linalg.eigvalsh(H)[60]) + 1e-3
+    with pytest.MonkeyPatch.context() as mp:
+        _slice_everything(mp)
+        mp.setattr(spectral, "SLICE_SIZE", 25)
+        first, second = eigenvalues(H, T), eigenvalues(H, T)
+    assert len(first) == 61 and first.tobytes() == second.tobytes()
 
 
 def test_inertia_cross_check_complex():
