@@ -8,6 +8,7 @@ are printed but never serialized.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import shutil
@@ -50,12 +51,12 @@ from .operators import (
 )
 from .spectral import EnergyWindow, eigenvalues
 from .ssf import (
+    FacetExperiment,
     PowerGauge,
     facet_experiment,
     fit_decay,
     legendre,
     legendre_grid_sup,
-    veff_singular_values,
     weyl_check,
 )
 
@@ -391,7 +392,7 @@ def criterion_4_almost_additivity() -> CriterionResult:
 # criteria 5 and 6: singular-value decay and Legendre/HS bounds
 # ---------------------------------------------------------------------------
 
-def _facet_experiments():
+def _facet_pairs():
     chk = PeriodicColoring(
         period=(2, 2), cell={(0, 0): "a", (1, 0): "b", (0, 1): "b", (1, 1): "a"}
     )
@@ -414,13 +415,29 @@ def _facet_experiments():
         yield name, d, specA, specB, window
 
 
+FACET_YOUNG_TRIALS = 100
+
+
+@functools.cache
+def _facet_experiments() -> tuple[tuple[str, int, FacetExperiment], ...]:
+    """The facet pairs' experiments, solved once for criteria 5 and 6.
+
+    One generator seeded with MASTER_SEED draws the Young trials of every
+    pair in turn.
+    """
+    rng = np.random.default_rng(MASTER_SEED)
+    return tuple(
+        (name, d, facet_experiment(specA, specB, window, (1.0, 2.0, 3.0), rng, FACET_YOUNG_TRIALS))
+        for name, d, specA, specB, window in _facet_pairs()
+    )
+
+
 def criterion_5_singular_value_decay() -> CriterionResult:
     t0 = time.perf_counter()
     rows = []
     ok = True
-    for name, d, specA, specB, _window in _facet_experiments():
-        series = veff_singular_values(specA, specB)
-        fit = fit_decay(series, d=d)
+    for name, d, exp in _facet_experiments():
+        fit = fit_decay(exp.series, d=d)
         good = fit.c_hat > 0 and fit.envelope_ok
         ok = ok and good
         rows.append({
@@ -444,16 +461,13 @@ def criterion_6_legendre_bounds() -> CriterionResult:
     all_hold = True
     young_failures = 0
     pair_rows = []
-    rng = np.random.default_rng(MASTER_SEED)
-    trials = 100
-    for name, d, specA, specB, window in _facet_experiments():
-        exp = facet_experiment(specA, specB, window, (1.0, 2.0, 3.0), rng, trials)
+    for name, _d, exp in _facet_experiments():
         row = {"experiment": name}
         for p, (direct, bound) in exp.bounds.items():
             row[f"p{p:g}"] = {"direct": direct, "bound": bound.value}
             if direct > bound.value:
                 all_hold = False
-        young_failures += trials - exp.young_passed
+        young_failures += FACET_YOUNG_TRIALS - exp.young_passed
         pair_rows.append(row)
     legendre_dev = 0.0
     for q in (0.5, 1.0, 2.0):

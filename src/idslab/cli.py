@@ -38,7 +38,7 @@ from .ergodic import (
     two_route_experiment,
 )
 from .lattice import PeriodicColoring, cube, estimated_frequency_table, exact_frequency_table
-from .montecarlo import SiteDistribution, random_ids_experiment, sample_coloring
+from .montecarlo import SiteDistribution, centered_box, random_ids_experiment, sample_coloring
 from .operators import (
     Facet,
     OperatorSpec,
@@ -101,17 +101,23 @@ def _frequency_tables(cfg: ExperimentConfig, coloring, Ms):
     return {M: estimated_frequency_table(coloring, U, M) for M in Ms}
 
 
-def _check_matrix_cap(cfg: ExperimentConfig, coloring, library, domains) -> None:
-    """Stop before any solve when an operator on one of domains exceeds config.matrix_cap."""
-    for Q in domains:
-        spec = OperatorSpec(
+def _check_cap(cfg: ExperimentConfig, key: str, coloring, library, domains) -> int:
+    """The largest dimension of the operators on domains, checked against config.<key>.
+
+    Each command calls this before any solve: matrix_cap bounds the operators
+    whose eigenvalues are counted, dense_cap those that get a full
+    eigendecomposition.
+    """
+    dim = max(
+        matrix_dimension(OperatorSpec(
             Q=Q, coloring=coloring, library=library, backend=cfg.backend, resolution=cfg.resolution,
-        )
-        dim = matrix_dimension(spec)
-        if dim > cfg.matrix_cap:
-            raise ConfigError(
-                f"config.matrix_cap: matrix dimension {dim} exceeds the cap {cfg.matrix_cap}"
-            )
+        ))
+        for Q in domains
+    )
+    cap = getattr(cfg, key)
+    if dim > cap:
+        raise ConfigError(f"config.{key}: matrix dimension {dim} exceeds the cap {cap}")
+    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +148,14 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     if window.sup + c["C"] < 0:
         raise ConfigError("config.window.hi: the counting-form bound needs hi + constants.C >= 0")
     _check_exp_hi(window)
-    field = AlmostAdditiveField(
-        coloring, library, window,
-        backend=cfg.backend, resolution=cfg.resolution, matrix_cap=cfg.matrix_cap,
-    )
     sequence = build_sequence(cfg)
     windows = [cube(M, cfg.dimension) for M in cfg.M_list]
-    _check_matrix_cap(cfg, coloring, library, [*sequence, *windows])
+    _check_cap(cfg, "matrix_cap", coloring, library, [*sequence, *windows])
+    e1 = tuple(1 if i == 0 else 0 for i in range(cfg.dimension))
+    _check_cap(cfg, "dense_cap", coloring, library, [frozenset({(0,) * cfg.dimension, e1})])
+    field = AlmostAdditiveField(
+        coloring, library, window, backend=cfg.backend, resolution=cfg.resolution,
+    )
     tables = _frequency_tables(cfg, coloring, cfg.M_list)
     try:
         report = two_route_experiment(field, sequence, tables)
@@ -198,21 +205,18 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
     cells, count, trials = cfg.ssf["cells"], cfg.ssf["count"], cfg.ssf["young_trials"]
     powers = [float(p) for p in cfg.ssf["powers"]]
 
+    dim = _check_cap(cfg, "dense_cap", coloring, library, [cube(cells, d)])
+    if count > dim:
+        raise ConfigError(f"config.ssf.count: {count} exceeds the matrix dimension {dim}")
+
     specA = OperatorSpec(
         Q=cube(cells, d), coloring=coloring, library=library,
         backend="continuum", resolution=cfg.resolution,
     )
     anchor = tuple(cells // 2 if i == 0 else 0 for i in range(d))
     specB = add_facet_dirichlet(specA, Facet(anchor=anchor, axis=0))
-    dim = matrix_dimension(specA)
-    if dim > cfg.dense_cap:
-        raise ConfigError(f"config.ssf.cells: dense dimension {dim} exceeds dense_cap")
-    if count > dim:
-        raise ConfigError(f"config.ssf.count: {count} exceeds the matrix dimension {dim}")
-
     exp = facet_experiment(
-        specA, specB, window, powers, np.random.default_rng(cfg.seed), trials,
-        count=count, dense_cap=cfg.dense_cap,
+        specA, specB, window, powers, np.random.default_rng(cfg.seed), trials, count=count,
     )
     shift, series = exp.shift, exp.series
     if not shift.is_nonnegative():
@@ -269,15 +273,14 @@ def cmd_weyl(cfg: ExperimentConfig, out: Path) -> int:
     window = build_window(cfg)
     delta = float(cfg.constants["delta"])
     C1 = float(cfg.constants["C1"])
+    sequence = build_sequence(cfg)
+    _check_cap(cfg, "matrix_cap", coloring, library, sequence)
     rows = []
-    for Q in build_sequence(cfg):
+    for Q in sequence:
         spec = OperatorSpec(
             Q=Q, coloring=coloring, library=library,
             backend=cfg.backend, resolution=cfg.resolution,
         )
-        dim = matrix_dimension(spec)
-        if dim > cfg.matrix_cap:
-            raise ConfigError(f"config.sequence: matrix dimension {dim} exceeds matrix_cap")
         eigs = eigenvalues(discretize(spec), ceiling=window.sup)
         margin = weyl_check(eigs, volume=float(len(Q)), delta=delta, C1=C1, d=cfg.dimension)
         rows.append({
@@ -303,15 +306,20 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
     dist = SiteDistribution(symbols=symbols, weights=tuple(weights[s] for s in symbols), seed=cfg.seed)
     samples, R = rnd["samples"], rnd["truncation_radius"]
     grid = np.linspace(window.lo, window.hi, rnd["lambda_points"])
-    _check_matrix_cap(
-        cfg, sample_coloring(dist, 0, cfg.dimension), library,
+    coloring = sample_coloring(dist, 0, cfg.dimension)
+    _check_cap(
+        cfg, "matrix_cap", coloring, library,
         [cube(j, cfg.dimension) for j in rnd["compare_volumes"]],
+    )
+    _check_cap(
+        cfg, "dense_cap", coloring, library,
+        [centered_box(R, cfg.dimension), centered_box(2 * R, cfg.dimension)],
     )
     exp = random_ids_experiment(
         dist, cfg.seed + 1, library, window, grid, samples, R,
         omegas=rnd["omegas"], volumes=rnd["compare_volumes"],
         d=cfg.dimension, backend=cfg.backend, resolution=cfg.resolution,
-        matrix_cap=cfg.matrix_cap, jobs=cfg.jobs,
+        jobs=cfg.jobs,
     )
     if np.any(np.diff(exp.estimate.mean) < -1e-12):
         raise NumericalFailure("Monte Carlo mean is not nondecreasing")

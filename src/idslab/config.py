@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .ergodic import DEFAULT_MATRIX_CAP
 from .lattice import (
     Coloring,
     PeriodicColoring,
@@ -26,7 +25,9 @@ from .lattice import (
 )
 from .operators import PrototypeLibrary
 from .spectral import EnergyWindow
-from .ssf import DEFAULT_DENSE_CAP
+
+DEFAULT_MATRIX_CAP = 20_000
+DEFAULT_DENSE_CAP = 3000
 
 
 class ConfigError(ValueError):

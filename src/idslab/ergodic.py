@@ -38,7 +38,6 @@ from .operators import (
     add_facet_dirichlet,
     discretize,
     lattice_model,
-    matrix_dimension,
     pattern_spec,
 )
 from .spectral import (
@@ -59,9 +58,6 @@ from .ssf import (
     semigroup_difference_singular_values,
     veff_singular_values,
 )
-
-DEFAULT_MATRIX_CAP = 20_000
-
 
 @dataclass(frozen=True)
 class BoundaryTerm:
@@ -106,14 +102,12 @@ class AlmostAdditiveField:
         window: EnergyWindow,
         backend: str = LATTICE,
         resolution: int = 8,
-        matrix_cap: int = DEFAULT_MATRIX_CAP,
     ):
         self.coloring = coloring
         self.library = library
         self.window = window
         self.backend = backend
         self.resolution = resolution
-        self.matrix_cap = matrix_cap
         self._cache: dict[Pattern, StepFunction] = {}
 
     @cached_property
@@ -167,13 +161,7 @@ class AlmostAdditiveField:
         new = [P for P in dict.fromkeys(classes) if P not in self._cache]
         batch, bands, eigs = [], [], []
         for P in new:
-            spec = pattern_spec(P, self._spec(P.domain))
-            dim = matrix_dimension(spec)
-            if dim > self.matrix_cap:
-                raise ValueError(
-                    f"matrix dimension {dim} exceeds the configured cap {self.matrix_cap}"
-                )
-            H = discretize(spec)
+            H = discretize(pattern_spec(P, self._spec(P.domain)))
             band = lower_band(H)
             if large_band(band[0]):
                 self._cache[P] = counting_function(eigenvalues(H, T, band=band), self.window)
@@ -213,7 +201,7 @@ def calibration_pair(
             backend=CONTINUUM, resolution=resolution,
         )
         specB = add_facet_dirichlet(specA, Facet(anchor=e1, axis=0))
-        mu = veff_singular_values(specA, specB, dense_cap=None).mu
+        mu = veff_singular_values(specA, specB).mu
     else:
         HA = lattice_model(coloring, Q, library)
         HB = HA.copy()

@@ -186,27 +186,12 @@ class Pattern:
         lo, _ = bounding_box(self.domain)
         return self.translated(tuple(-c for c in lo))
 
-    def to_json_dict(self) -> dict:
-        return {"domain": [list(s) for s in self.sites], "symbols": list(self.symbols)}
-
-    @staticmethod
-    def from_json_dict(obj: Mapping) -> "Pattern":
-        return Pattern(
-            tuple(tuple(int(c) for c in s) for s in obj["domain"]),
-            tuple(str(a) for a in obj["symbols"]),
-        )
-
     def key(self) -> str:
         """Deterministic string key for the canonical class (used in tables)."""
         c = self.canonical()
         return ";".join(
             ",".join(str(v) for v in s) + "=" + a for s, a in zip(c.sites, c.symbols)
         )
-
-
-def pattern_from_word(word: str) -> Pattern:
-    """1-d pattern on {0..len-1} with symbols given by the word's characters."""
-    return Pattern(tuple((i,) for i in range(len(word))), tuple(word))
 
 
 # ---------------------------------------------------------------------------

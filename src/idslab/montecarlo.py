@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ergodic import DEFAULT_MATRIX_CAP, AlmostAdditiveField
+from .ergodic import AlmostAdditiveField
 from .lattice import Coloring, RandomColoring, Site, _site_hash, check_weights, cube
 from .operators import (
     LATTICE,
@@ -239,7 +239,6 @@ def compare_random_ids(
     d: int = 1,
     backend: str = LATTICE,
     resolution: int = 8,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
 ) -> RandomIdsReport:
     """Distances between per-sample normalized counting functions and the MC mean."""
     ref = mc_step_function(reference)
@@ -252,7 +251,6 @@ def compare_random_ids(
             window=window,
             backend=backend,
             resolution=resolution,
-            matrix_cap=matrix_cap,
         )
         dists = []
         for j in volumes:
@@ -293,7 +291,6 @@ def random_ids_experiment(
     d: int = 1,
     backend: str = LATTICE,
     resolution: int = 8,
-    matrix_cap: int = DEFAULT_MATRIX_CAP,
     jobs: int = 1,
 ) -> RandomIdsExperiment:
     """Monte Carlo IDS with an independent-seed twin, per-omega distances and truncation checks.
@@ -314,8 +311,7 @@ def random_ids_experiment(
     combined = np.sqrt(estimate.stderr**2 + twin.stderr**2)
     deviation = np.abs(estimate.mean - twin.mean)
     comparison = compare_random_ids(
-        dist, library, window, estimate, volumes=volumes, omegas=omegas,
-        matrix_cap=matrix_cap, **kw,
+        dist, library, window, estimate, volumes=volumes, omegas=omegas, **kw
     )
     point = SiteDistribution.point_mass(dist.symbols[0], seed=dist.seed)
     sg_diag, projector_change = semigroup_truncation_diagnostic(

@@ -143,13 +143,6 @@ class PrototypeLibrary:
             protos.append(Prototype(sym, v, tuple(np.asarray(ai, dtype=float) for ai in a)))
         return PrototypeLibrary(protos)
 
-    def to_json(self) -> str:
-        out = {}
-        for sym in self.symbols:
-            p = self._by_symbol[sym]
-            out[sym] = {"v": p.v.tolist(), "a": [ai.tolist() for ai in p.a]}
-        return json.dumps(out, sort_keys=True, indent=2)
-
 
 @dataclass(frozen=True)
 class Facet:

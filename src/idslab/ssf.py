@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import OperatorSpec, discretize, grid_embedding, matrix_dimension
+from .operators import OperatorSpec, discretize, grid_embedding
 from .spectral import (
     EnergyWindow,
     StepFunction,
@@ -40,7 +40,6 @@ from .spectral import (
 )
 
 SINGULAR_VALUE_FLOOR = 1e-13
-DEFAULT_DENSE_CAP = 3000
 
 
 @dataclass(frozen=True)
@@ -183,23 +182,19 @@ def _facet_pair(
     specB: OperatorSpec,
     ceiling: float,
     count: int | None,
-    dense_cap: int | None,
 ) -> tuple[np.ndarray, np.ndarray, SingularValueSeries]:
     """Certified eigenvalues <= ceiling of A and of B, and V_eff's singular values.
 
-    Each operator is assembled and solved once (dense_cap None: no cap).
+    Each operator is assembled and solved once.
     """
     if not specs_facet_related(specA, specB):
         raise ValueError("specB must be specA plus extra Dirichlet facets")
-    dim = matrix_dimension(specA)
-    if dense_cap is not None and dim > dense_cap:
-        raise ValueError(f"matrix dimension {dim} exceeds the dense cap {dense_cap}")
     eigs_a, ea = _solve_once(specA, ceiling)
     eigs_b, eb = _solve_once(specB, ceiling)
     mu = _difference_singular_values(ea, eb, grid_embedding(specA, specB), count)
     src = (
         f"facets+{len(specB.removed_facets) - len(specA.removed_facets)}"
-        f" dim={dim} n={specA.resolution}"
+        f" dim={ea.shape[0]} n={specA.resolution}"
     )
     return eigs_a, eigs_b, SingularValueSeries(mu=mu, source=src)
 
@@ -208,10 +203,9 @@ def veff_singular_values(
     specA: OperatorSpec,
     specB: OperatorSpec,
     count: int | None = None,
-    dense_cap: int | None = DEFAULT_DENSE_CAP,
 ) -> SingularValueSeries:
-    """Top singular values of the facet-pair heat-semigroup difference (dense_cap None: no cap)."""
-    return _facet_pair(specA, specB, np.inf, count, dense_cap)[2]
+    """Top singular values of the facet-pair heat-semigroup difference."""
+    return _facet_pair(specA, specB, np.inf, count)[2]
 
 
 @dataclass(frozen=True)
@@ -428,7 +422,6 @@ def facet_experiment(
     rng: np.random.Generator,
     trials: int,
     count: int | None = None,
-    dense_cap: int = DEFAULT_DENSE_CAP,
 ) -> FacetExperiment:
     """L^p bounds and Young-inequality spot checks for one facet pair.
 
@@ -438,7 +431,7 @@ def facet_experiment(
     its eigendecomposition gives both its semigroup and its certified
     eigenvalues <= window.sup.
     """
-    eigs_a, eigs_b, series = _facet_pair(specA, specB, window.sup, count, dense_cap)
+    eigs_a, eigs_b, series = _facet_pair(specA, specB, window.sup, count)
     shift = _shift(eigs_a, eigs_b, window)
     bounds = {
         p: (ssf_lp_integral(shift, p), hs_bound(series, PowerGauge(p), T=window.sup))

@@ -2,7 +2,13 @@
 
 import numpy as np
 
+from idslab.lattice import Pattern
 from idslab.spectral import eigensystem
+
+
+def pattern_from_word(word: str) -> Pattern:
+    """1-d pattern on {0..len-1} with symbols given by the word's characters."""
+    return Pattern(tuple((i,) for i in range(len(word))), tuple(word))
 
 
 def dirichlet_chain_eigenvalues(num_cells: int, resolution: int) -> np.ndarray:

@@ -105,9 +105,18 @@ def test_bad_values_rejected():
     # not a van Hove sequence
     ("ids", {"sequence": {"kind": "cubes", "sides": [8, 8]}}, "config.sequence.sides"),
     ("ids", {"sequence": {"kind": "cubes", "sides": [16, 8]}}, "config.sequence.sides"),
-    # an operator larger than the cap (dimension 16 in ids, 32 in random)
+    # an operator larger than the cap (at most dimension 64 in ids, 256 in random)
     ("ids", {"matrix_cap": 10}, "config.matrix_cap"),
     ("random", {"matrix_cap": 10}, "config.matrix_cap"),
+    # the weyl cubes (up to 64), the ssf facet cube (63), the continuum ids
+    # calibration pair (15) and the random boxes of sides 2R+1 = 7 and 4R+1 = 13
+    ("weyl", {"matrix_cap": 10}, "config.matrix_cap"),
+    ("ssf", {"backend": "continuum", "dense_cap": 10}, "config.dense_cap"),
+    ("ids", {"backend": "continuum", "dense_cap": 10}, "config.dense_cap"),
+    ("random", {"dense_cap": 5, "random": {"truncation_radius": 3, "compare_volumes": [4, 8]}},
+     "config.dense_cap"),
+    ("random", {"dense_cap": 10, "random": {"truncation_radius": 3, "compare_volumes": [4, 8]}},
+     "config.dense_cap"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())

@@ -34,6 +34,7 @@ from idslab.lattice import (
 )
 from idslab.operators import PrototypeLibrary
 from idslab.spectral import EnergyWindow, lp_distance, lp_norm
+from oracles import pattern_from_word
 
 I045 = EnergyWindow(0.0, 4.5, p=2.0)
 LIB_AB = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 8, 1)
@@ -201,13 +202,6 @@ def test_direct_route_rejects_non_van_hove():
         direct_route(field, [cube(4, 1), cube(4, 1), cube(4, 1)])
 
 
-def test_direct_route_volume_guard():
-    field = AlmostAdditiveField(periodic_word("ab"), LIB_AB, I045,
-                                backend="lattice", matrix_cap=10)
-    with pytest.raises(ValueError):
-        direct_route(field, cube_sequence([4, 16], 1))
-
-
 # ---------------------------------------------------------------------------
 # pattern route
 # ---------------------------------------------------------------------------
@@ -225,8 +219,6 @@ def test_pattern_route_period2_average():
     field = lattice_field()
     table = exact_frequency_table(periodic_word("ab"), 2)
     route = pattern_route(field, table)
-    from idslab.lattice import pattern_from_word
-
     fa = field.evaluate_pattern(pattern_from_word("ab"))
     fb = field.evaluate_pattern(pattern_from_word("ba"))
     grid = np.linspace(0.0, 4.5, 91)
@@ -237,7 +229,7 @@ def test_pattern_route_period2_average():
 def test_pattern_route_zero_frequency_ignored():
     from fractions import Fraction
 
-    from idslab.lattice import FrequencyTable, pattern_from_word
+    from idslab.lattice import FrequencyTable
 
     field = lattice_field()
     table = exact_frequency_table(periodic_word("ab"), 2)

@@ -1,14 +1,17 @@
-"""Every import in src/idslab is used (no linter is installed, so this test is the lint),
-and importing the CLI stays cheap."""
+"""Every import in src/idslab is used and every definition there is named by the
+program (no linter is installed, so this test is the lint), and importing the CLI
+stays cheap."""
 
 import ast
 import os
+import re
 import subprocess
 import symtable
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "idslab"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _used_below(table: symtable.SymbolTable, name: str) -> bool:
@@ -81,6 +84,52 @@ def test_src_has_no_unused_imports():
     for path in sorted(SRC.glob("*.py")):
         found += unused_imports(path.read_text(), path.name)
     assert found == []
+
+
+def unreferenced_definitions(defining: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """Functions, classes and methods of the defining sources (dunders exempt) whose
+    name appears in no reader outside the definition itself."""
+    found = []
+    for filename, source in defining.items():
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            start = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
+            texts = [text for other, text in readers.items() if other != filename]
+            texts.append("\n".join(lines[:start] + lines[node.end_lineno:]))
+            word = re.compile(rf"\b{name}\b")
+            if not any(word.search(text) for text in texts):
+                found.append(f"{filename}: {name}")
+    return found
+
+
+def test_checker_flags_unreferenced_definitions():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.used()\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "    @staticmethod\n"
+        "    def unused():\n"
+        "        return A.unused()\n"
+        "def helper():\n"
+        "    return 'm:named_in_a_string'\n"
+        "def named_in_a_string():\n"
+        "    pass\n"
+    )
+    readers = {"m.py": source, "n.py": "from m import A, helper\n"}
+    assert unreferenced_definitions({"m.py": source}, readers) == ["m.py: unused"]
+
+
+def test_src_has_no_unreferenced_definitions():
+    src = {f"idslab/{p.name}": p.read_text() for p in sorted(SRC.glob("*.py"))}
+    bench = {f"perfbench/{p.name}": p.read_text() for p in sorted(PERFBENCH.glob("*.py"))}
+    assert unreferenced_definitions(src, {**src, **bench}) == []
 
 
 def test_cli_import_skips_scipy_integrate_and_optimize():

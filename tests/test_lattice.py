@@ -24,11 +24,11 @@ from idslab.lattice import (
     exact_frequency_table,
     inner_boundary,
     occurrences,
-    pattern_from_word,
     periodic_word,
     site_set,
     van_hove_ratios,
 )
+from oracles import pattern_from_word
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +467,3 @@ def test_frequency_table_serialization_round_trip_keys():
     assert set(obj["entries"]) == {"0=a;1=b", "0=b;1=a"}
     assert obj["entries"]["0=a;1=b"] == {"num": 1, "den": 2}
 
-
-def test_pattern_json_round_trip():
-    P = Pattern(((0, 0), (1, 2)), ("a", "b"))
-    again = Pattern.from_json_dict(P.to_json_dict())
-    assert again == P

