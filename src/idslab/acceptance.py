@@ -529,7 +529,7 @@ def criterion_7_two_routes() -> CriterionResult:
 # criterion 8: random IDS
 # ---------------------------------------------------------------------------
 
-def criterion_8_random(jobs: int = 1) -> CriterionResult:
+def criterion_8_random() -> CriterionResult:
     t0 = time.perf_counter()
     window = EnergyWindow(0.0, 5.0, p=2.0)
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, 1)
@@ -557,7 +557,6 @@ def criterion_8_random(jobs: int = 1) -> CriterionResult:
     exp = random_ids_experiment(
         SiteDistribution.bernoulli("a", "b", seed=1001), 2002, lib, window, grid,
         samples=200, R=32, omegas=[40, 41, 42, 43, 44], volumes=[32, 256],
-        jobs=jobs,
     )
     per_omega_decrease = exp.comparison.decreased()
     truncation_ok = exp.semigroup_diagnostic < 1e-3
@@ -656,11 +655,5 @@ ALL_CRITERIA = [
 ]
 
 
-def run_all(jobs: int = 1) -> list[CriterionResult]:
-    results = []
-    for fn in ALL_CRITERIA:
-        if fn is criterion_8_random:
-            results.append(fn(jobs=jobs))
-        else:
-            results.append(fn())
-    return results
+def run_all() -> list[CriterionResult]:
+    return [fn() for fn in ALL_CRITERIA]

@@ -38,7 +38,7 @@ from .ergodic import (
     two_route_experiment,
 )
 from .lattice import PeriodicColoring, cube, estimated_frequency_table, exact_frequency_table
-from .montecarlo import SiteDistribution, centered_box, random_ids_experiment, sample_coloring
+from .montecarlo import SiteDistribution, random_ids_experiment
 from .operators import (
     Facet,
     OperatorSpec,
@@ -101,19 +101,15 @@ def _frequency_tables(cfg: ExperimentConfig, coloring, Ms):
     return {M: estimated_frequency_table(coloring, U, M) for M in Ms}
 
 
-def _check_cap(cfg: ExperimentConfig, key: str, coloring, library, domains) -> int:
-    """The largest dimension of the operators on domains, checked against config.<key>.
+def _check_cap(cfg: ExperimentConfig, key: str, boxes) -> int:
+    """The largest dimension of the operators on boxes (tuples of cell sides),
+    checked against config.<key>.
 
-    Each command calls this before any solve: matrix_cap bounds the operators
-    whose eigenvalues are counted, dense_cap those that get a full
+    Each command calls this before it builds any domain: matrix_cap bounds the
+    operators whose eigenvalues are counted, dense_cap those that get a full
     eigendecomposition.
     """
-    dim = max(
-        matrix_dimension(OperatorSpec(
-            Q=Q, coloring=coloring, library=library, backend=cfg.backend, resolution=cfg.resolution,
-        ))
-        for Q in domains
-    )
+    dim = max(matrix_dimension(sides, cfg.backend, cfg.resolution) for sides in boxes)
     cap = getattr(cfg, key)
     if dim > cap:
         raise ConfigError(f"config.{key}: matrix dimension {dim} exceeds the cap {cap}")
@@ -148,11 +144,11 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     if window.sup + c["C"] < 0:
         raise ConfigError("config.window.hi: the counting-form bound needs hi + constants.C >= 0")
     _check_exp_hi(window)
+    d = cfg.dimension
+    _check_cap(cfg, "matrix_cap", [(s,) * d for s in [*cfg.sequence["sides"], *cfg.M_list]])
+    # the calibration pair on the cells 0 and e_1
+    _check_cap(cfg, "dense_cap", [(2,) + (1,) * (d - 1)])
     sequence = build_sequence(cfg)
-    windows = [cube(M, cfg.dimension) for M in cfg.M_list]
-    _check_cap(cfg, "matrix_cap", coloring, library, [*sequence, *windows])
-    e1 = tuple(1 if i == 0 else 0 for i in range(cfg.dimension))
-    _check_cap(cfg, "dense_cap", coloring, library, [frozenset({(0,) * cfg.dimension, e1})])
     field = AlmostAdditiveField(
         coloring, library, window, backend=cfg.backend, resolution=cfg.resolution,
     )
@@ -179,7 +175,7 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
             M=row["M"], boundary_ratio=row["boundary_ratio"],
             freq_deviation_sum=row["freq_deviation_sum"],
             C=float(c["C"]), c_pd=float(c["c_pd"]),
-            T=window.sup, p=window.p, d=cfg.dimension,
+            T=window.sup, p=window.p, d=d,
         )
         rows.append(row)
         if row["distance"] > row["bound"]:
@@ -205,7 +201,7 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
     cells, count, trials = cfg.ssf["cells"], cfg.ssf["count"], cfg.ssf["young_trials"]
     powers = [float(p) for p in cfg.ssf["powers"]]
 
-    dim = _check_cap(cfg, "dense_cap", coloring, library, [cube(cells, d)])
+    dim = _check_cap(cfg, "dense_cap", [(cells,) * d])
     if count > dim:
         raise ConfigError(f"config.ssf.count: {count} exceeds the matrix dimension {dim}")
 
@@ -273,8 +269,8 @@ def cmd_weyl(cfg: ExperimentConfig, out: Path) -> int:
     window = build_window(cfg)
     delta = float(cfg.constants["delta"])
     C1 = float(cfg.constants["C1"])
+    _check_cap(cfg, "matrix_cap", [(s,) * cfg.dimension for s in cfg.sequence["sides"]])
     sequence = build_sequence(cfg)
-    _check_cap(cfg, "matrix_cap", coloring, library, sequence)
     rows = []
     for Q in sequence:
         spec = OperatorSpec(
@@ -306,20 +302,13 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
     dist = SiteDistribution(symbols=symbols, weights=tuple(weights[s] for s in symbols), seed=cfg.seed)
     samples, R = rnd["samples"], rnd["truncation_radius"]
     grid = np.linspace(window.lo, window.hi, rnd["lambda_points"])
-    coloring = sample_coloring(dist, 0, cfg.dimension)
-    _check_cap(
-        cfg, "matrix_cap", coloring, library,
-        [cube(j, cfg.dimension) for j in rnd["compare_volumes"]],
-    )
-    _check_cap(
-        cfg, "dense_cap", coloring, library,
-        [centered_box(R, cfg.dimension), centered_box(2 * R, cfg.dimension)],
-    )
+    d = cfg.dimension
+    _check_cap(cfg, "matrix_cap", [(j,) * d for j in rnd["compare_volumes"]])
+    _check_cap(cfg, "dense_cap", [(2 * R + 1,) * d, (4 * R + 1,) * d])
     exp = random_ids_experiment(
         dist, cfg.seed + 1, library, window, grid, samples, R,
         omegas=rnd["omegas"], volumes=rnd["compare_volumes"],
-        d=cfg.dimension, backend=cfg.backend, resolution=cfg.resolution,
-        jobs=cfg.jobs,
+        d=d, backend=cfg.backend, resolution=cfg.resolution,
     )
     if np.any(np.diff(exp.estimate.mean) < -1e-12):
         raise NumericalFailure("Monte Carlo mean is not nondecreasing")
@@ -356,7 +345,7 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_verify(cfg: ExperimentConfig, out: Path) -> int:
     from .acceptance import run_all
 
-    results = run_all(jobs=cfg.jobs)
+    results = run_all()
     width = max(len(r.name) for r in results)
     print(f"{'criterion':<{width}}  status  seconds")
     failed = 0
@@ -393,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", type=str, default=None, help="JSON config path")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--jobs", type=int, default=None, help="threads for Monte Carlo samples")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
     return parser
 
@@ -402,10 +390,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
-        if args.jobs is not None:
-            if args.jobs < 1:
-                raise ConfigError("--jobs: must be >= 1")
-            cfg.jobs = args.jobs
         if args.seed is not None:
             cfg.seed = args.seed
         out = Path(args.out) if args.out else Path(cfg.output_dir)

@@ -196,6 +196,7 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError("config.constants.delta: must be < 1")
 
     cfg.seed = _get(raw, "seed", int, cfg.seed, "config")
+    # jobs has no effect; it stays accepted while the benchmark workload configs set it
     cfg.jobs = _get(raw, "jobs", int, cfg.jobs, "config")
     if cfg.jobs < 1:
         raise ConfigError("config.jobs: must be >= 1")
@@ -221,8 +222,8 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         _check_int(cfg.random, key, 1, "config.random")
     for key, lo in (("omegas", 0), ("compare_volumes", 1)):
         val = cfg.random[key]
-        if not isinstance(val, list):
-            raise ConfigError(f"config.random.{key}: expected a list")
+        if not (isinstance(val, list) and val):
+            raise ConfigError(f"config.random.{key}: need a nonempty list")
         for i in range(len(val)):
             _check_int(val, i, lo, f"config.random.{key}")
 

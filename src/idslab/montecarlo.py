@@ -10,7 +10,6 @@ diagnostic rather than assumed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -135,15 +134,12 @@ def pastur_shubin_mc(
     d: int = 1,
     backend: str = LATTICE,
     resolution: int = 8,
-    jobs: int = 1,
 ) -> McEstimate:
     """Monte Carlo estimate of the trace-per-unit-volume distribution function.
 
     Per sample: draw a coloring, assemble the Hamiltonian on the centered
     box, accumulate the origin-cell-localized spectral mass on the lambda
-    grid.  Mean and standard error are taken across samples; samples are
-    independent and keyed by index, so running them on jobs > 1 threads
-    changes wall time only.
+    grid.  Mean and standard error are taken across samples.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -158,12 +154,7 @@ def pastur_shubin_mc(
         )
         return localized_counting(spec, grid)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(jobs) as pool:
-            outputs = list(pool.map(one_sample, range(samples)))
-    else:
-        outputs = [one_sample(s) for s in range(samples)]
-    rows = np.vstack(outputs)
+    rows = np.vstack([one_sample(s) for s in range(samples)])
     mean = np.mean(rows, axis=0)
     if samples > 1:
         stderr = np.std(rows, axis=0, ddof=1) / np.sqrt(samples)
@@ -291,7 +282,6 @@ def random_ids_experiment(
     d: int = 1,
     backend: str = LATTICE,
     resolution: int = 8,
-    jobs: int = 1,
 ) -> RandomIdsExperiment:
     """Monte Carlo IDS with an independent-seed twin, per-omega distances and truncation checks.
 
@@ -302,11 +292,11 @@ def random_ids_experiment(
     """
     kw = dict(d=d, backend=backend, resolution=resolution)
     estimate = pastur_shubin_mc(
-        dist, library, grid, samples=samples, truncation_radius=R, jobs=jobs, **kw
+        dist, library, grid, samples=samples, truncation_radius=R, **kw
     )
     twin = pastur_shubin_mc(
         SiteDistribution(dist.symbols, dist.weights, twin_seed), library, grid,
-        samples=samples, truncation_radius=R, jobs=jobs, **kw,
+        samples=samples, truncation_radius=R, **kw,
     )
     combined = np.sqrt(estimate.stderr**2 + twin.stderr**2)
     deviation = np.abs(estimate.mean - twin.mean)

@@ -10,6 +10,7 @@ used as a fast independent oracle for the averaging engine.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
@@ -291,9 +292,15 @@ def grid_points(spec: OperatorSpec) -> list[Site]:
     return list(map(tuple, _grid_coords(spec).tolist()))
 
 
-def matrix_dimension(spec: OperatorSpec) -> int:
-    """Dimension of discretize(spec), counted without listing the grid points."""
-    return len(spec.Q) if spec.backend == LATTICE else len(_grid_coords(spec))
+def matrix_dimension(sides: Sequence[int], backend: str, resolution: int) -> int:
+    """Dimension of discretize on a box of the given cell sides, without listing it.
+
+    Lattice: one site per cell.  Continuum: the n*s - 1 interior grid points
+    of each axis.
+    """
+    if backend == LATTICE:
+        return math.prod(sides)
+    return math.prod(resolution * s - 1 for s in sides)
 
 
 def grid_embedding(spec: OperatorSpec, finer: OperatorSpec) -> np.ndarray:

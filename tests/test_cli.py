@@ -1,6 +1,9 @@
 """CLI subcommands, config validation, artifact determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +87,8 @@ def test_bad_values_rejected():
     ("ids", {"coloring": {"kind": "periodic", "period": [2], "cell": "x"}}, "config.coloring.cell"),
     ("ids", {"coloring": {"kind": "constant", "symbol": "q"}}, "config.coloring.symbol"),
     ("random", {"random": {"weights": {"a": 0.5, "q": 0.5}}}, "config.random.weights"),
+    ("random", {"random": {"omegas": []}}, "config.random.omegas"),
+    ("random", {"random": {"compare_volumes": []}}, "config.random.compare_volumes"),
     ("ids", {"prototypes": {"kind": "file"}}, "config.prototypes.path"),
     ("ids", {"prototypes": {"kind": "file", "path": "no/such/prototypes.json"}},
      "config.prototypes.path"),
@@ -128,6 +133,22 @@ def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+def test_oversized_random_boxes_are_refused_before_any_is_listed(tmp_path):
+    # the 401^3 truncation box would not fit in 2 GB of address space as a site set
+    path = write_cfg(tmp_path, dimension=3, random={"truncation_radius": 100, "compare_volumes": [2]})
+    child = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from idslab.cli import main; "
+        f"sys.exit(main(['random', '--config', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2
+    assert "config.dense_cap" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_ssf_with_too_few_singular_values_above_the_floor_exits_1(tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Every import in src/idslab is used and every definition there is named by the
-program (no linter is installed, so this test is the lint), and importing the CLI
-stays cheap."""
+"""Every import in src/idslab is used, every definition there is named by the
+program and every config field is read (no linter is installed, so this test is
+the lint), and importing the CLI stays cheap."""
 
 import ast
 import os
@@ -8,7 +8,10 @@ import re
 import subprocess
 import symtable
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+from idslab.config import ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "idslab"
 PERFBENCH = SRC.parent.parent / "perfbench"
@@ -130,6 +133,64 @@ def test_src_has_no_unreferenced_definitions():
     src = {f"idslab/{p.name}": p.read_text() for p in sorted(SRC.glob("*.py"))}
     bench = {f"perfbench/{p.name}": p.read_text() for p in sorted(PERFBENCH.glob("*.py"))}
     assert unreferenced_definitions(src, {**src, **bench}) == []
+
+
+def _outside(node: ast.AST, skip: str):
+    """node and its descendants, leaving out the functions named skip."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not (isinstance(child, ast.FunctionDef) and child.name == skip):
+            yield from _outside(child, skip)
+
+
+def unread_config_fields(sources: dict[str, str], names: set[str]) -> set[str]:
+    """The names read nowhere outside validate_config.  A read is a cfg.<name> load,
+    or the name as a string given to getattr, directly or through a parameter of a
+    function that hands that parameter to getattr."""
+    nodes = [n for s in sources.values() for n in _outside(ast.parse(s), "validate_config")]
+    via = {"getattr": 1}  # function name -> position of the argument getattr reads
+    for fn in nodes:
+        if isinstance(fn, ast.FunctionDef):
+            params = [a.arg for a in fn.args.args]
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "getattr" and isinstance(call.args[1], ast.Name)
+                        and call.args[1].id in params):
+                    via[fn.name] = params.index(call.args[1].id)
+    read = set()
+    for node in nodes:
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "cfg"):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            pos = via.get(node.func.id)
+            if pos is not None and pos < len(node.args) and isinstance(node.args[pos], ast.Constant):
+                read.add(node.args[pos].value)
+    return names - read
+
+
+def test_checker_flags_unread_config_fields():
+    source = (
+        "def validate_config(raw):\n"
+        "    cfg.a, cfg.b = raw\n"
+        "    return cfg.c\n"
+        "def cap(cfg, key):\n"
+        "    return getattr(cfg, key)\n"
+        "def run(cfg):\n"
+        "    return cfg.a + cap(cfg, 'b') + getattr(cfg, 'd')\n"
+    )
+    assert unread_config_fields({"m.py": source}, {"a", "b", "c", "d", "e"}) == {"c", "e"}
+
+
+# jobs has no effect; it stays a field only because the benchmark workload
+# configs set it, and validate_config refuses unknown keys
+UNREAD_CONFIG_FIELDS = {"jobs"}
+
+
+def test_every_config_field_is_read():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    names = {f.name for f in fields(ExperimentConfig)}
+    assert unread_config_fields(sources, names) == UNREAD_CONFIG_FIELDS
 
 
 def test_cli_import_skips_scipy_integrate_and_optimize():

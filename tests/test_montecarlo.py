@@ -156,15 +156,6 @@ def test_estimate_mean_nondecreasing():
     assert np.all(np.diff(est.mean) >= -1e-14)
 
 
-def test_threaded_samples_match_serial_bitwise():
-    dist = SiteDistribution.bernoulli("a", "b", seed=20)
-    grid = np.linspace(0.0, 5.0, 21)
-    serial = pastur_shubin_mc(dist, LIB_AB, grid, samples=25, truncation_radius=6, d=1)
-    threaded = pastur_shubin_mc(dist, LIB_AB, grid, samples=25, truncation_radius=6, d=1, jobs=2)
-    assert threaded.mean.tobytes() == serial.mean.tobytes()
-    assert threaded.stderr.tobytes() == serial.stderr.tobytes()
-
-
 def test_two_seed_sets_agree_within_stderr():
     grid = np.linspace(0.2, 4.8, 12)
     ests = []

@@ -32,6 +32,7 @@ from idslab.operators import (
     grid_embedding,
     grid_points,
     lattice_model,
+    matrix_dimension,
 )
 from idslab.spectral import EnergyWindow, assert_hermitian, eigenvalues
 from idslab.ssf import spectral_shift
@@ -479,6 +480,18 @@ def test_discretize_matches_dict_loop_bitwise(d, n, Q_of):
         H = discretize(spec)
         assert H.dtype == (np.complex128 if magnetic else np.float64)
         assert H.tobytes() == _dict_loop_discretize(spec).tobytes()
+
+
+@pytest.mark.parametrize("backend", ["lattice", "continuum"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("sides", [(1,), (5,), (2, 1), (3, 3), (2, 1, 1), (2, 2, 2)])
+def test_matrix_dimension_matches_assembly(sides, backend, n):
+    d = len(sides)
+    spec = OperatorSpec(Q=site_set(product(*(range(s) for s in sides))),
+                        coloring=PeriodicColoring(period=(1,) * d, cell={(0,) * d: "a"}),
+                        library=PrototypeLibrary.zero(["a"], n, d),
+                        backend=backend, resolution=n)
+    assert matrix_dimension(sides, backend, n) == discretize(spec).shape[0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
