@@ -87,8 +87,6 @@ def test_bad_values_rejected():
     ("ids", {"coloring": {"kind": "periodic", "period": [2], "cell": "x"}}, "config.coloring.cell"),
     ("ids", {"coloring": {"kind": "constant", "symbol": "q"}}, "config.coloring.symbol"),
     ("random", {"random": {"weights": {"a": 0.5, "q": 0.5}}}, "config.random.weights"),
-    ("random", {"random": {"omegas": []}}, "config.random.omegas"),
-    ("random", {"random": {"compare_volumes": []}}, "config.random.compare_volumes"),
     ("ids", {"prototypes": {"kind": "file"}}, "config.prototypes.path"),
     ("ids", {"prototypes": {"kind": "file", "path": "no/such/prototypes.json"}},
      "config.prototypes.path"),
@@ -122,6 +120,9 @@ def test_bad_values_rejected():
      "config.dense_cap"),
     ("random", {"dense_cap": 10, "random": {"truncation_radius": 3, "compare_volumes": [4, 8]}},
      "config.dense_cap"),
+    # empty lists of omegas or of compare volumes
+    ("random", {"random": {"omegas": []}}, "config.random.omegas"),
+    ("random", {"random": {"compare_volumes": []}}, "config.random.compare_volumes"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())
