@@ -274,14 +274,40 @@ class WindowColoring(Coloring):
         return self.window.get(site, self.background)
 
 
+# the hash key is packed as a signed 64-bit integer: its low 63 bits
+_KEY_MASK = 0x7FFFFFFFFFFFFFFF
+
+
 def _site_hash(seed: int, site: Site) -> int:
     """Deterministic 64-bit hash keyed by (seed, site), by blake2b.
 
     Counter-based: the same site always hashes to the same value, so
     overlapping windows and any evaluation order see a consistent coloring.
     """
-    buf = struct.pack(f"<q{len(site)}q", seed & 0x7FFFFFFFFFFFFFFF, *site)
+    buf = struct.pack(f"<q{len(site)}q", seed & _KEY_MASK, *site)
     return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
+
+
+def _site_hashes(seeds: Sequence[int], sites: np.ndarray) -> np.ndarray:
+    """_site_hash(seeds[i], sites[j]) at [i, j], as uint64, for an (M, d) integer site array.
+
+    Each message is packed by numpy as _site_hash packs it, little-endian
+    int64s "<q{d}q"; the messages of one seed are hashed at a time, so no
+    more than M digests are held as Python objects.
+    """
+    sites = np.asarray(sites, dtype=np.int64)
+    m, d = sites.shape
+    msg = np.empty((m, 1 + d), dtype="<i8")
+    msg[:, 1:] = sites
+    out = np.empty((len(seeds), m), dtype="<u8")
+    blake2b = hashlib.blake2b
+    for row, seed in zip(out, seeds):
+        msg[:, 0] = int(seed) & _KEY_MASK
+        messages = msg.view(f"V{8 * (1 + d)}").ravel().tolist()  # one bytes object per site
+        row[:] = np.frombuffer(
+            b"".join([blake2b(buf, digest_size=8).digest() for buf in messages]), dtype="<u8"
+        )
+    return out
 
 
 def check_weights(symbols: Sequence[str], weights: Sequence[float]) -> None:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .ergodic import AlmostAdditiveField
-from .lattice import Coloring, RandomColoring, Site, _site_hash, check_weights, cube
+from .lattice import Coloring, RandomColoring, Site, _site_hash, _site_hashes, check_weights, cube
 from .operators import (
     LATTICE,
     OperatorSpec,
@@ -25,7 +25,14 @@ from .operators import (
     discretize,
     grid_points,
 )
-from .spectral import EnergyWindow, StepFunction, eigensystem, lp_distance
+from .spectral import (
+    EnergyWindow,
+    StepFunction,
+    certify_tridiagonal_counts,
+    eigensystem,
+    lp_distance,
+    tridiagonal_eigensystem,
+)
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,50 @@ def localized_counting(
     return _mass_below(*_origin_spectrum(spec), lambda_grid)
 
 
+def _symbol_codes(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
+    """Per uniform, the index of the first symbol whose running weight exceeds it, else the last.
+
+    RandomColoring.color's rule: the running weights are the same sequential
+    float sums, so a remainder left by weights whose float sum falls below
+    1 goes to the last symbol.
+    """
+    return np.minimum(np.searchsorted(np.cumsum(weights), u, side="right"), len(weights) - 1)
+
+
+def _chain_samples(
+    dist: SiteDistribution,
+    library: PrototypeLibrary,
+    grid: np.ndarray,
+    samples: int,
+    R: int,
+) -> np.ndarray:
+    """localized_counting of samples 0..samples-1 on the lattice chain {-R..R}, one row each.
+
+    The colors of all samples come from one _site_hashes pass and
+    _symbol_codes, with sample s's seed and the site bits of
+    sample_coloring.  Sample s's chain, the diagonal 2 + vbar against the
+    -1 off-diagonal, is solved by one tridiagonal_eigensystem; the origin
+    cell's mass of an eigenvector is its entry R squared.  Every row's
+    count below grid[-1] is cross-checked by a Sturm count
+    (certify_tridiagonal_counts).
+    """
+    seeds = _site_hashes([dist.seed], np.arange(samples)[:, None])[0]
+    u = _site_hashes(seeds, np.arange(-R, R + 1)[:, None]) / 2.0**64  # uniform in [0, 1]
+    levels = np.array([2.0 + library[sym].cell_mean_v for sym in dist.symbols])
+    if not np.all(np.isfinite(levels)):  # a cell mean can overflow; lower_band refuses it too
+        raise ValueError("matrix entries must be finite")
+    diagonals = levels[_symbol_codes(dist.weights, u)]
+    offdiagonal = np.full(2 * R, -1.0)
+    eigs = np.empty_like(diagonals)
+    rows = np.empty((samples, len(grid)))
+    for s, diagonal in enumerate(diagonals):
+        w, U = tridiagonal_eigensystem(diagonal, offdiagonal)
+        eigs[s] = w
+        rows[s] = _mass_below(w, U[R] ** 2, grid)
+    certify_tridiagonal_counts(diagonals, offdiagonal, eigs, grid[-1])
+    return rows
+
+
 @dataclass(frozen=True)
 class McEstimate:
     """Monte Carlo mean and standard error of the localized trace per lambda."""
@@ -137,9 +188,12 @@ def pastur_shubin_mc(
 ) -> McEstimate:
     """Monte Carlo estimate of the trace-per-unit-volume distribution function.
 
-    Per sample: draw a coloring, assemble the Hamiltonian on the centered
-    box, accumulate the origin-cell-localized spectral mass on the lambda
-    grid.  Mean and standard error are taken across samples.
+    Each sample is the origin-cell-localized spectral mass on the lambda
+    grid of the Hamiltonian on the centered box, under sample s's coloring.
+    The lattice chain (d = 1) takes every sample at once (_chain_samples);
+    the continuum backend and d >= 2 draw a coloring, assemble and solve
+    per sample (localized_counting).  Both give the same rows bit for bit.
+    Mean and standard error are taken across samples.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -154,7 +208,10 @@ def pastur_shubin_mc(
         )
         return localized_counting(spec, grid)
 
-    rows = np.vstack([one_sample(s) for s in range(samples)])
+    if backend == LATTICE and d == 1:
+        rows = _chain_samples(dist, library, grid, samples, truncation_radius)
+    else:
+        rows = np.vstack([one_sample(s) for s in range(samples)])
     mean = np.mean(rows, axis=0)
     if samples > 1:
         stderr = np.std(rows, axis=0, ddof=1) / np.sqrt(samples)

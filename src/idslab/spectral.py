@@ -531,12 +531,89 @@ def certified_below(
     return below
 
 
+def tridiagonal_eigensystem(
+    diagonal: np.ndarray, offdiagonal: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of a real
+    symmetric tridiagonal matrix, by LAPACK dstevd.
+
+    A nonzero info (the divide and conquer did not converge) raises
+    NumericalFailure.
+    """
+    d = np.asarray(diagonal, dtype=float)
+    # dstevd takes an off-diagonal of length max(n - 1, 1); it reads none at n = 1
+    e = np.asarray(offdiagonal, dtype=float) if len(d) > 1 else np.zeros(1)
+    w, v, info = scipy.linalg.lapack.dstevd(d, e, compute_v=1)
+    if info != 0:
+        raise NumericalFailure(
+            f"LAPACK dstevd failed with info={info} on a tridiagonal matrix of order {len(d)}"
+        )
+    return w, v
+
+
+def tridiagonal_counts(
+    diagonals: np.ndarray, offdiagonal: np.ndarray, shifts: np.ndarray
+) -> np.ndarray:
+    """#{eigenvalues <= shifts[i]} of the real symmetric tridiagonal matrix of each row of diagonals.
+
+    Every matrix has the one off-diagonal e.  Sturm count, vectorised over
+    the rows: the pivots of the LDL^T factorization of H - shift*I are
+    x_0 = d_0 - shift and x_j = (d_j - shift) - e_{j-1}^2 / x_{j-1}, and
+    the pivots <= 0 number the eigenvalues <= shift.  A pivot smaller in
+    magnitude than pivmin = tiny * max(1, max e^2) is taken as -pivmin,
+    as LAPACK's bisection (dlaebz) does, so no pivot divides by zero.
+    """
+    D = np.asarray(diagonals, dtype=float)
+    e2 = np.asarray(offdiagonal, dtype=float) ** 2
+    shifts = np.broadcast_to(np.asarray(shifts, dtype=float), D.shape[:1])
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
+    counts = np.zeros(len(D), dtype=np.int64)
+    for j in range(D.shape[1]):
+        x = D[:, j] - shifts
+        if j:
+            x -= e2[j - 1] / pivot
+        x[np.abs(x) < pivmin] = -pivmin
+        counts += x < 0
+        pivot = x
+    return counts
+
+
+def certify_tridiagonal_counts(
+    diagonals: np.ndarray, offdiagonal: np.ndarray, eigs: np.ndarray, ceiling: float
+) -> None:
+    """NumericalFailure unless each row's computed count below the ceiling matches its Sturm count.
+
+    eigs[i] holds the computed eigenvalues of the tridiagonal matrix with
+    diagonal diagonals[i] and the off-diagonal shared by all rows.  Each
+    count #{eigs[i] <= T} must equal tridiagonal_counts at T; when one of
+    eigs[i] lies within CEILING_TIE_RTOL * max(1, max|H_i|) of T, it only
+    has to lie between the counts on either side of that margin, as in
+    certified_below.
+    """
+    T = float(ceiling)
+    D = np.asarray(diagonals, dtype=float)
+    eigs = np.asarray(eigs, dtype=float)
+    peak = max(1.0, float(np.max(np.abs(offdiagonal), initial=0.0)))
+    delta = CEILING_TIE_RTOL * np.maximum(peak, np.max(np.abs(D), axis=1))
+    computed = np.count_nonzero(eigs <= T, axis=1)
+    margin = np.where(np.any(np.abs(eigs - T) <= delta[:, None], axis=1), delta, 0.0)
+    lo = tridiagonal_counts(D, offdiagonal, T - margin)
+    hi = tridiagonal_counts(D, offdiagonal, T + margin) if np.any(margin) else lo
+    bad = np.flatnonzero((computed < lo) | (computed > hi))
+    if len(bad):
+        i = bad[0]
+        raise NumericalFailure(
+            f"row {i}: {computed[i]} eigenvalues <= {T} computed, but the Sturm count of "
+            f"H - T*I is {lo[i] if lo[i] == hi[i] else f'{lo[i]} to {hi[i]}'}"
+        )
+
+
 def eigensystem(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition (ascending eigenvalues, orthonormal columns).
 
     A real H whose band has at most one off-diagonal (d=1 lattice and
-    continuum models) is solved as a tridiagonal matrix by LAPACK ?stevd;
-    every other H by dense np.linalg.eigh.
+    continuum models) is solved as a tridiagonal matrix by
+    tridiagonal_eigensystem; every other H by dense np.linalg.eigh.
     """
     H = np.asarray(H)
     n = H.shape[0]
@@ -545,7 +622,7 @@ def eigensystem(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ab, _ = lower_band(H)  # checks H Hermitian, as assert_hermitian would
         if ab.shape[0] <= 2:
             e = ab[1, : n - 1] if ab.shape[0] == 2 else np.zeros(n - 1)
-            return scipy.linalg.eigh_tridiagonal(ab[0], e, lapack_driver="stevd")
+            return tridiagonal_eigensystem(ab[0], e)
     else:
         assert_hermitian(H)
     return np.linalg.eigh(H)

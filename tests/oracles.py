@@ -3,12 +3,39 @@
 import numpy as np
 
 from idslab.lattice import Pattern
+from idslab.montecarlo import centered_box, localized_counting, sample_coloring
+from idslab.operators import LATTICE, OperatorSpec
 from idslab.spectral import eigensystem
 
 
 def pattern_from_word(word: str) -> Pattern:
     """1-d pattern on {0..len-1} with symbols given by the word's characters."""
     return Pattern(tuple((i,) for i in range(len(word))), tuple(word))
+
+
+def per_sample_mc(dist, library, grid, samples, R, d=1, backend=LATTICE, resolution=8):
+    """Mean and standard error of the localized counting over samples, one sample at a time.
+
+    Each sample draws its coloring, assembles its operator on the centered
+    box and solves it through localized_counting, as pastur_shubin_mc did
+    for every backend and dimension before the lattice chain became one
+    array program.
+    """
+    box = centered_box(R, d)
+    rows = np.vstack([
+        localized_counting(
+            OperatorSpec(
+                Q=box, coloring=sample_coloring(dist, s, d), library=library,
+                backend=backend, resolution=resolution,
+            ),
+            grid,
+        )
+        for s in range(samples)
+    ])
+    mean = np.mean(rows, axis=0)
+    if samples > 1:
+        return mean, np.std(rows, axis=0, ddof=1) / np.sqrt(samples)
+    return mean, np.zeros_like(mean)
 
 
 def dirichlet_chain_eigenvalues(num_cells: int, resolution: int) -> np.ndarray:

@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 from idslab.cli import main
 from idslab.config import (
@@ -164,6 +166,18 @@ def test_ssf_with_too_few_singular_values_above_the_floor_exits_1(tmp_path, caps
 
 SMALL_RANDOM = {"samples": 6, "truncation_radius": 3, "lambda_points": 11,
                 "omegas": [0], "compare_volumes": [4, 8]}
+
+
+def test_random_names_a_failed_tridiagonal_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dstevd",
+        lambda d, e, compute_v=1: (np.asarray(d, dtype=float).copy(), np.eye(len(d)), 1),
+    )
+    path = write_cfg(tmp_path, random=SMALL_RANDOM)
+    assert main(["random", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: LAPACK dstevd failed with info=1" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, overrides", [

@@ -1,11 +1,17 @@
 """Random colorings, localized traces, Monte Carlo estimates, truncation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from idslab.lattice import _site_hash, cube
+from idslab import lattice, montecarlo, operators, spectral
+from idslab.lattice import _site_hash, _site_hashes, cube
 from idslab.montecarlo import (
+    McEstimate,
     SiteDistribution,
+    _symbol_codes,
     centered_box,
     compare_random_ids,
     mc_step_function,
@@ -14,8 +20,8 @@ from idslab.montecarlo import (
     semigroup_truncation_diagnostic,
 )
 from idslab.operators import OperatorSpec, PrototypeLibrary
-from idslab.spectral import EnergyWindow
-from oracles import pattern_from_word
+from idslab.spectral import EnergyWindow, NumericalFailure
+from oracles import pattern_from_word, per_sample_mc
 
 LIB_A = PrototypeLibrary.constant_potentials({"a": 0.0}, 4, 1)
 LIB_AB = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, 1)
@@ -67,6 +73,37 @@ def test_sample_seed_is_pinned_site_hash(seed, index, expected):
     # values of the blake2b "<qq" child seed that earlier samples were drawn with
     assert _site_hash(seed, (index,)) == expected
     assert sample_coloring(SiteDistribution.point_mass("a", seed), index, d=1).seed == expected
+
+
+@pytest.mark.parametrize("sites", [[[-3], [0], [5], [2**62]], [[1, 2], [-5, 3]], [[0, 0, -1]]])
+def test_site_hashes_match_site_hash_site_by_site(sites):
+    # negative and >= 2**63 seeds pin the shared key mask, d = 1..3 the "<q{d}q" packing
+    seeds = [0, 7, -1, 2**63 + 5, 2**64 - 1, np.uint64(2**64 - 3)]
+    got = _site_hashes(seeds, np.array(sites))
+    assert got.dtype == np.uint64 and got.shape == (len(seeds), len(sites))
+    assert got.tolist() == [[_site_hash(int(seed), tuple(x)) for x in sites] for seed in seeds]
+
+
+def _first_exceeding(weights, u):
+    # RandomColoring.color's loop
+    acc = 0.0
+    for k, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return k
+    return len(weights) - 1
+
+
+@pytest.mark.parametrize("weights", [(0.2, 0.5, 0.3), (0.6, 0.0, 0.4), (0.1,) * 10, (1.0,)])
+def test_symbol_codes_follow_the_running_weight_rule(weights):
+    running = np.cumsum(weights)
+    assert running[-1] <= 1.0  # for (0.1,) * 10 the float sum is 1 - 2**-53
+    u = np.concatenate([
+        [0.0, 1.0 - 2.0**-53, 1.0], running, np.nextafter(running, 0.0), np.nextafter(running, 1.0),
+        np.random.default_rng(0).random(200),
+    ])
+    u = u[u <= 1.0]
+    assert _symbol_codes(weights, u).tolist() == [_first_exceeding(weights, x) for x in u]
 
 
 def test_symbol_frequency_binomial():
@@ -176,6 +213,112 @@ def test_mc_csv_deterministic():
     assert est1.to_csv() == est2.to_csv()
     header = est1.to_csv().splitlines()[0]
     assert header.startswith("# samples=2 R=3 seed=")
+
+
+# ---------------------------------------------------------------------------
+# the lattice chain as one array program
+# ---------------------------------------------------------------------------
+
+LIB_ABC = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0, "c": -0.75}, 4, 1)
+LIB_TEN = PrototypeLibrary.constant_potentials({s: 0.3 * i for i, s in enumerate("abcdefghij")}, 4, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**63 + 11])
+@pytest.mark.parametrize(
+    "symbols, weights, library, samples, R",
+    [
+        (("a", "b", "c"), (0.2, 0.5, 0.3), LIB_ABC, 40, 6),
+        (("a", "b", "c"), (0.6, 0.0, 0.4), LIB_ABC, 40, 6),
+        (tuple("abcdefghij"), (0.1,) * 10, LIB_TEN, 40, 6),
+        (("a", "b"), (0.5, 0.5), LIB_AB, 1, 6),
+        (("a", "b"), (0.3, 0.7), LIB_AB, 40, 1),
+    ],
+    ids=["unequal", "zero-weight", "ten-tenths", "one-sample", "R=1"],
+)
+def test_chain_estimate_matches_per_sample_loop_bitwise(seed, symbols, weights, library, samples, R):
+    dist = SiteDistribution(symbols, weights, seed)
+    est = pastur_shubin_mc(dist, library, np.linspace(-0.5, 5.5, 31), samples, R, d=1)
+    mean, stderr = per_sample_mc(dist, library, est.lambda_grid, samples, R)
+    assert np.array_equal(est.mean, mean) and np.array_equal(est.stderr, stderr)
+    assert est.to_csv() == McEstimate(est.lambda_grid, mean, stderr, samples, R, est.source).to_csv()
+    if samples == 1:
+        assert np.all(est.stderr == 0.0)
+
+
+def _count_per_sample_calls(monkeypatch):
+    """Count the assemblies, solves and color draws of a Monte Carlo estimate."""
+    calls = Counter()
+    targets = [
+        (montecarlo, "discretize"), (operators, "lattice_model"),
+        (montecarlo, "eigensystem"), (lattice.RandomColoring, "color"),
+    ]
+    for owner, name in targets:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_chain_estimate_assembles_and_draws_nothing_per_sample(monkeypatch):
+    calls = _count_per_sample_calls(monkeypatch)
+    dist = SiteDistribution.bernoulli("a", "b", seed=3)
+    pastur_shubin_mc(dist, LIB_AB, np.linspace(0.0, 5.0, 11), samples=5, truncation_radius=4, d=1)
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("d, backend", [(2, "lattice"), (1, "continuum")])
+def test_other_estimates_keep_the_per_sample_path(monkeypatch, d, backend):
+    calls = _count_per_sample_calls(monkeypatch)
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, d)
+    dist = SiteDistribution.bernoulli("a", "b", seed=3)
+    samples, R = 3, 2
+    est = pastur_shubin_mc(
+        dist, lib, np.linspace(0.0, 5.0, 11), samples, R, d=d, backend=backend, resolution=4,
+    )
+    cells = (2 * R + 1) ** d
+    assert calls["discretize"] == calls["eigensystem"] == samples
+    assert calls["lattice_model"] == (samples if backend == "lattice" else 0)
+    assert calls["color"] == samples * cells  # one draw per cell and sample (memoized)
+    monkeypatch.undo()
+    mean, stderr = per_sample_mc(dist, lib, est.lambda_grid, samples, R, d, backend, 4)
+    assert np.array_equal(est.mean, mean) and np.array_equal(est.stderr, stderr)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_overflowing_cell_means_are_refused_on_both_paths(d):
+    with np.errstate(over="ignore"):
+        lib = PrototypeLibrary.constant_potentials({"a": 1e308, "b": 1e308}, 4, d)
+    dist = SiteDistribution.bernoulli("a", "b", seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        pastur_shubin_mc(dist, lib, [0.0, 1.0], samples=2, truncation_radius=2, d=d)
+
+
+def test_every_chain_row_is_certified_by_a_sturm_count(monkeypatch):
+    seen = []
+    certify = spectral.certify_tridiagonal_counts
+
+    def spy(diagonals, offdiagonal, eigs, ceiling):
+        seen.append((diagonals.shape, eigs.shape, ceiling))
+        return certify(diagonals, offdiagonal, eigs, ceiling)
+
+    monkeypatch.setattr(montecarlo, "certify_tridiagonal_counts", spy)
+    dist = SiteDistribution.bernoulli("a", "b", seed=4)
+    pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5, 4.25], samples=7, truncation_radius=3, d=1)
+    assert seen == [((7, 7), (7, 7), 4.25)]
+
+
+def test_chain_estimate_with_a_wrong_count_fails(monkeypatch):
+    solve = scipy.linalg.lapack.dstevd
+
+    def shifted(d, e, compute_v=1):
+        w, v, info = solve(d, e, compute_v=compute_v)
+        return w + 0.5, v, info  # one row's count below the ceiling now disagrees
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", shifted)
+    dist = SiteDistribution.bernoulli("a", "b", seed=4)
+    with pytest.raises(NumericalFailure, match="Sturm count"):
+        pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5], samples=4, truncation_radius=3, d=1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from idslab.spectral import (
     EnergyWindow,
     NumericalFailure,
     StepFunction,
+    certify_tridiagonal_counts,
     count_below_by_inertia,
     counting_function,
     eigensystem,
@@ -22,6 +23,8 @@ from idslab.spectral import (
     integrate_product,
     linear_combination,
     lp_distance,
+    tridiagonal_counts,
+    tridiagonal_eigensystem,
 )
 from oracles import dirichlet_chain_eigenvalues
 
@@ -259,13 +262,13 @@ def _magnetic_1d():
 
 def _spy_tridiagonal(monkeypatch):
     calls = []
-    solve = scipy.linalg.eigh_tridiagonal
+    solve = scipy.linalg.lapack.dstevd
 
     def spy(*args, **kwargs):
-        calls.append(kwargs.get("lapack_driver"))
+        calls.append("stevd")
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", spy)
     return calls
 
 
@@ -289,6 +292,56 @@ def test_eigensystem_tridiagonal_matches_dense(monkeypatch, H):
     assert np.max(np.abs(w - np.linalg.eigvalsh(H))) <= tol
     assert np.max(np.abs((U * w) @ U.T - H)) <= tol
     assert np.max(np.abs(U.T @ U - np.eye(len(H)))) <= 1e-12
+
+
+def test_tridiagonal_eigensystem_names_a_lapack_failure(monkeypatch):
+    def failing(d, e, compute_v=1):
+        return np.asarray(d, dtype=float).copy(), np.eye(len(d)), 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
+    with pytest.raises(NumericalFailure, match="dstevd failed with info=1"):
+        tridiagonal_eigensystem(np.full(5, 2.0), np.full(4, -1.0))
+    with pytest.raises(NumericalFailure, match="dstevd"):
+        eigensystem(_chain(5))
+
+
+def _random_chains(rng, rows, n):
+    # integer-valued diagonals and shifts make exact ties and zero pivots likely
+    D = rng.integers(-2, 3, size=(rows, n)).astype(float)
+    return D, rng.choice([-1.0, -0.5, 0.0, 1.0], size=n - 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tridiagonal_counts_match_dense_spectra(seed):
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 7, 30):
+        D, e = _random_chains(rng, 25, n)
+        shifts = rng.integers(-3, 4, size=25) + rng.choice([0.0, 0.25], size=25)
+        counts = tridiagonal_counts(D, e, shifts)
+        for row, shift, count in zip(D, shifts, counts):
+            w = np.linalg.eigvalsh(np.diag(row) + np.diag(e, 1) + np.diag(e, -1))
+            if np.all(np.abs(w - shift) > 1e-9):
+                assert count == np.count_nonzero(w <= shift)
+            else:  # a tie: the count lies between the counts on either side
+                assert np.count_nonzero(w < shift - 1e-9) <= count <= np.count_nonzero(w <= shift + 1e-9)
+
+
+def test_tridiagonal_counts_take_zero_pivots():
+    # the path graph on 3 sites has eigenvalue 0 and a zero first pivot at shift 0
+    assert tridiagonal_counts(np.zeros((1, 3)), np.ones(2), 0.0).tolist() == [2]
+    assert tridiagonal_counts(np.zeros((1, 3)), np.zeros(2), 0.0).tolist() == [3]
+    assert tridiagonal_counts(np.zeros((2, 1)), np.zeros(0), [-1.0, 0.0]).tolist() == [0, 1]
+
+
+def test_certify_tridiagonal_counts_brackets_ties_and_flags_a_wrong_count():
+    D, e = _random_chains(np.random.default_rng(7), 40, 12)
+    eigs = np.array([tridiagonal_eigensystem(row, e)[0] for row in D])
+    for T in (-1.0, 0.0, 0.5, 2.0):  # the integer ceilings hit exact eigenvalues
+        certify_tridiagonal_counts(D, e, eigs, T)
+    wrong = eigs.copy()
+    wrong[3] += 0.5
+    with pytest.raises(NumericalFailure, match="row 3: .* Sturm count"):
+        certify_tridiagonal_counts(D, e, wrong, 0.5)
 
 
 def _ab_chain(n):
