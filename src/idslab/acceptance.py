@@ -61,6 +61,8 @@ from .ssf import (
 )
 
 MASTER_SEED = 20260810
+# random colorings, windows and patterns that criterion 1 checks against the oracles
+ORACLE_INSTANCES = 200
 
 
 @dataclass
@@ -140,11 +142,11 @@ def _random_coloring_for(rng: random.Random, d: int):
     return PeriodicColoring(period=period, cell=cell)
 
 
-def criterion_1_pattern_oracles(instances: int = 200) -> CriterionResult:
+def criterion_1_pattern_oracles() -> CriterionResult:
     t0 = time.perf_counter()
     rng = random.Random(MASTER_SEED)
     mismatches = 0
-    for k in range(instances):
+    for k in range(ORACLE_INSTANCES):
         d = 1 + (k % 2)
         C = _random_coloring_for(rng, d)
         side = rng.randint(3, 18 if d == 2 else 120)
@@ -166,7 +168,7 @@ def criterion_1_pattern_oracles(instances: int = 200) -> CriterionResult:
         index=1,
         name="pattern oracle equivalence",
         passed=mismatches == 0 and dt < 10.0,
-        details={"instances": instances, "mismatches": mismatches},
+        details={"instances": ORACLE_INSTANCES, "mismatches": mismatches},
         runtime_seconds=dt,
     )
 
@@ -342,8 +344,7 @@ def _partition_suite():
     ]))
 
     f_con1 = AlmostAdditiveField(
-        periodic_word("ab"), lib1, EnergyWindow(0.0, 10.0, 2.0),
-        backend="continuum", resolution=8,
+        periodic_word("ab"), lib1, EnergyWindow(0.0, 10.0, 2.0), backend="continuum"
     )
     suite.append((f_con1, _bipartition_1d(8, 4)))
     suite.append((f_con1, _bipartition_1d(8, 2)))
@@ -354,9 +355,7 @@ def _partition_suite():
 
     const2 = PeriodicColoring(period=(1, 1), cell={(0, 0): "a"})
     lib2c = PrototypeLibrary.constant_potentials({"a": 0.0}, 6, 2)
-    f_con2 = AlmostAdditiveField(
-        const2, lib2c, EnergyWindow(0.0, 60.0, 2.0), backend="continuum", resolution=6
-    )
+    f_con2 = AlmostAdditiveField(const2, lib2c, EnergyWindow(0.0, 60.0, 2.0), backend="continuum")
     Q3 = cube(3, 2)
     suite.append((f_con2, [frozenset({s}) for s in sorted(Q3)]))
     suite.append((f_con2, [frozenset(s for s in Q3 if s[0] == c) for c in range(3)]))
@@ -537,15 +536,13 @@ def criterion_8_random() -> CriterionResult:
 
     # point mass reproduces the deterministic pipeline exactly
     point = SiteDistribution.point_mass("a", seed=MASTER_SEED)
-    pm_multi = pastur_shubin_mc(point, lib, grid, samples=4, truncation_radius=8, d=1)
-    pm_single = pastur_shubin_mc(point, lib, grid, samples=1, truncation_radius=8, d=1)
+    pm_multi = pastur_shubin_mc(point, lib, grid, samples=4, truncation_radius=8)
+    pm_single = pastur_shubin_mc(point, lib, grid, samples=1, truncation_radius=8)
     point_exact = bool(
         np.array_equal(pm_multi.mean, pm_single.mean) and np.all(pm_multi.stderr == 0.0)
     )
-    ref_pm = pastur_shubin_mc(point, lib, grid, samples=1, truncation_radius=24, d=1)
-    cmp_pm = compare_random_ids(
-        point, lib, window, ref_pm, volumes=[8, 32], omegas=[0, 1, 2], d=1
-    )
+    ref_pm = pastur_shubin_mc(point, lib, grid, samples=1, truncation_radius=24)
+    cmp_pm = compare_random_ids(point, lib, window, ref_pm, volumes=[8, 32], omegas=[0, 1, 2])
     point_exact = point_exact and bool(
         np.all(cmp_pm.distances == cmp_pm.distances[0])
     )

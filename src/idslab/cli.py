@@ -149,9 +149,7 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     # the calibration pair on the cells 0 and e_1
     _check_cap(cfg, "dense_cap", [(2,) + (1,) * (d - 1)])
     sequence = build_sequence(cfg)
-    field = AlmostAdditiveField(
-        coloring, library, window, backend=cfg.backend, resolution=cfg.resolution,
-    )
+    field = AlmostAdditiveField(coloring, library, window, backend=cfg.backend)
     tables = _frequency_tables(cfg, coloring, cfg.M_list)
     try:
         report = two_route_experiment(field, sequence, tables)
@@ -307,8 +305,7 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
     _check_cap(cfg, "dense_cap", [(2 * R + 1,) * d, (4 * R + 1,) * d])
     exp = random_ids_experiment(
         dist, cfg.seed + 1, library, window, grid, samples, R,
-        omegas=rnd["omegas"], volumes=rnd["compare_volumes"],
-        d=d, backend=cfg.backend, resolution=cfg.resolution,
+        omegas=rnd["omegas"], volumes=rnd["compare_volumes"], backend=cfg.backend,
     )
     if np.any(np.diff(exp.estimate.mean) < -1e-12):
         raise NumericalFailure("Monte Carlo mean is not nondecreasing")
@@ -337,7 +334,9 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
           f"per-omega decrease: {comparison.decreased()}; "
           f"semigroup truncation diagnostic: {exp.semigroup_diagnostic:.3e}")
     if not exp.seeds_agree:
-        raise NumericalFailure("independent-seed Monte Carlo estimates disagree beyond 3 se")
+        raise NumericalFailure(
+            "independent-seed Monte Carlo estimates disagree beyond the Bonferroni threshold"
+        )
     write_manifest(out, "random", cfg, ["mc_estimate.csv", "random_report.json"])
     return 0
 

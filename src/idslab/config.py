@@ -308,7 +308,8 @@ def _coloring(cfg: ExperimentConfig) -> Coloring:
     raise ConfigError(f"config.coloring.kind: unknown kind {kind!r}")
 
 
-def build_library(cfg: ExperimentConfig, base_dir: Path | None = None) -> PrototypeLibrary:
+def build_library(cfg: ExperimentConfig) -> PrototypeLibrary:
+    """The prototype library; a relative prototypes.path resolves against the working directory."""
     spec = cfg.prototypes
     kind = spec.get("kind", "constant")
     if kind == "constant":
@@ -316,21 +317,26 @@ def build_library(cfg: ExperimentConfig, base_dir: Path | None = None) -> Protot
         if not isinstance(values, dict):
             raise ConfigError("config.prototypes.values: kind 'constant' needs an object mapping symbols to numbers")
         values = {str(k): _finite(v, f"config.prototypes.values.{k}") for k, v in values.items()}
-        return PrototypeLibrary.constant_potentials(values, cfg.resolution, cfg.dimension)
+        try:
+            return PrototypeLibrary.constant_potentials(values, cfg.resolution, cfg.dimension)
+        except ValueError as e:  # a cell mean that overflows, or no symbol at all
+            raise ConfigError(f"config.prototypes.values: {e}") from None
     if kind == "zero":
-        alphabet = [str(s) for s in spec.get("alphabet", ["a"])]
-        return PrototypeLibrary.zero(alphabet, cfg.resolution, cfg.dimension)
+        alphabet = spec.get("alphabet", ["a"])
+        if not (isinstance(alphabet, (list, str)) and alphabet):  # a string lists its characters
+            raise ConfigError("config.prototypes.alphabet: kind 'zero' needs a nonempty list of symbols")
+        return PrototypeLibrary.zero([str(s) for s in alphabet], cfg.resolution, cfg.dimension)
     if kind == "file":
         if "path" not in spec:
             raise ConfigError("config.prototypes.path: required for kind 'file'")
-        path = Path(spec["path"])
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
         try:
-            text = path.read_text()
+            lib = PrototypeLibrary.from_json(Path(spec["path"]).read_text())
         except OSError as e:
             raise ConfigError(f"config.prototypes.path: {e}") from None
-        lib = PrototypeLibrary.from_json(text)
+        except (AttributeError, KeyError, TypeError, ValueError) as e:  # JSONDecodeError included
+            raise ConfigError(
+                f"config.prototypes.path: {spec['path']} is not a prototype library: {e!r}"
+            ) from None
         if lib.dimension != cfg.dimension:
             raise ConfigError(f"config.prototypes: file dimension {lib.dimension} != {cfg.dimension}")
         if cfg.backend == "continuum" and lib.resolution != cfg.resolution:

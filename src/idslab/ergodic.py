@@ -101,27 +101,21 @@ class AlmostAdditiveField:
         library: PrototypeLibrary,
         window: EnergyWindow,
         backend: str = LATTICE,
-        resolution: int = 8,
     ):
         self.coloring = coloring
         self.library = library
         self.window = window
         self.backend = backend
-        self.resolution = resolution
         self._cache: dict[Pattern, StepFunction] = {}
 
     @cached_property
     def boundary(self) -> BoundaryTerm:
-        scale = calibrate_boundary_scale(
-            self.coloring, self.library, self.window, self.backend, self.resolution
-        )
+        scale = calibrate_boundary_scale(self.coloring, self.library, self.window, self.backend)
         return BoundaryTerm(scale=scale, dimension=self.dimension)
 
     @cached_property
     def K(self) -> float:
-        return fit_uniform_bound(
-            self.coloring, self.library, self.window, self.backend, self.resolution
-        )
+        return fit_uniform_bound(self.coloring, self.library, self.window, self.backend)
 
     @property
     def dimension(self) -> int:
@@ -133,7 +127,7 @@ class AlmostAdditiveField:
             coloring=self.coloring,
             library=self.library,
             backend=self.backend,
-            resolution=self.resolution,
+            resolution=self.library.resolution,
         )
 
     def evaluate(self, Q: frozenset[Site]) -> StepFunction:
@@ -180,10 +174,7 @@ class AlmostAdditiveField:
 # ---------------------------------------------------------------------------
 
 def calibration_pair(
-    coloring: Coloring,
-    library: PrototypeLibrary,
-    backend: str,
-    resolution: int,
+    coloring: Coloring, library: PrototypeLibrary, backend: str
 ) -> SingularValueSeries:
     """Singular values of the designated single-facet/single-bond pair.
 
@@ -198,7 +189,7 @@ def calibration_pair(
     if backend == CONTINUUM:
         specA = OperatorSpec(
             Q=Q, coloring=coloring, library=library,
-            backend=CONTINUUM, resolution=resolution,
+            backend=CONTINUUM, resolution=library.resolution,
         )
         specB = add_facet_dirichlet(specA, Facet(anchor=e1, axis=0))
         mu = veff_singular_values(specA, specB).mu
@@ -211,23 +202,15 @@ def calibration_pair(
 
 
 def calibrate_boundary_scale(
-    coloring: Coloring,
-    library: PrototypeLibrary,
-    window: EnergyWindow,
-    backend: str,
-    resolution: int,
+    coloring: Coloring, library: PrototypeLibrary, window: EnergyWindow, backend: str
 ) -> float:
     """C-tilde from one facet computation: (exp(T) <phi, mu>)^(1/p)."""
-    series = calibration_pair(coloring, library, backend, resolution)
+    series = calibration_pair(coloring, library, backend)
     return facet_ssf_norm_bound(series, window)
 
 
 def fit_uniform_bound(
-    coloring: Coloring,
-    library: PrototypeLibrary,
-    window: EnergyWindow,
-    backend: str,
-    resolution: int,
+    coloring: Coloring, library: PrototypeLibrary, window: EnergyWindow, backend: str
 ) -> float:
     """K: the largest L^p(I) norm of a single colored cell's counting function."""
     d = coloring.dimension
@@ -239,7 +222,7 @@ def fit_uniform_bound(
             cell,
             OperatorSpec(
                 Q=frozenset({origin}), coloring=coloring, library=library,
-                backend=backend, resolution=resolution,
+                backend=backend, resolution=library.resolution,
             ),
         )
         eigs = eigenvalues(discretize(spec), ceiling=window.sup)
@@ -296,14 +279,12 @@ class DirectRoute:
 
 
 def direct_route(
-    field: AlmostAdditiveField,
-    sequence: Sequence[frozenset[Site]],
-    boundary_width: int = 1,
+    field: AlmostAdditiveField, sequence: Sequence[frozenset[Site]]
 ) -> DirectRoute:
-    """F(U_j)/#U_j for each member of a van Hove sequence."""
+    """F(U_j)/#U_j for each member of a van Hove sequence, with its 1-boundary ratios."""
     if not sequence:
         raise ValueError("need a nonempty sequence")
-    ratios, monotone = van_hove_ratios(sequence, boundary_width)
+    ratios, monotone = van_hove_ratios(sequence, 1)
     if len(sequence) > 1 and not monotone and ratios[-1] >= ratios[0]:
         raise VanHoveError(
             "sequence fails the van Hove sanity check: boundary/volume ratios do not decay"

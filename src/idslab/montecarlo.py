@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +34,9 @@ from .spectral import (
     lp_distance,
     tridiagonal_eigensystem,
 )
+
+# family-wise false-alarm rate of the two-seed agreement test (estimates_agree)
+TWO_SEED_ALPHA = 0.01
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,12 @@ def centered_box(R: int, d: int) -> frozenset[Site]:
     if R < 1:
         raise ValueError(f"truncation radius must be >= 1, got {R}")
     return frozenset(product(range(-R, R + 1), repeat=d))
+
+
+def _spec(Q: frozenset[Site], coloring: Coloring, library: PrototypeLibrary, backend: str) -> OperatorSpec:
+    return OperatorSpec(
+        Q=Q, coloring=coloring, library=library, backend=backend, resolution=library.resolution
+    )
 
 
 def _origin_cell_indices(spec: OperatorSpec) -> np.ndarray:
@@ -141,8 +151,6 @@ def _chain_samples(
     seeds = _site_hashes([dist.seed], np.arange(samples)[:, None])[0]
     u = _site_hashes(seeds, np.arange(-R, R + 1)[:, None]) / 2.0**64  # uniform in [0, 1]
     levels = np.array([2.0 + library[sym].cell_mean_v for sym in dist.symbols])
-    if not np.all(np.isfinite(levels)):  # a cell mean can overflow; lower_band refuses it too
-        raise ValueError("matrix entries must be finite")
     diagonals = levels[_symbol_codes(dist.weights, u)]
     offdiagonal = np.full(2 * R, -1.0)
     eigs = np.empty_like(diagonals)
@@ -182,36 +190,30 @@ def pastur_shubin_mc(
     lambda_grid: Sequence[float],
     samples: int,
     truncation_radius: int,
-    d: int = 1,
     backend: str = LATTICE,
-    resolution: int = 8,
 ) -> McEstimate:
     """Monte Carlo estimate of the trace-per-unit-volume distribution function.
 
     Each sample is the origin-cell-localized spectral mass on the lambda
-    grid of the Hamiltonian on the centered box, under sample s's coloring.
-    The lattice chain (d = 1) takes every sample at once (_chain_samples);
-    the continuum backend and d >= 2 draw a coloring, assemble and solve
-    per sample (localized_counting).  Both give the same rows bit for bit.
+    grid of the Hamiltonian on the centered box, under sample s's coloring;
+    the library fixes the dimension d and the cell grid.  The lattice chain
+    (d = 1) takes every sample at once (_chain_samples); the continuum
+    backend and d >= 2 draw a coloring, assemble and solve per sample
+    (localized_counting).  Both give the same rows bit for bit.
     Mean and standard error are taken across samples.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     grid = np.unique(np.asarray(lambda_grid, dtype=float))
+    d = library.dimension
     box = centered_box(truncation_radius, d)
-
-    def one_sample(s: int) -> np.ndarray:
-        coloring = sample_coloring(dist, s, d)
-        spec = OperatorSpec(
-            Q=box, coloring=coloring, library=library,
-            backend=backend, resolution=resolution,
-        )
-        return localized_counting(spec, grid)
-
     if backend == LATTICE and d == 1:
         rows = _chain_samples(dist, library, grid, samples, truncation_radius)
     else:
-        rows = np.vstack([one_sample(s) for s in range(samples)])
+        rows = np.vstack([
+            localized_counting(_spec(box, sample_coloring(dist, s, d), library, backend), grid)
+            for s in range(samples)
+        ])
     mean = np.mean(rows, axis=0)
     if samples > 1:
         stderr = np.std(rows, axis=0, ddof=1) / np.sqrt(samples)
@@ -233,14 +235,11 @@ def semigroup_truncation_diagnostic(
     library: PrototypeLibrary,
     R: int,
     lambda_grid: Sequence[float],
-    d: int = 1,
     backend: str = LATTICE,
-    resolution: int = 8,
-    time: float = 1.0,
 ) -> tuple[float, float]:
     """Localized heat-trace and projector-estimate changes under doubling the truncation box.
 
-    The first value, |Tr[chi_{W_0} exp(-t H_{2R})] - Tr[chi_{W_0} exp(-t H_R)]|,
+    The first value, |Tr[chi_{W_0} exp(-H_{2R})] - Tr[chi_{W_0} exp(-H_R)]|,
     is the measured face of the localization step justifying box truncation;
     it decays like a Gaussian in R.  The second is the largest change of the
     localized counting on the lambda grid, which moves like 1/R.  Both come
@@ -248,12 +247,9 @@ def semigroup_truncation_diagnostic(
     """
     heat, counts = [], []
     for radius in (R, 2 * R):
-        spec = OperatorSpec(
-            Q=centered_box(radius, d), coloring=coloring, library=library,
-            backend=backend, resolution=resolution,
-        )
+        spec = _spec(centered_box(radius, library.dimension), coloring, library, backend)
         w, mass = _origin_spectrum(spec)
-        heat.append(float(np.sum(np.exp(-time * w) * mass)))
+        heat.append(float(np.sum(np.exp(-w) * mass)))
         counts.append(_mass_below(w, mass, lambda_grid))
     return abs(heat[1] - heat[0]), float(np.max(np.abs(counts[0] - counts[1])))
 
@@ -284,22 +280,14 @@ def compare_random_ids(
     reference: McEstimate,
     volumes: Sequence[int],
     omegas: Sequence[int],
-    d: int = 1,
     backend: str = LATTICE,
-    resolution: int = 8,
 ) -> RandomIdsReport:
     """Distances between per-sample normalized counting functions and the MC mean."""
     ref = mc_step_function(reference)
+    d = library.dimension
     rows = []
     for omega in omegas:
-        coloring = sample_coloring(dist, omega, d)
-        field = AlmostAdditiveField(
-            coloring=coloring,
-            library=library,
-            window=window,
-            backend=backend,
-            resolution=resolution,
-        )
+        field = AlmostAdditiveField(sample_coloring(dist, omega, d), library, window, backend)
         dists = []
         for j in volumes:
             Q = cube(j, d)
@@ -311,6 +299,21 @@ def compare_random_ids(
         volumes=tuple(int(v) for v in volumes),
         distances=np.asarray(rows),
     )
+
+
+def estimates_agree(a: McEstimate, b: McEstimate) -> bool:
+    """Whether two independent estimates on one lambda grid agree at every grid point.
+
+    Each point's mean difference must lie within z* combined standard
+    errors, with the Bonferroni threshold z* = Phi^-1(1 - alpha / (2K)) over
+    the grid's K points and alpha = TWO_SEED_ALPHA.  Under equal means, the
+    chance that any point exceeds it is at most alpha (up to the normal
+    approximation of each point), whatever the correlation between the
+    points.  At K = 201 and alpha = 0.01, z* = 4.06.
+    """
+    combined = np.sqrt(a.stderr**2 + b.stderr**2)
+    z = NormalDist().inv_cdf(1.0 - TWO_SEED_ALPHA / (2 * len(a.lambda_grid)))
+    return bool(np.all(np.abs(a.mean - b.mean) <= z * np.maximum(combined, 1e-12)))
 
 
 @dataclass(frozen=True)
@@ -336,39 +339,28 @@ def random_ids_experiment(
     R: int,
     omegas: Sequence[int],
     volumes: Sequence[int],
-    d: int = 1,
     backend: str = LATTICE,
-    resolution: int = 8,
 ) -> RandomIdsExperiment:
     """Monte Carlo IDS with an independent-seed twin, per-omega distances and truncation checks.
 
     The twin repeats the estimate with dist's weights under twin_seed; the
-    seeds agree when every lambda's mean difference lies within 3 combined
-    standard errors.  The truncation pair runs the point mass on dist's
-    first symbol at radii R and 2R.
+    seeds agree as estimates_agree decides.  The truncation pair runs the
+    point mass on dist's first symbol at radii R and 2R.
     """
-    kw = dict(d=d, backend=backend, resolution=resolution)
-    estimate = pastur_shubin_mc(
-        dist, library, grid, samples=samples, truncation_radius=R, **kw
-    )
+    estimate = pastur_shubin_mc(dist, library, grid, samples, R, backend)
     twin = pastur_shubin_mc(
-        SiteDistribution(dist.symbols, dist.weights, twin_seed), library, grid,
-        samples=samples, truncation_radius=R, **kw,
+        SiteDistribution(dist.symbols, dist.weights, twin_seed), library, grid, samples, R, backend
     )
-    combined = np.sqrt(estimate.stderr**2 + twin.stderr**2)
-    deviation = np.abs(estimate.mean - twin.mean)
-    comparison = compare_random_ids(
-        dist, library, window, estimate, volumes=volumes, omegas=omegas, **kw
-    )
+    comparison = compare_random_ids(dist, library, window, estimate, volumes, omegas, backend)
     point = SiteDistribution.point_mass(dist.symbols[0], seed=dist.seed)
     sg_diag, projector_change = semigroup_truncation_diagnostic(
-        sample_coloring(point, 0, d), library, R, grid, **kw
+        sample_coloring(point, 0, library.dimension), library, R, grid, backend
     )
     return RandomIdsExperiment(
         estimate=estimate,
         twin=twin,
-        seeds_agree=bool(np.all(deviation <= 3 * np.maximum(combined, 1e-12))),
-        max_abs_difference=float(np.max(deviation)),
+        seeds_agree=estimates_agree(estimate, twin),
+        max_abs_difference=float(np.max(np.abs(estimate.mean - twin.mean))),
         comparison=comparison,
         semigroup_diagnostic=sg_diag,
         projector_change=projector_change,

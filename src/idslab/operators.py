@@ -29,7 +29,8 @@ class Prototype:
 
     v holds n^d electric-potential samples; a holds one n^d array per axis
     with vector-potential samples.  Supports live inside the unit cell by
-    construction; all samples must be finite (bounded potentials only).
+    construction; all samples and the cell mean of v must be finite (bounded
+    potentials only).
     """
 
     symbol: str
@@ -46,12 +47,16 @@ class Prototype:
                 raise ValueError("vector-potential samples must match v's grid")
         if not np.all(np.isfinite(v)) or any(not np.all(np.isfinite(ai)) for ai in a):
             raise ValueError(f"prototype {self.symbol!r} has non-finite samples")
-        if len(set(v.shape)) > 1:
-            raise ValueError("unit-cell grid must be cubic")
+        if v.ndim == 0 or len(set(v.shape)) > 1:
+            raise ValueError("unit-cell grid must be a cube with one or more axes")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(v)) if v.size else math.nan
+        if not math.isfinite(mean):
+            raise ValueError(f"prototype {self.symbol!r} has a non-finite cell mean")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "a", a)
         # not a field: read once per site during assembly
-        object.__setattr__(self, "_cell_mean_v", float(np.mean(v)))
+        object.__setattr__(self, "_cell_mean_v", mean)
 
     @property
     def dimension(self) -> int:

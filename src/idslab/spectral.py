@@ -259,7 +259,7 @@ class NumericalFailure(RuntimeError):
     """A named invariant failed during an experiment run."""
 
 
-def assert_hermitian(H: np.ndarray, rtol: float = HERMITIAN_RTOL) -> None:
+def assert_hermitian(H: np.ndarray) -> None:
     # compared in row blocks so that no N x N temporary is allocated
     n = H.shape[0]
     step = max(1, (1 << 20) // max(n, 1))
@@ -272,7 +272,7 @@ def assert_hermitian(H: np.ndarray, rtol: float = HERMITIAN_RTOL) -> None:
             raise ValueError("matrix entries must be finite")
         scale = max(scale, peak)
         dev = max(dev, float(np.max(np.abs(rows - H[:, i : i + step].conj().T))))
-    if dev > rtol * scale:
+    if dev > HERMITIAN_RTOL * scale:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev}")
 
 

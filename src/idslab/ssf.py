@@ -40,6 +40,12 @@ from .spectral import (
 )
 
 SINGULAR_VALUE_FLOOR = 1e-13
+# shift breakpoints closer than this are merged
+SHIFT_MERGE_TOL = 1e-8
+# multiplicative slack of the fitted decay envelope
+ENVELOPE_SLACK = 0.05
+# a heat-semigroup bound's last term at or below this counts as settled
+HS_TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -75,9 +81,6 @@ class SingularValueSeries:
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
-    def above_floor(self, floor: float = SINGULAR_VALUE_FLOOR) -> np.ndarray:
-        return self.mu[self.mu >= floor]
-
 
 def specs_facet_related(specA: OperatorSpec, specB: OperatorSpec) -> bool:
     """True iff specB is specA with additional Dirichlet facets."""
@@ -93,7 +96,7 @@ def specs_facet_related(specA: OperatorSpec, specB: OperatorSpec) -> bool:
 
 
 def spectral_shift(
-    specA: OperatorSpec, specB: OperatorSpec, window: EnergyWindow, tol: float = 1e-8
+    specA: OperatorSpec, specB: OperatorSpec, window: EnergyWindow
 ) -> SpectralShift:
     """Counting-function difference N(., A) - N(., B) on the window (banded eigenvalues)."""
     if not specs_facet_related(specA, specB):
@@ -101,22 +104,21 @@ def spectral_shift(
     return _shift(
         eigenvalues(discretize(specA), ceiling=window.sup),
         eigenvalues(discretize(specB), ceiling=window.sup),
-        window, tol,
+        window,
     )
 
 
-def _shift(
-    eigs_a: np.ndarray, eigs_b: np.ndarray, window: EnergyWindow, tol: float = 1e-8
-) -> SpectralShift:
+def _shift(eigs_a: np.ndarray, eigs_b: np.ndarray, window: EnergyWindow) -> SpectralShift:
     """The shift from the certified eigenvalues <= window.sup of A and of B.
 
     Jump locations that coincide analytically can split at machine
-    precision in the two decompositions; breakpoint clusters within tol are
-    merged so the shift keeps its exact integer staircase form.
+    precision in the two decompositions; breakpoint clusters within
+    SHIFT_MERGE_TOL are merged so the shift keeps its exact integer staircase
+    form.
     """
     na = counting_function(eigs_a, window)
     nb = counting_function(eigs_b, window)
-    return SpectralShift(xi=subtract(na, nb).coalesce(tol), window=window)
+    return SpectralShift(xi=subtract(na, nb).coalesce(SHIFT_MERGE_TOL), window=window)
 
 
 def _semigroup(w: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -220,22 +222,17 @@ class DecayFit:
     envelope_ok: bool
 
 
-def fit_decay(
-    series: SingularValueSeries,
-    d: int,
-    floor: float = SINGULAR_VALUE_FLOOR,
-    envelope_slack: float = 0.05,
-) -> DecayFit:
+def fit_decay(series: SingularValueSeries, d: int) -> DecayFit:
     """Fit mu_n <= C2 exp(-c n^(1/d)) as a one-sided envelope.
 
-    Log-linear least squares over values above the floor; the intercept is
-    then inflated to cover the largest positive residual so the envelope
-    (with the extra multiplicative slack) dominates every fitted point.
+    Log-linear least squares over values above SINGULAR_VALUE_FLOOR; the
+    intercept is then inflated to cover the largest positive residual so the
+    envelope (with the extra multiplicative slack) dominates every fitted point.
     """
-    mu = series.above_floor(floor)
+    mu = series.mu[series.mu >= SINGULAR_VALUE_FLOOR]
     if len(mu) < 10:
         raise ValueError(
-            f"need at least 10 singular values above {floor}, got {len(mu)}"
+            f"need at least 10 singular values above {SINGULAR_VALUE_FLOOR}, got {len(mu)}"
         )
     n = np.arange(1, len(mu) + 1, dtype=float)
     x = n ** (1.0 / d)
@@ -246,7 +243,7 @@ def fit_decay(
     residuals = y - (intercept + slope * x)
     max_residual = float(np.max(residuals))
     C2_covered = C2_hat * math.exp(max(0.0, max_residual))
-    envelope = (1.0 + envelope_slack) * C2_covered * np.exp(-c_hat * x)
+    envelope = (1.0 + ENVELOPE_SLACK) * C2_covered * np.exp(-c_hat * x)
     envelope_ok = bool(np.all(mu <= envelope))
     return DecayFit(
         c_hat=c_hat,
@@ -316,12 +313,7 @@ class HsBound:
     terms: int
 
 
-def hs_bound(
-    series: SingularValueSeries,
-    F: PowerGauge,
-    T: float,
-    tail_tol: float = 1e-14,
-) -> HsBound:
+def hs_bound(series: SingularValueSeries, F: PowerGauge, T: float) -> HsBound:
     """Upper bound exp(T) <phi, mu> for the integral of F(|xi|) below T."""
     mu = series.mu
     if len(mu) == 0:
@@ -336,7 +328,7 @@ def hs_bound(
     # term is negligible or the terms are still decaying at the tail.
     tail = terms[-min(5, len(terms)):]
     tail_ok = bool(
-        terms[-1] <= max(tail_tol, tail_tol * abs(total))
+        terms[-1] <= max(HS_TAIL_TOL, HS_TAIL_TOL * abs(total))
         or np.all(np.diff(tail) <= 0)
     )
     return HsBound(value=float(math.exp(T) * total), tail_ok=tail_ok, terms=len(mu))

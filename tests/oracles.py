@@ -13,7 +13,7 @@ def pattern_from_word(word: str) -> Pattern:
     return Pattern(tuple((i,) for i in range(len(word))), tuple(word))
 
 
-def per_sample_mc(dist, library, grid, samples, R, d=1, backend=LATTICE, resolution=8):
+def per_sample_mc(dist, library, grid, samples, R, backend=LATTICE):
     """Mean and standard error of the localized counting over samples, one sample at a time.
 
     Each sample draws its coloring, assembles its operator on the centered
@@ -21,12 +21,13 @@ def per_sample_mc(dist, library, grid, samples, R, d=1, backend=LATTICE, resolut
     for every backend and dimension before the lattice chain became one
     array program.
     """
+    d = library.dimension
     box = centered_box(R, d)
     rows = np.vstack([
         localized_counting(
             OperatorSpec(
                 Q=box, coloring=sample_coloring(dist, s, d), library=library,
-                backend=backend, resolution=resolution,
+                backend=backend, resolution=library.resolution,
             ),
             grid,
         )

@@ -21,6 +21,7 @@ from idslab.config import (
 )
 
 DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_cfg(tmp_path, **overrides):
@@ -125,6 +126,17 @@ def test_bad_values_rejected():
     # empty lists of omegas or of compare volumes
     ("random", {"random": {"omegas": []}}, "config.random.omegas"),
     ("random", {"random": {"compare_volumes": []}}, "config.random.compare_volumes"),
+    # a cell mean that overflows a float
+    ("ids", {"prototypes": {"kind": "constant", "values": {"a": 1e308, "b": 1e308}}},
+     "config.prototypes.values"),
+    ("random", {"prototypes": {"kind": "constant", "values": {"a": 1e308, "b": 1e308}}},
+     "config.prototypes.values"),
+    # prototype files that hold no library
+    *[("ids", {"prototypes": {"kind": "file", "path": str(DATA / name)}}, "config.prototypes.path")
+      for name in ("prototypes_not_json.txt", "prototypes_non_numeric.json",
+                   "prototypes_without_v.json", "prototypes_overflowing_mean.json")],
+    ("ids", {"prototypes": {"kind": "zero", "alphabet": []}}, "config.prototypes.alphabet"),
+    ("ids", {"prototypes": {"kind": "zero", "alphabet": 5}}, "config.prototypes.alphabet"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())
@@ -345,6 +357,19 @@ def test_random_command_small(tmp_path):
     assert report["two_seed_agreement"]["agree_within_3se"]
     assert report["truncation"]["semigroup_diagnostic"] < 1e-6
     assert (out / "mc_estimate.csv").exists()
+
+
+def test_random_seed_21_of_the_monte_carlo_benchmark_config_agrees(tmp_path):
+    # the random-mc-1d benchmark workload; its seeds 21 and 22 differ by more
+    # than 3 combined standard errors at one of the 201 lambdas, which is no
+    # evidence against equal means once the test accounts for all 201
+    cfg = write_cfg(tmp_path, seed=21, window={"lo": 0.0, "hi": 4.5, "p": 2.0}, random={
+        "weights": {"a": 0.5, "b": 0.5}, "samples": 800, "truncation_radius": 48,
+        "lambda_points": 201})
+    out = tmp_path / "out"
+    assert main(["random", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "random_report.json").read_text())
+    assert report["two_seed_agreement"]["agree_within_3se"]
 
 
 def test_rerun_determinism_byte_identical(tmp_path):

@@ -123,9 +123,7 @@ def test_defect_continuum_bipartition_equals_facet_ssf_norm():
 
     window = EnergyWindow(0.0, 10.0, p=2.0)
     lib = PrototypeLibrary.zero(["a"], 8, 1)
-    field = AlmostAdditiveField(
-        periodic_word("a"), lib, window, backend="continuum", resolution=8
-    )
+    field = AlmostAdditiveField(periodic_word("a"), lib, window, backend="continuum")
     parts = [site_set([(0,), (1,)]), site_set([(2,), (3,)])]
     defect, budget = additivity_defect(field, parts)
     specA = OperatorSpec(Q=cube(4, 1), coloring=periodic_word("a"), library=lib,
@@ -144,8 +142,7 @@ def test_defect_continuum_bipartition_equals_facet_ssf_norm():
 ])
 def test_defect_below_budget_on_partition_families_1d(backend, resolution, window):
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, resolution, 1)
-    field = AlmostAdditiveField(periodic_word("ab"), lib, window,
-                                backend=backend, resolution=resolution)
+    field = AlmostAdditiveField(periodic_word("ab"), lib, window, backend=backend)
     L = 8
     partitions = [
         [cube(4, 1), frozenset(((i + 4,) for i in range(4)))],
@@ -290,7 +287,7 @@ def test_large_classes_are_sliced_and_agree_with_the_batched_certificate(monkeyp
     patterns = [coloring.restrict(cube(side, 2)) for side in (4, 2, 1)]
 
     def field():
-        return AlmostAdditiveField(coloring, lib, window, backend="continuum", resolution=8)
+        return AlmostAdditiveField(coloring, lib, window, backend="continuum")
 
     sliced = []
     solve = spectral._sliced
@@ -321,7 +318,7 @@ def test_periodic_coloring_and_its_window_give_the_same_fields(p1, p2, seed, M, 
     window = EnergyWindow(0.0, 40.0, p=2.0)
 
     def field(coloring):
-        return AlmostAdditiveField(coloring, lib, window, backend=backend, resolution=2)
+        return AlmostAdditiveField(coloring, lib, window, backend=backend)
 
     table = estimated_frequency_table(periodic, U, M)
     assert table.entries == estimated_frequency_table(written, U, M).entries
@@ -391,9 +388,9 @@ def test_two_route_report_serializes():
 
 
 def test_calibration_positive_for_both_backends():
-    s_lat = calibrate_boundary_scale(periodic_word("ab"), LIB_AB, I045, "lattice", 8)
+    s_lat = calibrate_boundary_scale(periodic_word("ab"), LIB_AB, I045, "lattice")
     lib_c = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 6, 1)
     s_con = calibrate_boundary_scale(
-        periodic_word("ab"), lib_c, EnergyWindow(0.0, 12.0, p=2.0), "continuum", 6
+        periodic_word("ab"), lib_c, EnergyWindow(0.0, 12.0, p=2.0), "continuum"
     )
     assert s_lat > 0 and s_con > 0

@@ -1,6 +1,7 @@
 """Every import in src/idslab is used, every definition there is named by the
-program and every config field is read (no linter is installed, so this test is
-the lint), and importing the CLI stays cheap."""
+program, every parameter default there is overridden by some call and every
+config field is read (no linter is installed, so this test is the lint), and
+importing the CLI stays cheap."""
 
 import ast
 import os
@@ -15,6 +16,7 @@ from idslab.config import ExperimentConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "idslab"
 PERFBENCH = SRC.parent.parent / "perfbench"
+TESTS = Path(__file__).resolve().parent
 
 
 def _used_below(table: symtable.SymbolTable, name: str) -> bool:
@@ -133,6 +135,89 @@ def test_src_has_no_unreferenced_definitions():
     src = {f"idslab/{p.name}": p.read_text() for p in sorted(SRC.glob("*.py"))}
     bench = {f"perfbench/{p.name}": p.read_text() for p in sorted(PERFBENCH.glob("*.py"))}
     assert unreferenced_definitions(src, {**src, **bench}) == []
+
+
+def _calls_by_name(sources: dict[str, str]) -> dict[str, list[ast.Call]]:
+    calls: dict[str, list[ast.Call]] = {}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def unset_parameters(defining: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Parameters with a default, in the functions of the defining sources, that no
+    call in the callers sets: by keyword, by position or through * or ** unpacking.
+    A call matches every function of its name, and a call of a class is a call of
+    its __init__; the self or cls of a method is never counted."""
+    calls = _calls_by_name(callers)
+    found = []
+    for filename, source in defining.items():
+        tree = ast.parse(source)
+        owner = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner[fn] if isinstance(owner[fn], ast.ClassDef) else None
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            if cls is not None and not static:
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(fn.args.defaults):] + [
+                a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None
+            ]
+            sites = calls.get(fn.name, [])
+            if cls is not None and fn.name == "__init__":
+                sites = sites + calls.get(cls.name, [])
+            given = set()
+            for call in sites:
+                for i, arg in enumerate(call.args):
+                    given.update(positional[i:] if isinstance(arg, ast.Starred) else positional[i:i + 1])
+                for kw in call.keywords:
+                    given.update(defaulted if kw.arg is None else [kw.arg])
+            qualname = fn.name if cls is None else f"{cls.name}.{fn.name}"
+            found += [f"{filename}: {qualname}({name})" for name in defaulted if name not in given]
+    return found
+
+
+def test_checker_flags_unset_parameters():
+    source = (
+        "class A:\n"
+        "    def __init__(self, x=1, y=2):\n"
+        "        pass\n"
+        "    def m(self, p=0, q=0):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def s(u, v=0):\n"
+        "        pass\n"
+        "def f(a, b=1, *, c=2, d=3):\n"
+        "    pass\n"
+        "def g(a=0, b=0):\n"
+        "    pass\n"
+        "def h(a=0):\n"
+        "    pass\n"
+    )
+    caller = (
+        "A(5).m(1)\n"
+        "A.s(1)\n"
+        "f(0, c=1)\n"
+        "g(*xs)\n"
+        "h(**kw)\n"
+    )
+    assert sorted(unset_parameters({"m.py": source}, {"m.py": source, "n.py": caller})) == [
+        "m.py: A.__init__(y)", "m.py: A.m(q)", "m.py: A.s(v)", "m.py: f(b)", "m.py: f(d)",
+    ]
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    src = {f"idslab/{p.name}": p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = {
+        f"{p.parent.name}/{p.name}": p.read_text()
+        for folder in (PERFBENCH, TESTS) for p in sorted(folder.glob("*.py"))
+    }
+    assert unset_parameters(src, {**src, **others}) == []
 
 
 def _outside(node: ast.AST, skip: str):

@@ -14,6 +14,7 @@ from idslab.montecarlo import (
     _symbol_codes,
     centered_box,
     compare_random_ids,
+    estimates_agree,
     mc_step_function,
     pastur_shubin_mc,
     sample_coloring,
@@ -174,7 +175,7 @@ def test_centered_box_validation():
 def test_point_mass_estimate_matches_band_ids():
     dist = SiteDistribution.point_mass("a")
     grid = np.linspace(0.05, 3.95, 40)
-    est = pastur_shubin_mc(dist, LIB_A, grid, samples=1, truncation_radius=48, d=1)
+    est = pastur_shubin_mc(dist, LIB_A, grid, samples=1, truncation_radius=48)
     dev = np.max(np.abs(est.mean - analytic_lattice_ids(grid)))
     assert dev < 0.02
     assert np.all(est.stderr == 0.0)
@@ -182,14 +183,14 @@ def test_point_mass_estimate_matches_band_ids():
 
 def test_estimate_zero_below_spectrum():
     dist = SiteDistribution.point_mass("a")
-    est = pastur_shubin_mc(dist, LIB_A, [-1.0, -0.5], samples=3, truncation_radius=4, d=1)
+    est = pastur_shubin_mc(dist, LIB_A, [-1.0, -0.5], samples=3, truncation_radius=4)
     assert np.all(est.mean == 0.0)
 
 
 def test_estimate_mean_nondecreasing():
     dist = SiteDistribution.bernoulli("a", "b", seed=20)
     grid = np.linspace(0.0, 5.0, 21)
-    est = pastur_shubin_mc(dist, LIB_AB, grid, samples=25, truncation_radius=6, d=1)
+    est = pastur_shubin_mc(dist, LIB_AB, grid, samples=25, truncation_radius=6)
     assert np.all(np.diff(est.mean) >= -1e-14)
 
 
@@ -199,17 +200,37 @@ def test_two_seed_sets_agree_within_stderr():
     for seed in (101, 202):
         dist = SiteDistribution.bernoulli("a", "b", seed=seed)
         ests.append(
-            pastur_shubin_mc(dist, LIB_AB, grid, samples=120, truncation_radius=8, d=1)
+            pastur_shubin_mc(dist, LIB_AB, grid, samples=120, truncation_radius=8)
         )
-    a, b = ests
-    combined = np.sqrt(a.stderr**2 + b.stderr**2)
-    assert np.all(np.abs(a.mean - b.mean) <= 3 * np.maximum(combined, 1e-12))
+    assert estimates_agree(*ests)
+
+
+@pytest.mark.parametrize("z, agree", [(4.05, True), (4.07, False)])
+def test_agreement_threshold_is_bonferroni_over_the_grid(z, agree):
+    # z* = Phi^-1(1 - 0.01 / 402) = 4.057 at K = 201; one point at z combined se
+    grid = np.linspace(0.0, 1.0, 201)
+    half = np.full(201, np.sqrt(0.5))  # two such stderrs combine to 1
+    mean = np.zeros(201)
+    shifted = mean.copy()
+    shifted[100] = z
+    a = McEstimate(grid, mean, half, 2, 1)
+    assert estimates_agree(a, McEstimate(grid, shifted, half, 2, 1)) is agree
+
+
+def test_a_real_shift_still_disagrees():
+    # the random-mc-1d benchmark size, weight 0.5 against 0.6 on symbol a
+    grid = np.linspace(0.0, 4.5, 201)
+    a, b = (
+        pastur_shubin_mc(SiteDistribution(("a", "b"), (p, 1.0 - p), seed), LIB_AB, grid, 800, 48)
+        for p, seed in ((0.5, 1), (0.6, 2))
+    )
+    assert not estimates_agree(a, b)
 
 
 def test_mc_csv_deterministic():
     dist = SiteDistribution.point_mass("a")
-    est1 = pastur_shubin_mc(dist, LIB_A, [1.0, 2.0], samples=2, truncation_radius=3, d=1)
-    est2 = pastur_shubin_mc(dist, LIB_A, [1.0, 2.0], samples=2, truncation_radius=3, d=1)
+    est1 = pastur_shubin_mc(dist, LIB_A, [1.0, 2.0], samples=2, truncation_radius=3)
+    est2 = pastur_shubin_mc(dist, LIB_A, [1.0, 2.0], samples=2, truncation_radius=3)
     assert est1.to_csv() == est2.to_csv()
     header = est1.to_csv().splitlines()[0]
     assert header.startswith("# samples=2 R=3 seed=")
@@ -237,7 +258,7 @@ LIB_TEN = PrototypeLibrary.constant_potentials({s: 0.3 * i for i, s in enumerate
 )
 def test_chain_estimate_matches_per_sample_loop_bitwise(seed, symbols, weights, library, samples, R):
     dist = SiteDistribution(symbols, weights, seed)
-    est = pastur_shubin_mc(dist, library, np.linspace(-0.5, 5.5, 31), samples, R, d=1)
+    est = pastur_shubin_mc(dist, library, np.linspace(-0.5, 5.5, 31), samples, R)
     mean, stderr = per_sample_mc(dist, library, est.lambda_grid, samples, R)
     assert np.array_equal(est.mean, mean) and np.array_equal(est.stderr, stderr)
     assert est.to_csv() == McEstimate(est.lambda_grid, mean, stderr, samples, R, est.source).to_csv()
@@ -263,7 +284,7 @@ def _count_per_sample_calls(monkeypatch):
 def test_chain_estimate_assembles_and_draws_nothing_per_sample(monkeypatch):
     calls = _count_per_sample_calls(monkeypatch)
     dist = SiteDistribution.bernoulli("a", "b", seed=3)
-    pastur_shubin_mc(dist, LIB_AB, np.linspace(0.0, 5.0, 11), samples=5, truncation_radius=4, d=1)
+    pastur_shubin_mc(dist, LIB_AB, np.linspace(0.0, 5.0, 11), samples=5, truncation_radius=4)
     assert calls == Counter()
 
 
@@ -273,25 +294,21 @@ def test_other_estimates_keep_the_per_sample_path(monkeypatch, d, backend):
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, d)
     dist = SiteDistribution.bernoulli("a", "b", seed=3)
     samples, R = 3, 2
-    est = pastur_shubin_mc(
-        dist, lib, np.linspace(0.0, 5.0, 11), samples, R, d=d, backend=backend, resolution=4,
-    )
+    est = pastur_shubin_mc(dist, lib, np.linspace(0.0, 5.0, 11), samples, R, backend=backend)
     cells = (2 * R + 1) ** d
     assert calls["discretize"] == calls["eigensystem"] == samples
     assert calls["lattice_model"] == (samples if backend == "lattice" else 0)
     assert calls["color"] == samples * cells  # one draw per cell and sample (memoized)
     monkeypatch.undo()
-    mean, stderr = per_sample_mc(dist, lib, est.lambda_grid, samples, R, d, backend, 4)
+    mean, stderr = per_sample_mc(dist, lib, est.lambda_grid, samples, R, backend)
     assert np.array_equal(est.mean, mean) and np.array_equal(est.stderr, stderr)
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_overflowing_cell_means_are_refused_on_both_paths(d):
-    with np.errstate(over="ignore"):
-        lib = PrototypeLibrary.constant_potentials({"a": 1e308, "b": 1e308}, 4, d)
-    dist = SiteDistribution.bernoulli("a", "b", seed=1)
-    with pytest.raises(ValueError, match="finite"):
-        pastur_shubin_mc(dist, lib, [0.0, 1.0], samples=2, truncation_radius=2, d=d)
+    # the prototype refuses them, so neither the chain nor the per-sample path meets one
+    with pytest.raises(ValueError, match="non-finite cell mean"):
+        PrototypeLibrary.constant_potentials({"a": 1e308, "b": 1e308}, 4, d)
 
 
 def test_every_chain_row_is_certified_by_a_sturm_count(monkeypatch):
@@ -304,7 +321,7 @@ def test_every_chain_row_is_certified_by_a_sturm_count(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "certify_tridiagonal_counts", spy)
     dist = SiteDistribution.bernoulli("a", "b", seed=4)
-    pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5, 4.25], samples=7, truncation_radius=3, d=1)
+    pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5, 4.25], samples=7, truncation_radius=3)
     assert seen == [((7, 7), (7, 7), 4.25)]
 
 
@@ -318,7 +335,7 @@ def test_chain_estimate_with_a_wrong_count_fails(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dstevd", shifted)
     dist = SiteDistribution.bernoulli("a", "b", seed=4)
     with pytest.raises(NumericalFailure, match="Sturm count"):
-        pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5], samples=4, truncation_radius=3, d=1)
+        pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5], samples=4, truncation_radius=3)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +346,9 @@ def test_semigroup_truncation_diagnostic_tiny_and_decaying():
     dist = SiteDistribution.point_mass("a")
     C = sample_coloring(dist, 0, d=1)
     grid = np.linspace(0.2, 3.8, 19)
-    d1, _ = semigroup_truncation_diagnostic(C, LIB_A, 1, grid, d=1)
-    d2, _ = semigroup_truncation_diagnostic(C, LIB_A, 2, grid, d=1)
-    d8, _ = semigroup_truncation_diagnostic(C, LIB_A, 8, grid, d=1)
+    d1, _ = semigroup_truncation_diagnostic(C, LIB_A, 1, grid)
+    d2, _ = semigroup_truncation_diagnostic(C, LIB_A, 2, grid)
+    d8, _ = semigroup_truncation_diagnostic(C, LIB_A, 8, grid)
     assert d2 < d1
     assert d8 < 1e-12  # round-trip heat-kernel decay saturates machine precision
 
@@ -340,14 +357,14 @@ def test_projector_estimate_R_change_is_order_one_over_R():
     """The sharp-projector estimate moves like 1/R under doubling (staircase)."""
     dist = SiteDistribution.point_mass("a")
     grid = np.linspace(0.2, 3.8, 19)
-    e1 = pastur_shubin_mc(dist, LIB_A, grid, samples=1, truncation_radius=16, d=1)
-    e2 = pastur_shubin_mc(dist, LIB_A, grid, samples=1, truncation_radius=32, d=1)
+    e1 = pastur_shubin_mc(dist, LIB_A, grid, samples=1, truncation_radius=16)
+    e2 = pastur_shubin_mc(dist, LIB_A, grid, samples=1, truncation_radius=32)
     change = np.max(np.abs(e1.mean - e2.mean))
     assert change < 3.0 / 17.0  # staircase envelope
     assert change > 1e-3  # and genuinely not semigroup-small
     # the truncation pair reads the same change off its own eigensystems
     _, pair_change = semigroup_truncation_diagnostic(
-        sample_coloring(dist, 0, d=1), LIB_A, 16, grid, d=1
+        sample_coloring(dist, 0, d=1), LIB_A, 16, grid
     )
     assert pair_change == change
 
@@ -363,9 +380,9 @@ def test_compare_point_mass_reduces_to_deterministic():
     window = EnergyWindow(0.0, 4.5, p=2.0)
     dist = SiteDistribution.point_mass("a")
     grid = np.linspace(0.0, 4.5, 40)
-    ref = pastur_shubin_mc(dist, LIB_A, grid, samples=1, truncation_radius=24, d=1)
+    ref = pastur_shubin_mc(dist, LIB_A, grid, samples=1, truncation_radius=24)
     report = compare_random_ids(
-        dist, LIB_A, window, ref, volumes=[8, 32], omegas=[0, 1], d=1
+        dist, LIB_A, window, ref, volumes=[8, 32], omegas=[0, 1]
     )
     # degenerate randomness: both sampled colorings are the constant one
     assert np.allclose(report.distances[0], report.distances[1])
@@ -381,8 +398,8 @@ def test_compare_bernoulli_distance_decreases():
     window = EnergyWindow(0.0, 5.0, p=2.0)
     dist = SiteDistribution.bernoulli("a", "b", seed=77)
     grid = np.linspace(0.0, 5.0, 26)
-    ref = pastur_shubin_mc(dist, LIB_AB, grid, samples=60, truncation_radius=12, d=1)
+    ref = pastur_shubin_mc(dist, LIB_AB, grid, samples=60, truncation_radius=12)
     report = compare_random_ids(
-        dist, LIB_AB, window, ref, volumes=[16, 128], omegas=[0, 1, 2], d=1
+        dist, LIB_AB, window, ref, volumes=[16, 128], omegas=[0, 1, 2]
     )
     assert report.decreased()

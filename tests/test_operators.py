@@ -562,3 +562,41 @@ def test_dirichlet_facets_never_raise_the_counting_function_2d(seed, magnetic, f
     FA, FB = (counting_function(eigenvalues(discretize(s), window.sup), window)
               for s in (specA, specB))
     assert np.all(subtract(FA, FB).values >= 0)
+
+
+def _checkerboard_2d(n, rng, a=None):
+    """A 3 x 3 checkerboard cube at resolution n with random potentials, and A = a or 0."""
+    zero = (np.zeros((n, n)),) * 2
+    lib = PrototypeLibrary([
+        Prototype(s, rng.uniform(0.0, 5.0, size=(n, n)), zero if a is None else a) for s in "ab"
+    ])
+    coloring = PeriodicColoring(period=(2, 2), cell={(0, 0): "a", (1, 0): "b", (0, 1): "b", (1, 1): "a"})
+    return OperatorSpec(Q=cube(3, 2), coloring=coloring, library=lib, backend="continuum", resolution=n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3, 4]))
+def test_pure_gauge_leaves_the_spectrum_unchanged_2d(seed, n):
+    # h A_j(p) = chi((p + e_j) mod n) - chi(p) on every prototype: a link leaving
+    # a cell samples A at its tail, so every cell must share one cell-periodic chi
+    # for the phases to telescope into the diagonal conjugation by exp(i chi)
+    chi = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(n, n))
+    a = tuple(n * (np.roll(chi, -1, axis=j) - chi) for j in range(2))
+    H0 = discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1)))
+    HA = discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1), a))
+    assert np.iscomplexobj(HA) and np.abs(HA.imag).max() > 0.1
+    e0, eA = np.linalg.eigvalsh(H0), np.linalg.eigvalsh(HA)
+    assert np.max(np.abs(eA - e0)) < 1e-10 * np.max(np.abs(e0))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([2, 3, 4]))
+def test_diamagnetic_inequality_holds_entrywise_2d(seed, n):
+    # |exp(-H_A)| <= exp(-H_0) for any vector potential A (Kato's inequality)
+    a = tuple(np.random.default_rng(seed).normal(scale=3.0, size=(2, n, n)))
+    H0 = discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1)))
+    HA = discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1), a))
+    S0, SA = ((U * np.exp(-w)) @ U.conj().T for w, U in map(np.linalg.eigh, (H0, HA)))
+    assert np.all(S0 >= -1e-14 * S0.max())
+    assert np.all(np.abs(SA) <= S0 + 1e-12 * S0.max())
+    assert np.max(S0 - np.abs(SA)) > 1e-3 * S0.max()  # A is no pure gauge: the bound is strict
