@@ -338,7 +338,8 @@ def discretize(spec: OperatorSpec) -> np.ndarray:
     at = (which.reshape(-1), *local.T)
     magnetic = spec.library.has_magnetic
     N = len(coords)
-    H = np.zeros((N, N), dtype=complex if magnetic else float)
+    # Fortran order: eigensystem(H, overwrite=True) solves it in place
+    H = np.zeros((N, N), dtype=complex if magnetic else float, order="F")
     inv_h2 = 1.0 / h**2
     H.flat[:: N + 1] = 2.0 * d * inv_h2 + np.stack([p.v for p in protos])[at]
     for j, (i, k) in enumerate(_links(coords)):
@@ -378,7 +379,7 @@ def lattice_model(
     n = len(pts)
     colors = [color_of(p) for p in pts]
     mean = {sym: library[sym].cell_mean_v for sym in set(colors)}
-    H = np.zeros((n, n))
+    H = np.zeros((n, n), order="F")  # as in discretize
     H.flat[:: n + 1] = [2.0 * d + mean[sym] for sym in colors]
     for i, k in _links(np.array(pts, dtype=np.int64)):
         H[i, k] = -1.0

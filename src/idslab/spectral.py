@@ -253,6 +253,10 @@ SLICE_MAX_SHARE = 2e-3
 # eigenvalues per slice, and Ritz values sought beyond a slice's count
 SLICE_SIZE = 200
 SLICE_MARGIN = 5
+# an inner slice edge whose count is not trusted (a pivot there is too small,
+# as at round energies of integer lattice potentials) moves up once by this
+# share of the slice width
+SLICE_EDGE_SHIFT = 0.1
 
 
 class NumericalFailure(RuntimeError):
@@ -399,7 +403,9 @@ def _sliced(band: tuple[np.ndarray, float], T: float, count: int) -> np.ndarray 
 
     (g, T] is cut into equal slices for about SLICE_SIZE eigenvalues each,
     g a Gershgorin bound below the spectrum, and the inner edges are
-    counted by one _sparse_inertia call.  Each nonempty slice is solved by
+    counted by one _sparse_inertia call.  Edges whose counts are not
+    trusted move up by SLICE_EDGE_SHIFT of the slice width and are counted
+    once more; None if one of them is still not trusted.  Each nonempty slice is solved by
     shift-invert Lanczos (ARPACK) about its midpoint, with a symmetric-mode
     sparse LU as the inverse and a fixed start vector.  A slice is accepted
     only when as many Ritz values lie in it as its inertia counts; it gets a
@@ -417,6 +423,11 @@ def _sliced(band: tuple[np.ndarray, float], T: float, count: int) -> np.ndarray 
     edges = np.linspace(_gershgorin_floor(ab) - delta, T, parts + 1)
     stack = np.broadcast_to(ab, (parts - 1, width, n))
     counts = [0, *(_sparse_inertia(stack, edges[1:-1]) if parts > 1 else []), count]
+    moved = [i for i, c in enumerate(counts) if c is None]
+    if moved:
+        edges[moved] += SLICE_EDGE_SHIFT * (edges[1] - edges[0])
+        for i, c in zip(moved, _sparse_inertia(stack[: len(moved)], edges[moved])):
+            counts[i] = c
     if None in counts:
         return None
     H = _shifted_blocks(ab[None], [0.0])
@@ -608,12 +619,16 @@ def certify_tridiagonal_counts(
         )
 
 
-def eigensystem(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigensystem(H: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition (ascending eigenvalues, orthonormal columns).
 
     A real H whose band has at most one off-diagonal (d=1 lattice and
     continuum models) is solved as a tridiagonal matrix by
-    tridiagonal_eigensystem; every other H by dense np.linalg.eigh.
+    tridiagonal_eigensystem; every other H by LAPACK ?syevd/?heevd on its
+    lower triangle, as np.linalg.eigh does.  overwrite has scipy's
+    overwrite_a meaning: the dense solve may then write the eigenvectors
+    over a Fortran-ordered H of its dtype, and H's contents are lost.  A
+    nonzero info raises NumericalFailure.
     """
     H = np.asarray(H)
     n = H.shape[0]
@@ -625,7 +640,11 @@ def eigensystem(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return tridiagonal_eigensystem(ab[0], e)
     else:
         assert_hermitian(H)
-    return np.linalg.eigh(H)
+    name = "zheevd" if np.iscomplexobj(H) else "dsyevd"
+    w, U, info = getattr(scipy.linalg.lapack, name)(H, compute_v=1, lower=1, overwrite_a=overwrite)
+    if info != 0:
+        raise NumericalFailure(f"LAPACK {name} failed with info={info} on a matrix of order {n}")
+    return w, U
 
 
 def count_below_by_inertia(H: np.ndarray, T: float) -> int:

@@ -173,9 +173,9 @@ def semigroup_difference_singular_values(
 def _solve_once(spec: OperatorSpec, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
     """Certified eigenvalues <= ceiling and exp(-H) of discretize(spec), from one eigensystem."""
     H = discretize(spec)
-    w, U = eigensystem(H)
-    [below] = certified_below([lower_band(H)], [w], ceiling)
-    del H  # freed before the semigroup product allocates
+    band = lower_band(H)  # taken first: the solve writes the eigenvectors over H
+    w, U = eigensystem(H, overwrite=True)
+    [below] = certified_below([band], [w], ceiling)
     return below, _semigroup(w, U)
 
 

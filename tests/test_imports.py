@@ -1,6 +1,7 @@
 """Every import in src/idslab is used, every definition there is named by the
-program, every parameter default there is overridden by some call and every
-config field is read (no linter is installed, so this test is the lint), and
+program, every parameter default there is overridden by some call, every
+config field is read and every dense eigenvector solve goes through
+spectral.eigensystem (no linter is installed, so this test is the lint), and
 importing the CLI stays cheap."""
 
 import ast
@@ -218,6 +219,66 @@ def test_every_parameter_default_is_overridden_somewhere():
         for folder in (PERFBENCH, TESTS) for p in sorted(folder.glob("*.py"))
     }
     assert unset_parameters(src, {**src, **others}) == []
+
+
+# numpy's and scipy's dense Hermitian eigenvector solvers, and the LAPACK routines under them
+DENSE_EIGENVECTOR_SOLVERS = re.compile(r"eigh|[sd]syevd|[cz]heevd")
+
+
+def dense_eigenvector_solves(sources: dict[str, str], allowed: str) -> list[str]:
+    """Calls of a dense eigenvector solver outside the function named allowed
+    ("file: qualname").  A call names the solver directly (np.linalg.eigh,
+    scipy.linalg.eigh, lapack.dsyevd) or through a string, as getattr takes it;
+    the eigenvalue-only solvers (eigvalsh) are not counted."""
+    found = []
+
+    def visit(node, filename, qualname):
+        for child in ast.iter_child_nodes(node):
+            inner = qualname
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if qualname == "<module>" else f"{qualname}.{child.name}"
+            name = None
+            if isinstance(child, ast.Call) and isinstance(child.func, (ast.Name, ast.Attribute)):
+                name = child.func.id if isinstance(child.func, ast.Name) else child.func.attr
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                name = child.value
+            where = f"{filename}: {inner}"
+            if name and DENSE_EIGENVECTOR_SOLVERS.fullmatch(name) and where != allowed:
+                found.append(f"{where} calls {name}")
+            visit(child, filename, inner)
+
+    for filename, source in sources.items():
+        visit(ast.parse(source), filename, "<module>")
+    return found
+
+
+def test_checker_flags_dense_eigenvector_solves():
+    source = (
+        "import numpy as np, scipy.linalg\n"
+        "from numpy.linalg import eigh\n"
+        "W = np.linalg.eigh(np.eye(2))\n"
+        "def solve(H):\n"
+        "    name = 'zheevd' if np.iscomplexobj(H) else 'dsyevd'\n"
+        "    return getattr(scipy.linalg.lapack, name)(H), np.linalg.eigh(H)\n"
+        "def values(H):\n"
+        "    return np.linalg.eigvalsh(H), scipy.linalg.eigvalsh(H)\n"
+        "class Field:\n"
+        "    def vectors(self, H):\n"
+        "        return eigh(H), scipy.linalg.eigh(H), scipy.linalg.lapack.cheevd(H)\n"
+        "def unrelated(H):\n"
+        "    return 'eigh is a word in this docstring'\n"
+    )
+    assert dense_eigenvector_solves({"m.py": source}, "m.py: solve") == [
+        "m.py: <module> calls eigh",
+        "m.py: Field.vectors calls eigh",
+        "m.py: Field.vectors calls eigh",
+        "m.py: Field.vectors calls cheevd",
+    ]
+
+
+def test_one_dense_eigenvector_solve_site():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dense_eigenvector_solves(sources, "spectral.py: eigensystem") == []
 
 
 def _outside(node: ast.AST, skip: str):

@@ -373,6 +373,50 @@ def test_eigensystem_dense_path_unchanged(monkeypatch, H):
     assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
 
 
+# dense-path inputs: the matrices above, and 1x1 and 2x2 complex ones (a 1x1
+# array is both C- and F-contiguous)
+DENSE = {
+    "lattice-2d": _random_lattice(frozenset(np.ndindex(5, 5))),
+    "magnetic-1d": _magnetic_1d(),
+    "sparse-pentadiagonal": _sparse_pentadiagonal(),
+    "complex-1x1": np.array([[0.5 + 0.0j]]),
+    "complex-2x2": np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -2.0]]),
+}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("name", list(DENSE))
+def test_eigensystem_in_place_gives_numpys_bytes(name, order):
+    H = np.array(DENSE[name], order=order)
+    before = H.tobytes()
+    w0, U0 = np.linalg.eigh(H)
+    w, U = eigensystem(H)  # by default H keeps its bytes
+    assert H.tobytes() == before and not np.shares_memory(U, H)
+    assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
+    # in place exactly when the solver can take H's memory as it is
+    w, U = eigensystem(H, overwrite=True)
+    assert np.shares_memory(U, H) == H.flags.f_contiguous
+    assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
+
+
+def test_assembled_matrices_are_solved_in_place():
+    for H in (_random_lattice(frozenset(np.ndindex(4, 4))), _continuum_2d(0, 2, 3, magnetic=True)):
+        assert H.flags.f_contiguous
+        w, U = eigensystem(H, overwrite=True)
+        assert np.shares_memory(U, H)
+
+
+@pytest.mark.parametrize("name", ["dsyevd", "zheevd"])
+def test_eigensystem_names_a_lapack_failure(monkeypatch, name):
+    def failing(a, compute_v=1, lower=0, overwrite_a=0):
+        return np.zeros(len(a)), np.eye(len(a)), 2
+
+    monkeypatch.setattr(scipy.linalg.lapack, name, failing)
+    H = DENSE["magnetic-1d" if name == "zheevd" else "lattice-2d"]
+    with pytest.raises(NumericalFailure, match=f"{name} failed with info=2"):
+        eigensystem(H)
+
+
 def test_fd_chain_spectrum_matches_analytic():
     # 1-d Dirichlet finite-difference Laplacian, L = 10 cells, h = 1/8
     from idslab.lattice import cube
@@ -629,6 +673,30 @@ def test_sliced_ceiling_at_an_eigenvalue():
         got = eigenvalues(H, T)
     assert sure <= len(got) <= loose
     assert np.max(np.abs(got[:sure] - dense[:sure])) <= 1e-10 * T
+
+
+def test_sliced_moves_an_untrusted_edge():
+    from idslab.lattice import RandomColoring, cube
+    from idslab.operators import PrototypeLibrary, lattice_model
+
+    # integer potentials on a 15x15 lattice cube: 111 eigenvalues <= 4.5 in three
+    # slices, whose inner edge at 3.0 has a count the sparse factorization does not trust
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 2, 2)
+    coloring = RandomColoring(seed=1, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
+    band = spectral.lower_band(lattice_model(coloring, cube(15, 2), lib))
+    T = 4.5
+    [count] = spectral._sparse_inertia(band[0][None], [T])
+    floor = spectral._gershgorin_floor(band[0]) - spectral.CEILING_TIE_RTOL * band[1]
+    edge = np.linspace(floor, T, 4)[2]  # as _sliced cuts (floor, T]
+    assert count == 111 and edge == pytest.approx(3.0)
+    assert spectral._sparse_inertia(band[0][None], [edge]) == [None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "SLICE_SIZE", 40)
+        got = spectral._sliced(band, T, count)
+    dense = scipy.linalg.eigvals_banded(band[0], lower=True)
+    want = dense[dense <= T]
+    assert got is not None and len(got) == len(want) == count
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_large_band_at_a_tie_needs_no_dense_count():

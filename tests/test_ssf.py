@@ -172,6 +172,21 @@ def test_veff_eigvalsh_matches_svd_oracle(seed, n, complex_, embedded):
     assert np.max(np.abs(mu - oracle)) <= 1e-14 * max(1.0, oracle[0])
 
 
+def test_semigroup_difference_keeps_its_arguments():
+    """Its callers reuse HA and HB: ergodic.calibration_pair, and the benchmark ladder."""
+    _, _, specA, specB, _ = next(p for p in _facet_pairs() if p[0] == "d2-checker-3c-n8")
+    pairs = [(discretize(specA), discretize(specB), grid_embedding(specA, specB))]
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 6):
+        for complex_ in (False, True):
+            HA, HB = (_random_hermitian(rng, n, complex_) for _ in range(2))
+            pairs += [(np.array(HA, order=o), np.array(HB, order=o), None) for o in "CF"]
+    for HA, HB, embed in pairs:
+        before = HA.tobytes(), HB.tobytes()
+        semigroup_difference_singular_values(HA, HB, embed=embed)
+        assert (HA.tobytes(), HB.tobytes()) == before
+
+
 def test_facet_decay_fit_matches_svd_oracle():
     """c_hat of the acceptance facet pairs is the SVD route's to 1e-7 relative."""
     for name, d, specA, specB, _window in _facet_pairs():
