@@ -48,7 +48,6 @@ from .spectral import (
     eigenvalues,
     large_band,
     linear_combination,
-    lower_band,
     lp_distance,
     lp_norm,
 )
@@ -155,15 +154,13 @@ class AlmostAdditiveField:
         new = [P for P in dict.fromkeys(classes) if P not in self._cache]
         batch, bands, eigs = [], [], []
         for P in new:
-            H = discretize(pattern_spec(P, self._spec(P.domain)))
-            band = lower_band(H)
-            if large_band(band[0]):
-                self._cache[P] = counting_function(eigenvalues(H, T, band=band), self.window)
+            B = discretize(pattern_spec(P, self._spec(P.domain)))
+            if large_band(B):
+                self._cache[P] = counting_function(eigenvalues(B, T), self.window)
             else:
                 batch.append(P)
-                eigs.append(eigenvalues(H, band=band))
-                bands.append(band)
-            del H  # the certificate needs only the band
+                eigs.append(eigenvalues(B))
+                bands.append(B)
         for P, below in zip(batch, certified_below(bands, eigs, T)):
             self._cache[P] = counting_function(below, self.window)
         return [self._cache[P] for P in classes]

@@ -98,7 +98,7 @@ def _origin_cell_indices(spec: OperatorSpec) -> np.ndarray:
 
 def _origin_spectrum(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of spec's Hamiltonian and each eigenvector's origin-cell mass."""
-    w, U = eigensystem(discretize(spec), overwrite=True)
+    w, U = eigensystem(discretize(spec))
     sel = _origin_cell_indices(spec)
     return w, np.sum(np.abs(U[sel, :]) ** 2, axis=0)
 

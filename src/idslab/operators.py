@@ -315,16 +315,29 @@ def grid_embedding(spec: OperatorSpec, finer: OperatorSpec) -> np.ndarray:
     return np.flatnonzero(_off_facets(pts, finer.removed_facets, spec.resolution))
 
 
+def _band(diagonal: np.ndarray, links: list, weights: list) -> np.ndarray:
+    """The lower band of the Hermitian H with the given diagonal and H[i, k] =
+    weights[j] on the links (i, k) of axis j: B[j, k] = H[j + k, j], of shape
+    (N, w + 1) for w the largest offset k - i.  B.T is LAPACK's band storage.
+    """
+    w = max((int(np.max(k - i, initial=0)) for i, k in links), default=0)
+    B = np.zeros((len(diagonal), w + 1), dtype=np.result_type(diagonal, *weights))
+    B[:, 0] = diagonal
+    for (i, k), weight in zip(links, weights):
+        B[i, k - i] = np.conjugate(weight)
+    return B
+
+
 def discretize(spec: OperatorSpec) -> np.ndarray:
-    """Assemble the Hamiltonian matrix for the spec's backend.
+    """Assemble the Hamiltonian for the spec's backend as its lower band (see _band).
 
     Continuum: (2d/h^2 + V) on the diagonal, -exp(-i h A_j)/h^2 on links,
     acting on interior grid points minus removed-facet points.  Hermitian by
-    construction; the solvers that consume it check that.  Lattice: see
+    construction; the solvers that consume it check its band.  Lattice: see
     lattice_model.
     """
     if spec.backend == LATTICE:
-        return lattice_model(spec.coloring, spec.Q, spec.library, color_of=spec.color_of)
+        return _lattice_band(spec.Q, spec.library, spec.color_of)
     d = spec.dimension
     n = spec.resolution
     h = 1.0 / n
@@ -336,28 +349,30 @@ def discretize(spec: OperatorSpec) -> np.ndarray:
     cells, which = np.unique(owner, axis=0, return_inverse=True)
     protos = [spec.library[spec.color_of(c)] for c in map(tuple, cells.tolist())]
     at = (which.reshape(-1), *local.T)
-    magnetic = spec.library.has_magnetic
-    N = len(coords)
-    # Fortran order: eigensystem(H, overwrite=True) solves it in place
-    H = np.zeros((N, N), dtype=complex if magnetic else float, order="F")
     inv_h2 = 1.0 / h**2
-    H.flat[:: N + 1] = 2.0 * d * inv_h2 + np.stack([p.v for p in protos])[at]
-    for j, (i, k) in enumerate(_links(coords)):
-        if magnetic:
-            # Peierls phase: A_j sampled at the link tail, which shares
-            # its half-open owner cell with the link midpoint.
-            a = np.stack([p.a[j] for p in protos])[at][i]
-            w = -inv_h2 * np.exp(-1j * h * a)
-        else:
-            w = -inv_h2
-        H[i, k] = w
-        H[k, i] = np.conjugate(w)
-    return H
+    links = _links(coords)
+    weights = [-inv_h2] * d
+    if spec.library.has_magnetic:
+        # Peierls phase: A_j sampled at the link tail, which shares
+        # its half-open owner cell with the link midpoint.
+        a = [np.stack([p.a[j] for p in protos])[at][i] for j, (i, _) in enumerate(links)]
+        weights = [-inv_h2 * np.exp(-1j * h * aj) for aj in a]
+    return _band(2.0 * d * inv_h2 + np.stack([p.v for p in protos])[at], links, weights)
 
 
 # ---------------------------------------------------------------------------
 # Lattice (tight-binding) backend
 # ---------------------------------------------------------------------------
+
+def _lattice_band(Q: frozenset[Site], library: PrototypeLibrary, color_of: Callable) -> np.ndarray:
+    """lattice_model's Hamiltonian as its lower band (see _band)."""
+    if not Q:
+        raise ValueError("Q must be nonempty")
+    d = dimension_of(Q)
+    pts = sorted(Q)
+    diagonal = np.array([2.0 * d + library[color_of(p)].cell_mean_v for p in pts])
+    return _band(diagonal, _links(np.array(pts, dtype=np.int64)), [-1.0] * d)
+
 
 def lattice_model(
     C: Coloring,
@@ -365,25 +380,17 @@ def lattice_model(
     library: PrototypeLibrary,
     color_of: Callable[[Site], str] | None = None,
 ) -> np.ndarray:
-    """Graph Laplacian on Q with site potential = cell mean of the prototype.
+    """Graph Laplacian on Q with site potential = cell mean of the prototype, as a dense matrix.
 
     Diagonal 2d + vbar(C(x)); off-diagonal -1 between nearest neighbors in
     Q.  Missing neighbors contribute nothing (lattice Dirichlet convention).
     Rows follow the lexicographic order of Q.
     """
-    if not Q:
-        raise ValueError("Q must be nonempty")
-    color_of = color_of or C.color
-    d = dimension_of(Q)
-    pts = sorted(Q)
-    n = len(pts)
-    colors = [color_of(p) for p in pts]
-    mean = {sym: library[sym].cell_mean_v for sym in set(colors)}
-    H = np.zeros((n, n), order="F")  # as in discretize
-    H.flat[:: n + 1] = [2.0 * d + mean[sym] for sym in colors]
-    for i, k in _links(np.array(pts, dtype=np.int64)):
-        H[i, k] = -1.0
-        H[k, i] = -1.0
+    B = _lattice_band(Q, library, color_of or C.color)
+    H = np.zeros((len(B), len(B)))
+    for k, diagonal in enumerate(B.T):
+        np.fill_diagonal(H[k:], diagonal[: len(B) - k])
+        np.fill_diagonal(H[:, k:], diagonal[: len(B) - k])
     return H
 
 

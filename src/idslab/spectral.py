@@ -280,36 +280,43 @@ def assert_hermitian(H: np.ndarray) -> None:
         raise ValueError(f"matrix is not Hermitian: max deviation {dev}")
 
 
-def lower_band(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """H in LAPACK lower band storage, ab[k, j] = H[j + k, j], and max(1, max|H|).
+def lower_band(H: np.ndarray) -> np.ndarray:
+    """The band B of a dense Hermitian H, B[j, k] = H[j + k, j], of shape (N, w + 1).
 
-    The band is the narrowest one whose diagonals hold every nonzero of H:
-    diagonals are kept, symmetrically about the main one, until their
-    nonzeros add up to np.count_nonzero(H).  The band must be finite and
-    Hermitian diagonal by diagonal, to the tolerance of assert_hermitian;
-    otherwise ValueError.
+    B.T is LAPACK's lower band storage.  The band is the narrowest one whose
+    diagonals hold every nonzero of H: diagonals are kept, symmetrically
+    about the main one, until their nonzeros add up to np.count_nonzero(H).
+    H is checked by assert_hermitian first.
     """
-    n = H.shape[0]
-    nnz = int(np.count_nonzero(H))
-    lower, upper = [np.diagonal(H)], [np.diagonal(H)]
-    kept = int(np.count_nonzero(lower[0]))
+    assert_hermitian(H)
+    n, nnz = H.shape[0], np.count_nonzero(H)
+    lower = [np.diagonal(H)]
+    kept = np.count_nonzero(lower[0])
     while kept < nnz:
         k = len(lower)
         lower.append(np.diagonal(H, -k))
-        upper.append(np.diagonal(H, k))
-        kept += int(np.count_nonzero(lower[-1])) + int(np.count_nonzero(upper[-1]))
-    # NaN and inf are nonzeros, so the band holds them; np.max propagates them
-    peaks = [float(np.max(np.abs(x))) for x in lower + upper]
-    if not all(map(math.isfinite, peaks)):
-        raise ValueError("matrix entries must be finite")
-    scale = max(1.0, *peaks)
-    dev = max(float(np.max(np.abs(lo - up.conj()))) for lo, up in zip(lower, upper))
-    if dev > HERMITIAN_RTOL * scale:
-        raise ValueError(f"matrix is not Hermitian: max deviation {dev}")
-    ab = np.zeros((len(lower), n), dtype=H.dtype)
+        kept += np.count_nonzero(lower[-1]) + np.count_nonzero(np.diagonal(H, k))
+    B = np.zeros((n, len(lower)), dtype=H.dtype)
     for k, lo in enumerate(lower):
-        ab[k, : n - k] = lo
-    return ab, scale
+        B[: n - k, k] = lo
+    return B
+
+
+def _checked(B: np.ndarray) -> tuple[np.ndarray, float]:
+    """B.T, which is LAPACK's lower band storage, and max(1, max|B|), for a band
+    B[j, k] = H[j + k, j] of shape (N, w + 1).  ValueError unless B's entries
+    are finite and its diagonal is real, to the tolerance of assert_hermitian.
+    """
+    B = np.asarray(B)
+    if B.ndim != 2 or 0 in B.shape:
+        raise ValueError(f"expected an (N, w + 1) band, got shape {B.shape}")
+    peak = float(np.max(np.abs(B)))  # NaN propagates, so check it here
+    if not math.isfinite(peak):
+        raise ValueError("band entries must be finite")
+    scale = max(1.0, peak)
+    if np.iscomplexobj(B) and float(np.max(np.abs(B[:, 0].imag))) > HERMITIAN_RTOL * scale:
+        raise ValueError("band diagonal must be real")
+    return B.T, scale
 
 
 def _shifted_blocks(ab: np.ndarray, shifts: np.ndarray):
@@ -317,8 +324,8 @@ def _shifted_blocks(ab: np.ndarray, shifts: np.ndarray):
     import scipy.sparse  # imported here: only certified counts need it
 
     k, width, n = ab.shape
-    # diagonal -j of the block-diagonal matrix: the zeros that lower_band
-    # leaves at the end of each band row fill the gaps between blocks, and
+    # diagonal -j of the block-diagonal matrix: the zeros at the end of each
+    # band row (j + k >= N) fill the gaps between blocks, and
     # the sparse matrix drops them; all-zero diagonals are left out
     offsets = [j for j in range(1, width) if np.any(ab[:, j])]
     lower = [(ab[:, 0].real - np.asarray(shifts, dtype=float)[:, None]).reshape(-1)]
@@ -378,13 +385,13 @@ def _untrusted_count(ab: np.ndarray, T: float, delta: float) -> int:
     return count_below_by_inertia(_shifted_blocks(ab[None], [0.0]).toarray(), T)
 
 
-def large_band(ab: np.ndarray) -> bool:
-    """Whether eigenvalues(H, ceiling) may slice the band ab, certifying its own count.
+def large_band(B: np.ndarray) -> bool:
+    """Whether eigenvalues(B, ceiling) may slice the band B, certifying its own count.
 
     Callers that certify many small bands together (certified_below) pass
     the ceiling only for large bands.
     """
-    return ab.size >= SLICE_MIN_WORK
+    return B.size >= SLICE_MIN_WORK
 
 
 def _gershgorin_floor(ab: np.ndarray) -> float:
@@ -463,26 +470,18 @@ def _sliced(band: tuple[np.ndarray, float], T: float, count: int) -> np.ndarray 
     return np.concatenate(found)
 
 
-def eigenvalues(
-    H: np.ndarray, ceiling: float = np.inf, band: tuple[np.ndarray, float] | None = None
-) -> np.ndarray:
-    """All eigenvalues <= ceiling, sorted ascending with multiplicity.
+def eigenvalues(B: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
+    """All eigenvalues <= ceiling of the band B, sorted ascending with multiplicity.
 
-    H is a dense Hermitian matrix; only its band, the narrowest set of
-    diagonals holding every nonzero, is solved.  band is lower_band(H) when
-    the caller has it already.  A finite ceiling certifies the count as
-    certified_below does.  On a large band (large_band) the ceiling's count
-    comes first, from one sparse factorization; when it is trusted and at
-    most SLICE_MAX_SHARE * N * width, the eigenvalues come from spectrum
+    B is checked as _checked does.  A finite ceiling certifies the count
+    as certified_below does.  On a large band (large_band) the ceiling's count comes first,
+    from one sparse factorization; when it is trusted and at most
+    SLICE_MAX_SHARE * N * (w + 1), the eigenvalues come from spectrum
     slicing (_sliced).  Otherwise, or when a slice fails, they come from
     LAPACK ?sbevd/?hbevd, and certified_below applies its tie rule when the
     ceiling's count was not trusted.
     """
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    band = lower_band(H) if band is None else band
-    ab = band[0]
+    ab, _ = band = _checked(B)
     T = float(ceiling)
     count = None
     if np.isfinite(T) and large_band(ab):
@@ -494,21 +493,20 @@ def eigenvalues(
     eigs = scipy.linalg.eigvals_banded(ab, lower=True)
     if count is not None and np.count_nonzero(eigs <= T) == count:
         return eigs[eigs <= T]  # certified by the count that chose the solver
-    return certified_below([band], [eigs], T)[0]
+    return certified_below([B], [eigs], T)[0]
 
 
 def certified_below(
-    bands: Sequence[tuple[np.ndarray, float]],
-    eigs: Sequence[np.ndarray],
-    ceiling: float,
+    bands: Sequence[np.ndarray], eigs: Sequence[np.ndarray], ceiling: float
 ) -> list[np.ndarray]:
     """For each matrix, its computed eigenvalues that are <= ceiling, in eigs' order.
 
-    bands[i] is lower_band(H_i) and eigs[i] holds the computed eigenvalues
-    of H_i.  A finite ceiling T certifies each count by Sylvester's law of
-    inertia on H_i - T*I; when one of eigs[i] lies within CEILING_TIE_RTOL *
-    max(1, max|H_i|) of T, the count only has to lie between the inertia
-    counts on either side of that margin.  The sparse inertia of all
+    bands[i] is the band of H_i, checked as _checked does, and eigs[i]
+    holds the computed eigenvalues of H_i.  A finite ceiling T certifies
+    each count by Sylvester's law of inertia on H_i - T*I; when one of
+    eigs[i] lies within CEILING_TIE_RTOL * max(1, max|H_i|) of T, the count
+    only has to lie between the inertia counts on either side of that
+    margin.  The sparse inertia of all
     matrices with one band shape comes from one factorization
     (_sparse_inertia); a matrix whose count there is not trusted falls back
     to its own factorizations.  A count that fails the certificate raises
@@ -518,6 +516,7 @@ def certified_below(
     if not np.isfinite(ceiling):
         return below
     T = float(ceiling)
+    bands = [_checked(B) for B in bands]
     # (matrix, shift) pairs grouped by band shape, one factorization per group
     groups: dict[tuple[int, ...], list[tuple[int, float]]] = {}
     for i, ((ab, scale), e) in enumerate(zip(bands, eigs)):
@@ -619,29 +618,25 @@ def certify_tridiagonal_counts(
         )
 
 
-def eigensystem(H: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition (ascending eigenvalues, orthonormal columns).
+def eigensystem(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition (ascending eigenvalues, orthonormal columns) of the band B.
 
-    A real H whose band has at most one off-diagonal (d=1 lattice and
-    continuum models) is solved as a tridiagonal matrix by
-    tridiagonal_eigensystem; every other H by LAPACK ?syevd/?heevd on its
-    lower triangle, as np.linalg.eigh does.  overwrite has scipy's
-    overwrite_a meaning: the dense solve may then write the eigenvectors
-    over a Fortran-ordered H of its dtype, and H's contents are lost.  A
-    nonzero info raises NumericalFailure.
+    B is checked as _checked does.  A real band of width at most 2 (d=1
+    models) is solved as a tridiagonal matrix by tridiagonal_eigensystem.
+    Any other band fills the lower triangle of a Fortran-ordered matrix that
+    this function owns, and LAPACK ?syevd/?heevd, as np.linalg.eigh calls
+    it, writes the eigenvectors over it.  A nonzero info raises
+    NumericalFailure.
     """
-    H = np.asarray(H)
-    n = H.shape[0]
-    # a tridiagonal matrix has at most 3n - 2 nonzeros; skip the band otherwise
-    if not np.iscomplexobj(H) and np.count_nonzero(H) <= 3 * n - 2:
-        ab, _ = lower_band(H)  # checks H Hermitian, as assert_hermitian would
-        if ab.shape[0] <= 2:
-            e = ab[1, : n - 1] if ab.shape[0] == 2 else np.zeros(n - 1)
-            return tridiagonal_eigensystem(ab[0], e)
-    else:
-        assert_hermitian(H)
-    name = "zheevd" if np.iscomplexobj(H) else "dsyevd"
-    w, U, info = getattr(scipy.linalg.lapack, name)(H, compute_v=1, lower=1, overwrite_a=overwrite)
+    _checked(B)
+    n, width = B.shape
+    if not np.iscomplexobj(B) and width <= 2:
+        return tridiagonal_eigensystem(B[:, 0], B[: n - 1, 1] if width == 2 else np.zeros(n - 1))
+    H = np.zeros((n, n), dtype=B.dtype, order="F")
+    for k in range(width):
+        np.fill_diagonal(H[k:], B[: n - k, k])  # H[j + k, j] = B[j, k]
+    name = "zheevd" if np.iscomplexobj(B) else "dsyevd"
+    w, U, info = getattr(scipy.linalg.lapack, name)(H, compute_v=1, lower=1, overwrite_a=1)
     if info != 0:
         raise NumericalFailure(f"LAPACK {name} failed with info={info} on a matrix of order {n}")
     return w, U

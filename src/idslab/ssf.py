@@ -160,22 +160,22 @@ def semigroup_difference_singular_values(
 ) -> np.ndarray:
     """Singular values of exp(-HB) - exp(-HA), descending.
 
-    When HB acts on a subset of HA's index set, embed gives HB's row/column
+    HA and HB are dense Hermitian matrices, checked by lower_band.  When HB
+    acts on a subset of HA's index set, embed gives HB's row/column
     positions inside HA's indexing and the semigroup of HB is padded with
     zeros at the removed indices (the removed states are absent, which is
     the discrete counterpart of restriction to the slit domain).
     """
-    ea = _semigroup(*eigensystem(HA))
-    eb = _semigroup(*eigensystem(HB))
+    ea = _semigroup(*eigensystem(lower_band(HA)))
+    eb = _semigroup(*eigensystem(lower_band(HB)))
     return _difference_singular_values(ea, eb, embed, count)
 
 
 def _solve_once(spec: OperatorSpec, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
     """Certified eigenvalues <= ceiling and exp(-H) of discretize(spec), from one eigensystem."""
-    H = discretize(spec)
-    band = lower_band(H)  # taken first: the solve writes the eigenvectors over H
-    w, U = eigensystem(H, overwrite=True)
-    [below] = certified_below([band], [w], ceiling)
+    B = discretize(spec)
+    w, U = eigensystem(B)
+    [below] = certified_below([B], [w], ceiling)
     return below, _semigroup(w, U)
 
 

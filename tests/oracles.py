@@ -5,7 +5,22 @@ import numpy as np
 from idslab.lattice import Pattern
 from idslab.montecarlo import centered_box, localized_counting, sample_coloring
 from idslab.operators import LATTICE, OperatorSpec
-from idslab.spectral import eigensystem
+from idslab.spectral import eigensystem, lower_band
+
+
+def dense(B: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix H of the lower band B, B[j, k] = H[j + k, j].
+
+    The lower triangle and the diagonal hold B's entries as they are, the
+    upper triangle their conjugates.
+    """
+    n, width = B.shape
+    H = np.zeros((n, n), dtype=B.dtype)
+    for k in range(width):
+        j = np.arange(n - k)
+        H[j, j + k] = np.conjugate(B[: n - k, k])
+        H[j + k, j] = B[: n - k, k]
+    return H
 
 
 def pattern_from_word(word: str) -> Pattern:
@@ -70,5 +85,5 @@ def svd_semigroup_difference_singular_values(HA, HB, embed=None, count=None) -> 
 
 
 def _semigroup(H):
-    w, U = eigensystem(H)
+    w, U = eigensystem(lower_band(H))
     return (U * np.exp(-w)) @ U.conj().T

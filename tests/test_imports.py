@@ -1,8 +1,9 @@
 """Every import in src/idslab is used, every definition there is named by the
 program, every parameter default there is overridden by some call, every
-config field is read and every dense eigenvector solve goes through
-spectral.eigensystem (no linter is installed, so this test is the lint), and
-importing the CLI stays cheap."""
+config field is read, every dense eigenvector solve goes through
+spectral.eigensystem and every dense matrix is turned into a band only where
+it enters from outside (no linter is installed, so this test is the lint),
+and importing the CLI stays cheap."""
 
 import ast
 import os
@@ -225,11 +226,11 @@ def test_every_parameter_default_is_overridden_somewhere():
 DENSE_EIGENVECTOR_SOLVERS = re.compile(r"eigh|[sd]syevd|[cz]heevd")
 
 
-def dense_eigenvector_solves(sources: dict[str, str], allowed: str) -> list[str]:
-    """Calls of a dense eigenvector solver outside the function named allowed
-    ("file: qualname").  A call names the solver directly (np.linalg.eigh,
-    scipy.linalg.eigh, lapack.dsyevd) or through a string, as getattr takes it;
-    the eigenvalue-only solvers (eigvalsh) are not counted."""
+def calls_outside(sources: dict[str, str], names: re.Pattern, allowed: str) -> list[str]:
+    """Calls of a function whose name fullmatches names, outside the function
+    named allowed ("file: qualname").  A call names the function directly
+    (np.linalg.eigh, scipy.linalg.eigh, lapack.dsyevd) or through a string, as
+    getattr takes it."""
     found = []
 
     def visit(node, filename, qualname):
@@ -243,7 +244,7 @@ def dense_eigenvector_solves(sources: dict[str, str], allowed: str) -> list[str]
             elif isinstance(child, ast.Constant) and isinstance(child.value, str):
                 name = child.value
             where = f"{filename}: {inner}"
-            if name and DENSE_EIGENVECTOR_SOLVERS.fullmatch(name) and where != allowed:
+            if name and names.fullmatch(name) and where != allowed:
                 found.append(f"{where} calls {name}")
             visit(child, filename, inner)
 
@@ -268,7 +269,8 @@ def test_checker_flags_dense_eigenvector_solves():
         "def unrelated(H):\n"
         "    return 'eigh is a word in this docstring'\n"
     )
-    assert dense_eigenvector_solves({"m.py": source}, "m.py: solve") == [
+    # the eigenvalue-only solvers (eigvalsh) are not counted
+    assert calls_outside({"m.py": source}, DENSE_EIGENVECTOR_SOLVERS, "m.py: solve") == [
         "m.py: <module> calls eigh",
         "m.py: Field.vectors calls eigh",
         "m.py: Field.vectors calls eigh",
@@ -278,7 +280,33 @@ def test_checker_flags_dense_eigenvector_solves():
 
 def test_one_dense_eigenvector_solve_site():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert dense_eigenvector_solves(sources, "spectral.py: eigensystem") == []
+    assert calls_outside(sources, DENSE_EIGENVECTOR_SOLVERS, "spectral.py: eigensystem") == []
+
+
+# assembly makes bands; a dense matrix is banded only where it enters from outside
+BAND_CONVERSION = re.compile("lower_band")
+
+
+def test_checker_flags_band_conversions():
+    source = (
+        "from spectral import lower_band, eigensystem\n"
+        "import spectral\n"
+        "def pair(HA, HB):\n"
+        "    return eigensystem(lower_band(HA)), eigensystem(spectral.lower_band(HB))\n"
+        "def count(spec):\n"
+        "    return eigenvalues(lower_band(assemble_dense(spec)))\n"
+        "def lower_banded(H):\n"
+        "    return 'lower_band is named in this docstring'\n"
+    )
+    assert calls_outside({"m.py": source}, BAND_CONVERSION, "m.py: pair") == [
+        "m.py: count calls lower_band",
+    ]
+
+
+def test_dense_matrices_are_banded_only_where_they_enter():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    allowed = "ssf.py: semigroup_difference_singular_values"
+    assert calls_outside(sources, BAND_CONVERSION, allowed) == []
 
 
 def _outside(node: ast.AST, skip: str):

@@ -270,7 +270,7 @@ def _count_per_sample_calls(monkeypatch):
     """Count the assemblies, solves and color draws of a Monte Carlo estimate."""
     calls = Counter()
     targets = [
-        (montecarlo, "discretize"), (operators, "lattice_model"),
+        (montecarlo, "discretize"), (operators, "_lattice_band"),
         (montecarlo, "eigensystem"), (lattice.RandomColoring, "color"),
     ]
     for owner, name in targets:
@@ -297,7 +297,7 @@ def test_other_estimates_keep_the_per_sample_path(monkeypatch, d, backend):
     est = pastur_shubin_mc(dist, lib, np.linspace(0.0, 5.0, 11), samples, R, backend=backend)
     cells = (2 * R + 1) ** d
     assert calls["discretize"] == calls["eigensystem"] == samples
-    assert calls["lattice_model"] == (samples if backend == "lattice" else 0)
+    assert calls["_lattice_band"] == (samples if backend == "lattice" else 0)
     assert calls["color"] == samples * cells  # one draw per cell and sample (memoized)
     monkeypatch.undo()
     mean, stderr = per_sample_mc(dist, lib, est.lambda_grid, samples, R, backend)

@@ -33,10 +33,11 @@ from idslab.operators import (
     grid_points,
     lattice_model,
     matrix_dimension,
+    pattern_spec,
 )
-from idslab.spectral import EnergyWindow, assert_hermitian, eigenvalues
-from idslab.ssf import spectral_shift
-from oracles import dirichlet_chain_eigenvalues
+from idslab.spectral import EnergyWindow, assert_hermitian, eigensystem, eigenvalues, lower_band
+from idslab.ssf import semigroup_difference_singular_values, spectral_shift
+from oracles import dense, dirichlet_chain_eigenvalues
 
 N = 8
 LIB01 = PrototypeLibrary.constant_potentials({"a": 1.0, "b": 0.0}, N, 1)
@@ -83,7 +84,7 @@ def _assembled_potential(coloring, Q, lib):
         Q=Q, coloring=coloring, library=lib,
         backend="continuum", resolution=lib.resolution,
     )
-    H = discretize(spec)
+    H = dense(discretize(spec))
     V = np.diag(H).real - 2.0 * spec.dimension * spec.resolution**2
     return H, dict(zip(grid_points(spec), V.tolist()))
 
@@ -139,14 +140,14 @@ def test_fd_laplacian_matches_analytic_spectrum():
         library=PrototypeLibrary.zero(["a"], n, 1),
         backend="continuum", resolution=n,
     )
-    H = discretize(spec)
-    assert H.shape == (n * L - 1, n * L - 1)
-    got = eigenvalues(H)
+    B = discretize(spec)
+    assert B.shape == (n * L - 1, 2)  # the diagonal and one off-diagonal
+    got = eigenvalues(B)
     assert np.allclose(got, np.sort(dirichlet_chain_eigenvalues(L, n)), atol=1e-8)
 
 
 def test_zero_vector_potential_gives_real_matrix():
-    H = discretize(two_cell_spec())
+    H = dense(discretize(two_cell_spec()))
     assert H.dtype == np.float64
     assert_hermitian(H)
 
@@ -159,7 +160,7 @@ def test_constant_gauge_invariance_1d():
                           library=lib_a, backend="continuum", resolution=n)
     spec_0 = OperatorSpec(Q=cube(3, 1), coloring=periodic_word("a"),
                           library=lib_0, backend="continuum", resolution=n)
-    Ha, H0 = discretize(spec_a), discretize(spec_0)
+    Ha, H0 = dense(discretize(spec_a)), dense(discretize(spec_0))
     assert np.iscomplexobj(Ha)
     assert_hermitian(Ha)
     ea, e0 = np.linalg.eigvalsh(Ha), np.linalg.eigvalsh(H0)
@@ -172,8 +173,8 @@ def test_gauge_oracle_diagonal_conjugation():
     lib_a = PrototypeLibrary([Prototype.constant("a", 0.0, n, 1, a_value=[0.5])])
     spec = OperatorSpec(Q=cube(2, 1), coloring=periodic_word("a"),
                         library=lib_a, backend="continuum", resolution=n)
-    Ha = discretize(spec)
-    H0 = discretize(two_cell_spec(n=n))
+    Ha = dense(discretize(spec))
+    H0 = dense(discretize(two_cell_spec(n=n)))
     h = 1.0 / n
     pts = grid_points(spec)
     phases = np.exp(1j * 0.5 * h * np.array([p[0] for p in pts]))
@@ -189,9 +190,9 @@ def test_translation_invariance_of_assembly():
         Q = site_set([(shift,), (shift + 1,)])
         specs.append(OperatorSpec(Q=Q, coloring=C, library=lib,
                                   backend="continuum", resolution=N))
-    H0, H1 = discretize(specs[0]), discretize(specs[1])
-    assert np.array_equal(H0, H1)
-    e0, e1 = np.linalg.eigvalsh(H0), np.linalg.eigvalsh(H1)
+    B0, B1 = discretize(specs[0]), discretize(specs[1])
+    assert np.array_equal(B0, B1)
+    e0, e1 = np.linalg.eigvalsh(dense(B0)), np.linalg.eigvalsh(dense(B1))
     assert np.max(np.abs(e0 - e1)) < 1e-10
 
 
@@ -214,14 +215,14 @@ def test_minimal_single_cell_geometry():
 def test_facet_split_blocks_1d():
     spec = two_cell_spec()
     split = add_facet_dirichlet(spec, Facet(anchor=(1,), axis=0))
-    H = discretize(split)
+    H = dense(discretize(split))
     assert H.shape == (2 * N - 2, 2 * N - 2)
     # independent single-cell assemblies
     single = OperatorSpec(
         Q=cube(1, 1), coloring=periodic_word("a"),
         library=PrototypeLibrary.zero(["a"], N, 1), backend="continuum", resolution=N,
     )
-    Hs = discretize(single)
+    Hs = dense(discretize(single))
     expected = np.sort(np.concatenate([np.linalg.eigvalsh(Hs)] * 2))
     assert np.allclose(np.linalg.eigvalsh(H), expected, atol=1e-10)
 
@@ -264,11 +265,11 @@ def test_all_internal_facets_of_c2_2d():
               Facet(anchor=(0, 1), axis=1), Facet(anchor=(1, 1), axis=1)]
     for f in facets:
         spec = add_facet_dirichlet(spec, f)
-    H = discretize(spec)
+    H = dense(discretize(spec))
     assert H.shape == (4 * (n - 1) ** 2, 4 * (n - 1) ** 2)
     single = OperatorSpec(Q=cube(1, 2), coloring=Const2(), library=lib,
                           backend="continuum", resolution=n)
-    cell_eigs = np.linalg.eigvalsh(discretize(single))
+    cell_eigs = np.linalg.eigvalsh(dense(discretize(single)))
     expected = np.sort(np.concatenate([cell_eigs] * 4))
     assert np.allclose(np.linalg.eigvalsh(H), expected, atol=1e-10)
 
@@ -276,8 +277,8 @@ def test_all_internal_facets_of_c2_2d():
 def test_dirichlet_monotonicity():
     spec = two_cell_spec(n=12)
     split = add_facet_dirichlet(spec, Facet(anchor=(1,), axis=0))
-    e1 = np.linalg.eigvalsh(discretize(spec))
-    e2 = np.linalg.eigvalsh(discretize(split))
+    e1 = np.linalg.eigvalsh(dense(discretize(spec)))
+    e2 = np.linalg.eigvalsh(dense(discretize(split)))
     assert np.all(e2 - e1[: len(e2)] >= -1e-10)
 
 
@@ -381,7 +382,10 @@ def test_lattice_model_matches_dict_loop_bitwise(d, Q_of):
     C = RandomColoring(seed=5, symbols=("a", "b", "c"), weights=(0.2, 0.3, 0.5), dim=d)
     Q = Q_of(d)
     H = lattice_model(C, Q, lib)
-    assert H.tobytes() == _dict_loop_lattice_model(Q, lib, C.color).tobytes()
+    oracle = _dict_loop_lattice_model(Q, lib, C.color)
+    assert H.tobytes() == oracle.tobytes()
+    B = discretize(OperatorSpec(Q=Q, coloring=C, library=lib, backend="lattice"))
+    assert B.tobytes() == lower_band(oracle).tobytes()
 
 
 def test_lattice_model_pattern_domain_matches_dict_loop_bitwise():
@@ -389,7 +393,11 @@ def test_lattice_model_pattern_domain_matches_dict_loop_bitwise():
     sites = sorted(_scattered_sites(2, 7))
     P = Pattern(tuple(sites), tuple("ab"[(x * 3 + y) % 2] for x, y in sites))
     H = lattice_model(None, P.domain, lib, color_of=P.color)
-    assert H.tobytes() == _dict_loop_lattice_model(P.domain, lib, P.color).tobytes()
+    oracle = _dict_loop_lattice_model(P.domain, lib, P.color)
+    assert H.tobytes() == oracle.tobytes()
+    B = discretize(pattern_spec(P, OperatorSpec(Q=P.domain, coloring=None, library=lib,
+                                                backend="lattice")))
+    assert B.tobytes() == lower_band(oracle).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +485,13 @@ def test_discretize_matches_dict_loop_bitwise(d, n, Q_of):
         if facet:
             spec = add_facet_dirichlet(spec, Facet(anchor=sorted(Q)[len(Q) // 2], axis=d - 1))
         assert grid_points(spec) == _set_loop_grid_points(spec)
-        H = discretize(spec)
-        assert H.dtype == (np.complex128 if magnetic else np.float64)
-        assert H.tobytes() == _dict_loop_discretize(spec).tobytes()
+        B = discretize(spec)
+        oracle = _dict_loop_discretize(spec)
+        assert B.dtype == (np.complex128 if magnetic else np.float64)
+        assert B.tobytes() == lower_band(oracle).tobytes()
+        # N * (w + 1) numbers, w the largest offset of a nonzero of the oracle
+        rows, cols = np.nonzero(oracle)
+        assert B.nbytes == len(oracle) * (1 + int(np.max(rows - cols))) * B.itemsize
 
 
 @pytest.mark.parametrize("backend", ["lattice", "continuum"])
@@ -510,28 +522,54 @@ def test_grid_embedding_matches_point_lookup(d, seed):
     assert grid_embedding(spec, finer).tolist() == [pos[p] for p in grid_points(finer)]
 
 
-def test_consumers_reject_non_hermitian_assembly(monkeypatch):
-    """Assembly does not check symmetry; every solver its matrices reach does."""
+def _non_finite(B):
+    B[0, -1] = np.nan
+    return B
 
-    def skewed(spec):
-        H = discretize(spec)
-        H[0, 1] += 0.5
-        return H
 
-    for module in (idslab.ergodic, idslab.montecarlo, idslab.ssf):
-        monkeypatch.setattr(module, "discretize", skewed)
+def _complex_diagonal(B):
+    B = B.astype(complex)
+    B[0, 0] += 0.5j
+    return B
+
+
+def test_consumers_reject_non_hermitian_assembly():
+    """Assembly does not check its band; every solver its bands reach does.
+
+    Lower band storage holds no upper triangle, so a skewed pair
+    H[i, k] != conj(H[k, i]) has no band form.  What a band can hold wrong
+    is a non-finite entry or a diagonal entry off the real axis.
+    """
     window = EnergyWindow(0.0, 4.5)
-    field = AlmostAdditiveField(periodic_word("ab"), LIB01, window)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        field.evaluate(cube(4, 1))
     box = OperatorSpec(Q=site_set([(-1,), (0,), (1,)]), coloring=periodic_word("ab"),
                        library=LIB01, backend="lattice")
-    with pytest.raises(ValueError, match="not Hermitian"):
-        localized_counting(box, np.linspace(0.0, 4.5, 5))
     specA = two_cell_spec()
     specB = add_facet_dirichlet(specA, Facet(anchor=(1,), axis=0))
+    for corrupt in (_non_finite, _complex_diagonal):
+
+        def corrupted(spec):
+            return corrupt(discretize(spec))
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (idslab.ergodic, idslab.montecarlo, idslab.ssf):
+                mp.setattr(module, "discretize", corrupted)
+            field = AlmostAdditiveField(periodic_word("ab"), LIB01, window)
+            with pytest.raises(ValueError, match="finite|real"):
+                field.evaluate(cube(4, 1))
+            with pytest.raises(ValueError, match="finite|real"):
+                localized_counting(box, np.linspace(0.0, 4.5, 5))
+            with pytest.raises(ValueError, match="finite|real"):
+                spectral_shift(specA, specB, EnergyWindow(0.0, 100.0))
+            with pytest.raises(ValueError, match="finite|real"):
+                eigensystem(corrupted(specA))
+    # a dense matrix enters through lower_band, which checks it Hermitian
+    H = lattice_model(periodic_word("ab"), cube(4, 1), LIB01)
+    skewed = H.copy()
+    skewed[0, 1] += 0.5
     with pytest.raises(ValueError, match="not Hermitian"):
-        spectral_shift(specA, specB, EnergyWindow(0.0, 100.0))
+        lower_band(skewed)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        semigroup_difference_singular_values(H, skewed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -582,8 +620,8 @@ def test_pure_gauge_leaves_the_spectrum_unchanged_2d(seed, n):
     # for the phases to telescope into the diagonal conjugation by exp(i chi)
     chi = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(n, n))
     a = tuple(n * (np.roll(chi, -1, axis=j) - chi) for j in range(2))
-    H0 = discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1)))
-    HA = discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1), a))
+    H0 = dense(discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1))))
+    HA = dense(discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1), a)))
     assert np.iscomplexobj(HA) and np.abs(HA.imag).max() > 0.1
     e0, eA = np.linalg.eigvalsh(H0), np.linalg.eigvalsh(HA)
     assert np.max(np.abs(eA - e0)) < 1e-10 * np.max(np.abs(e0))
@@ -594,8 +632,8 @@ def test_pure_gauge_leaves_the_spectrum_unchanged_2d(seed, n):
 def test_diamagnetic_inequality_holds_entrywise_2d(seed, n):
     # |exp(-H_A)| <= exp(-H_0) for any vector potential A (Kato's inequality)
     a = tuple(np.random.default_rng(seed).normal(scale=3.0, size=(2, n, n)))
-    H0 = discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1)))
-    HA = discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1), a))
+    H0 = dense(discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1))))
+    HA = dense(discretize(_checkerboard_2d(n, np.random.default_rng(seed + 1), a)))
     S0, SA = ((U * np.exp(-w)) @ U.conj().T for w, U in map(np.linalg.eigh, (H0, HA)))
     assert np.all(S0 >= -1e-14 * S0.max())
     assert np.all(np.abs(SA) <= S0 + 1e-12 * S0.max())

@@ -22,11 +22,12 @@ from idslab.spectral import (
     eigenvalues,
     integrate_product,
     linear_combination,
+    lower_band,
     lp_distance,
     tridiagonal_counts,
     tridiagonal_eigensystem,
 )
-from oracles import dirichlet_chain_eigenvalues
+from oracles import dense, dirichlet_chain_eigenvalues
 
 I04 = EnergyWindow(0.0, 4.0, p=2.0)
 
@@ -157,9 +158,10 @@ def test_csv_serialization_deterministic():
 
 def test_eigenvalues_examples():
     assert np.allclose(eigenvalues(np.array([[2.0]]), 10.0), [2.0])
-    two = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    two = np.array([[2.0, -1.0], [2.0, 0.0]])  # the band of [[2, -1], [-1, 2]]
     assert np.allclose(eigenvalues(two, 10.0), [1.0, 3.0])
     assert len(eigenvalues(two, 2.0)) == 1
+    assert lower_band(np.array([[2.0, -1.0], [-1.0, 2.0]])).tobytes() == two.tobytes()
 
 
 def _chain(n):
@@ -177,23 +179,38 @@ def test_eigenvalues_reject_nonfinite_and_nonhermitian():
         np.diag([1.0 + 1e-6j, 2.0, 3.0]),
         skew,
     ]
-    for H in [np.array([[np.nan, 0.0], [0.0, 1.0]]), *nonhermitian]:
-        with pytest.raises(ValueError):
-            eigenvalues(H)
-    # eigensystem checks once, on whichever path the matrix takes
+    # a dense matrix enters through lower_band, which checks it
+    with pytest.raises(ValueError, match="finite"):
+        lower_band(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     for H in nonhermitian:
         with pytest.raises(ValueError, match="not Hermitian"):
-            eigensystem(H)
+            lower_band(H)
+    # a band has no upper triangle, so what it can hold wrong is a non-finite
+    # entry or a non-real diagonal
+    bad = {
+        "nan": np.array([[np.nan, -1.0], [1.0, 0.0]]),
+        "inf": np.array([[1.0, -np.inf], [1.0, 0.0]]),
+        "complex diagonal": np.array([[1.0 + 1e-6j, 0.5j], [2.0, 0.0]]),
+    }
+    for name, B in bad.items():
+        with pytest.raises(ValueError, match="finite|real"):
+            eigenvalues(B)
+        with pytest.raises(ValueError, match="finite|real"):
+            eigenvalues(B, 1.0)
+        with pytest.raises(ValueError, match="finite|real"):
+            spectral.certified_below([B], [np.zeros(2)], 1.0)
 
 
 def test_eigensystem_rejects_nonfinite():
-    dense = np.ones((3, 3))
-    dense[0, 1] = dense[1, 0] = np.nan  # a full matrix takes the dense path
-    chain = _chain(4)
-    chain[2, 3] = chain[3, 2] = -np.inf  # a tridiagonal one takes ?stevd
-    for H in (dense, chain):
+    full = np.ones((3, 3))
+    full[0, 1] = np.nan  # a full band takes the dense path
+    chain = lower_band(_chain(4))
+    chain[2, 1] = -np.inf  # a tridiagonal one takes ?stevd
+    for B in (full, chain):
         with pytest.raises(ValueError, match="finite"):
-            eigensystem(H)
+            eigensystem(B)
+    with pytest.raises(ValueError, match="real"):
+        eigensystem(np.array([[0.5 + 0.1j]]))
 
 
 def _random_banded(n, bw, seed):
@@ -213,9 +230,9 @@ def _magnetic_2d():
         Q=cube(3, 2), coloring=PeriodicColoring(period=(1, 1), cell={(0, 0): "a"}),
         library=PrototypeLibrary([proto]), backend="continuum", resolution=n,
     )
-    H = discretize(spec)
-    assert np.iscomplexobj(H)
-    return H
+    B = discretize(spec)
+    assert np.iscomplexobj(B)
+    return dense(B)
 
 
 @pytest.mark.parametrize(
@@ -229,12 +246,12 @@ def _magnetic_2d():
     ids=["banded", "tridiagonal", "full", "magnetic-2d"],
 )
 def test_banded_solve_matches_dense(H):
-    dense = np.linalg.eigvalsh(H)
-    got = eigenvalues(H)
-    assert len(got) == len(dense)
-    assert np.max(np.abs(got - dense)) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
-    T = float(np.median(dense)) + 1e-3
-    assert len(eigenvalues(H, T)) == count_below_by_inertia(H, T)
+    full = np.linalg.eigvalsh(H)
+    got = eigenvalues(lower_band(H))
+    assert len(got) == len(full)
+    assert np.max(np.abs(got - full)) <= 1e-10 * max(1.0, np.linalg.norm(H, 2))
+    T = float(np.median(full)) + 1e-3
+    assert len(eigenvalues(lower_band(H), T)) == count_below_by_inertia(H, T)
 
 
 def _random_lattice(Q):
@@ -255,9 +272,9 @@ def _magnetic_1d():
     lib = PrototypeLibrary([Prototype.constant("a", 0.5, n, 1, a_value=[0.7])])
     spec = OperatorSpec(Q=cube(3, 1), coloring=periodic_word("a"), library=lib,
                         backend="continuum", resolution=n)
-    H = discretize(spec)
-    assert np.iscomplexobj(H)
-    return H
+    B = discretize(spec)
+    assert np.iscomplexobj(B)
+    return dense(B)
 
 
 def _spy_tridiagonal(monkeypatch):
@@ -285,7 +302,7 @@ def _spy_tridiagonal(monkeypatch):
 )
 def test_eigensystem_tridiagonal_matches_dense(monkeypatch, H):
     calls = _spy_tridiagonal(monkeypatch)
-    w, U = eigensystem(H)
+    w, U = eigensystem(lower_band(H))
     assert calls == ["stevd"]
     tol = 1e-12 * max(1.0, np.linalg.norm(H, 2))
     assert np.all(np.diff(w) >= 0)
@@ -302,7 +319,7 @@ def test_tridiagonal_eigensystem_names_a_lapack_failure(monkeypatch):
     with pytest.raises(NumericalFailure, match="dstevd failed with info=1"):
         tridiagonal_eigensystem(np.full(5, 2.0), np.full(4, -1.0))
     with pytest.raises(NumericalFailure, match="dstevd"):
-        eigensystem(_chain(5))
+        eigensystem(lower_band(_chain(5)))
 
 
 def _random_chains(rng, rows, n):
@@ -367,7 +384,7 @@ def _sparse_pentadiagonal():
 )
 def test_eigensystem_dense_path_unchanged(monkeypatch, H):
     calls = _spy_tridiagonal(monkeypatch)
-    w, U = eigensystem(H)
+    w, U = eigensystem(lower_band(H))
     w0, U0 = np.linalg.eigh(H)
     assert not calls
     assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
@@ -386,24 +403,27 @@ DENSE = {
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("name", list(DENSE))
-def test_eigensystem_in_place_gives_numpys_bytes(name, order):
+def test_eigensystem_in_place_gives_numpys_bytes(monkeypatch, name, order):
     H = np.array(DENSE[name], order=order)
     before = H.tobytes()
     w0, U0 = np.linalg.eigh(H)
-    w, U = eigensystem(H)  # by default H keeps its bytes
-    assert H.tobytes() == before and not np.shares_memory(U, H)
-    assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
-    # in place exactly when the solver can take H's memory as it is
-    w, U = eigensystem(H, overwrite=True)
-    assert np.shares_memory(U, H) == H.flags.f_contiguous
-    assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
+    lapack = "zheevd" if np.iscomplexobj(H) else "dsyevd"
+    solve, solved = getattr(scipy.linalg.lapack, lapack), []
 
+    def spy(a, **kwargs):
+        out = solve(a, **kwargs)
+        solved.append((a, out[1]))
+        return out
 
-def test_assembled_matrices_are_solved_in_place():
-    for H in (_random_lattice(frozenset(np.ndindex(4, 4))), _continuum_2d(0, 2, 3, magnetic=True)):
-        assert H.flags.f_contiguous
-        w, U = eigensystem(H, overwrite=True)
-        assert np.shares_memory(U, H)
+    monkeypatch.setattr(scipy.linalg.lapack, lapack, spy)
+    B = lower_band(H)
+    w, U = eigensystem(B)
+    assert H.tobytes() == before and not np.shares_memory(U, B)
+    assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
+    if len(H) > 2 or np.iscomplexobj(H):  # a real band of width <= 2 takes ?stevd
+        # the eigenvectors overwrite the one dense matrix, which eigensystem owns
+        [(a, vectors)] = solved
+        assert a.flags.f_contiguous and np.shares_memory(vectors, a)
 
 
 @pytest.mark.parametrize("name", ["dsyevd", "zheevd"])
@@ -414,7 +434,7 @@ def test_eigensystem_names_a_lapack_failure(monkeypatch, name):
     monkeypatch.setattr(scipy.linalg.lapack, name, failing)
     H = DENSE["magnetic-1d" if name == "zheevd" else "lattice-2d"]
     with pytest.raises(NumericalFailure, match=f"{name} failed with info=2"):
-        eigensystem(H)
+        eigensystem(lower_band(H))
 
 
 def test_fd_chain_spectrum_matches_analytic():
@@ -445,7 +465,7 @@ def test_inertia_cross_check_random_matrices():
         H = (A + A.T) / 2
         T = float(rng.uniform(-2, 2))
         window = EnergyWindow(-10.0, T + 1e-9, p=1.0)
-        counted = counting_function(eigenvalues(H, T), window)(T)
+        counted = counting_function(eigenvalues(lower_band(H), T), window)(T)
         assert counted == count_below_by_inertia(H, T)
 
 
@@ -458,7 +478,7 @@ def test_inertia_cross_check_random_matrices():
         (_chain(30), 1.1, False),
         # integer ceiling on an integer potential: SuperLU's ordering is
         # unsymmetric at T, the counts at T -/+ delta certify it
-        (_ab_chain(256), 3.0, False),
+        (dense(_ab_chain(256)), 3.0, False),
     ],
     ids=["ceiling-at-eigenvalue", "zero-pivot", "chain", "ab-chain"],
 )
@@ -470,7 +490,7 @@ def test_certified_count_matches_inertia(monkeypatch, H, T, dense_fallback):
         return count_below_by_inertia(H, T)
 
     monkeypatch.setattr(spectral, "count_below_by_inertia", spy)
-    assert len(eigenvalues(H, T)) == count_below_by_inertia(H, T)
+    assert len(eigenvalues(lower_band(H), T)) == count_below_by_inertia(H, T)
     assert bool(calls) == dense_fallback
 
 
@@ -484,16 +504,16 @@ def test_untrusted_sparse_counts_fall_back_to_dense(monkeypatch):
 
     monkeypatch.setattr(spectral, "_sparse_inertia", lambda ab, shifts: [None] * len(ab))
     monkeypatch.setattr(spectral, "count_below_by_inertia", spy)
-    assert len(eigenvalues(H, T)) == count_below_by_inertia(H, T)
+    assert len(eigenvalues(lower_band(H), T)) == count_below_by_inertia(H, T)
     assert calls == [T]
 
 
 def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
     solve = scipy.linalg.eigvals_banded
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda *a, **k: solve(*a, **k)[1:])
-    assert len(eigenvalues(_chain(8))) == 7  # no ceiling, nothing to certify
+    assert len(eigenvalues(lower_band(_chain(8)))) == 7  # no ceiling, nothing to certify
     with pytest.raises(NumericalFailure):
-        eigenvalues(_chain(8), 2.0)
+        eigenvalues(lower_band(_chain(8)), 2.0)
     default = Path(__file__).resolve().parent.parent / "configs" / "default.json"
     cfg = json.loads(default.read_text())
     cfg.update(sequence={"kind": "cubes", "sides": [4]}, M_list=[1])
@@ -526,14 +546,6 @@ def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
     assert len(dropped) == 1 and stacks[-1] == 2
 
 
-def _dense_from_band(ab):
-    n = ab.shape[1]
-    H = np.diag(ab[0].real).astype(ab.dtype)
-    for k in range(1, len(ab)):
-        H += np.diag(ab[k, : n - k], -k) + np.diag(ab[k, : n - k].conj(), k)
-    return H
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 12), st.integers(1, 4),
@@ -553,7 +565,9 @@ def test_stacked_certificate_matches_dense_inertia(seed, k, n, width, complex_):
     ab[tie] = 0.0
     ab[tie, 0] = rng.normal(size=n)
     ab[tie, 0, rng.integers(n)] = T
-    bands = [(b, max(1.0, float(np.max(np.abs(b))))) for b in ab]
+    if complex_:
+        ab[:, 0] = ab[:, 0].real
+    bands = [b.T for b in ab]
     eigs = [scipy.linalg.eigvals_banded(b, lower=True) for b in ab]
     stacks, denses = [], []
     sparse_inertia = spectral._sparse_inertia
@@ -566,17 +580,17 @@ def test_stacked_certificate_matches_dense_inertia(seed, k, n, width, complex_):
         denses.append(H)
         return count_below_by_inertia(H, T)
 
-    dense = [_dense_from_band(b) for b in ab]
+    full = [dense(B) for B in bands]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_sparse_inertia", sparse_spy)
         mp.setattr(spectral, "count_below_by_inertia", dense_spy)
         below = spectral.certified_below(bands, eigs, T)
-    assert [len(x) for x in below] == [count_below_by_inertia(H, T) for H in dense]
+    assert [len(x) for x in below] == [count_below_by_inertia(H, T) for H in full]
     # one factorization holds every block, the tie block at T -/+ delta; any
     # further factorization or dense count is of the tie block alone
     assert len(stacks[0]) == k + 1
     assert all(np.array_equal(b, ab[tie]) for stack in stacks[1:] for b in stack)
-    assert all(np.array_equal(H, dense[tie]) for H in denses)
+    assert all(np.array_equal(H, full[tie]) for H in denses)
 
 
 # ---------------------------------------------------------------------------
@@ -622,15 +636,15 @@ def _spy(mp, owner, name, edit=None):
     st.floats(0.02, 0.3), st.integers(3, 40),
 )
 def test_sliced_solver_matches_banded(seed, side, n, magnetic, share, size):
-    H = _continuum_2d(seed, side, n, magnetic)
-    assert np.iscomplexobj(H) == magnetic
-    band = spectral.lower_band(H)
-    dense = scipy.linalg.eigvals_banded(band[0], lower=True)
-    T = float(dense[max(1, int(share * len(dense)))]) + 1e-3
+    B = _continuum_2d(seed, side, n, magnetic)
+    assert np.iscomplexobj(B) == magnetic
+    H, band = dense(B), spectral._checked(B)
+    full = scipy.linalg.eigvals_banded(band[0], lower=True)
+    T = float(full[max(1, int(share * len(full)))]) + 1e-3
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SLICE_SIZE", size)  # several slices on small matrices
         got = spectral._sliced(band, T, count_below_by_inertia(H, T))
-    want = dense[dense <= T]
+    want = full[full <= T]
     assert got is not None and len(got) == len(want) == count_below_by_inertia(H, T)
     assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
@@ -641,17 +655,17 @@ def test_sliced_degenerate_eigenvalues():
 
     # a constant potential on a square: E_ij = E_ji exactly
     lib = PrototypeLibrary.constant_potentials({"a": 1.5}, 4, 2)
-    H = discretize(OperatorSpec(Q=cube(3, 2), coloring=periodic_word("a"), library=lib,
+    B = discretize(OperatorSpec(Q=cube(3, 2), coloring=periodic_word("a"), library=lib,
                                 backend="continuum", resolution=4))
-    dense = np.linalg.eigvalsh(H)
-    assert np.min(np.diff(dense)) < 1e-9  # degenerate
-    T = float(dense[40]) + 1e-3
+    full = np.linalg.eigvalsh(dense(B))
+    assert np.min(np.diff(full)) < 1e-9  # degenerate
+    T = float(full[40]) + 1e-3
     with pytest.MonkeyPatch.context() as mp:
         _slice_everything(mp)
         mp.setattr(spectral, "SLICE_SIZE", 15)
-        got = eigenvalues(H, T)
-    want = dense[dense <= T]
-    assert len(got) == len(want) == count_below_by_inertia(H, T)
+        got = eigenvalues(B, T)
+    want = full[full <= T]
+    assert len(got) == len(want) == count_below_by_inertia(dense(B), T)
     assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, T)
 
 
@@ -662,7 +676,7 @@ def test_sliced_ceiling_at_an_eigenvalue():
     # 7x7 lattice Laplacian: 4 - 2cos(i pi/8) - 2cos(j pi/8) = 4 exactly when i + j = 8
     lib = PrototypeLibrary.zero(["a"], 2, 2)
     H = lattice_model(PeriodicColoring(period=(1, 1), cell={(0, 0): "a"}), cube(7, 2), lib)
-    dense = np.linalg.eigvalsh(H)
+    full = np.linalg.eigvalsh(H)
     T = 4.0
     delta = spectral.CEILING_TIE_RTOL * max(1.0, np.max(np.abs(H)))
     sure, loose = count_below_by_inertia(H, T - delta), count_below_by_inertia(H, T + delta)
@@ -670,9 +684,9 @@ def test_sliced_ceiling_at_an_eigenvalue():
     with pytest.MonkeyPatch.context() as mp:
         _slice_everything(mp)
         mp.setattr(spectral, "SLICE_SIZE", 12)
-        got = eigenvalues(H, T)
+        got = eigenvalues(lower_band(H), T)
     assert sure <= len(got) <= loose
-    assert np.max(np.abs(got[:sure] - dense[:sure])) <= 1e-10 * T
+    assert np.max(np.abs(got[:sure] - full[:sure])) <= 1e-10 * T
 
 
 def test_sliced_moves_an_untrusted_edge():
@@ -683,7 +697,7 @@ def test_sliced_moves_an_untrusted_edge():
     # slices, whose inner edge at 3.0 has a count the sparse factorization does not trust
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 2, 2)
     coloring = RandomColoring(seed=1, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
-    band = spectral.lower_band(lattice_model(coloring, cube(15, 2), lib))
+    band = spectral._checked(lower_band(lattice_model(coloring, cube(15, 2), lib)))
     T = 4.5
     [count] = spectral._sparse_inertia(band[0][None], [T])
     floor = spectral._gershgorin_floor(band[0]) - spectral.CEILING_TIE_RTOL * band[1]
@@ -693,8 +707,8 @@ def test_sliced_moves_an_untrusted_edge():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "SLICE_SIZE", 40)
         got = spectral._sliced(band, T, count)
-    dense = scipy.linalg.eigvals_banded(band[0], lower=True)
-    want = dense[dense <= T]
+    full = scipy.linalg.eigvals_banded(band[0], lower=True)
+    want = full[full <= T]
     assert got is not None and len(got) == len(want) == count
     assert np.max(np.abs(got - want)) <= 1e-10
 
@@ -708,19 +722,19 @@ def test_large_band_at_a_tie_needs_no_dense_count():
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 2, 2)
     coloring = RandomColoring(seed=0, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
     H = lattice_model(coloring, cube(26, 2), lib)
-    assert spectral.large_band(spectral.lower_band(H)[0])
+    assert spectral.large_band(lower_band(H))
     T = float(np.linalg.eigvalsh(H)[40])
     with pytest.MonkeyPatch.context() as mp:
         dense_counts = _spy(mp, spectral, "count_below_by_inertia")
-        got = eigenvalues(H, T)
+        got = eigenvalues(lower_band(H), T)
     assert len(got) in (40, 41) and not dense_counts
 
 
 @pytest.mark.parametrize("always", [False, True], ids=["retry", "fallback"])
 def test_dropped_ritz_value_is_retried_or_falls_back(always):
-    H = _continuum_2d(5, 3, 4, magnetic=False)
-    dense = np.linalg.eigvalsh(H)
-    T = float(dense[30]) + 1e-3
+    B = _continuum_2d(5, 3, 4, magnetic=False)
+    full = np.linalg.eigvalsh(dense(B))
+    T = float(full[30]) + 1e-3
 
     def drop_nearest_shift(w, kwargs, call):
         if not always and call > 1:
@@ -734,9 +748,9 @@ def test_dropped_ritz_value_is_retried_or_falls_back(always):
         mp.setattr(spectral, "SLICE_SIZE", 10)
         ritz = _spy(mp, scipy.sparse.linalg, "eigsh", drop_nearest_shift)
         banded = _spy(mp, scipy.linalg, "eigvals_banded")
-        got = eigenvalues(H, T)
-    assert len(got) == count_below_by_inertia(H, T) == 31
-    assert np.max(np.abs(got - dense[:31])) <= 1e-10 * T
+        got = eigenvalues(B, T)
+    assert len(got) == count_below_by_inertia(dense(B), T) == 31
+    assert np.max(np.abs(got - full[:31])) <= 1e-10 * T
     slices = 4  # 31 eigenvalues, 10 per slice
     if always:  # both tries of the first slice fail: the banded solve takes over
         assert len(ritz) == 2 and len(banded) == 1
@@ -745,12 +759,12 @@ def test_dropped_ritz_value_is_retried_or_falls_back(always):
 
 
 def test_sliced_solves_repeat_bit_for_bit():
-    H = _continuum_2d(9, 3, 5, magnetic=True)
-    T = float(np.linalg.eigvalsh(H)[60]) + 1e-3
+    B = _continuum_2d(9, 3, 5, magnetic=True)
+    T = float(np.linalg.eigvalsh(dense(B))[60]) + 1e-3
     with pytest.MonkeyPatch.context() as mp:
         _slice_everything(mp)
         mp.setattr(spectral, "SLICE_SIZE", 25)
-        first, second = eigenvalues(H, T), eigenvalues(H, T)
+        first, second = eigenvalues(B, T), eigenvalues(B, T)
     assert len(first) == 61 and first.tobytes() == second.tobytes()
 
 

@@ -36,7 +36,7 @@ from idslab.ssf import (
     weyl_check,
     young_check,
 )
-from oracles import dirichlet_chain_eigenvalues, svd_semigroup_difference_singular_values
+from oracles import dense, dirichlet_chain_eigenvalues, svd_semigroup_difference_singular_values
 from test_golden import SSF_CONFIG
 
 I010 = EnergyWindow(0.0, 10.0, p=2.0)
@@ -175,7 +175,7 @@ def test_veff_eigvalsh_matches_svd_oracle(seed, n, complex_, embedded):
 def test_semigroup_difference_keeps_its_arguments():
     """Its callers reuse HA and HB: ergodic.calibration_pair, and the benchmark ladder."""
     _, _, specA, specB, _ = next(p for p in _facet_pairs() if p[0] == "d2-checker-3c-n8")
-    pairs = [(discretize(specA), discretize(specB), grid_embedding(specA, specB))]
+    pairs = [(dense(discretize(specA)), dense(discretize(specB)), grid_embedding(specA, specB))]
     rng = np.random.default_rng(3)
     for n in (1, 2, 6):
         for complex_ in (False, True):
@@ -192,7 +192,7 @@ def test_facet_decay_fit_matches_svd_oracle():
     for name, d, specA, specB, _window in _facet_pairs():
         fit = fit_decay(veff_singular_values(specA, specB), d=d)
         oracle = svd_semigroup_difference_singular_values(
-            discretize(specA), discretize(specB), embed=grid_embedding(specA, specB)
+            dense(discretize(specA)), dense(discretize(specB)), embed=grid_embedding(specA, specB)
         )
         fit_oracle = fit_decay(SingularValueSeries(mu=oracle), d=d)
         assert fit.points_used == fit_oracle.points_used, name
