@@ -29,7 +29,7 @@ from .operators import (
 from .spectral import (
     EnergyWindow,
     StepFunction,
-    certify_tridiagonal_counts,
+    certified_below,
     eigensystem,
     lp_distance,
     tridiagonal_eigensystem,
@@ -96,9 +96,14 @@ def _origin_cell_indices(spec: OperatorSpec) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-def _origin_spectrum(spec: OperatorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of spec's Hamiltonian and each eigenvector's origin-cell mass."""
-    w, U = eigensystem(discretize(spec))
+def _origin_spectrum(spec: OperatorSpec, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of spec's Hamiltonian and each eigenvector's origin-cell mass.
+
+    The count of eigenvalues <= ceiling is certified (certified_below).
+    """
+    B = discretize(spec)
+    w, U = eigensystem(B)
+    certified_below([B], [w], ceiling)
     sel = _origin_cell_indices(spec)
     return w, np.sum(np.abs(U[sel, :]) ** 2, axis=0)
 
@@ -116,9 +121,9 @@ def localized_counting(
 
     Eigenvector mass over the origin cell's half-open grid points; summing
     this quantity over all cells of Q tiles back to the full eigenvalue
-    count, exactly.
+    count, exactly.  The count below the grid's top is certified.
     """
-    return _mass_below(*_origin_spectrum(spec), lambda_grid)
+    return _mass_below(*_origin_spectrum(spec, np.max(lambda_grid)), lambda_grid)
 
 
 def _symbol_codes(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
@@ -142,24 +147,26 @@ def _chain_samples(
 
     The colors of all samples come from one _site_hashes pass and
     _symbol_codes, with sample s's seed and the site bits of
-    sample_coloring.  Sample s's chain, the diagonal 2 + vbar against the
-    -1 off-diagonal, is solved by one tridiagonal_eigensystem; the origin
-    cell's mass of an eigenvector is its entry R squared.  Every row's
-    count below grid[-1] is cross-checked by a Sturm count
-    (certify_tridiagonal_counts).
+    sample_coloring.  The chains are one band array of shape (samples,
+    2R+1, 2): sample s's diagonal 2 + vbar, written straight from its color
+    codes, and the -1 off-diagonal.  Each chain is solved by one
+    tridiagonal_eigensystem; the origin cell's mass of an eigenvector is its
+    entry R squared.  The counts of all chains below grid[-1] are certified
+    together, on the band array itself, by certified_below's Sturm count.
     """
     seeds = _site_hashes([dist.seed], np.arange(samples)[:, None])[0]
     u = _site_hashes(seeds, np.arange(-R, R + 1)[:, None]) / 2.0**64  # uniform in [0, 1]
     levels = np.array([2.0 + library[sym].cell_mean_v for sym in dist.symbols])
-    diagonals = levels[_symbol_codes(dist.weights, u)]
-    offdiagonal = np.full(2 * R, -1.0)
-    eigs = np.empty_like(diagonals)
+    bands = np.zeros((samples, 2 * R + 1, 2))
+    bands[:, :, 0] = levels[_symbol_codes(dist.weights, u)]
+    bands[:, : 2 * R, 1] = -1.0
+    eigs = np.empty(bands.shape[:2])
     rows = np.empty((samples, len(grid)))
-    for s, diagonal in enumerate(diagonals):
-        w, U = tridiagonal_eigensystem(diagonal, offdiagonal)
+    for s, B in enumerate(bands):
+        w, U = tridiagonal_eigensystem(B[:, 0], B[: 2 * R, 1])
         eigs[s] = w
         rows[s] = _mass_below(w, U[R] ** 2, grid)
-    certify_tridiagonal_counts(diagonals, offdiagonal, eigs, grid[-1])
+    certified_below(bands, eigs, grid[-1])
     return rows
 
 
@@ -199,7 +206,8 @@ def pastur_shubin_mc(
     the library fixes the dimension d and the cell grid.  The lattice chain
     (d = 1) takes every sample at once (_chain_samples); the continuum
     backend and d >= 2 draw a coloring, assemble and solve per sample
-    (localized_counting).  Both give the same rows bit for bit.
+    (localized_counting).  Both give the same rows bit for bit, and both
+    certify every sample's count below the grid's top (certified_below).
     Mean and standard error are taken across samples.
     """
     if samples < 1:
@@ -248,7 +256,7 @@ def semigroup_truncation_diagnostic(
     heat, counts = [], []
     for radius in (R, 2 * R):
         spec = _spec(centered_box(radius, library.dimension), coloring, library, backend)
-        w, mass = _origin_spectrum(spec)
+        w, mass = _origin_spectrum(spec, np.max(lambda_grid))
         heat.append(float(np.sum(np.exp(-w) * mass)))
         counts.append(_mass_below(w, mass, lambda_grid))
     return abs(heat[1] - heat[0]), float(np.max(np.abs(counts[0] - counts[1])))

@@ -8,7 +8,6 @@ breakpoint merging, never by quadrature.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -302,21 +301,23 @@ def lower_band(H: np.ndarray) -> np.ndarray:
     return B
 
 
-def _checked(B: np.ndarray) -> tuple[np.ndarray, float]:
+def _checked(B: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """B.T, which is LAPACK's lower band storage, and max(1, max|B|), for a band
-    B[j, k] = H[j + k, j] of shape (N, w + 1).  ValueError unless B's entries
-    are finite and its diagonal is real, to the tolerance of assert_hermitian.
+    B[j, k] = H[j + k, j] of shape (N, w + 1); for a stack of bands of shape
+    (m, N, w + 1), each band's storage and scale.  ValueError unless the
+    entries are finite and each diagonal is real, to the tolerance of
+    assert_hermitian.
     """
     B = np.asarray(B)
-    if B.ndim != 2 or 0 in B.shape:
+    if B.ndim not in (2, 3) or 0 in B.shape:
         raise ValueError(f"expected an (N, w + 1) band, got shape {B.shape}")
-    peak = float(np.max(np.abs(B)))  # NaN propagates, so check it here
-    if not math.isfinite(peak):
+    peak = np.max(np.abs(B), axis=(-2, -1))  # NaN propagates, so check it here
+    if not np.all(np.isfinite(peak)):
         raise ValueError("band entries must be finite")
-    scale = max(1.0, peak)
-    if np.iscomplexobj(B) and float(np.max(np.abs(B[:, 0].imag))) > HERMITIAN_RTOL * scale:
+    scale = np.maximum(1.0, peak)
+    if np.iscomplexobj(B) and np.any(np.max(np.abs(B[..., 0].imag), axis=-1) > HERMITIAN_RTOL * scale):
         raise ValueError("band diagonal must be real")
-    return B.T, scale
+    return np.swapaxes(B, -2, -1), scale
 
 
 def _shifted_blocks(ab: np.ndarray, shifts: np.ndarray):
@@ -501,42 +502,54 @@ def certified_below(
 ) -> list[np.ndarray]:
     """For each matrix, its computed eigenvalues that are <= ceiling, in eigs' order.
 
-    bands[i] is the band of H_i, checked as _checked does, and eigs[i]
-    holds the computed eigenvalues of H_i.  A finite ceiling T certifies
-    each count by Sylvester's law of inertia on H_i - T*I; when one of
-    eigs[i] lies within CEILING_TIE_RTOL * max(1, max|H_i|) of T, the count
-    only has to lie between the inertia counts on either side of that
-    margin.  The sparse inertia of all
-    matrices with one band shape comes from one factorization
-    (_sparse_inertia); a matrix whose count there is not trusted falls back
-    to its own factorizations.  A count that fails the certificate raises
-    NumericalFailure.
+    bands[i] is the band of H_i, checked as _checked does (bands may be one
+    (m, N, w + 1) array), and eigs[i] holds the computed eigenvalues of H_i.
+    A finite ceiling T certifies each count by Sylvester's law of inertia on
+    H_i - T*I; when one of eigs[i] lies within delta_i =
+    CEILING_TIE_RTOL * max(1, max|H_i|) of T, the count only has to lie
+    between the counts at T - delta_i and T + delta_i.  The matrices of one
+    band shape are counted together: tridiagonal ones (w <= 1) by the Sturm
+    count tridiagonal_counts, which is always trusted, and wider ones by one
+    sparse factorization (_sparse_inertia); a matrix whose count there is
+    not trusted falls back to its own factorizations (_untrusted_count).  A
+    count that fails the certificate raises NumericalFailure.
     """
     below = [e[e <= ceiling] for e in eigs]
     if not np.isfinite(ceiling):
         return below
     T = float(ceiling)
-    bands = [_checked(B) for B in bands]
-    # (matrix, shift) pairs grouped by band shape, one factorization per group
-    groups: dict[tuple[int, ...], list[tuple[int, float]]] = {}
-    for i, ((ab, scale), e) in enumerate(zip(bands, eigs)):
+    shapes = [np.shape(B) for B in bands]
+    for shape in dict.fromkeys(shapes):
+        n, width = shape
+        members = [i for i, s in enumerate(shapes) if s == shape]
+        # a single group takes bands as they are, so a band array is counted in place
+        ab, scale = _checked(np.asarray(bands if len(members) == len(bands) else [bands[i] for i in members]))
         delta = CEILING_TIE_RTOL * scale
-        shifts = [T - delta, T + delta] if np.any(np.abs(e - T) <= delta) else [T]
-        groups.setdefault(ab.shape, []).extend((i, s) for s in shifts)
-    counts: list[list[int]] = [[] for _ in bands]
-    for group in groups.values():
-        stack = np.stack([bands[i][0] for i, _ in group])
-        for (i, s), count in zip(group, _sparse_inertia(stack, [s for _, s in group])):
-            if count is None:
-                ab, scale = bands[i]
-                count = _untrusted_count(ab, s, CEILING_TIE_RTOL * scale)
-            counts[i].append(count)
-    for e, c in zip(below, counts):
-        lo, hi = c[0], c[-1]
-        if not lo <= len(e) <= hi:
+        # a matrix with a computed eigenvalue within delta of T is counted
+        # again, at T - delta and T + delta
+        tied = np.flatnonzero([np.any(np.abs(eigs[i] - T) <= d) for i, d in zip(members, delta)])
+        rows = np.concatenate([np.arange(len(members)), tied])
+        shifts = np.concatenate([np.full(len(members), T), T + delta[tied]])
+        shifts[tied] -= delta[tied]
+        stack = ab[rows] if len(tied) else ab
+        if width <= 2:
+            offdiagonals = stack[:, 1, : n - 1] if width == 2 else np.zeros(n - 1)
+            counts = tridiagonal_counts(stack[:, 0].real, offdiagonals, shifts)
+        else:
+            counts = [
+                _untrusted_count(stack[r], s, delta[rows[r]]) if c is None else c
+                for r, (c, s) in enumerate(zip(_sparse_inertia(stack, shifts), shifts))
+            ]
+        lo = np.asarray(counts[: len(members)])
+        hi = lo.copy()
+        hi[tied] = counts[len(members) :]
+        computed = np.array([len(below[i]) for i in members])
+        bad = np.flatnonzero((computed < lo) | (computed > hi))
+        if len(bad):
+            j = bad[0]
             raise NumericalFailure(
-                f"{len(e)} eigenvalues <= {T} computed, but the inertia of "
-                f"H - T*I counts {lo if lo == hi else f'{lo} to {hi}'}"
+                f"matrix {members[j]}: {computed[j]} eigenvalues <= {T} computed, but the "
+                f"inertia of H - T*I counts {lo[j] if lo[j] == hi[j] else f'{lo[j]} to {hi[j]}'}"
             )
     return below
 
@@ -562,60 +575,33 @@ def tridiagonal_eigensystem(
 
 
 def tridiagonal_counts(
-    diagonals: np.ndarray, offdiagonal: np.ndarray, shifts: np.ndarray
+    diagonals: np.ndarray, offdiagonals: np.ndarray, shifts: np.ndarray
 ) -> np.ndarray:
-    """#{eigenvalues <= shifts[i]} of the real symmetric tridiagonal matrix of each row of diagonals.
+    """#{eigenvalues <= shifts[i]} of the Hermitian tridiagonal matrix of each row i of diagonals.
 
-    Every matrix has the one off-diagonal e.  Sturm count, vectorised over
-    the rows: the pivots of the LDL^T factorization of H - shift*I are
-    x_0 = d_0 - shift and x_j = (d_j - shift) - e_{j-1}^2 / x_{j-1}, and
-    the pivots <= 0 number the eigenvalues <= shift.  A pivot smaller in
-    magnitude than pivmin = tiny * max(1, max e^2) is taken as -pivmin,
-    as LAPACK's bisection (dlaebz) does, so no pivot divides by zero.
+    Row i's matrix has the real diagonal diagonals[i] and the off-diagonal
+    offdiagonals[i], real or complex; one off-diagonal may serve all rows.
+    Sturm count, vectorised over the rows: the pivots of the LDL^H
+    factorization of H - shift*I are x_0 = d_0 - shift and
+    x_j = (d_j - shift) - |e_{j-1}|^2 / x_{j-1}, and the pivots <= 0 number
+    the eigenvalues <= shift.  A pivot smaller in magnitude than
+    pivmin = tiny * max(1, max |e|^2) is taken as -pivmin, as LAPACK's
+    bisection (dlaebz) does, so no pivot divides by zero and every count is
+    trusted.
     """
     D = np.asarray(diagonals, dtype=float)
-    e2 = np.asarray(offdiagonal, dtype=float) ** 2
+    e2 = np.abs(offdiagonals) ** 2
     shifts = np.broadcast_to(np.asarray(shifts, dtype=float), D.shape[:1])
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2, initial=0.0)))
     counts = np.zeros(len(D), dtype=np.int64)
     for j in range(D.shape[1]):
         x = D[:, j] - shifts
         if j:
-            x -= e2[j - 1] / pivot
+            x -= e2[..., j - 1] / pivot
         x[np.abs(x) < pivmin] = -pivmin
         counts += x < 0
         pivot = x
     return counts
-
-
-def certify_tridiagonal_counts(
-    diagonals: np.ndarray, offdiagonal: np.ndarray, eigs: np.ndarray, ceiling: float
-) -> None:
-    """NumericalFailure unless each row's computed count below the ceiling matches its Sturm count.
-
-    eigs[i] holds the computed eigenvalues of the tridiagonal matrix with
-    diagonal diagonals[i] and the off-diagonal shared by all rows.  Each
-    count #{eigs[i] <= T} must equal tridiagonal_counts at T; when one of
-    eigs[i] lies within CEILING_TIE_RTOL * max(1, max|H_i|) of T, it only
-    has to lie between the counts on either side of that margin, as in
-    certified_below.
-    """
-    T = float(ceiling)
-    D = np.asarray(diagonals, dtype=float)
-    eigs = np.asarray(eigs, dtype=float)
-    peak = max(1.0, float(np.max(np.abs(offdiagonal), initial=0.0)))
-    delta = CEILING_TIE_RTOL * np.maximum(peak, np.max(np.abs(D), axis=1))
-    computed = np.count_nonzero(eigs <= T, axis=1)
-    margin = np.where(np.any(np.abs(eigs - T) <= delta[:, None], axis=1), delta, 0.0)
-    lo = tridiagonal_counts(D, offdiagonal, T - margin)
-    hi = tridiagonal_counts(D, offdiagonal, T + margin) if np.any(margin) else lo
-    bad = np.flatnonzero((computed < lo) | (computed > hi))
-    if len(bad):
-        i = bad[0]
-        raise NumericalFailure(
-            f"row {i}: {computed[i]} eigenvalues <= {T} computed, but the Sturm count of "
-            f"H - T*I is {lo[i] if lo[i] == hi[i] else f'{lo[i]} to {hi[i]}'}"
-        )
 
 
 def eigensystem(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

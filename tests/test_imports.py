@@ -1,8 +1,9 @@
 """Every import in src/idslab is used, every definition there is named by the
 program, every parameter default there is overridden by some call, every
 config field is read, every dense eigenvector solve goes through
-spectral.eigensystem and every dense matrix is turned into a band only where
-it enters from outside (no linter is installed, so this test is the lint),
+spectral.eigensystem, every dense matrix is turned into a band only where
+it enters from outside, every eigenvalue count is certified through
+spectral.certified_below (no linter is installed, so this test is the lint),
 and importing the CLI stays cheap."""
 
 import ast
@@ -226,9 +227,9 @@ def test_every_parameter_default_is_overridden_somewhere():
 DENSE_EIGENVECTOR_SOLVERS = re.compile(r"eigh|[sd]syevd|[cz]heevd")
 
 
-def calls_outside(sources: dict[str, str], names: re.Pattern, allowed: str) -> list[str]:
-    """Calls of a function whose name fullmatches names, outside the function
-    named allowed ("file: qualname").  A call names the function directly
+def calls_outside(sources: dict[str, str], names: re.Pattern, allowed: set[str]) -> list[str]:
+    """Calls of a function whose name fullmatches names, outside the functions
+    named in allowed ("file: qualname").  A call names the function directly
     (np.linalg.eigh, scipy.linalg.eigh, lapack.dsyevd) or through a string, as
     getattr takes it."""
     found = []
@@ -244,7 +245,7 @@ def calls_outside(sources: dict[str, str], names: re.Pattern, allowed: str) -> l
             elif isinstance(child, ast.Constant) and isinstance(child.value, str):
                 name = child.value
             where = f"{filename}: {inner}"
-            if name and names.fullmatch(name) and where != allowed:
+            if name and names.fullmatch(name) and where not in allowed:
                 found.append(f"{where} calls {name}")
             visit(child, filename, inner)
 
@@ -270,7 +271,7 @@ def test_checker_flags_dense_eigenvector_solves():
         "    return 'eigh is a word in this docstring'\n"
     )
     # the eigenvalue-only solvers (eigvalsh) are not counted
-    assert calls_outside({"m.py": source}, DENSE_EIGENVECTOR_SOLVERS, "m.py: solve") == [
+    assert calls_outside({"m.py": source}, DENSE_EIGENVECTOR_SOLVERS, {"m.py: solve"}) == [
         "m.py: <module> calls eigh",
         "m.py: Field.vectors calls eigh",
         "m.py: Field.vectors calls eigh",
@@ -280,7 +281,7 @@ def test_checker_flags_dense_eigenvector_solves():
 
 def test_one_dense_eigenvector_solve_site():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert calls_outside(sources, DENSE_EIGENVECTOR_SOLVERS, "spectral.py: eigensystem") == []
+    assert calls_outside(sources, DENSE_EIGENVECTOR_SOLVERS, {"spectral.py: eigensystem"}) == []
 
 
 # assembly makes bands; a dense matrix is banded only where it enters from outside
@@ -298,15 +299,51 @@ def test_checker_flags_band_conversions():
         "def lower_banded(H):\n"
         "    return 'lower_band is named in this docstring'\n"
     )
-    assert calls_outside({"m.py": source}, BAND_CONVERSION, "m.py: pair") == [
+    assert calls_outside({"m.py": source}, BAND_CONVERSION, {"m.py: pair"}) == [
         "m.py: count calls lower_band",
     ]
 
 
 def test_dense_matrices_are_banded_only_where_they_enter():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    allowed = "ssf.py: semigroup_difference_singular_values"
+    allowed = {"ssf.py: semigroup_difference_singular_values"}
     assert calls_outside(sources, BAND_CONVERSION, allowed) == []
+
+
+# every eigenvalue count is certified in spectral.certified_below: the counting
+# functions are called only by the certificate functions (and _sparse_inertia's
+# own split of a singular factorization)
+COUNT_CERTIFICATES = re.compile("tridiagonal_counts|_sparse_inertia|count_below_by_inertia")
+CERTIFICATE_SITES = {
+    f"spectral.py: {name}"
+    for name in ("certified_below", "_untrusted_count", "eigenvalues", "_sliced", "_sparse_inertia")
+}
+
+
+def test_checker_flags_count_certificates():
+    source = (
+        "from spectral import tridiagonal_counts, count_below_by_inertia\n"
+        "import spectral\n"
+        "def certify(bands, eigs, T):\n"
+        "    return tridiagonal_counts(bands, eigs, T), spectral._sparse_inertia(bands, [T])\n"
+        "def chains(D, e, eigs, T):\n"
+        "    return tridiagonal_counts(D, e, T) == [len(w) for w in eigs]\n"
+        "class Check:\n"
+        "    def dense(self, H, T):\n"
+        "        return count_below_by_inertia(H, T), getattr(spectral, '_sparse_inertia')\n"
+        "def note():\n"
+        "    return 'tridiagonal_counts counts below T'\n"
+    )
+    assert calls_outside({"m.py": source}, COUNT_CERTIFICATES, {"m.py: certify"}) == [
+        "m.py: chains calls tridiagonal_counts",
+        "m.py: Check.dense calls count_below_by_inertia",
+        "m.py: Check.dense calls _sparse_inertia",
+    ]
+
+
+def test_counts_are_certified_in_one_place():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert calls_outside(sources, COUNT_CERTIFICATES, CERTIFICATE_SITES) == []
 
 
 def _outside(node: ast.AST, skip: str):

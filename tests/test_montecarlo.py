@@ -312,17 +312,23 @@ def test_overflowing_cell_means_are_refused_on_both_paths(d):
 
 
 def test_every_chain_row_is_certified_by_a_sturm_count(monkeypatch):
-    seen = []
-    certify = spectral.certify_tridiagonal_counts
+    seen, sturm = [], []
+    certify, count = spectral.certified_below, spectral.tridiagonal_counts
 
-    def spy(diagonals, offdiagonal, eigs, ceiling):
-        seen.append((diagonals.shape, eigs.shape, ceiling))
-        return certify(diagonals, offdiagonal, eigs, ceiling)
+    def spy(bands, eigs, ceiling):
+        seen.append((bands.shape, eigs.shape, ceiling))
+        return certify(bands, eigs, ceiling)
 
-    monkeypatch.setattr(montecarlo, "certify_tridiagonal_counts", spy)
+    def counted(diagonals, offdiagonals, shifts):
+        sturm.append((diagonals.shape, offdiagonals.shape, tuple(shifts)))
+        return count(diagonals, offdiagonals, shifts)
+
+    monkeypatch.setattr(montecarlo, "certified_below", spy)
+    monkeypatch.setattr(spectral, "tridiagonal_counts", counted)
     dist = SiteDistribution.bernoulli("a", "b", seed=4)
     pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5, 4.25], samples=7, truncation_radius=3)
-    assert seen == [((7, 7), (7, 7), 4.25)]
+    assert seen == [((7, 7, 2), (7, 7), 4.25)]
+    assert sturm == [((7, 7), (7, 6), (4.25,) * 7)]
 
 
 def test_chain_estimate_with_a_wrong_count_fails(monkeypatch):
@@ -334,8 +340,23 @@ def test_chain_estimate_with_a_wrong_count_fails(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg.lapack, "dstevd", shifted)
     dist = SiteDistribution.bernoulli("a", "b", seed=4)
-    with pytest.raises(NumericalFailure, match="Sturm count"):
+    with pytest.raises(NumericalFailure, match=r"inertia of H - T\*I"):
         pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5], samples=4, truncation_radius=3)
+
+
+@pytest.mark.parametrize("d, backend, solver", [(2, "lattice", "dsyevd"), (1, "continuum", "dstevd")])
+def test_per_sample_estimate_with_a_wrong_count_fails(monkeypatch, d, backend, solver):
+    solve = getattr(scipy.linalg.lapack, solver)
+
+    def shifted(*args, **kwargs):
+        w, v, info = solve(*args, **kwargs)
+        return w + 0.5, v, info  # the count below the grid's top now disagrees
+
+    monkeypatch.setattr(scipy.linalg.lapack, solver, shifted)
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, d)
+    dist = SiteDistribution.bernoulli("a", "b", seed=4)
+    with pytest.raises(NumericalFailure, match=r"inertia of H - T\*I"):
+        pastur_shubin_mc(dist, lib, [0.5, 2.5], samples=2, truncation_radius=2, backend=backend)
 
 
 # ---------------------------------------------------------------------------

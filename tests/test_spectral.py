@@ -15,7 +15,6 @@ from idslab.spectral import (
     EnergyWindow,
     NumericalFailure,
     StepFunction,
-    certify_tridiagonal_counts,
     count_below_by_inertia,
     counting_function,
     eigensystem,
@@ -350,15 +349,128 @@ def test_tridiagonal_counts_take_zero_pivots():
     assert tridiagonal_counts(np.zeros((2, 1)), np.zeros(0), [-1.0, 0.0]).tolist() == [0, 1]
 
 
-def test_certify_tridiagonal_counts_brackets_ties_and_flags_a_wrong_count():
+def _integer_chains(rng, k, n, complex_):
+    # integer diagonals and integer |e|^2 make exact ties and zero pivots likely;
+    # the phases +-1 and +-1j keep |e| exact
+    D = rng.integers(-2, 3, size=(k, n)).astype(float)
+    E = rng.choice([-1.0, 0.0, 1.0, 2.0], size=(k, n - 1))
+    if complex_:
+        E = E * rng.choice([1.0, -1.0, 1j, -1j], size=E.shape)
+    return D, E
+
+
+def _chain_stack(D, E):
+    """The (k, 2, n) lower band storage of the tridiagonal matrices of diagonals D, off-diagonals E."""
+    k, n = D.shape
+    ab = np.zeros((k, 2, n), dtype=np.result_type(D, E))
+    ab[:, 0], ab[:, 1, : n - 1] = D, E
+    return ab
+
+
+def _sturm_equals_trusted_sparse(ab, shifts):
+    """Assert tridiagonal_counts equals every count _sparse_inertia trusts on the
+    stack ab at shifts; the number of trusted counts."""
+    sturm = tridiagonal_counts(ab[:, 0].real, ab[:, 1, : ab.shape[2] - 1], shifts)
+    sparse = spectral._sparse_inertia(ab, shifts)
+    trusted = [i for i, c in enumerate(sparse) if c is not None]
+    assert [int(sturm[i]) for i in trusted] == [sparse[i] for i in trusted]
+    return len(trusted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 12), st.booleans())
+def test_sturm_counts_equal_trusted_sparse_counts(seed, k, n, complex_):
+    rng = np.random.default_rng(seed)
+    D, E = _integer_chains(rng, k, n, complex_)
+    shifts = rng.integers(-4, 5, size=k) + rng.choice([0.0, 0.5], size=k)
+    _sturm_equals_trusted_sparse(_chain_stack(D, E), shifts)
+
+
+def _chain_band(backend, side, magnetic=False):
+    """The band of a d=1 cube under a random 2-colouring: integer lattice
+    potentials, or random continuum prototypes on a 5-point cell grid."""
+    from idslab.lattice import RandomColoring, cube
+    from idslab.operators import OperatorSpec, Prototype, PrototypeLibrary, discretize
+
+    rng = np.random.default_rng(19)
+    if backend == "lattice":
+        lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 2, 1)
+    else:
+        lib = PrototypeLibrary([
+            Prototype(s, rng.uniform(0.0, 5.0, size=5), (rng.normal(size=5) if magnetic else np.zeros(5),))
+            for s in "ab"
+        ])
+    coloring = RandomColoring(seed=2, symbols=("a", "b"), weights=(0.5, 0.5), dim=1)
+    spec = OperatorSpec(
+        Q=cube(side, 1), coloring=coloring, library=lib, backend=backend,
+        resolution=lib.resolution,
+    )
+    return discretize(spec)
+
+
+@pytest.mark.parametrize(
+    "backend, magnetic", [("lattice", False), ("continuum", False), ("continuum", True)],
+)
+def test_sturm_counts_equal_trusted_sparse_counts_on_chain_bands(backend, magnetic):
+    for side in (2, 5, 16, 40):
+        B = _chain_band(backend, side, magnetic)
+        assert B.shape[1] == 2 and np.iscomplexobj(B) == magnetic
+        w = np.linalg.eigvalsh(dense(B))
+        # integer and half-integer shifts across the spectrum, and its computed eigenvalues
+        grid = np.arange(np.floor(w[0]) - 1, np.ceil(w[-1]) + 1, 0.5)
+        shifts = np.concatenate([grid[:: max(1, len(grid) // 40)], w[:: max(1, len(w) // 20)]])
+        ab = np.broadcast_to(spectral._checked(B)[0], (len(shifts), *B.T.shape))
+        assert _sturm_equals_trusted_sparse(ab, shifts) >= len(shifts) // 4
+
+
+def test_complex_chains_are_sturm_counted():
+    rng = np.random.default_rng(5)
+    D, E = _integer_chains(rng, 30, 9, complex_=True)
+    # the characteristic polynomials have integer coefficients, so no
+    # eigenvalue is a half-integer
+    shifts = rng.integers(-4, 5, size=30) + 0.5
+    counts = tridiagonal_counts(D, E, shifts)
+    for d, e, shift, count in zip(D, E, shifts, counts):
+        H = np.diag(d).astype(complex) + np.diag(e, -1) + np.diag(e.conj(), 1)
+        assert count == count_below_by_inertia(H, shift)
+    # a magnetic d=1 continuum band, with ceilings between and on its eigenvalues
+    B = _chain_band("continuum", 8, magnetic=True)
+    H, n = dense(B), len(B)
+    w = np.linalg.eigvalsh(H)
+
+    def counts(shifts):  # B's Sturm counts at each shift
+        k = len(shifts)
+        return tridiagonal_counts(
+            np.broadcast_to(B[:, 0].real, (k, n)), np.broadcast_to(B[: n - 1, 1], (k, n - 1)), shifts
+        ).tolist()
+
+    mid = (w[:-1] + w[1:]) / 2
+    assert counts(mid) == [count_below_by_inertia(H, T) for T in mid] == list(range(1, n))
+    delta = spectral.CEILING_TIE_RTOL * max(1.0, np.max(np.abs(B)))
+    for k in (0, n // 3, n - 1):
+        T = float(w[k])
+        lo, tie, hi = counts([T - delta, T, T + delta])
+        assert (lo, hi) == (k, k + 1)
+        assert (lo, hi) == (count_below_by_inertia(H, T - delta), count_below_by_inertia(H, T + delta))
+        assert tie in (k, k + 1)
+        [below] = spectral.certified_below([B], [w], T)
+        assert len(below) == k + 1
+
+
+def test_certified_below_brackets_chain_ties_and_flags_a_wrong_count(monkeypatch):
     D, e = _random_chains(np.random.default_rng(7), 40, 12)
+    bands = np.zeros((40, 12, 2))
+    bands[:, :, 0], bands[:, :11, 1] = D, e
     eigs = np.array([tridiagonal_eigensystem(row, e)[0] for row in D])
+    sturm = _spy(monkeypatch, spectral, "tridiagonal_counts")
+    sparse = _spy(monkeypatch, spectral, "_sparse_inertia")
     for T in (-1.0, 0.0, 0.5, 2.0):  # the integer ceilings hit exact eigenvalues
-        certify_tridiagonal_counts(D, e, eigs, T)
+        spectral.certified_below(bands, eigs, T)
     wrong = eigs.copy()
     wrong[3] += 0.5
-    with pytest.raises(NumericalFailure, match="row 3: .* Sturm count"):
-        certify_tridiagonal_counts(D, e, wrong, 0.5)
+    with pytest.raises(NumericalFailure, match=r"matrix 3: .* inertia of H - T\*I"):
+        spectral.certified_below(bands, wrong, 0.5)
+    assert len(sturm) == 5 and not sparse  # every count is a Sturm count
 
 
 def _ab_chain(n):
@@ -367,6 +479,15 @@ def _ab_chain(n):
 
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 2, 1)
     return lattice_model(periodic_word("ab"), cube(n, 1), lib)
+
+
+def _ab_square(side):
+    from idslab.lattice import RandomColoring, cube
+    from idslab.operators import PrototypeLibrary, lattice_model
+
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 2, 2)
+    coloring = RandomColoring(seed=0, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
+    return lattice_model(coloring, cube(side, 2), lib)
 
 
 def _sparse_pentadiagonal():
@@ -473,14 +594,18 @@ def test_inertia_cross_check_random_matrices():
     "H, T, dense_fallback",
     [
         (np.diag([0.0, 1.0, 2.0]), 1.0, False),  # ceiling exactly at an eigenvalue
-        # zero pivot of H - T*I, certified by the sparse counts at T -/+ delta
+        # zero pivot of H - T*I, which the Sturm count takes as -pivmin
         (np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0, False),
         (_chain(30), 1.1, False),
-        # integer ceiling on an integer potential: SuperLU's ordering is
-        # unsymmetric at T, the counts at T -/+ delta certify it
+        # integer ceiling on an integer potential
         (dense(_ab_chain(256)), 3.0, False),
+        # on d=2 lattice bands SuperLU's ordering is unsymmetric at T = 4: the
+        # sparse counts at T -/+ delta certify the side-4 cube; on the side-5
+        # cube the one at T - delta is not trusted either, and the dense count decides
+        (_ab_square(4), 4.0, False),
+        (_ab_square(5), 4.0, True),
     ],
-    ids=["ceiling-at-eigenvalue", "zero-pivot", "chain", "ab-chain"],
+    ids=["ceiling-at-eigenvalue", "zero-pivot", "chain", "ab-chain", "ab-square", "ab-square-dense"],
 )
 def test_certified_count_matches_inertia(monkeypatch, H, T, dense_fallback):
     calls = []
@@ -495,7 +620,8 @@ def test_certified_count_matches_inertia(monkeypatch, H, T, dense_fallback):
 
 
 def test_untrusted_sparse_counts_fall_back_to_dense(monkeypatch):
-    H, T = _chain(30), 1.1
+    # a pentadiagonal band: a tridiagonal one gets a Sturm count, which is always trusted
+    H, T = _random_banded(30, 2, 4), 0.1
     calls = []
 
     def spy(H, T):
@@ -522,7 +648,7 @@ def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
     assert main(["ids", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
 
     # one eigenvalue of one class ("ab" of "ab" and "ba") goes missing in the
-    # M=2 pattern route, whose two classes are certified by one factorization
+    # M=2 pattern route, whose two classes are certified by one Sturm count
     dropped, stacks = [], []
 
     def drop_in_first_pair(ab, **kwargs):
@@ -532,14 +658,14 @@ def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
             return w[1:]
         return w
 
-    sparse_inertia = spectral._sparse_inertia
+    sturm = spectral.tridiagonal_counts
 
-    def recorded(ab, shifts):
-        stacks.append(len(ab))
-        return sparse_inertia(ab, shifts)
+    def recorded(diagonals, offdiagonals, shifts):
+        stacks.append(len(diagonals))
+        return sturm(diagonals, offdiagonals, shifts)
 
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", drop_in_first_pair)
-    monkeypatch.setattr(spectral, "_sparse_inertia", recorded)
+    monkeypatch.setattr(spectral, "tridiagonal_counts", recorded)
     cfg.update(M_list=[2])
     path.write_text(json.dumps(cfg))
     assert main(["ids", "--config", str(path), "--out", str(tmp_path / "out2")]) == 1
@@ -569,8 +695,8 @@ def test_stacked_certificate_matches_dense_inertia(seed, k, n, width, complex_):
         ab[:, 0] = ab[:, 0].real
     bands = [b.T for b in ab]
     eigs = [scipy.linalg.eigvals_banded(b, lower=True) for b in ab]
-    stacks, denses = [], []
-    sparse_inertia = spectral._sparse_inertia
+    stacks, denses, sturms = [], [], []
+    sparse_inertia, sturm = spectral._sparse_inertia, spectral.tridiagonal_counts
 
     def sparse_spy(stack, shifts):
         stacks.append(stack)
@@ -580,15 +706,24 @@ def test_stacked_certificate_matches_dense_inertia(seed, k, n, width, complex_):
         denses.append(H)
         return count_below_by_inertia(H, T)
 
+    def sturm_spy(diagonals, offdiagonals, shifts):
+        sturms.append(diagonals)
+        return sturm(diagonals, offdiagonals, shifts)
+
     full = [dense(B) for B in bands]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_sparse_inertia", sparse_spy)
         mp.setattr(spectral, "count_below_by_inertia", dense_spy)
+        mp.setattr(spectral, "tridiagonal_counts", sturm_spy)
         below = spectral.certified_below(bands, eigs, T)
     assert [len(x) for x in below] == [count_below_by_inertia(H, T) for H in full]
+    if width <= 2:
+        # one Sturm count holds every tridiagonal matrix, the tie one at T -/+ delta
+        assert [len(D) for D in sturms] == [k + 1] and not stacks and not denses
+        return
     # one factorization holds every block, the tie block at T -/+ delta; any
     # further factorization or dense count is of the tie block alone
-    assert len(stacks[0]) == k + 1
+    assert len(stacks[0]) == k + 1 and not sturms
     assert all(np.array_equal(b, ab[tie]) for stack in stacks[1:] for b in stack)
     assert all(np.array_equal(H, full[tie]) for H in denses)
 
