@@ -23,8 +23,9 @@ from .operators import (
     LATTICE,
     OperatorSpec,
     PrototypeLibrary,
-    discretize,
-    grid_points,
+    _band_width,
+    _cells,
+    coded_bands,
 )
 from .spectral import (
     EnergyWindow,
@@ -32,11 +33,12 @@ from .spectral import (
     certified_below,
     eigensystem,
     lp_distance,
-    tridiagonal_eigensystem,
 )
 
 # family-wise false-alarm rate of the two-seed agreement test (estimates_agree)
 TWO_SEED_ALPHA = 0.01
+# the most band entries (samples x N x (w + 1)) filled, solved and certified as one group
+GROUP_BAND_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -76,36 +78,41 @@ def centered_box(R: int, d: int) -> frozenset[Site]:
     return frozenset(product(range(-R, R + 1), repeat=d))
 
 
-def _spec(Q: frozenset[Site], coloring: Coloring, library: PrototypeLibrary, backend: str) -> OperatorSpec:
-    return OperatorSpec(
-        Q=Q, coloring=coloring, library=library, backend=backend, resolution=library.resolution
-    )
+def _ceiling(lambda_grid: Sequence[float]) -> float:
+    """The top of the lambda grid; ValueError if the grid is empty."""
+    if not len(lambda_grid):
+        raise ValueError("the lambda grid is empty")
+    return float(np.max(lambda_grid))
 
 
-def _origin_cell_indices(spec: OperatorSpec) -> np.ndarray:
-    """Positions (in matrix indexing) of the grid points owned by the origin cell."""
-    if spec.backend == LATTICE:
-        pts = sorted(spec.Q)
-        origin = (0,) * spec.dimension
-        return np.asarray([pts.index(origin)])
-    n = spec.resolution
-    pts = grid_points(spec)
-    idx = [
-        i for i, p in enumerate(pts) if all(0 <= c < n for c in p)
-    ]
-    return np.asarray(idx, dtype=int)
-
-
-def _origin_spectrum(spec: OperatorSpec, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of spec's Hamiltonian and each eigenvector's origin-cell mass.
-
-    The count of eigenvalues <= ceiling is certified (certified_below).
+def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceiling: float):
+    """Per row of codes (samples, cells of the geometry _cells(spec)), in order,
+    the ascending eigenvalues of spec's Hamiltonian under that coloring and
+    each eigenvector's mass on the origin cell's points.  The samples are
+    filled (coded_bands) in groups whose bands hold at most GROUP_BAND_ENTRIES
+    entries, solved by eigensystem, and a group's counts <= ceiling are
+    certified by one certified_below call after its last sample is yielded.
     """
-    B = discretize(spec)
-    w, U = eigensystem(B)
-    certified_below([B], [w], ceiling)
-    sel = _origin_cell_indices(spec)
-    return w, np.sum(np.abs(U[sel, :]) ** 2, axis=0)
+    cells, owner, _, links = geometry
+    origin = np.flatnonzero(owner == cells.index((0,) * spec.dimension))
+    group = max(1, GROUP_BAND_ENTRIES // (len(owner) * _band_width(links)))
+    for start in range(0, len(codes), group):
+        bands = coded_bands(spec, geometry, codes[start : start + group])
+        eigs = []
+        for B in bands:
+            w, U = eigensystem(B)
+            eigs.append(w)
+            yield w, np.sum(np.abs(U[origin, :]) ** 2, axis=0)
+        certified_below(bands, eigs, ceiling)
+
+
+def _own_spectrum(spec: OperatorSpec, lambda_grid: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """_origin_spectra of spec under its own coloring, certified below the grid's top."""
+    ceiling = _ceiling(lambda_grid)
+    geometry = _cells(spec)
+    codes = spec.library.codes(map(spec.color_of, geometry[0]))
+    [spectrum] = _origin_spectra(spec, geometry, codes[None], ceiling)
+    return spectrum
 
 
 def _mass_below(w: np.ndarray, mass: np.ndarray, lambda_grid: np.ndarray) -> np.ndarray:
@@ -114,16 +121,15 @@ def _mass_below(w: np.ndarray, mass: np.ndarray, lambda_grid: np.ndarray) -> np.
     return cum[np.searchsorted(w, lambda_grid, side="right")]
 
 
-def localized_counting(
-    spec: OperatorSpec, lambda_grid: np.ndarray
-) -> np.ndarray:
+def localized_counting(spec: OperatorSpec, lambda_grid: np.ndarray) -> np.ndarray:
     """Tr[chi_{W_0} chi_{(-inf, lambda]}(H)] on the given energy grid.
 
     Eigenvector mass over the origin cell's half-open grid points; summing
     this quantity over all cells of Q tiles back to the full eigenvalue
-    count, exactly.  The count below the grid's top is certified.
+    count, exactly.  The one sample of _origin_spectra under spec's
+    coloring, so its count below the grid's top is certified.
     """
-    return _mass_below(*_origin_spectrum(spec, np.max(lambda_grid)), lambda_grid)
+    return _mass_below(*_own_spectrum(spec, lambda_grid), lambda_grid)
 
 
 def _symbol_codes(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
@@ -134,40 +140,6 @@ def _symbol_codes(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
     1 goes to the last symbol.
     """
     return np.minimum(np.searchsorted(np.cumsum(weights), u, side="right"), len(weights) - 1)
-
-
-def _chain_samples(
-    dist: SiteDistribution,
-    library: PrototypeLibrary,
-    grid: np.ndarray,
-    samples: int,
-    R: int,
-) -> np.ndarray:
-    """localized_counting of samples 0..samples-1 on the lattice chain {-R..R}, one row each.
-
-    The colors of all samples come from one _site_hashes pass and
-    _symbol_codes, with sample s's seed and the site bits of
-    sample_coloring.  The chains are one band array of shape (samples,
-    2R+1, 2): sample s's diagonal 2 + vbar, written straight from its color
-    codes, and the -1 off-diagonal.  Each chain is solved by one
-    tridiagonal_eigensystem; the origin cell's mass of an eigenvector is its
-    entry R squared.  The counts of all chains below grid[-1] are certified
-    together, on the band array itself, by certified_below's Sturm count.
-    """
-    seeds = _site_hashes([dist.seed], np.arange(samples)[:, None])[0]
-    u = _site_hashes(seeds, np.arange(-R, R + 1)[:, None]) / 2.0**64  # uniform in [0, 1]
-    levels = np.array([2.0 + library[sym].cell_mean_v for sym in dist.symbols])
-    bands = np.zeros((samples, 2 * R + 1, 2))
-    bands[:, :, 0] = levels[_symbol_codes(dist.weights, u)]
-    bands[:, : 2 * R, 1] = -1.0
-    eigs = np.empty(bands.shape[:2])
-    rows = np.empty((samples, len(grid)))
-    for s, B in enumerate(bands):
-        w, U = tridiagonal_eigensystem(B[:, 0], B[: 2 * R, 1])
-        eigs[s] = w
-        rows[s] = _mass_below(w, U[R] ** 2, grid)
-    certified_below(bands, eigs, grid[-1])
-    return rows
 
 
 @dataclass(frozen=True)
@@ -202,26 +174,29 @@ def pastur_shubin_mc(
     """Monte Carlo estimate of the trace-per-unit-volume distribution function.
 
     Each sample is the origin-cell-localized spectral mass on the lambda
-    grid of the Hamiltonian on the centered box, under sample s's coloring;
-    the library fixes the dimension d and the cell grid.  The lattice chain
-    (d = 1) takes every sample at once (_chain_samples); the continuum
-    backend and d >= 2 draw a coloring, assemble and solve per sample
-    (localized_counting).  Both give the same rows bit for bit, and both
-    certify every sample's count below the grid's top (certified_below).
-    Mean and standard error are taken across samples.
+    grid of the Hamiltonian on the centered box, under sample s's coloring
+    (sample_coloring); the library fixes the dimension d and the cell grid.
+    One path serves every backend and d: the box geometry is built once, one
+    _site_hashes pass and _symbol_codes color every sample, and
+    _origin_spectra fills, solves and certifies them in groups, of which
+    only each sample's row is kept.  Mean and standard error are taken
+    across samples.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     grid = np.unique(np.asarray(lambda_grid, dtype=float))
+    ceiling = _ceiling(grid)
     d = library.dimension
     box = centered_box(truncation_radius, d)
-    if backend == LATTICE and d == 1:
-        rows = _chain_samples(dist, library, grid, samples, truncation_radius)
-    else:
-        rows = np.vstack([
-            localized_counting(_spec(box, sample_coloring(dist, s, d), library, backend), grid)
-            for s in range(samples)
-        ])
+    spec = OperatorSpec(box, None, library, backend, library.resolution)
+    geometry = _cells(spec)
+    seeds = _site_hashes([dist.seed], np.arange(samples)[:, None])[0]
+    u = _site_hashes(seeds, geometry[0]) / 2.0**64  # uniform in [0, 1]
+    codes = library.codes(dist.symbols)[_symbol_codes(dist.weights, u)]
+    del u  # not held through the solves
+    rows = np.empty((samples, len(grid)))
+    for s, (w, mass) in enumerate(_origin_spectra(spec, geometry, codes, ceiling)):
+        rows[s] = _mass_below(w, mass, grid)
     mean = np.mean(rows, axis=0)
     if samples > 1:
         stderr = np.std(rows, axis=0, ddof=1) / np.sqrt(samples)
@@ -255,8 +230,9 @@ def semigroup_truncation_diagnostic(
     """
     heat, counts = [], []
     for radius in (R, 2 * R):
-        spec = _spec(centered_box(radius, library.dimension), coloring, library, backend)
-        w, mass = _origin_spectrum(spec, np.max(lambda_grid))
+        box = centered_box(radius, library.dimension)
+        spec = OperatorSpec(box, coloring, library, backend, library.resolution)
+        w, mass = _own_spectrum(spec, lambda_grid)
         heat.append(float(np.sum(np.exp(-w) * mass)))
         counts.append(_mass_below(w, mass, lambda_grid))
     return abs(heat[1] - heat[0]), float(np.max(np.abs(counts[0] - counts[1])))
@@ -312,13 +288,16 @@ def compare_random_ids(
 def estimates_agree(a: McEstimate, b: McEstimate) -> bool:
     """Whether two independent estimates on one lambda grid agree at every grid point.
 
-    Each point's mean difference must lie within z* combined standard
-    errors, with the Bonferroni threshold z* = Phi^-1(1 - alpha / (2K)) over
-    the grid's K points and alpha = TWO_SEED_ALPHA.  Under equal means, the
-    chance that any point exceeds it is at most alpha (up to the normal
-    approximation of each point), whatever the correlation between the
-    points.  At K = 201 and alpha = 0.01, z* = 4.06.
+    Estimates on different grids raise ValueError.  Each point's mean
+    difference must lie within z* combined standard errors, with the
+    Bonferroni threshold z* = Phi^-1(1 - alpha / (2K)) over the grid's K
+    points and alpha = TWO_SEED_ALPHA.  Under equal means, the chance that
+    any point exceeds it is at most alpha (up to the normal approximation of
+    each point), whatever the correlation between the points.  At K = 201
+    and alpha = 0.01, z* = 4.06.
     """
+    if not np.array_equal(a.lambda_grid, b.lambda_grid):
+        raise ValueError("the estimates lie on different lambda grids")
     combined = np.sqrt(a.stderr**2 + b.stderr**2)
     z = NormalDist().inv_cdf(1.0 - TWO_SEED_ALPHA / (2 * len(a.lambda_grid)))
     return bool(np.all(np.abs(a.mean - b.mean) <= z * np.maximum(combined, 1e-12)))

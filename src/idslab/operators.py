@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,6 +125,11 @@ class PrototypeLibrary:
 
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._by_symbol
+
+    def codes(self, symbols: Iterable[str]) -> np.ndarray:
+        """Each symbol's code, its index in self.symbols (a KeyError as self[symbol] raises it)."""
+        index = {s: k for k, s in enumerate(self.symbols)}
+        return np.array([index[self[s].symbol] for s in symbols], dtype=np.intp)
 
     @staticmethod
     def constant_potentials(values: Mapping[str, float], n: int, d: int) -> "PrototypeLibrary":
@@ -315,78 +320,92 @@ def grid_embedding(spec: OperatorSpec, finer: OperatorSpec) -> np.ndarray:
     return np.flatnonzero(_off_facets(pts, finer.removed_facets, spec.resolution))
 
 
+def _band_width(links: list) -> int:
+    """w + 1 for w the largest offset k - i of the links (i, k)."""
+    return 1 + max((int(np.max(k - i, initial=0)) for i, k in links), default=0)
+
+
 def _band(diagonal: np.ndarray, links: list, weights: list) -> np.ndarray:
     """The lower band of the Hermitian H with the given diagonal and H[i, k] =
     weights[j] on the links (i, k) of axis j: B[j, k] = H[j + k, j], of shape
     (N, w + 1) for w the largest offset k - i.  B.T is LAPACK's band storage.
+    Leading axes of the diagonal and of the weights are leading axes of B.
     """
-    w = max((int(np.max(k - i, initial=0)) for i, k in links), default=0)
-    B = np.zeros((len(diagonal), w + 1), dtype=np.result_type(diagonal, *weights))
-    B[:, 0] = diagonal
+    shape = (*np.shape(diagonal), _band_width(links))
+    B = np.zeros(shape, dtype=np.result_type(diagonal, *weights))
+    B[..., 0] = diagonal
     for (i, k), weight in zip(links, weights):
-        B[i, k - i] = np.conjugate(weight)
+        B[..., i, k - i] = np.conjugate(weight)
     return B
 
 
-def discretize(spec: OperatorSpec) -> np.ndarray:
-    """Assemble the Hamiltonian for the spec's backend as its lower band (see _band).
-
-    Continuum: (2d/h^2 + V) on the diagonal, -exp(-i h A_j)/h^2 on links,
-    acting on interior grid points minus removed-facet points.  Hermitian by
-    construction; the solvers that consume it check its band.  Lattice: see
-    lattice_model.
+def _cells(spec: OperatorSpec) -> tuple[list[Site], np.ndarray, np.ndarray, list]:
+    """The geometry of spec's Hamiltonian, read from its Q, backend, resolution
+    and facets, never its coloring: the cells owning its points (sorted),
+    each point's index among them and place in that cell, and the links
+    (_links).  Lattice: one point per cell.  Continuum: the grid points
+    (grid_points), each owned half-open by its cell p // n, at p % n.
     """
     if spec.backend == LATTICE:
-        return _lattice_band(spec.Q, spec.library, spec.color_of)
-    d = spec.dimension
-    n = spec.resolution
-    h = 1.0 / n
+        cells = sorted(spec.Q)
+        coords = np.array(cells, dtype=np.int64)
+        return cells, np.arange(len(coords)), np.zeros_like(coords), _links(coords)
     coords = _grid_coords(spec)
     if not len(coords):
         raise ValueError("degenerate geometry: no interior grid points remain")
-    # half-open ownership: grid point p samples its owner cell p // n at p % n
-    owner, local = np.divmod(coords, n)
+    owner, local = np.divmod(coords, spec.resolution)
     cells, which = np.unique(owner, axis=0, return_inverse=True)
-    protos = [spec.library[spec.color_of(c)] for c in map(tuple, cells.tolist())]
-    at = (which.reshape(-1), *local.T)
+    return list(map(tuple, cells.tolist())), which.reshape(-1), local, _links(coords)
+
+
+def coded_bands(spec: OperatorSpec, geometry: tuple, codes: np.ndarray) -> np.ndarray:
+    """spec's Hamiltonian on the geometry (_cells) as its lower band (see _band),
+    cell c colored library.symbols[codes[..., c]]; codes of shape (S, C) give
+    the (S, N, w + 1) bands of S colorings.  Continuum: (2d/h^2 + V) on the
+    diagonal, -exp(-i h A_j)/h^2 on links.  Lattice: 2d + vbar, and -1.
+    Hermitian by construction; the solvers that consume it check its band.
+    """
+    _, owner, local, links = geometry
+    d = local.shape[1]
+    protos = [spec.library[s] for s in spec.library.symbols]
+    point_codes = codes[..., owner]
+    if spec.backend == LATTICE:
+        levels = np.array([2.0 * d + p.cell_mean_v for p in protos])
+        return _band(levels[point_codes], links, [-1.0] * d)
+    # half-open ownership: grid point p samples its owner cell p // n at p % n
+    at = (point_codes, *local.T)
+    h = 1.0 / spec.resolution
     inv_h2 = 1.0 / h**2
-    links = _links(coords)
     weights = [-inv_h2] * d
     if spec.library.has_magnetic:
         # Peierls phase: A_j sampled at the link tail, which shares
         # its half-open owner cell with the link midpoint.
-        a = [np.stack([p.a[j] for p in protos])[at][i] for j, (i, _) in enumerate(links)]
+        a = [np.stack([p.a[j] for p in protos])[at][..., i] for j, (i, _) in enumerate(links)]
         weights = [-inv_h2 * np.exp(-1j * h * aj) for aj in a]
     return _band(2.0 * d * inv_h2 + np.stack([p.v for p in protos])[at], links, weights)
+
+
+def discretize(spec: OperatorSpec) -> np.ndarray:
+    """The Hamiltonian of spec as its lower band: the geometry (_cells) filled
+    (coded_bands) under spec's coloring.  Continuum: it acts on the interior
+    grid points minus removed-facet points.  Lattice: see lattice_model.
+    """
+    geometry = _cells(spec)
+    return coded_bands(spec, geometry, spec.library.codes(map(spec.color_of, geometry[0])))
 
 
 # ---------------------------------------------------------------------------
 # Lattice (tight-binding) backend
 # ---------------------------------------------------------------------------
 
-def _lattice_band(Q: frozenset[Site], library: PrototypeLibrary, color_of: Callable) -> np.ndarray:
-    """lattice_model's Hamiltonian as its lower band (see _band)."""
-    if not Q:
-        raise ValueError("Q must be nonempty")
-    d = dimension_of(Q)
-    pts = sorted(Q)
-    diagonal = np.array([2.0 * d + library[color_of(p)].cell_mean_v for p in pts])
-    return _band(diagonal, _links(np.array(pts, dtype=np.int64)), [-1.0] * d)
-
-
-def lattice_model(
-    C: Coloring,
-    Q: frozenset[Site],
-    library: PrototypeLibrary,
-    color_of: Callable[[Site], str] | None = None,
-) -> np.ndarray:
+def lattice_model(C: Coloring, Q: frozenset[Site], library: PrototypeLibrary) -> np.ndarray:
     """Graph Laplacian on Q with site potential = cell mean of the prototype, as a dense matrix.
 
     Diagonal 2d + vbar(C(x)); off-diagonal -1 between nearest neighbors in
     Q.  Missing neighbors contribute nothing (lattice Dirichlet convention).
-    Rows follow the lexicographic order of Q.
+    Rows follow the lexicographic order of Q.  The band is discretize's.
     """
-    B = _lattice_band(Q, library, color_of or C.color)
+    B = discretize(OperatorSpec(Q=Q, coloring=C, library=library, backend=LATTICE))
     H = np.zeros((len(B), len(B)))
     for k, diagonal in enumerate(B.T):
         np.fill_diagonal(H[k:], diagonal[: len(B) - k])

@@ -381,11 +381,11 @@ def weyl_check(
     margin_n = E_n - (2 pi (1-delta) d / e) (n / volume)^(2/d) + C1; the
     minimum over n is returned, +inf for an empty list (vacuous bound).
     """
+    if not 0 <= delta < 1:
+        raise ValueError(f"delta must lie in [0, 1), got {delta}")
     e = np.asarray(sorted(eigs), dtype=float)
     if len(e) == 0:
         return math.inf
-    if not 0 <= delta < 1:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
     n = np.arange(1, len(e) + 1, dtype=float)
     lower = (2.0 * math.pi * (1.0 - delta) * d / math.e) * (n / volume) ** (2.0 / d)
     return float(np.min(e - lower + C1))

@@ -31,10 +31,10 @@ def pattern_from_word(word: str) -> Pattern:
 def per_sample_mc(dist, library, grid, samples, R, backend=LATTICE):
     """Mean and standard error of the localized counting over samples, one sample at a time.
 
-    Each sample draws its coloring, assembles its operator on the centered
-    box and solves it through localized_counting, as pastur_shubin_mc did
-    for every backend and dimension before the lattice chain became one
-    array program.
+    Each sample draws its coloring site by site (RandomColoring.color),
+    assembles its operator on the centered box (discretize) and solves it
+    through localized_counting, where pastur_shubin_mc colours all samples
+    by one hash pass and fills and solves them in groups.
     """
     d = library.dimension
     box = centered_box(R, d)

@@ -1,7 +1,8 @@
 """Every import in src/idslab is used, every definition there is named by the
 program, every parameter default there is overridden by some call, every
-config field is read, every dense eigenvector solve goes through
-spectral.eigensystem, every dense matrix is turned into a band only where
+config field is read, every dense and every tridiagonal eigenvector
+solve goes through spectral.eigensystem, every band is written by the
+assembly fill, every dense matrix is turned into a band only where
 it enters from outside, every eigenvalue count is certified through
 spectral.certified_below (no linter is installed, so this test is the lint),
 and importing the CLI stays cheap."""
@@ -282,6 +283,66 @@ def test_checker_flags_dense_eigenvector_solves():
 def test_one_dense_eigenvector_solve_site():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert calls_outside(sources, DENSE_EIGENVECTOR_SOLVERS, {"spectral.py: eigensystem"}) == []
+
+
+# the tridiagonal solver is reached only through spectral.eigensystem, and
+# LAPACK dstevd only through the tridiagonal solver
+TRIDIAGONAL_SOLVES = {
+    "tridiagonal_eigensystem": {"spectral.py: eigensystem"},
+    "dstevd": {"spectral.py: tridiagonal_eigensystem"},
+}
+
+
+def test_checker_flags_tridiagonal_solves():
+    source = (
+        "import scipy.linalg\n"
+        "def eigensystem(B):\n"
+        "    return tridiagonal_eigensystem(B[:, 0], B[:-1, 1])\n"
+        "def tridiagonal_eigensystem(d, e):\n"
+        "    return scipy.linalg.lapack.dstevd(d, e)\n"
+        "def chains(bands):\n"
+        "    return [tridiagonal_eigensystem(B[:, 0], B[:-1, 1]) for B in bands]\n"
+        "def chain(d, e):\n"
+        "    return getattr(scipy.linalg.lapack, 'dstevd')(d, e)\n"
+        "def note():\n"
+        "    return 'dstevd solves a tridiagonal matrix'\n"
+    )
+    found = [
+        hit for name, allowed in TRIDIAGONAL_SOLVES.items()
+        for hit in calls_outside({"spectral.py": source}, re.compile(name), allowed)
+    ]
+    assert found == [
+        "spectral.py: chains calls tridiagonal_eigensystem", "spectral.py: chain calls dstevd",
+    ]
+
+
+def test_tridiagonal_solves_go_through_eigensystem():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    for name, allowed in TRIDIAGONAL_SOLVES.items():
+        assert calls_outside(sources, re.compile(name), allowed) == []
+
+
+# every band is written by the one assembly fill
+BAND_WRITE = re.compile("_band")
+
+
+def test_checker_flags_band_writes():
+    source = (
+        "def coded_bands(spec, geometry, codes):\n"
+        "    return _band(levels[codes], links, weights)\n"
+        "def lattice_band(Q, library):\n"
+        "    return _band(diagonal, _links(coords), [-1.0] * d)\n"
+        "def width(links):\n"
+        "    return _band_width(links), '_band writes the band'\n"
+    )
+    assert calls_outside({"operators.py": source}, BAND_WRITE, {"operators.py: coded_bands"}) == [
+        "operators.py: lattice_band calls _band",
+    ]
+
+
+def test_bands_are_written_only_by_the_fill():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert calls_outside(sources, BAND_WRITE, {"operators.py: coded_bands"}) == []
 
 
 # assembly makes bands; a dense matrix is banded only where it enters from outside

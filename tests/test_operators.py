@@ -27,6 +27,7 @@ from idslab.operators import (
     Prototype,
     PrototypeLibrary,
     add_facet_dirichlet,
+    coded_bands,
     discretize,
     facet_within,
     grid_embedding,
@@ -308,12 +309,7 @@ def test_lattice_potential_shift():
 
 def test_lattice_2d_neighbors():
     lib = PrototypeLibrary.zero(["a"], 2, 2)
-
-    class Const2:
-        def color(self, s):
-            return "a"
-
-    H = lattice_model(None, cube(2, 2), lib, color_of=Const2().color)
+    H = lattice_model(PeriodicColoring(period=(1, 1), cell={(0, 0): "a"}), cube(2, 2), lib)
     assert H.shape == (4, 4)
     assert np.all(np.diag(H) == 4.0)
     assert np.sum(H == -1.0) == 8  # 4 edges, both directions
@@ -392,11 +388,11 @@ def test_lattice_model_pattern_domain_matches_dict_loop_bitwise():
     lib = PrototypeLibrary.constant_potentials({"a": 0.3, "b": -1.7}, 2, 2)
     sites = sorted(_scattered_sites(2, 7))
     P = Pattern(tuple(sites), tuple("ab"[(x * 3 + y) % 2] for x, y in sites))
-    H = lattice_model(None, P.domain, lib, color_of=P.color)
+    spec = pattern_spec(P, OperatorSpec(Q=P.domain, coloring=None, library=lib, backend="lattice"))
+    H = lattice_model(spec.coloring, P.domain, lib)
     oracle = _dict_loop_lattice_model(P.domain, lib, P.color)
     assert H.tobytes() == oracle.tobytes()
-    B = discretize(pattern_spec(P, OperatorSpec(Q=P.domain, coloring=None, library=lib,
-                                                backend="lattice")))
+    B = discretize(spec)
     assert B.tobytes() == lower_band(oracle).tobytes()
 
 
@@ -550,9 +546,13 @@ def test_consumers_reject_non_hermitian_assembly():
         def corrupted(spec):
             return corrupt(discretize(spec))
 
+        def corrupted_fill(spec, geometry, codes):
+            return np.stack([corrupt(B) for B in coded_bands(spec, geometry, codes)])
+
         with pytest.MonkeyPatch.context() as mp:
-            for module in (idslab.ergodic, idslab.montecarlo, idslab.ssf):
+            for module in (idslab.ergodic, idslab.ssf):
                 mp.setattr(module, "discretize", corrupted)
+            mp.setattr(idslab.montecarlo, "coded_bands", corrupted_fill)
             field = AlmostAdditiveField(periodic_word("ab"), LIB01, window)
             with pytest.raises(ValueError, match="finite|real"):
                 field.evaluate(cube(4, 1))

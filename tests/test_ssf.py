@@ -412,3 +412,9 @@ def test_weyl_fd_restricted_below_ceiling():
 def test_weyl_delta_validation():
     with pytest.raises(ValueError):
         weyl_check([1.0], volume=1.0, delta=1.5)
+
+
+@pytest.mark.parametrize("delta", [1.5, -0.1])
+def test_weyl_delta_is_checked_before_an_empty_spectrum(delta):
+    with pytest.raises(ValueError, match="delta"):
+        weyl_check([], volume=1.0, delta=delta)
