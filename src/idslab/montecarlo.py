@@ -29,16 +29,21 @@ from .operators import (
 )
 from .spectral import (
     EnergyWindow,
+    NumericalFailure,
     StepFunction,
     certified_below,
     eigensystem,
     lp_distance,
+    tridiagonal_eigenvalues,
+    tridiagonal_masses,
 )
 
 # family-wise false-alarm rate of the two-seed agreement test (estimates_agree)
 TWO_SEED_ALPHA = 0.01
 # the most band entries (samples x N x (w + 1)) filled, solved and certified as one group
 GROUP_BAND_ENTRIES = 2**18
+# a chain sample's origin masses must sum to its number of origin points within this share of it
+MASS_SUM_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,25 +90,60 @@ def _ceiling(lambda_grid: Sequence[float]) -> float:
     return float(np.max(lambda_grid))
 
 
+def _chain_sites(bands: np.ndarray, origin: np.ndarray) -> range | None:
+    """The origin's points as one index range when every band of the group is
+    an irreducible real chain (width 2, no zero off-diagonal), else None.
+    A band with a non-finite entry gets None too, so eigensystem refuses it."""
+    n, width = bands.shape[1:]
+    if np.iscomplexobj(bands) or width != 2 or not len(origin) or not np.all(np.isfinite(bands)):
+        return None
+    if not np.all(bands[:, : n - 1, 1]):
+        return None  # a cut chain: a facet or a gap in Q
+    sites = range(origin[0], origin[-1] + 1)
+    return sites if len(sites) == len(origin) else None
+
+
 def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceiling: float):
     """Per row of codes (samples, cells of the geometry _cells(spec)), in order,
     the ascending eigenvalues of spec's Hamiltonian under that coloring and
     each eigenvector's mass on the origin cell's points.  The samples are
     filled (coded_bands) in groups whose bands hold at most GROUP_BAND_ENTRIES
-    entries, solved by eigensystem, and a group's counts <= ceiling are
-    certified by one certified_below call after its last sample is yielded.
+    entries, and a group's counts <= ceiling are certified by one
+    certified_below call.  A group of irreducible real chains (_chain_sites)
+    gets its eigenvalues alone (tridiagonal_eigenvalues) and its masses from
+    one tridiagonal_masses call, and each sample's masses must sum to the
+    number of origin points within MASS_SUM_RTOL of it; any other group is
+    solved by eigensystem, and certified after its last sample is yielded.
     """
     cells, owner, _, links = geometry
     origin = np.flatnonzero(owner == cells.index((0,) * spec.dimension))
     group = max(1, GROUP_BAND_ENTRIES // (len(owner) * _band_width(links)))
     for start in range(0, len(codes), group):
         bands = coded_bands(spec, geometry, codes[start : start + group])
-        eigs = []
-        for B in bands:
-            w, U = eigensystem(B)
-            eigs.append(w)
-            yield w, np.sum(np.abs(U[origin, :]) ** 2, axis=0)
+        sites = _chain_sites(bands, origin)
+        if sites is None:
+            eigs = []
+            for B in bands:
+                w, U = eigensystem(B)
+                eigs.append(w)
+                yield w, np.sum(np.abs(U[origin, :]) ** 2, axis=0)
+            certified_below(bands, eigs, ceiling)
+            continue
+        n = bands.shape[1]
+        diagonals, offdiagonals = bands[..., 0], bands[:, : n - 1, 1]
+        eigs = np.empty((len(bands), n))
+        for i, (d, e) in enumerate(zip(diagonals, offdiagonals)):
+            eigs[i] = tridiagonal_eigenvalues(d, e)
         certified_below(bands, eigs, ceiling)
+        masses = tridiagonal_masses(diagonals, offdiagonals, eigs, sites)
+        sums = np.sum(masses, axis=1)
+        bad = np.flatnonzero(~(np.abs(sums - len(origin)) <= MASS_SUM_RTOL * len(origin)))
+        if len(bad):
+            raise NumericalFailure(
+                f"sample {start + bad[0]}: its eigenvectors' masses on the origin cell sum to "
+                f"{sums[bad[0]]!r}, not to its {len(origin)} points"
+            )
+        yield from zip(eigs, masses)
 
 
 def _own_spectrum(spec: OperatorSpec, lambda_grid: Sequence[float]) -> tuple[np.ndarray, ...]:

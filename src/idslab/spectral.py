@@ -256,6 +256,14 @@ SLICE_MARGIN = 5
 # as at round energies of integer lattice potentials) moves up once by this
 # share of the slice width
 SLICE_EDGE_SHIFT = 0.1
+# tridiagonal_masses corrects the mass m of a twisted vector to first order,
+# by dm * c, and trusts the correction while the second-order term it
+# neglects, about (dm * c)^2 / m, is at most MASS_ATOL
+MASS_ATOL = 1e-14
+# the most entries (matrices x eigenvalues) that tridiagonal_masses twists at
+# once, and the most pivots (entries x N) that its peak search holds
+MASS_CHUNK = 2**12
+PEAK_CHUNK = 2**15
 
 
 class NumericalFailure(RuntimeError):
@@ -503,9 +511,10 @@ def certified_below(
     """For each matrix, its computed eigenvalues that are <= ceiling, in eigs' order.
 
     bands[i] is the band of H_i, checked as _checked does (bands may be one
-    (m, N, w + 1) array), and eigs[i] holds the computed eigenvalues of H_i.
-    A finite ceiling T certifies each count by Sylvester's law of inertia on
-    H_i - T*I; when one of eigs[i] lies within delta_i =
+    (m, N, w + 1) array), and eigs[i] holds the computed eigenvalues of H_i
+    in ascending order, as the eigensolvers return them (eigs may be one
+    (m, N) array).  A finite ceiling T certifies each count by Sylvester's
+    law of inertia on H_i - T*I; when one of eigs[i] lies within delta_i =
     CEILING_TIE_RTOL * max(1, max|H_i|) of T, the count only has to lie
     between the counts at T - delta_i and T + delta_i.  The matrices of one
     band shape are counted together: tridiagonal ones (w <= 1) by the Sturm
@@ -514,7 +523,9 @@ def certified_below(
     not trusted falls back to its own factorizations (_untrusted_count).  A
     count that fails the certificate raises NumericalFailure.
     """
-    below = [e[e <= ceiling] for e in eigs]
+    # eigs[i] is ascending: its first counts[i] eigenvalues are <= ceiling
+    counts = [int(np.searchsorted(e, ceiling, side="right")) for e in eigs]
+    below = [e[:c] for e, c in zip(eigs, counts)]
     if not np.isfinite(ceiling):
         return below
     T = float(ceiling)
@@ -526,24 +537,29 @@ def certified_below(
         ab, scale = _checked(np.asarray(bands if len(members) == len(bands) else [bands[i] for i in members]))
         delta = CEILING_TIE_RTOL * scale
         # a matrix with a computed eigenvalue within delta of T is counted
-        # again, at T - delta and T + delta
-        tied = np.flatnonzero([np.any(np.abs(eigs[i] - T) <= d) for i, d in zip(members, delta)])
+        # again, at T - delta and T + delta; only the eigenvalues next to T,
+        # the last one <= T and the first one above it, are read
+        computed = np.array([counts[i] for i in members])
+        nearest = np.array([
+            min(T - eigs[i][c - 1] if c else np.inf, eigs[i][c] - T if c < len(eigs[i]) else np.inf)
+            for i, c in zip(members, computed)
+        ])
+        tied = np.flatnonzero(nearest <= delta)
         rows = np.concatenate([np.arange(len(members)), tied])
         shifts = np.concatenate([np.full(len(members), T), T + delta[tied]])
         shifts[tied] -= delta[tied]
         stack = ab[rows] if len(tied) else ab
         if width <= 2:
             offdiagonals = stack[:, 1, : n - 1] if width == 2 else np.zeros(n - 1)
-            counts = tridiagonal_counts(stack[:, 0].real, offdiagonals, shifts)
+            inertia = tridiagonal_counts(stack[:, 0].real, offdiagonals, shifts)
         else:
-            counts = [
+            inertia = [
                 _untrusted_count(stack[r], s, delta[rows[r]]) if c is None else c
                 for r, (c, s) in enumerate(zip(_sparse_inertia(stack, shifts), shifts))
             ]
-        lo = np.asarray(counts[: len(members)])
+        lo = np.asarray(inertia[: len(members)])
         hi = lo.copy()
-        hi[tied] = counts[len(members) :]
-        computed = np.array([len(below[i]) for i in members])
+        hi[tied] = inertia[len(members) :]
         bad = np.flatnonzero((computed < lo) | (computed > hi))
         if len(bad):
             j = bad[0]
@@ -572,6 +588,169 @@ def tridiagonal_eigensystem(
             f"LAPACK dstevd failed with info={info} on a tridiagonal matrix of order {len(d)}"
         )
     return w, v
+
+
+def tridiagonal_eigenvalues(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric tridiagonal matrix, without
+    eigenvectors, by LAPACK dsterf.
+
+    A nonzero info (the QL/QR iteration did not converge) raises
+    NumericalFailure.
+    """
+    d = np.asarray(diagonal, dtype=float)
+    # dsterf takes an off-diagonal of length max(n - 1, 1); it reads none at n = 1
+    e = np.asarray(offdiagonal, dtype=float) if len(d) > 1 else np.zeros(1)
+    w, info = scipy.linalg.lapack.dsterf(d, e)
+    if info != 0:
+        raise NumericalFailure(
+            f"LAPACK dsterf failed with info={info} on a tridiagonal matrix of order {len(d)}"
+        )
+    return w
+
+
+def _twist_half(a, b2, lam, r, lo, hi, guard):
+    """The entries k < r of the vector z twisted at r, z_r = 1, of a chain.
+
+    a[k] is the diagonal and b2[k] the squared off-diagonal between k and
+    k + 1; lam broadcasts against a[k], and r is one index or one per
+    entry of lam.  The pivots x_k of the LDL^T factorization of H - lam*I
+    from the top give z_k / z_(k+1) = -b_k / x_k for k < r.  Returns the pivot
+    term b_(r-1)^2 / x_(r-1) of gamma_r, the sums of z_k^2 over k < r and
+    over the sites lo..hi among them, the lam-derivatives of both sums, and
+    whether a pivot smaller than guard was replaced by -guard (guard None:
+    no pivot is replaced, and a zero pivot leaves NaN).
+    """
+    fixed = np.ndim(r) == 0
+    q = p = s = ds = t = dt = 0.0
+    hit = False
+    for k in range(int(np.max(r))):
+        x = (a[k] - lam) - q
+        if guard is not None:
+            small = np.abs(x) < guard
+            x = np.where(small, -guard, x)
+            hit = hit | (small if fixed else small & (k < r))
+        w = 1.0 / x
+        nq = b2[k] * w  # the next pivot's term
+        rho2 = nq * w  # (z_k / z_(k+1))^2
+        np_ = rho2 * (p - 1.0)  # -the lam-derivative of nq, as p is of q
+        u = 2.0 * np_ * w  # -the lam-derivative of rho2
+        one = 1.0 + s
+        ns, nds = rho2 * one, rho2 * ds - u * one
+        if k < lo:
+            nt, ndt = t, dt  # zero until the sites begin
+        else:
+            inside = t + 1.0 if k <= hi else t
+            nt, ndt = rho2 * inside, rho2 * dt - u * inside
+        if not fixed:  # entries past their own twist keep their values
+            live = k < r
+            nq, np_, ns, nds, nt, ndt = (
+                np.where(live, new, old)
+                for new, old in ((nq, q), (np_, p), (ns, s), (nds, ds), (nt, t), (ndt, dt))
+            )
+        q, p, s, ds, t, dt = nq, np_, ns, nds, nt, ndt
+    return q, s, ds, t, dt, hit
+
+
+def _twisted(a, b2, lam, r, lo, hi, guard=None):
+    """The mass m on the sites lo..hi of the unit vector twisted at r, its
+    lam-derivative dm, the Rayleigh-quotient step c = gamma_r / |z|^2 of lam,
+    and whether a pivot hit the guard (_twist_half's arguments)."""
+    n = len(a)
+    qa, sa, dsa, ta, dta, ha = _twist_half(a, b2, lam, r, lo, hi, guard)
+    qb, sb, dsb, tb, dtb, hb = _twist_half(
+        a[::-1], b2[::-1], lam, n - 1 - r, n - 1 - hi, n - 1 - lo, guard
+    )
+    ar = a[r] if np.ndim(r) == 0 else np.take_along_axis(a, r[None], 0)[0]
+    norm = 1.0 + sa + sb
+    m = (((lo <= r) & (r <= hi)) + ta + tb) / norm
+    dm = ((dta + dtb) - m * (dsa + dsb)) / norm
+    return m, dm, ((ar - lam) - qa - qb) / norm, ha | hb
+
+
+def _peaks(a, b2, lam, guard):
+    """Per entry of lam, the twist index k of the smallest |gamma_k|, where its
+    eigenvector peaks (Fernando's choice).  a and b2 hold one chain per entry,
+    as columns; the lower pivot terms of every k are held, len(a) per entry."""
+    n = len(a)
+    lower = np.zeros((n,) + lam.shape)  # b_k^2 / x_(k+1) of the factorization from the bottom
+    q = 0.0
+    for k in range(n - 1, 0, -1):
+        x = (a[k] - lam) - q
+        lower[k - 1] = q = b2[k - 1] / np.where(np.abs(x) < guard, -guard, x)
+    best, peak, q = np.full(lam.shape, np.inf), np.zeros(lam.shape, dtype=np.intp), 0.0
+    for k in range(n):
+        x = (a[k] - lam) - q
+        gamma = np.abs(x - lower[k])
+        better = gamma < best
+        best, peak = np.where(better, gamma, best), np.where(better, k, peak)
+        if k < n - 1:
+            q = b2[k] / np.where(np.abs(x) < guard, -guard, x)
+    return peak
+
+
+def tridiagonal_masses(
+    diagonals: np.ndarray, offdiagonals: np.ndarray, eigenvalues: np.ndarray, sites: range
+) -> np.ndarray:
+    """sum over k in sites of u_j(k)^2, for each unit eigenvector u_j of each chain.
+
+    Row i of diagonals (S, N) and offdiagonals (S, N - 1) is a real symmetric
+    tridiagonal matrix T_i; one chain may come without the leading axis.
+    eigenvalues (S, K) holds eigenvalues of T_i, as tridiagonal_eigenvalues
+    returns them, and sites is a contiguous range of indices.  An
+    off-diagonal that is zero makes T_i reducible and raises ValueError.
+
+    No eigenvector is formed.  The vector twisted at the middle of the sites
+    is given by the pivots of the two LDL^T factorizations of T_i - lambda*I
+    (Parlett & Dhillon, LAA 1997), and its mass and the mass's
+    lambda-derivative are accumulated along them in O(N).  The mass is
+    corrected to first order by the Rayleigh-quotient step of lambda: the
+    rounding error of lambda alone moves the uncorrected mass by about 1e-11
+    at eigenvalue pairs 1e-5 apart.
+    Where the neglected second-order term exceeds MASS_ATOL, as for an
+    eigenvector that is tiny at the sites, the mass is taken from the twist
+    where the eigenvector peaks instead.  Every entry is computed on its own,
+    so a chain's masses do not depend on the other chains, bit for bit; the
+    work is chunked by MASS_CHUNK and PEAK_CHUNK.
+    """
+    D, E, W = (np.asarray(x, dtype=float) for x in (diagonals, offdiagonals, eigenvalues))
+    single = D.ndim == 1
+    D, E, W = (x[None] if single else x for x in (D, E, W))
+    s, n = D.shape
+    if E.shape != (s, max(n - 1, 0)) or W.ndim != 2 or len(W) != s:
+        raise ValueError(f"shapes {D.shape}, {E.shape}, {W.shape} are not chains with eigenvalues")
+    if len(sites) == 0 or sites.step != 1 or sites[0] < 0 or sites[-1] >= n:
+        raise ValueError(f"sites must be a nonempty contiguous range in [0, {n}), got {sites}")
+    if np.any(E == 0):
+        raise ValueError("a zero off-diagonal makes the chain reducible")
+    lo, hi = sites[0], sites[-1]
+    # the peak search replaces pivots below eps^2 * ||T_i|| (a bound of ||T_i||)
+    guards = np.finfo(float).eps ** 2 * np.maximum(
+        1.0, np.max(np.abs(D), axis=1) + 2.0 * np.max(np.abs(E), axis=1, initial=0.0)
+    )
+    out = np.empty(W.shape)
+    flagged = []
+    step = max(1, MASS_CHUNK // max(W.shape[1], 1))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(0, s, step):
+            rows = slice(i, i + step)
+            m, dm, c, _ = _twisted(
+                D[rows].T[..., None], (E[rows] ** 2).T[..., None], W[rows], (lo + hi) // 2, lo, hi
+            )
+            out[rows] = corrected = m + dm * c
+            trusted = ((dm * c) ** 2 <= MASS_ATOL * m) & np.isfinite(corrected)
+            flagged.append(np.argwhere(~trusted) + [i, 0])
+        flagged = np.concatenate(flagged) if flagged else np.zeros((0, 2), dtype=np.intp)
+        step = max(1, PEAK_CHUNK // n)
+        for j in range(0, len(flagged), step):
+            row, col = flagged[j : j + step].T
+            a, b2, lam = D[row].T, (E[row] ** 2).T, W[row, col]
+            peak = _peaks(a, b2, lam, guards[row])
+            m, dm, c, hit = _twisted(a, b2, lam, peak, lo, hi, guards[row])
+            # a replaced pivot breaks the derivative
+            corrected = m + dm * c
+            trusted = ~hit & ((dm * c) ** 2 <= MASS_ATOL * m) & np.isfinite(corrected)
+            out[row, col] = np.where(trusted, corrected, m)
+    return out[0] if single else out
 
 
 def tridiagonal_counts(

@@ -8,7 +8,10 @@ need them re-recorded; on one machine they must not move.  The ``ssf`` files
 and the ``ids-random-2d`` report were re-recorded when the singular values of
 the semigroup difference moved from a dense SVD to the absolute eigenvalues
 of the Hermitian difference, and the shift function to the eigenvalues of
-the same eigendecompositions (changes of a few ulps).
+the same eigendecompositions (changes of a few ulps).  The ``random`` files
+were re-recorded when the d=1 Monte Carlo estimates moved from eigenvector
+solves to eigenvalues plus twisted-factorization origin masses (changes of
+at most 7e-16).
 """
 
 import hashlib
@@ -86,8 +89,8 @@ GOLDEN = {
         "weyl_report.json": "f9e13c5f6509099dd3de78e39bd3f6fdfee58b632b75e16bd3ec884eb9640fc5",
     },
     "random": {
-        "mc_estimate.csv": "3ddef1d92bb9e3fd2f2ab7f9e867bd5922292f1637444e632145a21004d09352",
-        "random_report.json": "a297c4bdc93a8dafcb7f7858394fa18e19267c24826f6ec1571d88bf16a27812",
+        "mc_estimate.csv": "02eab16bb42af75081e96c35b46d173917db68f3f279fd1b71015a9f4c81272c",
+        "random_report.json": "d3022e44223f3048fa0d8ddbd595e8b0f4cbc9f4a9c4f7724bc1fea8ecff3aba",
     },
     "ssf": {
         "singular_values.csv": "c6f6af3b1e6d22123c1a8a4ab47672b4d7e302b7b4ef75115fcdb45c58856fec",

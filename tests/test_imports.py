@@ -322,6 +322,49 @@ def test_tridiagonal_solves_go_through_eigensystem():
         assert calls_outside(sources, re.compile(name), allowed) == []
 
 
+# the origin masses of chains are computed only by the Monte Carlo origin
+# spectra, and LAPACK dsterf (eigenvalues without eigenvectors) only by its
+# spectral wrapper
+CHAIN_MASS_SITES = {
+    "tridiagonal_masses": {"montecarlo.py: _origin_spectra"},
+    "dsterf": {"spectral.py: tridiagonal_eigenvalues"},
+}
+
+
+def test_checker_flags_chain_mass_calls():
+    sources = {
+        "montecarlo.py": (
+            "def _origin_spectra(D, E, W, sites):\n"
+            "    return tridiagonal_masses(D, E, W, sites)\n"
+            "def localized_counting(D, E, W, sites):\n"
+            "    return spectral.tridiagonal_masses(D, E, W, sites)\n"
+        ),
+        "spectral.py": (
+            "import scipy.linalg\n"
+            "def tridiagonal_eigenvalues(d, e):\n"
+            "    return scipy.linalg.lapack.dsterf(d, e)\n"
+            "def eigenvalues(B):\n"
+            "    return getattr(scipy.linalg.lapack, 'dsterf')(B[:, 0], B[:-1, 1])\n"
+            "def note():\n"
+            "    return 'dsterf finds eigenvalues alone'\n"
+        ),
+    }
+    found = [
+        hit for name, allowed in CHAIN_MASS_SITES.items()
+        for hit in calls_outside(sources, re.compile(name), allowed)
+    ]
+    assert found == [
+        "montecarlo.py: localized_counting calls tridiagonal_masses",
+        "spectral.py: eigenvalues calls dsterf",
+    ]
+
+
+def test_chain_masses_and_eigenvalue_only_solves_have_one_site():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    for name, allowed in CHAIN_MASS_SITES.items():
+        assert calls_outside(sources, re.compile(name), allowed) == []
+
+
 # every band is written by the one assembly fill
 BAND_WRITE = re.compile("_band")
 

@@ -16,6 +16,7 @@ from idslab.montecarlo import (
     centered_box,
     compare_random_ids,
     estimates_agree,
+    localized_counting,
     mc_step_function,
     pastur_shubin_mc,
     sample_coloring,
@@ -318,10 +319,12 @@ def test_magnetic_estimates_solve_complex_bands(monkeypatch):
 
 
 def _count_per_sample_calls(monkeypatch):
-    """Count the fills, solves and color draws of a Monte Carlo estimate."""
+    """Count the fills, solves, mass kernels and color draws of a Monte Carlo estimate."""
     calls = Counter()
     targets = [
-        (montecarlo, "coded_bands"), (montecarlo, "eigensystem"), (lattice.RandomColoring, "color"),
+        (montecarlo, "coded_bands"), (montecarlo, "eigensystem"),
+        (montecarlo, "tridiagonal_eigenvalues"), (montecarlo, "tridiagonal_masses"),
+        (lattice.RandomColoring, "color"),
     ]
     for owner, name in targets:
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
@@ -335,7 +338,8 @@ def test_chain_estimate_assembles_and_draws_nothing_per_sample(monkeypatch):
     calls = _count_per_sample_calls(monkeypatch)
     dist = SiteDistribution.bernoulli("a", "b", seed=3)
     pastur_shubin_mc(dist, LIB_AB, np.linspace(0.0, 5.0, 11), samples=5, truncation_radius=4)
-    assert calls == Counter(coded_bands=1, eigensystem=5)
+    # eigenvalues alone per sample, and the origin masses of the group in one kernel call
+    assert calls == Counter(coded_bands=1, tridiagonal_eigenvalues=5, tridiagonal_masses=1)
 
 
 @pytest.mark.parametrize("d, backend", [(1, "lattice"), (2, "lattice"), (1, "continuum"), (2, "continuum")])
@@ -349,7 +353,10 @@ def test_every_estimate_fills_once_per_group_and_draws_no_color(monkeypatch, d, 
     calls = _count_per_sample_calls(monkeypatch)
     # the grid's top is no eigenvalue of these integer models (see the tie test below)
     est = pastur_shubin_mc(DIST_AB, lib, np.linspace(0.0, 4.5, 10), samples, R, backend=backend)
-    assert calls == Counter(coded_bands=4, eigensystem=samples)
+    # d=1 bands are chains: eigenvalues per sample and one mass kernel per group
+    solves = (Counter(tridiagonal_eigenvalues=samples, tridiagonal_masses=4) if d == 1
+              else Counter(eigensystem=samples))
+    assert calls == Counter(coded_bands=4) + solves
     monkeypatch.undo()
     mean, stderr = per_sample_mc(DIST_AB, lib, est.lambda_grid, samples, R, backend)
     assert np.array_equal(est.mean, mean) and np.array_equal(est.stderr, stderr)
@@ -382,7 +389,7 @@ def test_certified_groups_cover_every_sample_once_within_the_bound(monkeypatch, 
 def test_the_benchmark_and_criterion_8_estimates_are_one_group(monkeypatch, samples, R):
     calls = _count_per_sample_calls(monkeypatch)
     pastur_shubin_mc(DIST_AB, LIB_AB, np.linspace(0.0, 4.5, 201), samples, R)
-    assert calls == Counter(coded_bands=1, eigensystem=samples)
+    assert calls == Counter(coded_bands=1, tridiagonal_eigenvalues=samples, tridiagonal_masses=1)
 
 
 def test_estimate_memory_does_not_grow_with_the_sample_count():
@@ -450,26 +457,76 @@ def test_every_chain_row_is_certified_by_a_sturm_count(monkeypatch):
     assert sturm == [((7, 7), (7, 6), (4.25,) * 7)]
 
 
+@pytest.mark.parametrize("shift, fails", [(1e-8, True), (5e-10, False)])
+def test_chain_masses_must_sum_to_the_origin_points(monkeypatch, shift, fails):
+    # groups of four samples of N = 9; the second group's second row is sample 5
+    monkeypatch.setattr(montecarlo, "GROUP_BAND_ENTRIES", 4 * 9 * 2)
+    masses, calls = montecarlo.tridiagonal_masses, []
+
+    def skewed(*args):
+        out = masses(*args)
+        calls.append(len(out))
+        if len(calls) == 2:
+            out[1, -1] += shift
+        return out
+
+    monkeypatch.setattr(montecarlo, "tridiagonal_masses", skewed)
+    grid = np.linspace(0.0, 4.5, 10)
+    if fails:
+        with pytest.raises(NumericalFailure, match="sample 5: .* origin cell sum to"):
+            pastur_shubin_mc(DIST_AB, LIB_AB, grid, 7, 4)
+    else:
+        pastur_shubin_mc(DIST_AB, LIB_AB, grid, 7, 4)
+    assert calls == [4, 3]
+
+
+def test_chains_cut_by_a_facet_keep_the_eigensystem(monkeypatch):
+    # the facet's grid point is deleted, so one off-diagonal of the chain is zero
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 3, 1)
+    spec = OperatorSpec(centered_box(2, 1), sample_coloring(DIST_AB, 0, 1), lib, "continuum", 3)
+    cut = operators.add_facet_dirichlet(spec, operators.Facet(anchor=(1,), axis=0))
+    calls = _count_per_sample_calls(monkeypatch)
+    counts = localized_counting(cut, np.linspace(0.0, 40.0, 9))
+    assert calls == Counter(coded_bands=1, eigensystem=1, color=5)
+    assert counts[-1] == pytest.approx(3.0)  # every eigenvalue is below 40: the origin's three points
+
+
+def test_chain_estimate_memory_is_no_higher_than_with_eigenvectors():
+    """The random-mc-1d estimate (S=800, R=48) holds eigenvalues and masses
+    of the whole group, and the mass kernel works in chunks of MASS_CHUNK
+    entries.  Its traced peak stays at or below the 5.67 MiB that the
+    per-sample eigenvector solves it replaced peaked at (measured 5.53 MiB)."""
+    grid = np.linspace(0.0, 4.5, 201)
+    pastur_shubin_mc(DIST_AB, LIB_AB, grid, 2, 1)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        pastur_shubin_mc(DIST_AB, LIB_AB, grid, 800, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.67 * 2**20
+
+
 def test_chain_estimate_with_a_wrong_count_fails(monkeypatch):
-    solve = scipy.linalg.lapack.dstevd
+    solve = scipy.linalg.lapack.dsterf
 
-    def shifted(d, e, compute_v=1):
-        w, v, info = solve(d, e, compute_v=compute_v)
-        return w + 0.5, v, info  # one row's count below the ceiling now disagrees
+    def shifted(d, e):
+        w, info = solve(d, e)
+        return w + 0.5, info  # one row's count below the ceiling now disagrees
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", shifted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", shifted)
     dist = SiteDistribution.bernoulli("a", "b", seed=4)
     with pytest.raises(NumericalFailure, match=r"inertia of H - T\*I"):
         pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5], samples=4, truncation_radius=3)
 
 
-@pytest.mark.parametrize("d, backend, solver", [(2, "lattice", "dsyevd"), (1, "continuum", "dstevd")])
+@pytest.mark.parametrize("d, backend, solver", [(2, "lattice", "dsyevd"), (1, "continuum", "dsterf")])
 def test_per_sample_estimate_with_a_wrong_count_fails(monkeypatch, d, backend, solver):
     solve = getattr(scipy.linalg.lapack, solver)
 
     def shifted(*args, **kwargs):
-        w, v, info = solve(*args, **kwargs)
-        return w + 0.5, v, info  # the count below the grid's top now disagrees
+        w, *rest = solve(*args, **kwargs)
+        return (w + 0.5, *rest)  # the count below the grid's top now disagrees
 
     monkeypatch.setattr(scipy.linalg.lapack, solver, shifted)
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, d)

@@ -470,7 +470,13 @@ def test_certified_below_brackets_chain_ties_and_flags_a_wrong_count(monkeypatch
     wrong[3] += 0.5
     with pytest.raises(NumericalFailure, match=r"matrix 3: .* inertia of H - T\*I"):
         spectral.certified_below(bands, wrong, 0.5)
-    assert len(sturm) == 5 and not sparse  # every count is a Sturm count
+    # an eigenvalue just below T, computed just above it, is a tie as well
+    delta = spectral.CEILING_TIE_RTOL * max(1.0, np.max(np.abs(bands[0])))
+    T = eigs[0, 5] + delta / 4
+    above = eigs.copy()
+    above[0, 5] = T + delta / 2
+    assert len(spectral.certified_below(bands, above, T)[0]) == 5
+    assert len(sturm) == 6 and not sparse  # every count is a Sturm count
 
 
 def _ab_chain(n):
@@ -932,3 +938,115 @@ def test_weyl_consistency_1d():
         dev = max(dev, abs(k / L - smooth), abs((k + 1) / L - smooth))
     dev = max(dev, abs(len(eigs) / L - np.sqrt(T) / np.pi))
     assert dev < 0.05
+
+
+# ---------------------------------------------------------------------------
+# origin masses of chains without eigenvectors (tridiagonal_masses)
+# ---------------------------------------------------------------------------
+
+def _reference_masses(d, e):
+    """u_j(k)^2 of every unit eigenvector u_j (columns, ascending eigenvalues)
+    of the chain d, e, from a 40-digit mpmath eigendecomposition."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        n = len(d)
+        T = mpmath.zeros(n, n)
+        for k in range(n):
+            T[k, k] = mpmath.mpf(float(d[k]))
+        for k in range(n - 1):
+            T[k, k + 1] = T[k + 1, k] = mpmath.mpf(float(e[k]))
+        w, Q = mpmath.eigsy(T)
+        order = sorted(range(n), key=lambda j: w[j])
+        return np.array([[float(Q[k, j] ** 2) for j in order] for k in range(n)])
+
+
+def _assert_masses_as_accurate_as_dstevd(d, e, site_ranges):
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    exact = _reference_masses(d, e)
+    _, U = tridiagonal_eigensystem(d, e)
+    w = spectral.tridiagonal_eigenvalues(d, e)
+    for sites in site_ranges:
+        reference = exact[sites].sum(axis=0)
+        kernel = np.abs(spectral.tridiagonal_masses(d, e, w, sites) - reference).max()
+        lapack = np.abs((U[sites] ** 2).sum(axis=0) - reference).max()
+        assert kernel <= max(1e-14, lapack), (sites, kernel, lapack)
+
+
+def test_masses_of_wilkinson_pairs():
+    # W21+: its eigenvalues come in pairs as close as 1e-14, each pair's
+    # eigenvectors split between the two ends of the chain
+    n = 21
+    d = np.abs(np.arange(n) - 10.0)
+    _assert_masses_as_accurate_as_dstevd(
+        d, np.ones(n - 1), [range(k, k + 1) for k in range(n)] + [range(8, 13), range(0, 4)]
+    )
+
+
+def test_masses_of_an_edge_localized_state():
+    # the state at the raised end has weight below 1e-20 on the middle site;
+    # a single twist at the middle reads such weights as about 1e-5
+    n = 24
+    d = np.zeros(n)
+    d[0] = 30.0
+    assert _reference_masses(d, np.ones(n - 1))[12, -1] < 1e-20
+    _assert_masses_as_accurate_as_dstevd(d, np.ones(n - 1), [range(12, 13), range(20, 24)])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_masses_of_random_integer_chains(seed):
+    # integer entries make exact zero pivots and near-degenerate pairs likely
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    lo = int(rng.integers(0, n))
+    sites = range(lo, int(rng.integers(lo, min(n, lo + 4))) + 1)
+    d = rng.integers(-3, 4, n)
+    e = rng.choice([-2, -1, 1, 2], n - 1)
+    _assert_masses_as_accurate_as_dstevd(d, e, [sites, range(n // 2, n // 2 + 1)])
+
+
+def test_masses_of_a_continuum_origin_cell():
+    from idslab.lattice import periodic_word
+    from idslab.montecarlo import centered_box
+    from idslab.operators import OperatorSpec, Prototype, PrototypeLibrary, _cells, discretize
+
+    rng = np.random.default_rng(3)
+    lib = PrototypeLibrary(Prototype(s, rng.uniform(-1.0, 2.0, 6), (np.zeros(6),)) for s in "ab")
+    spec = OperatorSpec(centered_box(1, 1), periodic_word("ab"), lib, "continuum", 6)
+    B = discretize(spec)
+    cells, owner, _, _ = _cells(spec)
+    origin = np.flatnonzero(owner == cells.index((0,)))
+    assert len(origin) == 6
+    n = len(B)
+    _assert_masses_as_accurate_as_dstevd(
+        B[:, 0], B[: n - 1, 1], [range(origin[0], origin[-1] + 1)]
+    )
+
+
+def test_masses_are_computed_per_chain_bit_for_bit():
+    rng = np.random.default_rng(5)
+    D = rng.integers(0, 2, size=(30, 41)) + 2.0
+    E = -np.ones((30, 40))
+    W = np.array([spectral.tridiagonal_eigenvalues(d, e) for d, e in zip(D, E)])
+    masses = spectral.tridiagonal_masses(D, E, W, range(20, 21))
+    alone = [spectral.tridiagonal_masses(d, e, w, range(20, 21)) for d, e, w in zip(D, E, W)]
+    assert np.array_equal(masses, alone)
+    assert np.allclose(masses.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def test_masses_refuse_a_reducible_chain_and_bad_sites():
+    d, e = np.full(5, 2.0), np.array([-1.0, -1.0, 0.0, -1.0])
+    w = spectral.tridiagonal_eigenvalues(d, e)
+    with pytest.raises(ValueError, match="zero off-diagonal"):
+        spectral.tridiagonal_masses(d, e, w, range(2, 3))
+    e[2] = -1.0
+    for sites in (range(0), range(4, 6), range(0, 4, 2)):
+        with pytest.raises(ValueError, match="sites"):
+            spectral.tridiagonal_masses(d, e, w, sites)
+
+
+def test_eigenvalues_alone_match_the_eigensystem():
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 9):
+        d, e = rng.normal(size=n), rng.normal(size=n - 1)
+        assert np.allclose(spectral.tridiagonal_eigenvalues(d, e), tridiagonal_eigensystem(d, e)[0],
+                           rtol=0, atol=1e-13)
