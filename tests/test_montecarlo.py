@@ -495,7 +495,7 @@ def test_chain_estimate_memory_is_no_higher_than_with_eigenvectors():
     """The random-mc-1d estimate (S=800, R=48) holds eigenvalues and masses
     of the whole group, and the mass kernel works in chunks of MASS_CHUNK
     entries.  Its traced peak stays at or below the 5.67 MiB that the
-    per-sample eigenvector solves it replaced peaked at (measured 5.53 MiB)."""
+    per-sample eigenvector solves it replaced peaked at (measured 5.52 MiB)."""
     grid = np.linspace(0.0, 4.5, 201)
     pastur_shubin_mc(DIST_AB, LIB_AB, grid, 2, 1)  # imports and caches outside the trace
     tracemalloc.start()
