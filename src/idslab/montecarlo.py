@@ -28,13 +28,14 @@ from .operators import (
     coded_bands,
 )
 from .spectral import (
+    CEILING_TIE_RTOL,
     EnergyWindow,
     NumericalFailure,
     StepFunction,
     certified_below,
     eigensystem,
+    eigenvalues,
     lp_distance,
-    tridiagonal_eigenvalues,
     tridiagonal_masses,
 )
 
@@ -42,7 +43,7 @@ from .spectral import (
 TWO_SEED_ALPHA = 0.01
 # the most band entries (samples x N x (w + 1)) filled, solved and certified as one group
 GROUP_BAND_ENTRIES = 2**18
-# a chain sample's origin masses must sum to its number of origin points within this share of it
+# a sample's origin masses must sum to its number of origin points within this share of it
 MASS_SUM_RTOL = 1e-9
 
 
@@ -92,28 +93,24 @@ def _ceiling(lambda_grid: Sequence[float]) -> float:
 
 def _chain_sites(bands: np.ndarray, origin: np.ndarray) -> range | None:
     """The origin's points as one index range when every band of the group is
-    an irreducible real chain (width 2, no zero off-diagonal), else None.
-    A band with a non-finite entry gets None too, so eigensystem refuses it."""
-    n, width = bands.shape[1:]
-    if np.iscomplexobj(bands) or width != 2 or not len(origin) or not np.all(np.isfinite(bands)):
+    an irreducible real chain (width 2, no zero off-diagonal), else None."""
+    # a zero off-diagonal cuts a chain: a facet or a gap in Q
+    if np.iscomplexobj(bands) or bands.shape[2] != 2 or not len(origin) or not np.all(bands[:, :-1, 1]):
         return None
-    if not np.all(bands[:, : n - 1, 1]):
-        return None  # a cut chain: a facet or a gap in Q
     sites = range(origin[0], origin[-1] + 1)
     return sites if len(sites) == len(origin) else None
 
 
 def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceiling: float):
     """Per row of codes (samples, cells of the geometry _cells(spec)), in order,
-    the ascending eigenvalues of spec's Hamiltonian under that coloring and
-    each eigenvector's mass on the origin cell's points.  The samples are
-    filled (coded_bands) in groups whose bands hold at most GROUP_BAND_ENTRIES
-    entries, and a group's counts <= ceiling are certified by one
-    certified_below call.  A group of irreducible real chains (_chain_sites)
-    gets its eigenvalues alone (tridiagonal_eigenvalues) and its masses from
-    one tridiagonal_masses call, and each sample's masses must sum to the
-    number of origin points within MASS_SUM_RTOL of it; any other group is
-    solved by eigensystem, and certified after its last sample is yielded.
+    the ascending eigenvalues of spec's Hamiltonian H under that coloring,
+    each eigenvector's mass on the origin cell's points, and certified_below's
+    tie width CEILING_TIE_RTOL * max(1, max|H|).  Each group of samples, its
+    bands at most GROUP_BAND_ENTRIES entries, is filled (coded_bands); solved,
+    irreducible real chains (_chain_sites) by eigenvalues and one
+    tridiagonal_masses call, others by eigensystem; certified by one
+    certified_below call; and each sample's masses must sum to its number of
+    origin points within MASS_SUM_RTOL of it.
     """
     cells, owner, _, links = geometry
     origin = np.flatnonzero(owner == cells.index((0,) * spec.dimension))
@@ -121,21 +118,17 @@ def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceil
     for start in range(0, len(codes), group):
         bands = coded_bands(spec, geometry, codes[start : start + group])
         sites = _chain_sites(bands, origin)
+        eigs = np.empty(bands.shape[:2])
         if sites is None:
-            eigs = []
-            for B in bands:
-                w, U = eigensystem(B)
-                eigs.append(w)
-                yield w, np.sum(np.abs(U[origin, :]) ** 2, axis=0)
-            certified_below(bands, eigs, ceiling)
-            continue
-        n = bands.shape[1]
-        diagonals, offdiagonals = bands[..., 0], bands[:, : n - 1, 1]
-        eigs = np.empty((len(bands), n))
-        for i, (d, e) in enumerate(zip(diagonals, offdiagonals)):
-            eigs[i] = tridiagonal_eigenvalues(d, e)
+            masses = np.empty(eigs.shape)
+            for i, B in enumerate(bands):
+                eigs[i], U = eigensystem(B)
+                masses[i] = np.sum(np.abs(U[origin, :]) ** 2, axis=0)
+        else:
+            for i, B in enumerate(bands):
+                eigs[i] = eigenvalues(B)
+            masses = tridiagonal_masses(bands[..., 0], bands[:, :-1, 1], eigs, sites)
         certified_below(bands, eigs, ceiling)
-        masses = tridiagonal_masses(diagonals, offdiagonals, eigs, sites)
         sums = np.sum(masses, axis=1)
         bad = np.flatnonzero(~(np.abs(sums - len(origin)) <= MASS_SUM_RTOL * len(origin)))
         if len(bad):
@@ -143,7 +136,8 @@ def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceil
                 f"sample {start + bad[0]}: its eigenvectors' masses on the origin cell sum to "
                 f"{sums[bad[0]]!r}, not to its {len(origin)} points"
             )
-        yield from zip(eigs, masses)
+        deltas = CEILING_TIE_RTOL * np.maximum(1.0, np.max(np.abs(bands), axis=(1, 2)))
+        yield from zip(eigs, masses, deltas)
 
 
 def _own_spectrum(spec: OperatorSpec, lambda_grid: Sequence[float]) -> tuple[np.ndarray, ...]:
@@ -155,10 +149,11 @@ def _own_spectrum(spec: OperatorSpec, lambda_grid: Sequence[float]) -> tuple[np.
     return spectrum
 
 
-def _mass_below(w: np.ndarray, mass: np.ndarray, lambda_grid: np.ndarray) -> np.ndarray:
-    """Cumulative origin-cell mass of the eigenvalues up to each lambda."""
+def _mass_below(w: np.ndarray, mass: np.ndarray, delta: float, lambda_grid: np.ndarray) -> np.ndarray:
+    """Cumulative origin-cell mass of the eigenvalues up to each lambda; an eigenvalue
+    within delta above lambda counts as below it, as in certified_below's tie rule."""
     cum = np.concatenate([[0.0], np.cumsum(mass)])
-    return cum[np.searchsorted(w, lambda_grid, side="right")]
+    return cum[np.searchsorted(w, lambda_grid + delta, side="right")]
 
 
 def localized_counting(spec: OperatorSpec, lambda_grid: np.ndarray) -> np.ndarray:
@@ -235,8 +230,8 @@ def pastur_shubin_mc(
     codes = library.codes(dist.symbols)[_symbol_codes(dist.weights, u)]
     del u  # not held through the solves
     rows = np.empty((samples, len(grid)))
-    for s, (w, mass) in enumerate(_origin_spectra(spec, geometry, codes, ceiling)):
-        rows[s] = _mass_below(w, mass, grid)
+    for s, spectrum in enumerate(_origin_spectra(spec, geometry, codes, ceiling)):
+        rows[s] = _mass_below(*spectrum, grid)
     mean = np.mean(rows, axis=0)
     if samples > 1:
         stderr = np.std(rows, axis=0, ddof=1) / np.sqrt(samples)
@@ -272,9 +267,9 @@ def semigroup_truncation_diagnostic(
     for radius in (R, 2 * R):
         box = centered_box(radius, library.dimension)
         spec = OperatorSpec(box, coloring, library, backend, library.resolution)
-        w, mass = _own_spectrum(spec, lambda_grid)
+        w, mass, delta = _own_spectrum(spec, lambda_grid)
         heat.append(float(np.sum(np.exp(-w) * mass)))
-        counts.append(_mass_below(w, mass, lambda_grid))
+        counts.append(_mass_below(w, mass, delta, lambda_grid))
     return abs(heat[1] - heat[0]), float(np.max(np.abs(counts[0] - counts[1])))
 
 

@@ -319,8 +319,8 @@ def _checked(B: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     B = np.asarray(B)
     if B.ndim not in (2, 3) or 0 in B.shape:
         raise ValueError(f"expected an (N, w + 1) band, got shape {B.shape}")
-    peak = np.max(np.abs(B), axis=(-2, -1))  # NaN propagates, so check it here
-    if not np.all(np.isfinite(peak)):
+    peak = np.abs(B).max(axis=(-2, -1))  # NaN propagates, so check it here
+    if not np.isfinite(peak).all():
         raise ValueError("band entries must be finite")
     scale = np.maximum(1.0, peak)
     if np.iscomplexobj(B) and np.any(np.max(np.abs(B[..., 0].imag), axis=-1) > HERMITIAN_RTOL * scale):
@@ -486,9 +486,9 @@ def eigenvalues(B: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
     as certified_below does.  On a large band (large_band) the ceiling's count comes first,
     from one sparse factorization; when it is trusted and at most
     SLICE_MAX_SHARE * N * (w + 1), the eigenvalues come from spectrum
-    slicing (_sliced).  Otherwise, or when a slice fails, they come from
-    LAPACK ?sbevd/?hbevd, and certified_below applies its tie rule when the
-    ceiling's count was not trusted.
+    slicing (_sliced).  Otherwise, or when a slice fails, LAPACK ?sbevd/?hbevd
+    gives them (a nonzero info raises NumericalFailure), and certified_below
+    applies its tie rule when the ceiling's count was not trusted.
     """
     ab, _ = band = _checked(B)
     T = float(ceiling)
@@ -499,7 +499,12 @@ def eigenvalues(B: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
             sliced = _sliced(band, T, count)
             if sliced is not None:
                 return sliced
-    eigs = scipy.linalg.eigvals_banded(ab, lower=True)
+    name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
+    eigs, _, info = getattr(scipy.linalg.lapack, name)(ab, compute_v=0, lower=1, overwrite_ab=0)
+    if info != 0:
+        raise NumericalFailure(f"LAPACK {name} failed with info={info} on a band matrix of order {len(B)}")
+    if T == np.inf:
+        return eigs
     if count is not None and np.count_nonzero(eigs <= T) == count:
         return eigs[eigs <= T]  # certified by the count that chose the solver
     return certified_below([B], [eigs], T)[0]
@@ -520,8 +525,9 @@ def certified_below(
     band shape are counted together: tridiagonal ones (w <= 1) by the Sturm
     count tridiagonal_counts, which is always trusted, and wider ones by one
     sparse factorization (_sparse_inertia); a matrix whose count there is
-    not trusted falls back to its own factorizations (_untrusted_count).  A
-    count that fails the certificate raises NumericalFailure.
+    not trusted falls back to its own factorizations (_untrusted_count), and
+    one whose count it rejects is counted again by count_below_by_inertia.
+    A count that fails the certificate raises NumericalFailure.
     """
     # eigs[i] is ascending: its first counts[i] eigenvalues are <= ceiling
     counts = [int(np.searchsorted(e, ceiling, side="right")) for e in eigs]
@@ -561,6 +567,14 @@ def certified_below(
         hi = lo.copy()
         hi[tied] = inertia[len(members) :]
         bad = np.flatnonzero((computed < lo) | (computed > hi))
+        if len(bad) and width > 2:
+            # growth after a pivot of size delta can flip trusted sparse pivot signs
+            # (T on an eigenvalue of an integer lattice model): recount densely
+            for j in bad:
+                H = _shifted_blocks(ab[j][None], [0.0]).toarray()
+                lo[j] = count_below_by_inertia(H, shifts[j])
+                hi[j] = count_below_by_inertia(H, T + delta[j]) if j in tied else lo[j]
+            bad = np.flatnonzero((computed < lo) | (computed > hi))
         if len(bad):
             j = bad[0]
             raise NumericalFailure(
@@ -568,44 +582,6 @@ def certified_below(
                 f"inertia of H - T*I counts {lo[j] if lo[j] == hi[j] else f'{lo[j]} to {hi[j]}'}"
             )
     return below
-
-
-def tridiagonal_eigensystem(
-    diagonal: np.ndarray, offdiagonal: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (columns) of a real
-    symmetric tridiagonal matrix, by LAPACK dstevd.
-
-    A nonzero info (the divide and conquer did not converge) raises
-    NumericalFailure.
-    """
-    d = np.asarray(diagonal, dtype=float)
-    # dstevd takes an off-diagonal of length max(n - 1, 1); it reads none at n = 1
-    e = np.asarray(offdiagonal, dtype=float) if len(d) > 1 else np.zeros(1)
-    w, v, info = scipy.linalg.lapack.dstevd(d, e, compute_v=1)
-    if info != 0:
-        raise NumericalFailure(
-            f"LAPACK dstevd failed with info={info} on a tridiagonal matrix of order {len(d)}"
-        )
-    return w, v
-
-
-def tridiagonal_eigenvalues(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a real symmetric tridiagonal matrix, without
-    eigenvectors, by LAPACK dsterf.
-
-    A nonzero info (the QL/QR iteration did not converge) raises
-    NumericalFailure.
-    """
-    d = np.asarray(diagonal, dtype=float)
-    # dsterf takes an off-diagonal of length max(n - 1, 1); it reads none at n = 1
-    e = np.asarray(offdiagonal, dtype=float) if len(d) > 1 else np.zeros(1)
-    w, info = scipy.linalg.lapack.dsterf(d, e)
-    if info != 0:
-        raise NumericalFailure(
-            f"LAPACK dsterf failed with info={info} on a tridiagonal matrix of order {len(d)}"
-        )
-    return w
 
 
 def _twist_half(a, b2, lam, r, lo, hi, guard):
@@ -694,10 +670,10 @@ def tridiagonal_masses(
     """sum over k in sites of u_j(k)^2, for each unit eigenvector u_j of each chain.
 
     Row i of diagonals (S, N) and offdiagonals (S, N - 1) is a real symmetric
-    tridiagonal matrix T_i; one chain may come without the leading axis.
-    eigenvalues (S, K) holds eigenvalues of T_i, as tridiagonal_eigenvalues
-    returns them, and sites is a contiguous range of indices.  An
-    off-diagonal that is zero makes T_i reducible and raises ValueError.
+    tridiagonal matrix T_i, eigenvalues (S, K) holds eigenvalues of T_i, as
+    the function eigenvalues returns them, and sites is a contiguous range
+    of indices.  An off-diagonal that is zero makes T_i reducible and raises
+    ValueError.
 
     No eigenvector is formed.  The vector twisted at the middle of the sites
     is given by the pivots of the two LDL^T factorizations of T_i - lambda*I
@@ -713,11 +689,9 @@ def tridiagonal_masses(
     work is chunked by MASS_CHUNK and PEAK_CHUNK.
     """
     D, E, W = (np.asarray(x, dtype=float) for x in (diagonals, offdiagonals, eigenvalues))
-    single = D.ndim == 1
-    D, E, W = (x[None] if single else x for x in (D, E, W))
-    s, n = D.shape
-    if E.shape != (s, max(n - 1, 0)) or W.ndim != 2 or len(W) != s:
+    if D.ndim != 2 or W.ndim != 2 or len(W) != len(D) or E.shape != (len(D), max(D.shape[1] - 1, 0)):
         raise ValueError(f"shapes {D.shape}, {E.shape}, {W.shape} are not chains with eigenvalues")
+    s, n = D.shape
     if len(sites) == 0 or sites.step != 1 or sites[0] < 0 or sites[-1] >= n:
         raise ValueError(f"sites must be a nonempty contiguous range in [0, {n}), got {sites}")
     if np.any(E == 0):
@@ -750,7 +724,7 @@ def tridiagonal_masses(
             corrected = m + dm * c
             trusted = ~hit & ((dm * c) ** 2 <= MASS_ATOL * m) & np.isfinite(corrected)
             out[row, col] = np.where(trusted, corrected, m)
-    return out[0] if single else out
+    return out
 
 
 def tridiagonal_counts(
@@ -786,17 +760,13 @@ def tridiagonal_counts(
 def eigensystem(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition (ascending eigenvalues, orthonormal columns) of the band B.
 
-    B is checked as _checked does.  A real band of width at most 2 (d=1
-    models) is solved as a tridiagonal matrix by tridiagonal_eigensystem.
-    Any other band fills the lower triangle of a Fortran-ordered matrix that
-    this function owns, and LAPACK ?syevd/?heevd, as np.linalg.eigh calls
-    it, writes the eigenvectors over it.  A nonzero info raises
-    NumericalFailure.
+    B is checked as _checked does.  The band fills the lower triangle of a
+    Fortran-ordered matrix that this function owns, and LAPACK
+    ?syevd/?heevd, as np.linalg.eigh calls it, writes the eigenvectors over
+    it.  A nonzero info raises NumericalFailure.
     """
     _checked(B)
     n, width = B.shape
-    if not np.iscomplexobj(B) and width <= 2:
-        return tridiagonal_eigensystem(B[:, 0], B[: n - 1, 1] if width == 2 else np.zeros(n - 1))
     H = np.zeros((n, n), dtype=B.dtype, order="F")
     for k in range(width):
         np.fill_diagonal(H[k:], B[: n - k, k])  # H[j + k, j] = B[j, k]

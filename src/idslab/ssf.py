@@ -27,6 +27,7 @@ import numpy as np
 from .operators import OperatorSpec, discretize, grid_embedding
 from .spectral import (
     EnergyWindow,
+    NumericalFailure,
     StepFunction,
     assert_hermitian,
     certified_below,
@@ -148,7 +149,10 @@ def _difference_singular_values(
         idx = np.asarray(embed, dtype=int)
         ea[np.ix_(idx, idx)] += eb
     assert_hermitian(ea)
-    mu = np.sort(np.abs(np.linalg.eigvalsh(ea)))[::-1]
+    try:
+        mu = np.sort(np.abs(np.linalg.eigvalsh(ea)))[::-1]
+    except np.linalg.LinAlgError as e:
+        raise NumericalFailure(f"np.linalg.eigvalsh failed ({e}) on V_eff of order {len(ea)}") from None
     return mu if count is None else mu[:count]
 
 

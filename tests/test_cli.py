@@ -181,14 +181,28 @@ SMALL_RANDOM = {"samples": 6, "truncation_radius": 3, "lambda_points": 11,
 
 
 def test_random_names_a_failed_tridiagonal_solve(tmp_path, capsys, monkeypatch):
-    # the d=1 estimates solve their chains for eigenvalues alone
+    # the d=1 estimates solve their chains for eigenvalues alone, as bands
     monkeypatch.setattr(
-        scipy.linalg.lapack, "dsterf", lambda d, e: (np.asarray(d, dtype=float).copy(), 1),
+        scipy.linalg.lapack, "dsbevd",
+        lambda ab, **kwargs: (np.zeros(ab.shape[1]), np.zeros((1, 1)), 1),
     )
     path = write_cfg(tmp_path, random=SMALL_RANDOM)
     assert main(["random", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "numerical failure: LAPACK dsterf failed with info=1" in err
+    assert "numerical failure: LAPACK dsbevd failed with info=1 on a band matrix of order 7" in err
+    assert "Traceback" not in err
+
+
+def test_ssf_names_a_failed_eigenvalue_solve(tmp_path, capsys, monkeypatch):
+    # the singular values of V_eff are the absolute values of its eigenvalues
+    def failing(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    path = write_cfg(tmp_path, backend="continuum", resolution=2, ssf={"cells": 6, "count": 10})
+    assert main(["ssf", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: np.linalg.eigvalsh failed (Eigenvalues did not converge)" in err
     assert "Traceback" not in err
 
 

@@ -1,7 +1,7 @@
 """Every import in src/idslab is used, every definition there is named by the
 program, every parameter default there is overridden by some call, every
-config field is read, every dense and every tridiagonal eigenvector
-solve goes through spectral.eigensystem, every band is written by the
+config field is read, every eigensolver is called only at its sites
+(eigenvectors in spectral.eigensystem), every band is written by the
 assembly fill, every dense matrix is turned into a band only where
 it enters from outside, every eigenvalue count is certified through
 spectral.certified_below (no linter is installed, so this test is the lint),
@@ -224,8 +224,21 @@ def test_every_parameter_default_is_overridden_somewhere():
     assert unset_parameters(src, {**src, **others}) == []
 
 
-# numpy's and scipy's dense Hermitian eigenvector solvers, and the LAPACK routines under them
-DENSE_EIGENVECTOR_SOLVERS = re.compile(r"eigh|[sd]syevd|[cz]heevd")
+# every eigensolver call, by the name of numpy's or scipy's function or of the
+# LAPACK routine, and the only functions that make it: eigenvectors come from
+# spectral.eigensystem alone, eigenvalues alone from the band solver, the
+# spectrum slices, the inertia of 2x2 pivot blocks and V_eff
+EIGENVECTORS = re.compile(r"eigh|eig_banded|eigh_tridiagonal|[sd]syevd|[cz]heevd|[sd]stevd")
+EIGENVALUES = re.compile(
+    r"eigvals_banded|eigvalsh|eigvalsh_tridiagonal|eigsh|[sd]sterf|[sd]sbevd|[cz]hbevd"
+)
+SOLVER_SITES = {
+    EIGENVECTORS: {"spectral.py: eigensystem"},
+    EIGENVALUES: {
+        "spectral.py: eigenvalues", "spectral.py: _sliced", "spectral.py: count_below_by_inertia",
+        "ssf.py: _difference_singular_values",
+    },
+}
 
 
 def calls_outside(sources: dict[str, str], names: re.Pattern, allowed: set[str]) -> list[str]:
@@ -268,101 +281,86 @@ def test_checker_flags_dense_eigenvector_solves():
         "class Field:\n"
         "    def vectors(self, H):\n"
         "        return eigh(H), scipy.linalg.eigh(H), scipy.linalg.lapack.cheevd(H)\n"
+        "def chain(d, e):\n"
+        "    return scipy.linalg.lapack.dstevd(d, e), scipy.linalg.eigh_tridiagonal(d, e)\n"
         "def unrelated(H):\n"
         "    return 'eigh is a word in this docstring'\n"
     )
     # the eigenvalue-only solvers (eigvalsh) are not counted
-    assert calls_outside({"m.py": source}, DENSE_EIGENVECTOR_SOLVERS, {"m.py: solve"}) == [
+    assert calls_outside({"m.py": source}, EIGENVECTORS, {"m.py: solve"}) == [
         "m.py: <module> calls eigh",
         "m.py: Field.vectors calls eigh",
         "m.py: Field.vectors calls eigh",
         "m.py: Field.vectors calls cheevd",
+        "m.py: chain calls dstevd",
+        "m.py: chain calls eigh_tridiagonal",
     ]
 
 
 def test_one_dense_eigenvector_solve_site():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert calls_outside(sources, DENSE_EIGENVECTOR_SOLVERS, {"spectral.py: eigensystem"}) == []
+    assert calls_outside(sources, EIGENVECTORS, SOLVER_SITES[EIGENVECTORS]) == []
 
 
-# the tridiagonal solver is reached only through spectral.eigensystem, and
-# LAPACK dstevd only through the tridiagonal solver
-TRIDIAGONAL_SOLVES = {
-    "tridiagonal_eigensystem": {"spectral.py: eigensystem"},
-    "dstevd": {"spectral.py: tridiagonal_eigensystem"},
-}
-
-
-def test_checker_flags_tridiagonal_solves():
-    source = (
-        "import scipy.linalg\n"
-        "def eigensystem(B):\n"
-        "    return tridiagonal_eigensystem(B[:, 0], B[:-1, 1])\n"
-        "def tridiagonal_eigensystem(d, e):\n"
-        "    return scipy.linalg.lapack.dstevd(d, e)\n"
-        "def chains(bands):\n"
-        "    return [tridiagonal_eigensystem(B[:, 0], B[:-1, 1]) for B in bands]\n"
-        "def chain(d, e):\n"
-        "    return getattr(scipy.linalg.lapack, 'dstevd')(d, e)\n"
-        "def note():\n"
-        "    return 'dstevd solves a tridiagonal matrix'\n"
-    )
-    found = [
-        hit for name, allowed in TRIDIAGONAL_SOLVES.items()
-        for hit in calls_outside({"spectral.py": source}, re.compile(name), allowed)
-    ]
-    assert found == [
-        "spectral.py: chains calls tridiagonal_eigensystem", "spectral.py: chain calls dstevd",
-    ]
-
-
-def test_tridiagonal_solves_go_through_eigensystem():
-    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    for name, allowed in TRIDIAGONAL_SOLVES.items():
-        assert calls_outside(sources, re.compile(name), allowed) == []
-
-
-# the origin masses of chains are computed only by the Monte Carlo origin
-# spectra, and LAPACK dsterf (eigenvalues without eigenvectors) only by its
-# spectral wrapper
-CHAIN_MASS_SITES = {
-    "tridiagonal_masses": {"montecarlo.py: _origin_spectra"},
-    "dsterf": {"spectral.py: tridiagonal_eigenvalues"},
-}
-
-
-def test_checker_flags_chain_mass_calls():
+def test_checker_flags_eigenvalue_only_solves():
     sources = {
-        "montecarlo.py": (
-            "def _origin_spectra(D, E, W, sites):\n"
-            "    return tridiagonal_masses(D, E, W, sites)\n"
-            "def localized_counting(D, E, W, sites):\n"
-            "    return spectral.tridiagonal_masses(D, E, W, sites)\n"
-        ),
         "spectral.py": (
-            "import scipy.linalg\n"
-            "def tridiagonal_eigenvalues(d, e):\n"
-            "    return scipy.linalg.lapack.dsterf(d, e)\n"
+            "import numpy as np, scipy.linalg\n"
             "def eigenvalues(B):\n"
-            "    return getattr(scipy.linalg.lapack, 'dsterf')(B[:, 0], B[:-1, 1])\n"
+            "    name = 'zhbevd' if np.iscomplexobj(B) else 'dsbevd'\n"
+            "    return getattr(scipy.linalg.lapack, name)(B.T, compute_v=0, lower=1)\n"
+            "def chains(bands):\n"
+            "    return [scipy.linalg.lapack.dsterf(B[:, 0], B[:-1, 1]) for B in bands]\n"
+            "def banded(B):\n"
+            "    return scipy.linalg.eigvals_banded(B.T, lower=True), np.linalg.eigvalsh(B)\n"
+            "def vectors(H):\n"
+            "    return np.linalg.eigh(H)\n"
             "def note():\n"
             "    return 'dsterf finds eigenvalues alone'\n"
         ),
+        "ssf.py": (
+            "def _difference_singular_values(ea, eb):\n"
+            "    return np.linalg.eigvalsh(eb - ea)\n"
+            "def shift(H):\n"
+            "    return scipy.sparse.linalg.eigsh(H, k=3)\n"
+        ),
     }
-    found = [
-        hit for name, allowed in CHAIN_MASS_SITES.items()
-        for hit in calls_outside(sources, re.compile(name), allowed)
-    ]
-    assert found == [
-        "montecarlo.py: localized_counting calls tridiagonal_masses",
-        "spectral.py: eigenvalues calls dsterf",
+    # the eigenvector solvers (eigh) are not counted
+    assert calls_outside(sources, EIGENVALUES, SOLVER_SITES[EIGENVALUES]) == [
+        "spectral.py: chains calls dsterf",
+        "spectral.py: banded calls eigvals_banded",
+        "spectral.py: banded calls eigvalsh",
+        "ssf.py: shift calls eigsh",
     ]
 
 
-def test_chain_masses_and_eigenvalue_only_solves_have_one_site():
+def test_eigenvalue_only_solves_have_their_sites():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    for name, allowed in CHAIN_MASS_SITES.items():
-        assert calls_outside(sources, re.compile(name), allowed) == []
+    assert calls_outside(sources, EIGENVALUES, SOLVER_SITES[EIGENVALUES]) == []
+
+
+# the origin masses of chains are computed only by the Monte Carlo origin spectra
+CHAIN_MASSES = re.compile("tridiagonal_masses")
+CHAIN_MASS_SITES = {"montecarlo.py: _origin_spectra"}
+
+
+def test_checker_flags_chain_mass_calls():
+    source = (
+        "def _origin_spectra(D, E, W, sites):\n"
+        "    return tridiagonal_masses(D, E, W, sites)\n"
+        "def localized_counting(D, E, W, sites):\n"
+        "    return spectral.tridiagonal_masses(D, E, W, sites)\n"
+        "def note():\n"
+        "    return 'tridiagonal_masses sums eigenvector weights'\n"
+    )
+    assert calls_outside({"montecarlo.py": source}, CHAIN_MASSES, CHAIN_MASS_SITES) == [
+        "montecarlo.py: localized_counting calls tridiagonal_masses",
+    ]
+
+
+def test_chain_masses_have_one_site():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert calls_outside(sources, CHAIN_MASSES, CHAIN_MASS_SITES) == []
 
 
 # every band is written by the one assembly fill

@@ -323,7 +323,7 @@ def _count_per_sample_calls(monkeypatch):
     calls = Counter()
     targets = [
         (montecarlo, "coded_bands"), (montecarlo, "eigensystem"),
-        (montecarlo, "tridiagonal_eigenvalues"), (montecarlo, "tridiagonal_masses"),
+        (montecarlo, "eigenvalues"), (montecarlo, "tridiagonal_masses"),
         (lattice.RandomColoring, "color"),
     ]
     for owner, name in targets:
@@ -339,7 +339,7 @@ def test_chain_estimate_assembles_and_draws_nothing_per_sample(monkeypatch):
     dist = SiteDistribution.bernoulli("a", "b", seed=3)
     pastur_shubin_mc(dist, LIB_AB, np.linspace(0.0, 5.0, 11), samples=5, truncation_radius=4)
     # eigenvalues alone per sample, and the origin masses of the group in one kernel call
-    assert calls == Counter(coded_bands=1, tridiagonal_eigenvalues=5, tridiagonal_masses=1)
+    assert calls == Counter(coded_bands=1, eigenvalues=5, tridiagonal_masses=1)
 
 
 @pytest.mark.parametrize("d, backend", [(1, "lattice"), (2, "lattice"), (1, "continuum"), (2, "continuum")])
@@ -354,7 +354,7 @@ def test_every_estimate_fills_once_per_group_and_draws_no_color(monkeypatch, d, 
     # the grid's top is no eigenvalue of these integer models (see the tie test below)
     est = pastur_shubin_mc(DIST_AB, lib, np.linspace(0.0, 4.5, 10), samples, R, backend=backend)
     # d=1 bands are chains: eigenvalues per sample and one mass kernel per group
-    solves = (Counter(tridiagonal_eigenvalues=samples, tridiagonal_masses=4) if d == 1
+    solves = (Counter(eigenvalues=samples, tridiagonal_masses=4) if d == 1
               else Counter(eigensystem=samples))
     assert calls == Counter(coded_bands=4) + solves
     monkeypatch.undo()
@@ -389,7 +389,7 @@ def test_certified_groups_cover_every_sample_once_within_the_bound(monkeypatch, 
 def test_the_benchmark_and_criterion_8_estimates_are_one_group(monkeypatch, samples, R):
     calls = _count_per_sample_calls(monkeypatch)
     pastur_shubin_mc(DIST_AB, LIB_AB, np.linspace(0.0, 4.5, 201), samples, R)
-    assert calls == Counter(coded_bands=1, tridiagonal_eigenvalues=samples, tridiagonal_masses=1)
+    assert calls == Counter(coded_bands=1, eigenvalues=samples, tridiagonal_masses=1)
 
 
 def test_estimate_memory_does_not_grow_with_the_sample_count():
@@ -427,10 +427,6 @@ def test_overflowing_cell_means_are_refused_on_both_paths(d):
         PrototypeLibrary.constant_potentials({"a": 1e308, "b": 1e308}, 4, d)
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalFailure, reason=(
-    "known fault: at T +/- delta a diagonal entry equal to T leaves a pivot of size delta, "
-    "above PIVOT_RTOL, so _sparse_inertia trusts pivot signs that element growth has flipped"
-))
 def test_a_ceiling_on_an_eigenvalue_of_an_integer_lattice_model_is_certified():
     # sample 3 of this estimate has the exact eigenvalue 5 and four diagonal entries 5
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 3, 2)
@@ -480,6 +476,22 @@ def test_chain_masses_must_sum_to_the_origin_points(monkeypatch, shift, fails):
     assert calls == [4, 3]
 
 
+def test_eigenvector_masses_must_sum_to_the_origin_points(monkeypatch):
+    # d=2 groups take their masses from the eigenvectors, under the same check as chains
+    solve, calls = montecarlo.eigensystem, []
+
+    def skewed(B):
+        w, U = solve(B)
+        calls.append(len(B))
+        return w, U * (1.0 + 1e-8) if len(calls) == 3 else U
+
+    monkeypatch.setattr(montecarlo, "eigensystem", skewed)
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 3, 2)
+    with pytest.raises(NumericalFailure, match="sample 2: .* origin cell sum to"):
+        pastur_shubin_mc(DIST_AB, lib, np.linspace(0.0, 4.5, 10), 4, 1)
+    assert len(calls) == 4  # the group is solved, then certified, then checked
+
+
 def test_chains_cut_by_a_facet_keep_the_eigensystem(monkeypatch):
     # the facet's grid point is deleted, so one off-diagonal of the chain is zero
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 3, 1)
@@ -508,19 +520,19 @@ def test_chain_estimate_memory_is_no_higher_than_with_eigenvectors():
 
 
 def test_chain_estimate_with_a_wrong_count_fails(monkeypatch):
-    solve = scipy.linalg.lapack.dsterf
+    solve = scipy.linalg.lapack.dsbevd
 
-    def shifted(d, e):
-        w, info = solve(d, e)
-        return w + 0.5, info  # one row's count below the ceiling now disagrees
+    def shifted(*args, **kwargs):
+        w, *rest = solve(*args, **kwargs)
+        return (w + 0.5, *rest)  # one row's count below the ceiling now disagrees
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", shifted)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsbevd", shifted)
     dist = SiteDistribution.bernoulli("a", "b", seed=4)
     with pytest.raises(NumericalFailure, match=r"inertia of H - T\*I"):
         pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5], samples=4, truncation_radius=3)
 
 
-@pytest.mark.parametrize("d, backend, solver", [(2, "lattice", "dsyevd"), (1, "continuum", "dsterf")])
+@pytest.mark.parametrize("d, backend, solver", [(2, "lattice", "dsyevd"), (1, "continuum", "dsbevd")])
 def test_per_sample_estimate_with_a_wrong_count_fails(monkeypatch, d, backend, solver):
     solve = getattr(scipy.linalg.lapack, solver)
 
@@ -548,6 +560,24 @@ def test_semigroup_truncation_diagnostic_tiny_and_decaying():
     d8, _ = semigroup_truncation_diagnostic(C, LIB_A, 8, grid)
     assert d2 < d1
     assert d8 < 1e-12  # round-trip heat-kernel decay saturates machine precision
+
+
+def test_an_eigenvalue_on_a_grid_point_counts_whichever_side_it_is_computed(monkeypatch):
+    # the free chain of N = 65 sites has the exact eigenvalues 1, 2 and 3, all points of the grid
+    point = SiteDistribution.point_mass("a")
+    grid = np.linspace(0.0, 4.0, 5)
+    means = [pastur_shubin_mc(point, LIB_A, grid, samples=1, truncation_radius=32).mean]
+    solve = scipy.linalg.lapack.dsbevd
+    for direction in (-np.inf, np.inf):
+        def nudged(*args, _to=direction, **kwargs):
+            w, *rest = solve(*args, **kwargs)
+            return (np.nextafter(w, _to), *rest)  # one ulp below or above
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsbevd", nudged)
+        means.append(pastur_shubin_mc(point, LIB_A, grid, samples=1, truncation_radius=32).mean)
+    # an ulp of the eigenvalues moves the masses in their last bits; a tie counted on the
+    # wrong side would move the mean by the eigenvector's origin mass, 1/33 at lambda = 2
+    assert np.allclose(means[1:], means[0], rtol=0, atol=1e-12)
 
 
 def test_projector_estimate_R_change_is_order_one_over_R():

@@ -24,7 +24,6 @@ from idslab.spectral import (
     lower_band,
     lp_distance,
     tridiagonal_counts,
-    tridiagonal_eigensystem,
 )
 from oracles import dense, dirichlet_chain_eigenvalues
 
@@ -202,9 +201,9 @@ def test_eigenvalues_reject_nonfinite_and_nonhermitian():
 
 def test_eigensystem_rejects_nonfinite():
     full = np.ones((3, 3))
-    full[0, 1] = np.nan  # a full band takes the dense path
+    full[0, 1] = np.nan
     chain = lower_band(_chain(4))
-    chain[2, 1] = -np.inf  # a tridiagonal one takes ?stevd
+    chain[2, 1] = -np.inf
     for B in (full, chain):
         with pytest.raises(ValueError, match="finite"):
             eigensystem(B)
@@ -276,18 +275,6 @@ def _magnetic_1d():
     return dense(B)
 
 
-def _spy_tridiagonal(monkeypatch):
-    calls = []
-    solve = scipy.linalg.lapack.dstevd
-
-    def spy(*args, **kwargs):
-        calls.append("stevd")
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", spy)
-    return calls
-
-
 @pytest.mark.parametrize(
     "H",
     [
@@ -299,10 +286,8 @@ def _spy_tridiagonal(monkeypatch):
     ],
     ids=["lattice-chain", "disconnected", "N=1", "N=2", "diagonal"],
 )
-def test_eigensystem_tridiagonal_matches_dense(monkeypatch, H):
-    calls = _spy_tridiagonal(monkeypatch)
+def test_eigensystem_tridiagonal_matches_dense(H):
     w, U = eigensystem(lower_band(H))
-    assert calls == ["stevd"]
     tol = 1e-12 * max(1.0, np.linalg.norm(H, 2))
     assert np.all(np.diff(w) >= 0)
     assert np.max(np.abs(w - np.linalg.eigvalsh(H))) <= tol
@@ -311,14 +296,24 @@ def test_eigensystem_tridiagonal_matches_dense(monkeypatch, H):
 
 
 def test_tridiagonal_eigensystem_names_a_lapack_failure(monkeypatch):
-    def failing(d, e, compute_v=1):
-        return np.asarray(d, dtype=float).copy(), np.eye(len(d)), 1
+    # a chain's eigenvectors come from the one dense solver as well
+    def failing(a, compute_v=1, lower=0, overwrite_a=0):
+        return np.zeros(len(a)), np.eye(len(a)), 1
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
-    with pytest.raises(NumericalFailure, match="dstevd failed with info=1"):
-        tridiagonal_eigensystem(np.full(5, 2.0), np.full(4, -1.0))
-    with pytest.raises(NumericalFailure, match="dstevd"):
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", failing)
+    with pytest.raises(NumericalFailure, match="dsyevd failed with info=1 on a matrix of order 5"):
         eigensystem(lower_band(_chain(5)))
+
+
+@pytest.mark.parametrize("name", ["dsbevd", "zhbevd"])
+def test_eigenvalues_names_a_lapack_failure(monkeypatch, name):
+    def failing(ab, compute_v=1, lower=0, overwrite_ab=1):
+        return np.zeros(ab.shape[1]), np.zeros((1, 1)), 3
+
+    monkeypatch.setattr(scipy.linalg.lapack, name, failing)
+    B = lower_band(_magnetic_1d() if name == "zhbevd" else _chain(5))
+    with pytest.raises(NumericalFailure, match=f"{name} failed with info=3 on a band matrix of order {len(B)}"):
+        eigenvalues(B)
 
 
 def _random_chains(rng, rows, n):
@@ -461,7 +456,7 @@ def test_certified_below_brackets_chain_ties_and_flags_a_wrong_count(monkeypatch
     D, e = _random_chains(np.random.default_rng(7), 40, 12)
     bands = np.zeros((40, 12, 2))
     bands[:, :, 0], bands[:, :11, 1] = D, e
-    eigs = np.array([tridiagonal_eigensystem(row, e)[0] for row in D])
+    eigs = np.array([_dstevd(row, e)[0] for row in D])
     sturm = _spy(monkeypatch, spectral, "tridiagonal_counts")
     sparse = _spy(monkeypatch, spectral, "_sparse_inertia")
     for T in (-1.0, 0.0, 0.5, 2.0):  # the integer ceilings hit exact eigenvalues
@@ -509,11 +504,9 @@ def _sparse_pentadiagonal():
     [_random_lattice(frozenset(np.ndindex(5, 5))), _magnetic_1d(), _sparse_pentadiagonal()],
     ids=["lattice-2d", "magnetic-1d", "sparse-pentadiagonal"],
 )
-def test_eigensystem_dense_path_unchanged(monkeypatch, H):
-    calls = _spy_tridiagonal(monkeypatch)
+def test_eigensystem_dense_path_unchanged(H):
     w, U = eigensystem(lower_band(H))
     w0, U0 = np.linalg.eigh(H)
-    assert not calls
     assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
 
 
@@ -547,10 +540,9 @@ def test_eigensystem_in_place_gives_numpys_bytes(monkeypatch, name, order):
     w, U = eigensystem(B)
     assert H.tobytes() == before and not np.shares_memory(U, B)
     assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
-    if len(H) > 2 or np.iscomplexobj(H):  # a real band of width <= 2 takes ?stevd
-        # the eigenvectors overwrite the one dense matrix, which eigensystem owns
-        [(a, vectors)] = solved
-        assert a.flags.f_contiguous and np.shares_memory(vectors, a)
+    # the eigenvectors overwrite the one dense matrix, which eigensystem owns
+    [(a, vectors)] = solved
+    assert a.flags.f_contiguous and np.shares_memory(vectors, a)
 
 
 @pytest.mark.parametrize("name", ["dsyevd", "zheevd"])
@@ -641,8 +633,13 @@ def test_untrusted_sparse_counts_fall_back_to_dense(monkeypatch):
 
 
 def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
-    solve = scipy.linalg.eigvals_banded
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", lambda *a, **k: solve(*a, **k)[1:])
+    solve = scipy.linalg.lapack.dsbevd
+
+    def drop_first(ab, **kwargs):
+        w, *rest = solve(ab, **kwargs)
+        return (w[1:], *rest)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsbevd", drop_first)
     assert len(eigenvalues(lower_band(_chain(8)))) == 7  # no ceiling, nothing to certify
     with pytest.raises(NumericalFailure):
         eigenvalues(lower_band(_chain(8)), 2.0)
@@ -658,11 +655,11 @@ def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
     dropped, stacks = [], []
 
     def drop_in_first_pair(ab, **kwargs):
-        w = solve(ab, **kwargs)
+        w, *rest = solve(ab, **kwargs)
         if ab.shape[1] == 2 and not dropped:
             dropped.append(ab)
-            return w[1:]
-        return w
+            return (w[1:], *rest)
+        return (w, *rest)
 
     sturm = spectral.tridiagonal_counts
 
@@ -670,7 +667,7 @@ def test_dropped_eigenvalue_fails_certification(monkeypatch, tmp_path):
         stacks.append(len(diagonals))
         return sturm(diagonals, offdiagonals, shifts)
 
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", drop_in_first_pair)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsbevd", drop_in_first_pair)
     monkeypatch.setattr(spectral, "tridiagonal_counts", recorded)
     cfg.update(M_list=[2])
     path.write_text(json.dumps(cfg))
@@ -888,7 +885,7 @@ def test_dropped_ritz_value_is_retried_or_falls_back(always):
         _slice_everything(mp)
         mp.setattr(spectral, "SLICE_SIZE", 10)
         ritz = _spy(mp, scipy.sparse.linalg, "eigsh", drop_nearest_shift)
-        banded = _spy(mp, scipy.linalg, "eigvals_banded")
+        banded = _spy(mp, scipy.linalg.lapack, "dsbevd")
         got = eigenvalues(B, T)
     assert len(got) == count_below_by_inertia(dense(B), T) == 31
     assert np.max(np.abs(got - full[:31])) <= 1e-10 * T
@@ -960,14 +957,27 @@ def _reference_masses(d, e):
         return np.array([[float(Q[k, j] ** 2) for j in order] for k in range(n)])
 
 
+def _dstevd(d, e):
+    """Eigenvalues and eigenvectors of the chain d, e by LAPACK dstevd, the reference solver."""
+    # dstevd takes an off-diagonal of length max(n - 1, 1); it reads none at n = 1
+    w, U, info = scipy.linalg.lapack.dstevd(d, e if len(d) > 1 else np.zeros(1), compute_v=1)
+    assert info == 0
+    return w, U
+
+
+def _tridiagonal_band(d, e):
+    """The (N, 2) band of the chain with diagonal d and off-diagonal e."""
+    return np.column_stack([d, np.append(e, 0.0)])
+
+
 def _assert_masses_as_accurate_as_dstevd(d, e, site_ranges):
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     exact = _reference_masses(d, e)
-    _, U = tridiagonal_eigensystem(d, e)
-    w = spectral.tridiagonal_eigenvalues(d, e)
+    _, U = _dstevd(d, e)
+    w = eigenvalues(_tridiagonal_band(d, e))
     for sites in site_ranges:
         reference = exact[sites].sum(axis=0)
-        kernel = np.abs(spectral.tridiagonal_masses(d, e, w, sites) - reference).max()
+        kernel = np.abs(spectral.tridiagonal_masses(d[None], e[None], w[None], sites)[0] - reference).max()
         lapack = np.abs((U[sites] ** 2).sum(axis=0) - reference).max()
         assert kernel <= max(1e-14, lapack), (sites, kernel, lapack)
 
@@ -1026,27 +1036,52 @@ def test_masses_are_computed_per_chain_bit_for_bit():
     rng = np.random.default_rng(5)
     D = rng.integers(0, 2, size=(30, 41)) + 2.0
     E = -np.ones((30, 40))
-    W = np.array([spectral.tridiagonal_eigenvalues(d, e) for d, e in zip(D, E)])
+    W = np.array([eigenvalues(_tridiagonal_band(d, e)) for d, e in zip(D, E)])
     masses = spectral.tridiagonal_masses(D, E, W, range(20, 21))
-    alone = [spectral.tridiagonal_masses(d, e, w, range(20, 21)) for d, e, w in zip(D, E, W)]
+    alone = [spectral.tridiagonal_masses(D[[i]], E[[i]], W[[i]], range(20, 21))[0] for i in range(30)]
     assert np.array_equal(masses, alone)
     assert np.allclose(masses.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_masses_refuse_a_reducible_chain_and_bad_sites():
-    d, e = np.full(5, 2.0), np.array([-1.0, -1.0, 0.0, -1.0])
-    w = spectral.tridiagonal_eigenvalues(d, e)
+    d, e = np.full((1, 5), 2.0), np.array([[-1.0, -1.0, 0.0, -1.0]])
+    w = eigenvalues(_tridiagonal_band(d[0], e[0]))[None]
     with pytest.raises(ValueError, match="zero off-diagonal"):
         spectral.tridiagonal_masses(d, e, w, range(2, 3))
-    e[2] = -1.0
+    e[0, 2] = -1.0
     for sites in (range(0), range(4, 6), range(0, 4, 2)):
         with pytest.raises(ValueError, match="sites"):
             spectral.tridiagonal_masses(d, e, w, sites)
+    # one chain comes as a stack of one
+    with pytest.raises(ValueError, match="not chains with eigenvalues"):
+        spectral.tridiagonal_masses(d[0], e[0], w[0], range(2, 3))
 
 
 def test_eigenvalues_alone_match_the_eigensystem():
     rng = np.random.default_rng(2)
     for n in (1, 2, 9):
-        d, e = rng.normal(size=n), rng.normal(size=n - 1)
-        assert np.allclose(spectral.tridiagonal_eigenvalues(d, e), tridiagonal_eigensystem(d, e)[0],
-                           rtol=0, atol=1e-13)
+        B = _tridiagonal_band(rng.normal(size=n), rng.normal(size=n - 1))
+        assert np.allclose(eigenvalues(B), eigensystem(B)[0], rtol=0, atol=1e-13)
+
+
+def test_eigenvalues_of_the_benchmark_chains_are_lapack_dsterf_bits(monkeypatch):
+    # the chains of the random-mc-1d estimate at seed 1: S = 800 samples, R = 48
+    from idslab import montecarlo
+    from idslab.operators import PrototypeLibrary
+
+    solve, chains = montecarlo.eigenvalues, []
+
+    def spy(B):
+        w = solve(B)
+        chains.append((B.copy(), w))
+        return w
+
+    monkeypatch.setattr(montecarlo, "eigenvalues", spy)
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, 1)
+    dist = montecarlo.SiteDistribution.bernoulli("a", "b", seed=1)
+    montecarlo.pastur_shubin_mc(dist, lib, np.linspace(0.0, 4.5, 201), 800, 48)
+    assert len(chains) == 800
+    for B, w in chains:
+        assert B.shape == (97, 2)
+        reference, info = scipy.linalg.lapack.dsterf(B[:, 0], B[:96, 1])
+        assert info == 0 and w.tobytes() == reference.tobytes()
