@@ -38,7 +38,6 @@ from .operators import (
     add_facet_dirichlet,
     discretize,
     lattice_model,
-    pattern_spec,
 )
 from .spectral import (
     EnergyWindow,
@@ -120,15 +119,6 @@ class AlmostAdditiveField:
     def dimension(self) -> int:
         return self.coloring.dimension
 
-    def _spec(self, Q: frozenset[Site]) -> OperatorSpec:
-        return OperatorSpec(
-            Q=Q,
-            coloring=self.coloring,
-            library=self.library,
-            backend=self.backend,
-            resolution=self.library.resolution,
-        )
-
     def evaluate(self, Q: frozenset[Site]) -> StepFunction:
         if not Q:
             raise ValueError("cannot evaluate the field on the empty set")
@@ -154,7 +144,10 @@ class AlmostAdditiveField:
         new = [P for P in dict.fromkeys(classes) if P not in self._cache]
         batch, bands, eigs = [], [], []
         for P in new:
-            B = discretize(pattern_spec(P, self._spec(P.domain)))
+            B = discretize(OperatorSpec(
+                Q=P.domain, coloring=P, library=self.library,
+                backend=self.backend, resolution=self.library.resolution,
+            ))
             if large_band(B):
                 self._cache[P] = counting_function(eigenvalues(B, T), self.window)
             else:
@@ -215,12 +208,9 @@ def fit_uniform_bound(
     norms = []
     for sym in library.symbols:
         cell = Pattern((origin,), (sym,))
-        spec = pattern_spec(
-            cell,
-            OperatorSpec(
-                Q=frozenset({origin}), coloring=coloring, library=library,
-                backend=backend, resolution=library.resolution,
-            ),
+        spec = OperatorSpec(
+            Q=cell.domain, coloring=cell, library=library,
+            backend=backend, resolution=library.resolution,
         )
         eigs = eigenvalues(discretize(spec), ceiling=window.sup)
         norms.append(lp_norm(counting_function(eigs, window), window))

@@ -175,10 +175,14 @@ class Facet:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Everything needed to assemble one finite-volume Hamiltonian."""
+    """Everything needed to assemble one finite-volume Hamiltonian.
+
+    Only coloring.color(cell) is read, for the cells of Q, so a Pattern on
+    the domain Q serves as the coloring as well.
+    """
 
     Q: frozenset[Site]
-    coloring: Coloring
+    coloring: Coloring | Pattern
     library: PrototypeLibrary
     backend: str = CONTINUUM
     resolution: int = 8
@@ -398,7 +402,7 @@ def discretize(spec: OperatorSpec) -> np.ndarray:
 # Lattice (tight-binding) backend
 # ---------------------------------------------------------------------------
 
-def lattice_model(C: Coloring, Q: frozenset[Site], library: PrototypeLibrary) -> np.ndarray:
+def lattice_model(C: Coloring | Pattern, Q: frozenset[Site], library: PrototypeLibrary) -> np.ndarray:
     """Graph Laplacian on Q with site potential = cell mean of the prototype, as a dense matrix.
 
     Diagonal 2d + vbar(C(x)); off-diagonal -1 between nearest neighbors in
@@ -411,35 +415,6 @@ def lattice_model(C: Coloring, Q: frozenset[Site], library: PrototypeLibrary) ->
         np.fill_diagonal(H[k:], diagonal[: len(B) - k])
         np.fill_diagonal(H[:, k:], diagonal[: len(B) - k])
     return H
-
-
-def pattern_spec(P: Pattern, spec: OperatorSpec) -> OperatorSpec:
-    """Spec evaluating the same operator family on a pattern's own domain."""
-    return OperatorSpec(
-        Q=P.domain,
-        coloring=_PatternColoring(P),
-        library=spec.library,
-        backend=spec.backend,
-        resolution=spec.resolution,
-    )
-
-
-@dataclass(frozen=True)
-class _PatternColoring(Coloring):
-    """Coloring view of a pattern; defined only on the pattern's domain."""
-
-    pattern: Pattern
-
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.pattern.symbols)))
-
-    @property
-    def dimension(self) -> int:
-        return self.pattern.dimension
-
-    def color(self, site: Site) -> str:
-        return self.pattern.color(site)
 
 
 def spec_digest(spec: OperatorSpec) -> str:

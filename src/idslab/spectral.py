@@ -260,10 +260,8 @@ SLICE_EDGE_SHIFT = 0.1
 # by dm * c, and trusts the correction while the second-order term it
 # neglects, about (dm * c)^2 / m, is at most MASS_ATOL
 MASS_ATOL = 1e-14
-# the most entries (matrices x eigenvalues) that tridiagonal_masses twists at
-# once, and the most pivots (entries x N) that its peak search holds
+# the most entries (matrices x eigenvalues) that tridiagonal_masses twists at once
 MASS_CHUNK = 2**12
-PEAK_CHUNK = 2**15
 
 
 class NumericalFailure(RuntimeError):
@@ -584,84 +582,42 @@ def certified_below(
     return below
 
 
-def _twist_half(a, b2, lam, r, lo, hi, guard):
+def _twist_half(a, b2, lam, r, lo, hi):
     """The entries k < r of the vector z twisted at r, z_r = 1, of a chain.
 
     a[k] is the diagonal and b2[k] the squared off-diagonal between k and
-    k + 1; lam broadcasts against a[k], and r is one index or one per
-    entry of lam.  The pivots x_k of the LDL^T factorization of H - lam*I
-    from the top give z_k / z_(k+1) = -b_k / x_k for k < r.  Returns the pivot
-    term b_(r-1)^2 / x_(r-1) of gamma_r, the sums of z_k^2 over k < r and
-    over the sites lo..hi among them, the lam-derivatives of both sums, and
-    whether a pivot smaller than guard was replaced by -guard (guard None:
-    no pivot is replaced, and a zero pivot leaves NaN).
+    k + 1; lam broadcasts against a[k].  The pivots x_k of the LDL^T
+    factorization of H - lam*I from the top give z_k / z_(k+1) = -b_k / x_k
+    for k < r.  Returns the pivot term b_(r-1)^2 / x_(r-1) of gamma_r, the
+    sums of z_k^2 over k < r and over the sites lo..hi among them, and the
+    lam-derivatives of both sums (a zero pivot leaves NaN).
     """
-    fixed = np.ndim(r) == 0
     q = p = s = ds = t = dt = 0.0
-    hit = False
-    for k in range(int(np.max(r))):
-        x = (a[k] - lam) - q
-        if guard is not None:
-            small = np.abs(x) < guard
-            x = np.where(small, -guard, x)
-            hit = hit | (small if fixed else small & (k < r))
-        w = 1.0 / x
-        nq = b2[k] * w  # the next pivot's term
-        rho2 = nq * w  # (z_k / z_(k+1))^2
-        np_ = rho2 * (p - 1.0)  # -the lam-derivative of nq, as p is of q
-        u = 2.0 * np_ * w  # -the lam-derivative of rho2
+    for k in range(r):
+        w = 1.0 / ((a[k] - lam) - q)
+        q = b2[k] * w  # the next pivot's term
+        rho2 = q * w  # (z_k / z_(k+1))^2
+        p = rho2 * (p - 1.0)  # -the lam-derivative of q
+        u = 2.0 * p * w  # -the lam-derivative of rho2
         one = 1.0 + s
-        ns, nds = rho2 * one, rho2 * ds - u * one
-        if k < lo:
-            nt, ndt = t, dt  # zero until the sites begin
-        else:
+        s, ds = rho2 * one, rho2 * ds - u * one
+        if k >= lo:  # t and dt are zero until the sites begin
             inside = t + 1.0 if k <= hi else t
-            nt, ndt = rho2 * inside, rho2 * dt - u * inside
-        if not fixed:  # entries past their own twist keep their values
-            live = k < r
-            nq, np_, ns, nds, nt, ndt = (
-                np.where(live, new, old)
-                for new, old in ((nq, q), (np_, p), (ns, s), (nds, ds), (nt, t), (ndt, dt))
-            )
-        q, p, s, ds, t, dt = nq, np_, ns, nds, nt, ndt
-    return q, s, ds, t, dt, hit
+            t, dt = rho2 * inside, rho2 * dt - u * inside
+    return q, s, ds, t, dt
 
 
-def _twisted(a, b2, lam, r, lo, hi, guard=None):
-    """The mass m on the sites lo..hi of the unit vector twisted at r, its
-    lam-derivative dm, the Rayleigh-quotient step c = gamma_r / |z|^2 of lam,
-    and whether a pivot hit the guard (_twist_half's arguments)."""
-    n = len(a)
-    qa, sa, dsa, ta, dta, ha = _twist_half(a, b2, lam, r, lo, hi, guard)
-    qb, sb, dsb, tb, dtb, hb = _twist_half(
-        a[::-1], b2[::-1], lam, n - 1 - r, n - 1 - hi, n - 1 - lo, guard
-    )
-    ar = a[r] if np.ndim(r) == 0 else np.take_along_axis(a, r[None], 0)[0]
+def _twisted(a, b2, lam, lo, hi):
+    """The mass m on the sites lo..hi of the unit vector twisted at their
+    middle r, its lam-derivative dm, and the Rayleigh-quotient step
+    c = gamma_r / |z|^2 of lam (_twist_half's arguments)."""
+    n, r = len(a), (lo + hi) // 2
+    qa, sa, dsa, ta, dta = _twist_half(a, b2, lam, r, lo, hi)
+    qb, sb, dsb, tb, dtb = _twist_half(a[::-1], b2[::-1], lam, n - 1 - r, n - 1 - hi, n - 1 - lo)
     norm = 1.0 + sa + sb
-    m = (((lo <= r) & (r <= hi)) + ta + tb) / norm
+    m = (1.0 + ta + tb) / norm
     dm = ((dta + dtb) - m * (dsa + dsb)) / norm
-    return m, dm, ((ar - lam) - qa - qb) / norm, ha | hb
-
-
-def _peaks(a, b2, lam, guard):
-    """Per entry of lam, the twist index k of the smallest |gamma_k|, where its
-    eigenvector peaks (Fernando's choice).  a and b2 hold one chain per entry,
-    as columns; the lower pivot terms of every k are held, len(a) per entry."""
-    n = len(a)
-    lower = np.zeros((n,) + lam.shape)  # b_k^2 / x_(k+1) of the factorization from the bottom
-    q = 0.0
-    for k in range(n - 1, 0, -1):
-        x = (a[k] - lam) - q
-        lower[k - 1] = q = b2[k - 1] / np.where(np.abs(x) < guard, -guard, x)
-    best, peak, q = np.full(lam.shape, np.inf), np.zeros(lam.shape, dtype=np.intp), 0.0
-    for k in range(n):
-        x = (a[k] - lam) - q
-        gamma = np.abs(x - lower[k])
-        better = gamma < best
-        best, peak = np.where(better, gamma, best), np.where(better, k, peak)
-        if k < n - 1:
-            q = b2[k] / np.where(np.abs(x) < guard, -guard, x)
-    return peak
+    return m, dm, ((a[r] - lam) - qa - qb) / norm
 
 
 def tridiagonal_masses(
@@ -675,18 +631,19 @@ def tridiagonal_masses(
     of indices.  An off-diagonal that is zero makes T_i reducible and raises
     ValueError.
 
-    No eigenvector is formed.  The vector twisted at the middle of the sites
-    is given by the pivots of the two LDL^T factorizations of T_i - lambda*I
-    (Parlett & Dhillon, LAA 1997), and its mass and the mass's
-    lambda-derivative are accumulated along them in O(N).  The mass is
-    corrected to first order by the Rayleigh-quotient step of lambda: the
+    Most entries form no eigenvector.  The vector twisted at the middle of
+    the sites is given by the pivots of the two LDL^T factorizations of
+    T_i - lambda*I (Parlett & Dhillon, LAA 1997), and its mass and the
+    mass's lambda-derivative are accumulated along them in O(N).  The mass
+    is corrected to first order by the Rayleigh-quotient step of lambda: the
     rounding error of lambda alone moves the uncorrected mass by about 1e-11
     at eigenvalue pairs 1e-5 apart.
     Where the neglected second-order term exceeds MASS_ATOL, as for an
-    eigenvector that is tiny at the sites, the mass is taken from the twist
-    where the eigenvector peaks instead.  Every entry is computed on its own,
-    so a chain's masses do not depend on the other chains, bit for bit; the
-    work is chunked by MASS_CHUNK and PEAK_CHUNK.
+    eigenvector that is tiny at the sites, the eigenvectors of those
+    eigenvalues are formed by LAPACK dstein (inverse iteration), one call per
+    chain; a nonzero info raises NumericalFailure.  A chain's masses do not
+    depend on the other chains, bit for bit; the twists are chunked by
+    MASS_CHUNK.
     """
     D, E, W = (np.asarray(x, dtype=float) for x in (diagonals, offdiagonals, eigenvalues))
     if D.ndim != 2 or W.ndim != 2 or len(W) != len(D) or E.shape != (len(D), max(D.shape[1] - 1, 0)):
@@ -697,33 +654,23 @@ def tridiagonal_masses(
     if np.any(E == 0):
         raise ValueError("a zero off-diagonal makes the chain reducible")
     lo, hi = sites[0], sites[-1]
-    # the peak search replaces pivots below eps^2 * ||T_i|| (a bound of ||T_i||)
-    guards = np.finfo(float).eps ** 2 * np.maximum(
-        1.0, np.max(np.abs(D), axis=1) + 2.0 * np.max(np.abs(E), axis=1, initial=0.0)
-    )
+    # dstein's blocks: one, the whole chain
+    iblock, isplit = np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
     out = np.empty(W.shape)
-    flagged = []
     step = max(1, MASS_CHUNK // max(W.shape[1], 1))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(0, s, step):
-            rows = slice(i, i + step)
-            m, dm, c, _ = _twisted(
-                D[rows].T[..., None], (E[rows] ** 2).T[..., None], W[rows], (lo + hi) // 2, lo, hi
-            )
+    for i in range(0, s, step):
+        rows = slice(i, i + step)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            m, dm, c = _twisted(D[rows].T[..., None], (E[rows] ** 2).T[..., None], W[rows], lo, hi)
             out[rows] = corrected = m + dm * c
             trusted = ((dm * c) ** 2 <= MASS_ATOL * m) & np.isfinite(corrected)
-            flagged.append(np.argwhere(~trusted) + [i, 0])
-        flagged = np.concatenate(flagged) if flagged else np.zeros((0, 2), dtype=np.intp)
-        step = max(1, PEAK_CHUNK // n)
-        for j in range(0, len(flagged), step):
-            row, col = flagged[j : j + step].T
-            a, b2, lam = D[row].T, (E[row] ** 2).T, W[row, col]
-            peak = _peaks(a, b2, lam, guards[row])
-            m, dm, c, hit = _twisted(a, b2, lam, peak, lo, hi, guards[row])
-            # a replaced pivot breaks the derivative
-            corrected = m + dm * c
-            trusted = ~hit & ((dm * c) ** 2 <= MASS_ATOL * m) & np.isfinite(corrected)
-            out[row, col] = np.where(trusted, corrected, m)
+        for j in np.flatnonzero(~trusted.all(axis=1)):
+            # a one-site chain never gets here: its mass has dm = 0
+            row, cols = i + j, ~trusted[j]
+            z, info = scipy.linalg.lapack.dstein(D[row], E[row], W[row, cols], iblock, isplit)
+            if info != 0:
+                raise NumericalFailure(f"LAPACK dstein failed with info={info} on a matrix of order {n}")
+            out[row, cols] = np.sum(z[lo : hi + 1] ** 2, axis=0)
     return out
 
 

@@ -193,6 +193,18 @@ def test_random_names_a_failed_tridiagonal_solve(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_random_names_a_failed_inverse_iteration(tmp_path, capsys, monkeypatch):
+    # chain masses the twisted factorization does not trust come from dstein
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dstein", lambda d, e, w, *args: (np.zeros((len(d), len(w))), 1)
+    )
+    path = write_cfg(tmp_path, random=SMALL_RANDOM)
+    assert main(["random", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: LAPACK dstein failed with info=1 on a matrix of order 7" in err
+    assert "Traceback" not in err
+
+
 def test_ssf_names_a_failed_eigenvalue_solve(tmp_path, capsys, monkeypatch):
     # the singular values of V_eff are the absolute values of its eigenvalues
     def failing(a, UPLO="L"):

@@ -227,17 +227,20 @@ def test_every_parameter_default_is_overridden_somewhere():
 # every eigensolver call, by the name of numpy's or scipy's function or of the
 # LAPACK routine, and the only functions that make it: eigenvectors come from
 # spectral.eigensystem alone, eigenvalues alone from the band solver, the
-# spectrum slices, the inertia of 2x2 pivot blocks and V_eff
+# spectrum slices, the inertia of 2x2 pivot blocks and V_eff, and eigenvectors
+# of given eigenvalues by inverse iteration from the chain masses alone
 EIGENVECTORS = re.compile(r"eigh|eig_banded|eigh_tridiagonal|[sd]syevd|[cz]heevd|[sd]stevd")
 EIGENVALUES = re.compile(
     r"eigvals_banded|eigvalsh|eigvalsh_tridiagonal|eigsh|[sd]sterf|[sd]sbevd|[cz]hbevd"
 )
+INVERSE_ITERATION = re.compile(r"[sd]stein")
 SOLVER_SITES = {
     EIGENVECTORS: {"spectral.py: eigensystem"},
     EIGENVALUES: {
         "spectral.py: eigenvalues", "spectral.py: _sliced", "spectral.py: count_below_by_inertia",
         "ssf.py: _difference_singular_values",
     },
+    INVERSE_ITERATION: {"spectral.py: tridiagonal_masses"},
 }
 
 
@@ -337,6 +340,33 @@ def test_checker_flags_eigenvalue_only_solves():
 def test_eigenvalue_only_solves_have_their_sites():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert calls_outside(sources, EIGENVALUES, SOLVER_SITES[EIGENVALUES]) == []
+
+
+def test_checker_flags_inverse_iteration():
+    source = (
+        "import scipy.linalg\n"
+        "from scipy.linalg.lapack import sstein\n"
+        "def tridiagonal_masses(D, E, W, iblock, isplit):\n"
+        "    return scipy.linalg.lapack.dstein(D[0], E[0], W[0], iblock, isplit)\n"
+        "def vectors(d, e, w, iblock, isplit):\n"
+        "    return getattr(scipy.linalg.lapack, 'dstein')(d, e, w, iblock, isplit)\n"
+        "class Chain:\n"
+        "    def vector(self, w):\n"
+        "        return sstein(self.d, self.e, w, self.iblock, self.isplit)\n"
+        "def note():\n"
+        "    return 'dstein does inverse iteration'\n"
+    )
+    assert calls_outside(
+        {"spectral.py": source}, INVERSE_ITERATION, SOLVER_SITES[INVERSE_ITERATION]
+    ) == [
+        "spectral.py: vectors calls dstein",
+        "spectral.py: Chain.vector calls sstein",
+    ]
+
+
+def test_inverse_iteration_has_one_site():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert calls_outside(sources, INVERSE_ITERATION, SOLVER_SITES[INVERSE_ITERATION]) == []
 
 
 # the origin masses of chains are computed only by the Monte Carlo origin spectra

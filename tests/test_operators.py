@@ -34,7 +34,6 @@ from idslab.operators import (
     grid_points,
     lattice_model,
     matrix_dimension,
-    pattern_spec,
 )
 from idslab.spectral import EnergyWindow, assert_hermitian, eigensystem, eigenvalues, lower_band
 from idslab.ssf import semigroup_difference_singular_values, spectral_shift
@@ -388,8 +387,8 @@ def test_lattice_model_pattern_domain_matches_dict_loop_bitwise():
     lib = PrototypeLibrary.constant_potentials({"a": 0.3, "b": -1.7}, 2, 2)
     sites = sorted(_scattered_sites(2, 7))
     P = Pattern(tuple(sites), tuple("ab"[(x * 3 + y) % 2] for x, y in sites))
-    spec = pattern_spec(P, OperatorSpec(Q=P.domain, coloring=None, library=lib, backend="lattice"))
-    H = lattice_model(spec.coloring, P.domain, lib)
+    spec = OperatorSpec(Q=P.domain, coloring=P, library=lib, backend="lattice")
+    H = lattice_model(P, P.domain, lib)
     oracle = _dict_loop_lattice_model(P.domain, lib, P.color)
     assert H.tobytes() == oracle.tobytes()
     B = discretize(spec)

@@ -982,24 +982,68 @@ def _assert_masses_as_accurate_as_dstevd(d, e, site_ranges):
         assert kernel <= max(1e-14, lapack), (sites, kernel, lapack)
 
 
+def _dstein_spy(monkeypatch):
+    """The eigenvalues of every dstein call that tridiagonal_masses makes."""
+    calls, dstein = [], scipy.linalg.lapack.dstein
+
+    def spy(d, e, w, *args):
+        calls.append(np.array(w))
+        return dstein(d, e, w, *args)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein", spy)
+    return calls
+
+
 def test_masses_of_wilkinson_pairs():
     # W21+: its eigenvalues come in pairs as close as 7e-14, each pair's
     # eigenvectors split between the two ends of the chain
     n = 21
-    d = np.abs(np.arange(n) - 10.0)
+    d, e = np.abs(np.arange(n) - 10.0), np.ones(n - 1)
     _assert_masses_as_accurate_as_dstevd(
-        d, np.ones(n - 1), [range(k, k + 1) for k in range(n)] + [range(8, 13), range(0, 4)]
+        d, e, [range(k, k + 1) for k in range(n)] + [range(8, 13), range(0, 4)]
     )
+    # the entries the middle twist does not trust come from inverse iteration
+    # (measured largest error 1.8e-4)
+    exact = _reference_masses(d, e)
+    w = eigenvalues(_tridiagonal_band(d, e))
+    for k in range(n):
+        masses = spectral.tridiagonal_masses(d[None], e[None], w[None], range(k, k + 1))[0]
+        assert np.abs(masses - exact[k]).max() <= 1e-3, k
 
 
-def test_masses_of_an_edge_localized_state():
+def test_masses_of_an_edge_localized_state(monkeypatch):
     # the state at the raised end has weight 4e-36 on the middle site, which
     # the vector twisted at the middle alone reads as 0.997
     n = 24
-    d = np.zeros(n)
+    d, e = np.zeros(n), np.ones(n - 1)
     d[0] = 30.0
-    assert _reference_masses(d, np.ones(n - 1))[12, -1] < 1e-20
-    _assert_masses_as_accurate_as_dstevd(d, np.ones(n - 1), [range(12, 13), range(20, 24)])
+    assert _reference_masses(d, e)[12, -1] < 1e-20
+    _assert_masses_as_accurate_as_dstevd(d, e, [range(12, 13), range(20, 24)])
+    # that state alone is left to inverse iteration: one call, one eigenvalue, the largest
+    calls = _dstein_spy(monkeypatch)
+    w = eigenvalues(_tridiagonal_band(d, e))
+    spectral.tridiagonal_masses(d[None], e[None], w[None], range(12, 13))
+    assert len(calls) == 1 and calls[0].tolist() == [w[-1]]
+
+
+def test_masses_of_one_site_chains_need_no_inverse_iteration(monkeypatch):
+    calls = _dstein_spy(monkeypatch)
+    D = np.array([[0.0], [-2.5], [7.0]])
+    masses = spectral.tridiagonal_masses(D, np.zeros((3, 0)), D.copy(), range(0, 1))
+    assert masses.tolist() == [[1.0]] * 3
+    assert calls == []
+
+
+def test_masses_name_a_failed_inverse_iteration(monkeypatch):
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dstein", lambda d, e, w, *args: (np.zeros((len(d), len(w))), 1)
+    )
+    n = 24
+    d, e = np.zeros(n), np.ones(n - 1)
+    d[0] = 30.0
+    w = eigenvalues(_tridiagonal_band(d, e))
+    with pytest.raises(NumericalFailure, match="LAPACK dstein failed with info=1 on a matrix of order 24"):
+        spectral.tridiagonal_masses(d[None], e[None], w[None], range(12, 13))
 
 
 @pytest.mark.parametrize("seed", range(12))
