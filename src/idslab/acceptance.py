@@ -74,6 +74,26 @@ class CriterionResult:
     runtime_seconds: float = 0.0
 
 
+def _criterion(index: int, name: str, limit: float):
+    """Make a body that returns (passed, details) into criterion index: the
+    body is timed, and the criterion passes when the body passed within
+    limit seconds."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, details = body()
+            dt = time.perf_counter() - t0
+            return CriterionResult(
+                index=index, name=name, passed=passed and dt < limit, details=details, runtime_seconds=dt
+            )
+
+        return criterion
+
+    return wrap
+
+
 # ---------------------------------------------------------------------------
 # independent brute-force oracles (criterion 1)
 # ---------------------------------------------------------------------------
@@ -142,8 +162,8 @@ def _random_coloring_for(rng: random.Random, d: int):
     return PeriodicColoring(period=period, cell=cell)
 
 
-def criterion_1_pattern_oracles() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(1, "pattern oracle equivalence", 10.0)
+def criterion_1_pattern_oracles():
     rng = random.Random(MASTER_SEED)
     mismatches = 0
     for k in range(ORACLE_INSTANCES):
@@ -163,14 +183,7 @@ def criterion_1_pattern_oracles() -> CriterionResult:
         Pp = C.restrict(Q)
         if occurrences(P, Pp) != _oracle_occurrences(P, Pp):
             mismatches += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        index=1,
-        name="pattern oracle equivalence",
-        passed=mismatches == 0 and dt < 10.0,
-        details={"instances": ORACLE_INSTANCES, "mismatches": mismatches},
-        runtime_seconds=dt,
-    )
+    return mismatches == 0, {"instances": ORACLE_INSTANCES, "mismatches": mismatches}
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +217,8 @@ def fit_frequency_rate_constant(
     return Fraction(2) * (deficit_at_fit + allowance) / boundary_at_fit
 
 
-def criterion_2_frequencies() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(2, "frequency exactness and rate", 30.0)
+def criterion_2_frequencies():
     fit_j = 8
     sums_exact = True
     violations = 0
@@ -231,25 +244,18 @@ def criterion_2_frequencies() -> CriterionResult:
                     checked += 1
                     if deficit(j) / Fraction(j**d) > K_P * Fraction(bounds_count[j], j**d):
                         violations += 1
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        index=2,
-        name="frequency exactness and rate",
-        passed=sums_exact and violations == 0 and dt < 30.0,
-        details={
-            "colorings": 5, "checked_rate_instances": checked,
-            "rate_violations": violations, "exact_sums_equal_one": sums_exact,
-        },
-        runtime_seconds=dt,
-    )
+    return sums_exact and violations == 0, {
+        "colorings": 5, "checked_rate_instances": checked,
+        "rate_violations": violations, "exact_sums_equal_one": sums_exact,
+    }
 
 
 # ---------------------------------------------------------------------------
 # criterion 3: Weyl-law sanity in d=1
 # ---------------------------------------------------------------------------
 
-def criterion_3_weyl() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(3, "Weyl-law sanity (d=1)", 60.0)
+def criterion_3_weyl():
     L, n = 64, 16
     T = math.pi**2
     lib = PrototypeLibrary.zero(["a"], n, 1)
@@ -263,15 +269,9 @@ def criterion_3_weyl() -> CriterionResult:
         smooth = math.sqrt(E) / math.pi
         dev = max(dev, abs(k / L - smooth), abs((k + 1) / L - smooth))
     margin = weyl_check(eigs, volume=float(L), delta=0.0, C1=0.0, d=1)
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        index=3,
-        name="Weyl-law sanity (d=1)",
-        passed=dev < 0.05 and margin >= 0.0 and dt < 60.0,
-        details={"sup_deviation": dev, "weyl_margin": margin,
-                 "eigenvalues_below_T": int(len(eigs))},
-        runtime_seconds=dt,
-    )
+    return dev < 0.05 and margin >= 0.0, {
+        "sup_deviation": dev, "weyl_margin": margin, "eigenvalues_below_T": int(len(eigs)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +366,8 @@ def _partition_suite():
     return suite
 
 
-def criterion_4_almost_additivity() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(4, "almost-additivity defect vs budget", 300.0)
+def criterion_4_almost_additivity():
     suite = _partition_suite()
     violations = 0
     min_ratio = math.inf
@@ -376,15 +376,9 @@ def criterion_4_almost_additivity() -> CriterionResult:
         if defect > budget:
             violations += 1
         min_ratio = min(min_ratio, budget / defect if defect > 0 else math.inf)
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        index=4,
-        name="almost-additivity defect vs budget",
-        passed=violations == 0 and len(suite) == 30 and dt < 300.0,
-        details={"partitions": len(suite), "violations": violations,
-                 "min_budget_over_defect": min_ratio},
-        runtime_seconds=dt,
-    )
+    return violations == 0 and len(suite) == 30, {
+        "partitions": len(suite), "violations": violations, "min_budget_over_defect": min_ratio,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +425,8 @@ def _facet_experiments() -> tuple[tuple[str, int, FacetExperiment], ...]:
     )
 
 
-def criterion_5_singular_value_decay() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(5, "singular-value decay of facet heat differences", 600.0)
+def criterion_5_singular_value_decay():
     rows = []
     ok = True
     for name, d, exp in _facet_experiments():
@@ -445,18 +439,11 @@ def criterion_5_singular_value_decay() -> CriterionResult:
             "c_hat": fit.c_hat, "C2_covered": fit.C2_covered,
             "envelope_ok": fit.envelope_ok,
         })
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        index=5,
-        name="singular-value decay of facet heat differences",
-        passed=ok and dt < 600.0,
-        details={"experiments": rows},
-        runtime_seconds=dt,
-    )
+    return ok, {"experiments": rows}
 
 
-def criterion_6_legendre_bounds() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(6, "Legendre/Young spectral-shift bounds", 120.0)
+def criterion_6_legendre_bounds():
     all_hold = True
     young_failures = 0
     pair_rows = []
@@ -474,25 +461,18 @@ def criterion_6_legendre_bounds() -> CriterionResult:
         for y in (0.25, 1.0, 2.0, 3.5):
             oracle = legendre_grid_sup(PowerGauge(q + 1.0), y, x_max=8.0, samples=2_000_001)
             legendre_dev = max(legendre_dev, abs(float(G(y)) - oracle))
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        index=6,
-        name="Legendre/Young spectral-shift bounds",
-        passed=all_hold and young_failures == 0 and legendre_dev < 1e-6 and dt < 120.0,
-        details={
-            "pairs": pair_rows, "young_failures": young_failures,
-            "legendre_closed_form_vs_grid_sup": legendre_dev,
-        },
-        runtime_seconds=dt,
-    )
+    return all_hold and young_failures == 0 and legendre_dev < 1e-6, {
+        "pairs": pair_rows, "young_failures": young_failures,
+        "legendre_closed_form_vs_grid_sup": legendre_dev,
+    }
 
 
 # ---------------------------------------------------------------------------
 # criterion 7: two-route consistency
 # ---------------------------------------------------------------------------
 
-def criterion_7_two_routes() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(7, "two-route consistency with error bound", 300.0)
+def criterion_7_two_routes():
     window = EnergyWindow(0.0, 4.5, p=2.0)
     coloring = periodic_word("ab")
     # deep binary alloy: the b-sublattice band sits far above the window
@@ -508,28 +488,21 @@ def criterion_7_two_routes() -> CriterionResult:
         row["distance"] for row in report.route_distances
         if row["j"] == 256 and row["M"] == 6
     ][0]
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        index=7,
-        name="two-route consistency with error bound",
-        passed=bound_violations == 0 and final < 0.05 and dt < 300.0,
-        details={
-            "pairs_checked": len(report.route_distances),
-            "bound_violations": bound_violations,
-            "distance_j256_M6": final,
-            "fitted_K": report.fitted_K,
-            "fitted_D": report.fitted_D,
-        },
-        runtime_seconds=dt,
-    )
+    return bound_violations == 0 and final < 0.05, {
+        "pairs_checked": len(report.route_distances),
+        "bound_violations": bound_violations,
+        "distance_j256_M6": final,
+        "fitted_K": report.fitted_K,
+        "fitted_D": report.fitted_D,
+    }
 
 
 # ---------------------------------------------------------------------------
 # criterion 8: random IDS
 # ---------------------------------------------------------------------------
 
-def criterion_8_random() -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(8, "random IDS: point mass, seed agreement, self-averaging, truncation", 900.0)
+def criterion_8_random():
     window = EnergyWindow(0.0, 5.0, p=2.0)
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, 1)
     grid = np.linspace(0.0, 5.0, 201)
@@ -557,24 +530,14 @@ def criterion_8_random() -> CriterionResult:
     )
     per_omega_decrease = exp.comparison.decreased()
     truncation_ok = exp.semigroup_diagnostic < 1e-3
-
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        index=8,
-        name="random IDS: point mass, seed agreement, self-averaging, truncation",
-        passed=bool(
-            point_exact and exp.seeds_agree and per_omega_decrease and truncation_ok
-        ) and dt < 900.0,
-        details={
-            "point_mass_exact": point_exact,
-            "two_seed_agreement": exp.seeds_agree,
-            "per_omega_distances": exp.comparison.distances,
-            "per_omega_decrease": per_omega_decrease,
-            "semigroup_truncation_diagnostic": exp.semigroup_diagnostic,
-            "projector_estimate_change_on_R_doubling": exp.projector_change,
-        },
-        runtime_seconds=dt,
-    )
+    return bool(point_exact and exp.seeds_agree and per_omega_decrease and truncation_ok), {
+        "point_mass_exact": point_exact,
+        "two_seed_agreement": exp.seeds_agree,
+        "per_omega_distances": exp.comparison.distances,
+        "per_omega_decrease": per_omega_decrease,
+        "semigroup_truncation_diagnostic": exp.semigroup_diagnostic,
+        "projector_estimate_change_on_R_doubling": exp.projector_change,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +578,11 @@ def _run_cli_commands(target: Path) -> dict[str, bytes]:
     return data
 
 
-def criterion_9_determinism() -> CriterionResult:
+@_criterion(9, "byte-identical reruns of CLI data files", math.inf)
+def criterion_9_determinism():
     import contextlib
     import io
 
-    t0 = time.perf_counter()
     tmp = Path(tempfile.mkdtemp(prefix="idslab-determinism-"))
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -629,14 +592,7 @@ def criterion_9_determinism() -> CriterionResult:
         shutil.rmtree(tmp, ignore_errors=True)
     same_names = set(run_a) == set(run_b)
     diffs = [k for k in run_a if same_names and run_a[k] != run_b[k]]
-    dt = time.perf_counter() - t0
-    return CriterionResult(
-        index=9,
-        name="byte-identical reruns of CLI data files",
-        passed=same_names and not diffs,
-        details={"files_compared": len(run_a), "differing": diffs},
-        runtime_seconds=dt,
-    )
+    return same_names and not diffs, {"files_compared": len(run_a), "differing": diffs}
 
 
 ALL_CRITERIA = [

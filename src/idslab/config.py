@@ -226,6 +226,9 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
             raise ConfigError(f"config.random.{key}: need a nonempty list")
         for i in range(len(val)):
             _check_int(val, i, lo, f"config.random.{key}")
+    # sample_coloring hashes each omega as a signed 64-bit integer
+    if max(cfg.random["omegas"]) >= 2**63:
+        raise ConfigError("config.random.omegas: need integers below 2**63")
 
     cfg.output_dir = _get(raw, "output_dir", str, cfg.output_dir, "config")
     return cfg

@@ -154,7 +154,7 @@ class AlmostAdditiveField:
                 batch.append(P)
                 eigs.append(eigenvalues(B))
                 bands.append(B)
-        for P, below in zip(batch, certified_below(bands, eigs, T)):
+        for P, below in zip(batch, certified_below(bands, eigs, T)[0]):
             self._cache[P] = counting_function(below, self.window)
         return [self._cache[P] for P in classes]
 

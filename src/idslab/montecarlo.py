@@ -28,7 +28,6 @@ from .operators import (
     coded_bands,
 )
 from .spectral import (
-    CEILING_TIE_RTOL,
     EnergyWindow,
     NumericalFailure,
     StepFunction,
@@ -41,8 +40,10 @@ from .spectral import (
 
 # family-wise false-alarm rate of the two-seed agreement test (estimates_agree)
 TWO_SEED_ALPHA = 0.01
-# the most band entries (samples x N x (w + 1)) filled, solved and certified as one group
-GROUP_BAND_ENTRIES = 2**18
+# the most band entries (samples x N x (w + 1)) filled, solved and certified as
+# one group; it bounds every per-group temporary, the mass kernel's
+# (samples x N) included
+GROUP_BAND_ENTRIES = 2**14
 # a sample's origin masses must sum to its number of origin points within this share of it
 MASS_SUM_RTOL = 1e-9
 
@@ -104,8 +105,8 @@ def _chain_sites(bands: np.ndarray, origin: np.ndarray) -> range | None:
 def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceiling: float):
     """Per row of codes (samples, cells of the geometry _cells(spec)), in order,
     the ascending eigenvalues of spec's Hamiltonian H under that coloring,
-    each eigenvector's mass on the origin cell's points, and certified_below's
-    tie width CEILING_TIE_RTOL * max(1, max|H|).  Each group of samples, its
+    each eigenvector's mass on the origin cell's points, and the tie width
+    that certified_below used for H.  Each group of samples, its
     bands at most GROUP_BAND_ENTRIES entries, is filled (coded_bands); solved,
     irreducible real chains (_chain_sites) by eigenvalues and one
     tridiagonal_masses call, others by eigensystem; certified by one
@@ -128,7 +129,7 @@ def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceil
             for i, B in enumerate(bands):
                 eigs[i] = eigenvalues(B)
             masses = tridiagonal_masses(bands[..., 0], bands[:, :-1, 1], eigs, sites)
-        certified_below(bands, eigs, ceiling)
+        _, deltas = certified_below(bands, eigs, ceiling)
         sums = np.sum(masses, axis=1)
         bad = np.flatnonzero(~(np.abs(sums - len(origin)) <= MASS_SUM_RTOL * len(origin)))
         if len(bad):
@@ -136,7 +137,6 @@ def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceil
                 f"sample {start + bad[0]}: its eigenvectors' masses on the origin cell sum to "
                 f"{sums[bad[0]]!r}, not to its {len(origin)} points"
             )
-        deltas = CEILING_TIE_RTOL * np.maximum(1.0, np.max(np.abs(bands), axis=(1, 2)))
         yield from zip(eigs, masses, deltas)
 
 

@@ -260,8 +260,6 @@ SLICE_EDGE_SHIFT = 0.1
 # by dm * c, and trusts the correction while the second-order term it
 # neglects, about (dm * c)^2 / m, is at most MASS_ATOL
 MASS_ATOL = 1e-14
-# the most entries (matrices x eigenvalues) that tridiagonal_masses twists at once
-MASS_CHUNK = 2**12
 
 
 class NumericalFailure(RuntimeError):
@@ -505,13 +503,14 @@ def eigenvalues(B: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
         return eigs
     if count is not None and np.count_nonzero(eigs <= T) == count:
         return eigs[eigs <= T]  # certified by the count that chose the solver
-    return certified_below([B], [eigs], T)[0]
+    return certified_below([B], [eigs], T)[0][0]
 
 
 def certified_below(
     bands: Sequence[np.ndarray], eigs: Sequence[np.ndarray], ceiling: float
-) -> list[np.ndarray]:
-    """For each matrix, its computed eigenvalues that are <= ceiling, in eigs' order.
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """For each matrix, its computed eigenvalues that are <= ceiling, in eigs' order,
+    and the array of its tie widths delta_i.
 
     bands[i] is the band of H_i, checked as _checked does (bands may be one
     (m, N, w + 1) array), and eigs[i] holds the computed eigenvalues of H_i
@@ -525,21 +524,24 @@ def certified_below(
     sparse factorization (_sparse_inertia); a matrix whose count there is
     not trusted falls back to its own factorizations (_untrusted_count), and
     one whose count it rejects is counted again by count_below_by_inertia.
-    A count that fails the certificate raises NumericalFailure.
+    A count that fails the certificate raises NumericalFailure.  The bands
+    are checked and their tie widths returned at any ceiling; only a finite
+    one is certified.
     """
     # eigs[i] is ascending: its first counts[i] eigenvalues are <= ceiling
     counts = [int(np.searchsorted(e, ceiling, side="right")) for e in eigs]
     below = [e[:c] for e, c in zip(eigs, counts)]
-    if not np.isfinite(ceiling):
-        return below
     T = float(ceiling)
     shapes = [np.shape(B) for B in bands]
+    widths = np.empty(len(shapes))
     for shape in dict.fromkeys(shapes):
         n, width = shape
         members = [i for i, s in enumerate(shapes) if s == shape]
         # a single group takes bands as they are, so a band array is counted in place
         ab, scale = _checked(np.asarray(bands if len(members) == len(bands) else [bands[i] for i in members]))
-        delta = CEILING_TIE_RTOL * scale
+        widths[members] = delta = CEILING_TIE_RTOL * scale
+        if not np.isfinite(T):
+            continue
         # a matrix with a computed eigenvalue within delta of T is counted
         # again, at T - delta and T + delta; only the eigenvalues next to T,
         # the last one <= T and the first one above it, are read
@@ -579,7 +581,7 @@ def certified_below(
                 f"matrix {members[j]}: {computed[j]} eigenvalues <= {T} computed, but the "
                 f"inertia of H - T*I counts {lo[j] if lo[j] == hi[j] else f'{lo[j]} to {hi[j]}'}"
             )
-    return below
+    return below, widths
 
 
 def _twist_half(a, b2, lam, r, lo, hi):
@@ -642,35 +644,32 @@ def tridiagonal_masses(
     eigenvector that is tiny at the sites, the eigenvectors of those
     eigenvalues are formed by LAPACK dstein (inverse iteration), one call per
     chain; a nonzero info raises NumericalFailure.  A chain's masses do not
-    depend on the other chains, bit for bit; the twists are chunked by
-    MASS_CHUNK.
+    depend on the other chains, bit for bit.  The whole stack is twisted at
+    once, in temporaries of the shape (S, K) of eigenvalues, so the caller
+    bounds them by the stack it passes.
     """
     D, E, W = (np.asarray(x, dtype=float) for x in (diagonals, offdiagonals, eigenvalues))
     if D.ndim != 2 or W.ndim != 2 or len(W) != len(D) or E.shape != (len(D), max(D.shape[1] - 1, 0)):
         raise ValueError(f"shapes {D.shape}, {E.shape}, {W.shape} are not chains with eigenvalues")
-    s, n = D.shape
+    n = D.shape[1]
     if len(sites) == 0 or sites.step != 1 or sites[0] < 0 or sites[-1] >= n:
         raise ValueError(f"sites must be a nonempty contiguous range in [0, {n}), got {sites}")
     if np.any(E == 0):
         raise ValueError("a zero off-diagonal makes the chain reducible")
     lo, hi = sites[0], sites[-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        m, dm, c = _twisted(D.T[..., None], (E**2).T[..., None], W, lo, hi)
+        out = m + dm * c
+        trusted = ((dm * c) ** 2 <= MASS_ATOL * m) & np.isfinite(out)
     # dstein's blocks: one, the whole chain
     iblock, isplit = np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
-    out = np.empty(W.shape)
-    step = max(1, MASS_CHUNK // max(W.shape[1], 1))
-    for i in range(0, s, step):
-        rows = slice(i, i + step)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            m, dm, c = _twisted(D[rows].T[..., None], (E[rows] ** 2).T[..., None], W[rows], lo, hi)
-            out[rows] = corrected = m + dm * c
-            trusted = ((dm * c) ** 2 <= MASS_ATOL * m) & np.isfinite(corrected)
-        for j in np.flatnonzero(~trusted.all(axis=1)):
-            # a one-site chain never gets here: its mass has dm = 0
-            row, cols = i + j, ~trusted[j]
-            z, info = scipy.linalg.lapack.dstein(D[row], E[row], W[row, cols], iblock, isplit)
-            if info != 0:
-                raise NumericalFailure(f"LAPACK dstein failed with info={info} on a matrix of order {n}")
-            out[row, cols] = np.sum(z[lo : hi + 1] ** 2, axis=0)
+    for row in np.flatnonzero(~trusted.all(axis=1)):
+        # a one-site chain never gets here: its mass has dm = 0
+        cols = ~trusted[row]
+        z, info = scipy.linalg.lapack.dstein(D[row], E[row], W[row, cols], iblock, isplit)
+        if info != 0:
+            raise NumericalFailure(f"LAPACK dstein failed with info={info} on a matrix of order {n}")
+        out[row, cols] = np.sum(z[lo : hi + 1] ** 2, axis=0)
     return out
 
 

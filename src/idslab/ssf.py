@@ -179,7 +179,7 @@ def _solve_once(spec: OperatorSpec, ceiling: float) -> tuple[np.ndarray, np.ndar
     """Certified eigenvalues <= ceiling and exp(-H) of discretize(spec), from one eigensystem."""
     B = discretize(spec)
     w, U = eigensystem(B)
-    [below] = certified_below([B], [w], ceiling)
+    [below], _ = certified_below([B], [w], ceiling)
     return below, _semigroup(w, U)
 
 

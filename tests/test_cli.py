@@ -137,6 +137,8 @@ def test_bad_values_rejected():
                    "prototypes_without_v.json", "prototypes_overflowing_mean.json")],
     ("ids", {"prototypes": {"kind": "zero", "alphabet": []}}, "config.prototypes.alphabet"),
     ("ids", {"prototypes": {"kind": "zero", "alphabet": 5}}, "config.prototypes.alphabet"),
+    # sample_coloring packs each omega as a signed 64-bit integer
+    ("random", {"random": {"omegas": [0, 2**63]}}, "config.random.omegas"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())

@@ -385,11 +385,13 @@ def test_certified_groups_cover_every_sample_once_within_the_bound(monkeypatch, 
     assert np.concatenate(seen).tobytes() == np.stack(each).tobytes()
 
 
-@pytest.mark.parametrize("samples, R", [(800, 48), (200, 32)], ids=["random-mc-1d", "criterion-8"])
-def test_the_benchmark_and_criterion_8_estimates_are_one_group(monkeypatch, samples, R):
+@pytest.mark.parametrize("samples, R, groups", [(800, 48, 10), (200, 32, 2)],
+                         ids=["random-mc-1d", "criterion-8"])
+def test_the_benchmark_and_criterion_8_estimates_group_by_the_band_bound(monkeypatch, samples, R, groups):
+    # GROUP_BAND_ENTRIES // (N x 2) chains per group: 84 of N = 97, 126 of N = 65
     calls = _count_per_sample_calls(monkeypatch)
     pastur_shubin_mc(DIST_AB, LIB_AB, np.linspace(0.0, 4.5, 201), samples, R)
-    assert calls == Counter(coded_bands=1, eigenvalues=samples, tridiagonal_masses=1)
+    assert calls == Counter(coded_bands=groups, eigenvalues=samples, tridiagonal_masses=groups)
 
 
 def test_estimate_memory_does_not_grow_with_the_sample_count():
@@ -504,10 +506,11 @@ def test_chains_cut_by_a_facet_keep_the_eigensystem(monkeypatch):
 
 
 def test_chain_estimate_memory_is_no_higher_than_with_eigenvectors():
-    """The random-mc-1d estimate (S=800, R=48) holds eigenvalues and masses
-    of the whole group, and the mass kernel works in chunks of MASS_CHUNK
-    entries.  Its traced peak stays at or below the 5.67 MiB that the
-    per-sample eigenvector solves it replaced peaked at (measured 5.52 MiB)."""
+    """The random-mc-1d estimate (S=800, R=48) holds eigenvalues, masses and
+    the mass kernel's temporaries of one group of GROUP_BAND_ENTRIES band
+    entries at a time.  Its traced peak stays at or below 4 MiB (measured
+    3.2 MiB), under the 5.67 MiB of the per-sample eigenvector solves it
+    replaced and the 5.53 MiB of the single group of 2**18 entries."""
     grid = np.linspace(0.0, 4.5, 201)
     pastur_shubin_mc(DIST_AB, LIB_AB, grid, 2, 1)  # imports and caches outside the trace
     tracemalloc.start()
@@ -516,7 +519,7 @@ def test_chain_estimate_memory_is_no_higher_than_with_eigenvectors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.67 * 2**20
+    assert peak <= 4 * 2**20
 
 
 def test_chain_estimate_with_a_wrong_count_fails(monkeypatch):

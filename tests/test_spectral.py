@@ -448,8 +448,20 @@ def test_complex_chains_are_sturm_counted():
         assert (lo, hi) == (k, k + 1)
         assert (lo, hi) == (count_below_by_inertia(H, T - delta), count_below_by_inertia(H, T + delta))
         assert tie in (k, k + 1)
-        [below] = spectral.certified_below([B], [w], T)
-        assert len(below) == k + 1
+        [below], widths = spectral.certified_below([B], [w], T)
+        assert len(below) == k + 1 and widths.tolist() == [delta]
+
+
+@pytest.mark.parametrize("ceiling", [0.5, np.inf])
+def test_certified_below_returns_the_tie_width_of_every_band(ceiling):
+    # bands of two shapes, one with entries above 1 and one below; an infinite ceiling certifies nothing
+    rng = np.random.default_rng(3)
+    Hs = [np.triu(np.tril(rng.uniform(-s, s, (n, n)), w), -w) for n, w, s in ((6, 1, 3), (4, 2, 0.25), (6, 1, 3))]
+    bands = [spectral.lower_band(H + H.T) for H in Hs]
+    eigs = [np.linalg.eigvalsh(H + H.T) for H in Hs]
+    below, widths = spectral.certified_below(bands, eigs, ceiling)
+    assert [len(x) for x in below] == [np.count_nonzero(w <= ceiling) for w in eigs]
+    assert widths.tolist() == [spectral.CEILING_TIE_RTOL * max(1.0, np.max(np.abs(B))) for B in bands]
 
 
 def test_certified_below_brackets_chain_ties_and_flags_a_wrong_count(monkeypatch):
@@ -470,7 +482,7 @@ def test_certified_below_brackets_chain_ties_and_flags_a_wrong_count(monkeypatch
     T = eigs[0, 5] + delta / 4
     above = eigs.copy()
     above[0, 5] = T + delta / 2
-    assert len(spectral.certified_below(bands, above, T)[0]) == 5
+    assert len(spectral.certified_below(bands, above, T)[0][0]) == 5
     assert len(sturm) == 6 and not sparse  # every count is a Sturm count
 
 
@@ -718,7 +730,7 @@ def test_stacked_certificate_matches_dense_inertia(seed, k, n, width, complex_):
         mp.setattr(spectral, "_sparse_inertia", sparse_spy)
         mp.setattr(spectral, "count_below_by_inertia", dense_spy)
         mp.setattr(spectral, "tridiagonal_counts", sturm_spy)
-        below = spectral.certified_below(bands, eigs, T)
+        below, _ = spectral.certified_below(bands, eigs, T)
     assert [len(x) for x in below] == [count_below_by_inertia(H, T) for H in full]
     if width <= 2:
         # one Sturm count holds every tridiagonal matrix, the tie one at T -/+ delta
