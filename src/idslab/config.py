@@ -165,11 +165,10 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         if not isinstance(cfg.coloring.get(key, {}), dict):
             raise ConfigError(f"config.coloring.{key}: expected an object mapping site keys to symbols")
 
-    cfg.sequence = dict(_get(raw, "sequence", dict, cfg.sequence, "config"))
-    _require_keys(cfg.sequence, {"kind", "sides"}, "config.sequence")
-    if cfg.sequence.get("kind", "cubes") != "cubes":
+    cfg.sequence = _section(raw, cfg, "sequence")
+    if cfg.sequence["kind"] != "cubes":
         raise ConfigError("config.sequence.kind: only 'cubes' is supported")
-    sides = cfg.sequence.get("sides", [8, 16, 32, 64])
+    sides = cfg.sequence["sides"]
     if not (isinstance(sides, list) and sides and all(isinstance(s, int) and s >= 1 for s in sides)):
         raise ConfigError("config.sequence.sides: need a nonempty list of positive integers")
 

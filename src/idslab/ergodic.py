@@ -13,9 +13,9 @@ parameterizations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .lattice import (
@@ -37,7 +37,7 @@ from .operators import (
     PrototypeLibrary,
     add_facet_dirichlet,
     discretize,
-    lattice_model,
+    grid_embedding,
 )
 from .spectral import (
     EnergyWindow,
@@ -52,9 +52,9 @@ from .spectral import (
 )
 from .ssf import (
     SingularValueSeries,
+    _difference_singular_values,
+    _solve_once,
     facet_ssf_norm_bound,
-    semigroup_difference_singular_values,
-    veff_singular_values,
 )
 
 @dataclass(frozen=True)
@@ -170,24 +170,26 @@ def calibration_pair(
 
     The pair lives on the two cells at the origin and at e_1 of the field's
     own coloring; continuum: Dirichlet facet between them, lattice: the
-    coupling bond between them is cut.
+    coupling bond between them is cut.  Both operators are solved as bands,
+    as ssf's facet pairs are, the second one after the first.
     """
     d = coloring.dimension
     origin = (0,) * d
     e1 = tuple(1 if i == 0 else 0 for i in range(d))
-    Q = frozenset({origin, e1})
+    spec = OperatorSpec(
+        Q=frozenset({origin, e1}), coloring=coloring, library=library,
+        backend=backend, resolution=library.resolution,
+    )
+    band = discretize(spec)
+    _, ea = _solve_once(band, math.inf)
     if backend == CONTINUUM:
-        specA = OperatorSpec(
-            Q=Q, coloring=coloring, library=library,
-            backend=CONTINUUM, resolution=library.resolution,
-        )
-        specB = add_facet_dirichlet(specA, Facet(anchor=e1, axis=0))
-        mu = veff_singular_values(specA, specB).mu
+        specB = add_facet_dirichlet(spec, Facet(anchor=e1, axis=0))
+        band, embed = discretize(specB), grid_embedding(spec, specB)
     else:
-        HA = lattice_model(coloring, Q, library)
-        HB = HA.copy()
-        HB[0, 1] = HB[1, 0] = 0.0
-        mu = semigroup_difference_singular_values(HA, HB)
+        # the bond from the origin (row 0) to e1 (row 1) is H[1, 0] = B[0, 1]
+        band[0, 1], embed = 0.0, None
+    _, eb = _solve_once(band, math.inf)
+    mu = _difference_singular_values(ea, eb, embed, None)
     return SingularValueSeries(mu=mu, source=f"calibration {backend} d={d}")
 
 
@@ -262,17 +264,17 @@ class DirectRoute:
     volumes: tuple[int, ...]
     normalized: tuple[StepFunction, ...]
     consecutive_distances: tuple[float, ...]
-    boundary_ratios: tuple[Fraction, ...]
 
 
 def direct_route(
     field: AlmostAdditiveField, sequence: Sequence[frozenset[Site]]
 ) -> DirectRoute:
-    """F(U_j)/#U_j for each member of a van Hove sequence, with its 1-boundary ratios."""
+    """F(U_j)/#U_j for each member of a van Hove sequence; VanHoveError unless
+    its last 1-boundary ratio is below its first."""
     if not sequence:
         raise ValueError("need a nonempty sequence")
-    ratios, monotone = van_hove_ratios(sequence, 1)
-    if len(sequence) > 1 and not monotone and ratios[-1] >= ratios[0]:
+    ratios = van_hove_ratios(sequence, 1)
+    if len(ratios) > 1 and ratios[-1] >= ratios[0]:
         raise VanHoveError(
             "sequence fails the van Hove sanity check: boundary/volume ratios do not decay"
         )
@@ -286,7 +288,6 @@ def direct_route(
         volumes=tuple(len(U) for U in sequence),
         normalized=tuple(normalized),
         consecutive_distances=dists,
-        boundary_ratios=tuple(ratios),
     )
 
 

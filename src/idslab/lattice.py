@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -124,18 +125,12 @@ def inner_boundary(Q: frozenset[Site], M: int = 1) -> frozenset[Site]:
     return _sites_of(mask & ~_box_reduce(mask, 2 * M + 1, M, np.all), lo)
 
 
-def van_hove_ratios(sequence: Sequence[frozenset[Site]], M: int) -> tuple[list[Fraction], bool]:
+def van_hove_ratios(sequence: Sequence[frozenset[Site]], M: int) -> list[Fraction]:
     """Boundary-to-volume ratios #boundary(U_j, M) / #U_j along a sequence.
 
-    Returns the ratios and a flag telling whether they are monotone
-    nonincreasing from the second element on (a cheap van Hove diagnostic).
+    Each ratio is positive: a nonempty finite set has a nonempty boundary.
     """
-    ratios = [Fraction(len(boundary(U, M)), len(U)) for U in sequence]
-    tail = ratios[1:]
-    monotone = all(b <= a for a, b in zip(tail, tail[1:])) and (
-        len(ratios) < 2 or ratios[-1] < ratios[0] or ratios[0] == 0
-    )
-    return ratios, monotone
+    return [Fraction(len(boundary(U, M)), len(U)) for U in sequence]
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +220,10 @@ class PeriodicColoring(Coloring):
     def __post_init__(self):
         if any(p < 1 for p in self.period):
             raise ValueError(f"period components must be >= 1, got {self.period}")
-        expected = set(product(*(range(p) for p in self.period)))
-        if set(self.cell) != expected:
+        # sizes first: the period cell is listed only when it can match cell
+        if len(self.cell) != self.cell_volume or set(self.cell) != set(
+            product(*(range(p) for p in self.period))
+        ):
             raise ValueError("cell assignment must cover exactly one period cell")
         if not self.alphabet:
             object.__setattr__(self, "alphabet", tuple(sorted(set(self.cell.values()))))
@@ -237,10 +234,7 @@ class PeriodicColoring(Coloring):
 
     @property
     def cell_volume(self) -> int:
-        v = 1
-        for p in self.period:
-            v *= p
-        return v
+        return math.prod(self.period)
 
     def color(self, site: Site) -> str:
         return self.cell[tuple(c % p for c, p in zip(site, self.period))]
@@ -454,18 +448,14 @@ class FrequencyTable:
 
 
 def exact_frequency_table(C: PeriodicColoring, M: int) -> FrequencyTable:
-    """Table of all M-window classes with nonzero frequency, exact rationals."""
-    d = C.dimension
-    offsets = sorted(cube(M, d))
-    tally: Counter[Pattern] = Counter()
-    for x in product(*(range(p) for p in C.period)):
-        window = Pattern(
-            tuple(offsets),
-            tuple(C.color(tuple(x[i] + o[i] for i in range(d))) for o in offsets),
-        )
-        tally[window] += 1
-    vol = C.cell_volume
-    entries = {P: Fraction(k, vol) for P, k in tally.items()}
+    """Table of all M-window classes with nonzero frequency, exact rationals.
+
+    The windows are those anchored in one period cell: the M-windows of the
+    box of sides p_i + M - 1, tallied by enumerate_window_patterns.
+    """
+    box = frozenset(product(*(range(p + M - 1) for p in C.period)))
+    tally = enumerate_window_patterns(C, box, M)
+    entries = {P: Fraction(k, C.cell_volume) for P, k in tally.items()}
     return FrequencyTable(M=M, entries=entries, exact=True)
 
 

@@ -261,7 +261,8 @@ def semigroup_truncation_diagnostic(
     is the measured face of the localization step justifying box truncation;
     it decays like a Gaussian in R.  The second is the largest change of the
     localized counting on the lambda grid, which moves like 1/R.  Both come
-    from one eigensystem per radius.
+    from one solve per radius (_own_spectrum): eigenvalues and
+    tridiagonal_masses on an irreducible real chain, else one eigensystem.
     """
     heat, counts = [], []
     for radius in (R, 2 * R):

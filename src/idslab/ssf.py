@@ -164,20 +164,20 @@ def semigroup_difference_singular_values(
 ) -> np.ndarray:
     """Singular values of exp(-HB) - exp(-HA), descending.
 
-    HA and HB are dense Hermitian matrices, checked by lower_band.  When HB
+    HA and HB are dense Hermitian matrices; their bands (lower_band, which
+    checks them) are solved as a facet pair's are.  When HB
     acts on a subset of HA's index set, embed gives HB's row/column
     positions inside HA's indexing and the semigroup of HB is padded with
     zeros at the removed indices (the removed states are absent, which is
     the discrete counterpart of restriction to the slit domain).
     """
-    ea = _semigroup(*eigensystem(lower_band(HA)))
-    eb = _semigroup(*eigensystem(lower_band(HB)))
+    _, ea = _solve_once(lower_band(HA), np.inf)
+    _, eb = _solve_once(lower_band(HB), np.inf)
     return _difference_singular_values(ea, eb, embed, count)
 
 
-def _solve_once(spec: OperatorSpec, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
-    """Certified eigenvalues <= ceiling and exp(-H) of discretize(spec), from one eigensystem."""
-    B = discretize(spec)
+def _solve_once(B: np.ndarray, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
+    """Certified eigenvalues <= ceiling and exp(-H) of the band B, from one eigensystem."""
     w, U = eigensystem(B)
     [below], _ = certified_below([B], [w], ceiling)
     return below, _semigroup(w, U)
@@ -191,27 +191,18 @@ def _facet_pair(
 ) -> tuple[np.ndarray, np.ndarray, SingularValueSeries]:
     """Certified eigenvalues <= ceiling of A and of B, and V_eff's singular values.
 
-    Each operator is assembled and solved once.
+    Each operator is assembled and solved once, B only after A is solved.
     """
     if not specs_facet_related(specA, specB):
         raise ValueError("specB must be specA plus extra Dirichlet facets")
-    eigs_a, ea = _solve_once(specA, ceiling)
-    eigs_b, eb = _solve_once(specB, ceiling)
+    eigs_a, ea = _solve_once(discretize(specA), ceiling)
+    eigs_b, eb = _solve_once(discretize(specB), ceiling)
     mu = _difference_singular_values(ea, eb, grid_embedding(specA, specB), count)
     src = (
         f"facets+{len(specB.removed_facets) - len(specA.removed_facets)}"
         f" dim={ea.shape[0]} n={specA.resolution}"
     )
     return eigs_a, eigs_b, SingularValueSeries(mu=mu, source=src)
-
-
-def veff_singular_values(
-    specA: OperatorSpec,
-    specB: OperatorSpec,
-    count: int | None = None,
-) -> SingularValueSeries:
-    """Top singular values of the facet-pair heat-semigroup difference."""
-    return _facet_pair(specA, specB, np.inf, count)[2]
 
 
 @dataclass(frozen=True)

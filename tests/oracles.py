@@ -1,8 +1,12 @@
 """Independent computations the tests compare idslab's results against."""
 
+from collections import Counter
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 
-from idslab.lattice import Pattern
+from idslab.lattice import Pattern, cube
 from idslab.montecarlo import centered_box, localized_counting, sample_coloring
 from idslab.operators import LATTICE, OperatorSpec
 from idslab.spectral import eigensystem, lower_band
@@ -26,6 +30,25 @@ def dense(B: np.ndarray) -> np.ndarray:
 def pattern_from_word(word: str) -> Pattern:
     """1-d pattern on {0..len-1} with symbols given by the word's characters."""
     return Pattern(tuple((i,) for i in range(len(word))), tuple(word))
+
+
+def period_loop_frequencies(C, M: int) -> dict:
+    """Exact M-window frequencies of a periodic coloring, one window per anchor x of a period cell.
+
+    Each window is coloured site by site (C.color) and counted as a Pattern
+    on the sorted offsets of C_M; classes appear in the order of their
+    first anchor, anchors in lexicographic order.
+    """
+    d = C.dimension
+    offsets = sorted(cube(M, d))
+    tally = Counter()
+    for x in product(*(range(p) for p in C.period)):
+        window = Pattern(
+            tuple(offsets),
+            tuple(C.color(tuple(x[i] + o[i] for i in range(d))) for o in offsets),
+        )
+        tally[window] += 1
+    return {P: Fraction(k, C.cell_volume) for P, k in tally.items()}
 
 
 def per_sample_mc(dist, library, grid, samples, R, backend=LATTICE):

@@ -168,6 +168,24 @@ def test_oversized_random_boxes_are_refused_before_any_is_listed(tmp_path):
     assert "config.dense_cap" in done.stderr and "Traceback" not in done.stderr
 
 
+def test_a_period_too_large_to_list_is_refused_before_it_is_listed(tmp_path):
+    # the 2**32 sites of this period cell would not fit in 2 GB of address space as a set
+    path = write_cfg(tmp_path, dimension=2, coloring={
+        "kind": "periodic", "period": [2**31, 2], "cell": {"0,0": "a", "1,0": "b"}})
+    child = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from idslab.cli import main; "
+        f"sys.exit(main(['patterns', '--config', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 2
+    assert "config.coloring: cell assignment must cover exactly one period cell" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_ssf_with_too_few_singular_values_above_the_floor_exits_1(tmp_path, capsys):
     # dimension 11 holds 11 values, but only 9 lie above the fit's floor
     path = write_cfg(tmp_path, backend="continuum", resolution=2,
@@ -251,6 +269,20 @@ def test_missing_section_keys_take_their_defaults():
     assert cfg.random == ExperimentConfig().random
 
 
+@pytest.mark.parametrize("command", ["ids", "weyl"])
+def test_a_sequence_without_sides_takes_the_default_sides(tmp_path, command):
+    raw = json.loads(DEFAULT.read_text())
+    assert raw["sequence"]["sides"] == ExperimentConfig().sequence["sides"]
+    outs = {}
+    for tag, sequence in (("given", raw["sequence"]), ("default", {"kind": "cubes"})):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps({**raw, "sequence": sequence}))
+        out = tmp_path / tag
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        outs[tag] = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+    assert outs["default"] == outs["given"]
+
+
 def test_json_error_reports_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "dimension": 1,\n}\n')
@@ -317,6 +349,28 @@ def test_ids_command_small(tmp_path):
         assert row["bound_counting_form"] > 0
     assert (out / "direct_route_j4.csv").exists()
     assert (out / "pattern_route_M2.csv").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"dimension": 2, "coloring": {"kind": "periodic", "period": [2, 2],
+                                  "cell": {"0,0": "a", "1,0": "b", "0,1": "b", "1,1": "a"}}},
+    {"backend": "continuum", "resolution": 4, "window": {"lo": 0.0, "hi": 10.0}},
+], ids=["lattice-d1", "lattice-d2", "continuum-d1"])
+def test_ids_builds_no_dense_matrix(tmp_path, monkeypatch, overrides):
+    """The calibration pair is solved as bands: no dense lattice model, no band scan."""
+    from idslab import operators, spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense-matrix path was taken")
+
+    for original in (operators.lattice_model, spectral.lower_band):
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "idslab"]:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    cfg = write_cfg(tmp_path, sequence={"sides": [2, 4]}, M_list=[1, 2], **overrides)
+    assert main(["ids", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("window, status", [

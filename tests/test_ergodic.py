@@ -412,3 +412,43 @@ def test_calibration_positive_for_both_backends():
         periodic_word("ab"), lib_c, EnergyWindow(0.0, 12.0, p=2.0), "continuum"
     )
     assert s_lat > 0 and s_con > 0
+
+
+CHECKER = PeriodicColoring(period=(2, 2), cell={(0, 0): "a", (1, 0): "b", (0, 1): "b", (1, 1): "a"})
+
+
+@pytest.mark.parametrize("coloring", [periodic_word("ab"), CHECKER], ids=["d1", "d2"])
+def test_lattice_calibration_pair_is_the_dense_pair_bitwise(coloring):
+    from idslab.operators import lattice_model
+    from idslab.ssf import semigroup_difference_singular_values
+
+    d = coloring.dimension
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 8, d)
+    HA = lattice_model(coloring, frozenset({(0,) * d, (1,) + (0,) * (d - 1)}), lib)
+    HB = HA.copy()
+    HB[0, 1] = HB[1, 0] = 0.0  # the bond between the two cells is cut
+    want = semigroup_difference_singular_values(HA, HB)
+    assert ergodic.calibration_pair(coloring, lib, "lattice").mu.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("coloring, a_value", [
+    (periodic_word("ab"), None), (CHECKER, None), (CHECKER, [0.3, -0.2]),
+], ids=["d1", "d2", "d2-magnetic"])
+def test_continuum_calibration_pair_is_the_facet_pair_bitwise(coloring, a_value):
+    from idslab.operators import (
+        Facet, OperatorSpec, Prototype, add_facet_dirichlet, discretize, grid_embedding,
+    )
+    from idslab.ssf import semigroup_difference_singular_values
+    from oracles import dense
+
+    d, n = coloring.dimension, 4
+    lib = PrototypeLibrary([Prototype.constant("a", 0.0, n, d, a_value),
+                            Prototype.constant("b", 1.0, n, d)])
+    e1 = (1,) + (0,) * (d - 1)
+    specA = OperatorSpec(Q=frozenset({(0,) * d, e1}), coloring=coloring, library=lib,
+                         backend="continuum", resolution=n)
+    specB = add_facet_dirichlet(specA, Facet(anchor=e1, axis=0))
+    want = semigroup_difference_singular_values(
+        dense(discretize(specA)), dense(discretize(specB)), embed=grid_embedding(specA, specB)
+    )
+    assert ergodic.calibration_pair(coloring, lib, "continuum").mu.tobytes() == want.tobytes()

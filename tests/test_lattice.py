@@ -28,7 +28,7 @@ from idslab.lattice import (
     site_set,
     van_hove_ratios,
 )
-from oracles import pattern_from_word
+from oracles import pattern_from_word, period_loop_frequencies
 
 
 # ---------------------------------------------------------------------------
@@ -272,24 +272,21 @@ def test_inner_boundary_subset():
 
 def test_van_hove_cubes_1d():
     seq = cube_sequence([2, 4, 8, 16], 1)
-    ratios, monotone = van_hove_ratios(seq, 1)
+    ratios = van_hove_ratios(seq, 1)
     assert ratios == [Fraction(4, j) for j in (2, 4, 8, 16)]
-    assert monotone
 
 
 def test_van_hove_cubes_2d_oracle_counts():
     seq = cube_sequence([3, 4, 6, 8], 2)
-    ratios, monotone = van_hove_ratios(seq, 1)
+    ratios = van_hove_ratios(seq, 1)
     # exhaustive scan gives inner 4j-4, outer 4j+4, total 8j
     assert ratios == [Fraction(8 * j, j * j) for j in (3, 4, 6, 8)]
-    assert monotone
 
 
 def test_van_hove_constant_sequence_not_monotone():
     seq = [cube(2, 1)] * 4
-    ratios, monotone = van_hove_ratios(seq, 1)
+    ratios = van_hove_ratios(seq, 1)
     assert len(set(ratios)) == 1 and ratios[0] > 0
-    assert not monotone
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +435,26 @@ def test_exact_table_2d():
     table = exact_frequency_table(C, 1)
     assert table.total() == 1
     assert set(table.entries.values()) == {Fraction(1, 2)}
+
+
+PERIODIC_COLORINGS = [
+    periodic_word("a"), periodic_word("ab"), periodic_word("aab"), periodic_word("abcab"),
+    PeriodicColoring(period=(2, 2), cell={(0, 0): "a", (1, 0): "b", (0, 1): "b", (1, 1): "a"}),
+    PeriodicColoring(period=(3, 2), cell={
+        (0, 0): "b", (1, 0): "a", (2, 0): "a", (0, 1): "c", (1, 1): "a", (2, 1): "b"}),
+    PeriodicColoring(period=(1, 3), cell={(0, 0): "a", (0, 1): "a", (0, 2): "b"}),
+    PeriodicColoring(period=(2, 1, 2), cell={
+        (0, 0, 0): "a", (1, 0, 0): "b", (0, 0, 1): "b", (1, 0, 1): "b"}),
+]
+
+
+@pytest.mark.parametrize("C", PERIODIC_COLORINGS)
+@pytest.mark.parametrize("M", [1, 2, 3, 4])
+def test_exact_table_is_the_period_loop(C, M):
+    entries = exact_frequency_table(C, M).entries
+    # the same classes, rationals and order as one window per anchor of a period cell
+    assert list(entries.items()) == list(period_loop_frequencies(C, M).items())
+    assert all(type(v) is Fraction for v in entries.values())
 
 
 def test_estimated_table_normalization_is_window_fraction():

@@ -32,7 +32,6 @@ from idslab.ssf import (
     semigroup_difference_singular_values,
     spectral_shift,
     ssf_lp_integral,
-    veff_singular_values,
     weyl_check,
     young_check,
 )
@@ -40,6 +39,11 @@ from oracles import dense, dirichlet_chain_eigenvalues, svd_semigroup_difference
 from test_golden import SSF_CONFIG
 
 I010 = EnergyWindow(0.0, 10.0, p=2.0)
+
+
+def veff_singular_values(specA, specB, count=None):
+    """Top singular values of a facet pair's semigroup difference, by the band path."""
+    return ssf._facet_pair(specA, specB, np.inf, count)[2]
 
 
 def interval_pair(cells=2, n=32, window=I010):
@@ -173,7 +177,7 @@ def test_veff_eigvalsh_matches_svd_oracle(seed, n, complex_, embedded):
 
 
 def test_semigroup_difference_keeps_its_arguments():
-    """Its callers reuse HA and HB: ergodic.calibration_pair, and the benchmark ladder."""
+    """Its callers reuse HA and HB: the benchmark ladder, and tests that pin the band path to it."""
     _, _, specA, specB, _ = next(p for p in _facet_pairs() if p[0] == "d2-checker-3c-n8")
     pairs = [(dense(discretize(specA)), dense(discretize(specB)), grid_embedding(specA, specB))]
     rng = np.random.default_rng(3)
