@@ -108,8 +108,8 @@ def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceil
     each eigenvector's mass on the origin cell's points, and the tie width
     that certified_below used for H.  Each group of samples, its
     bands at most GROUP_BAND_ENTRIES entries, is filled (coded_bands); solved,
-    irreducible real chains (_chain_sites) by eigenvalues and one
-    tridiagonal_masses call, others by eigensystem; certified by one
+    irreducible real chains (_chain_sites) by one eigenvalues and one
+    tridiagonal_masses call, others by eigensystem at its full span; certified by one
     certified_below call; and each sample's masses must sum to its number of
     origin points within MASS_SUM_RTOL of it.
     """
@@ -119,15 +119,13 @@ def _origin_spectra(spec: OperatorSpec, geometry: tuple, codes: np.ndarray, ceil
     for start in range(0, len(codes), group):
         bands = coded_bands(spec, geometry, codes[start : start + group])
         sites = _chain_sites(bands, origin)
-        eigs = np.empty(bands.shape[:2])
         if sites is None:
-            masses = np.empty(eigs.shape)
+            eigs, masses = np.empty(bands.shape[:2]), np.empty(bands.shape[:2])
             for i, B in enumerate(bands):
                 eigs[i], U = eigensystem(B)
                 masses[i] = np.sum(np.abs(U[origin, :]) ** 2, axis=0)
         else:
-            for i, B in enumerate(bands):
-                eigs[i] = eigenvalues(B)
+            eigs = eigenvalues(bands)
             masses = tridiagonal_masses(bands[..., 0], bands[:, :-1, 1], eigs, sites)
         _, deltas = certified_below(bands, eigs, ceiling)
         sums = np.sum(masses, axis=1)

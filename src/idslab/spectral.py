@@ -221,11 +221,17 @@ def integrate_product(f: StepFunction, g: StepFunction, window: EnergyWindow) ->
 
 
 def lp_distance(f: StepFunction, g: StepFunction, window: EnergyWindow) -> float:
-    """Exact L^p(I) distance, computed by breakpoint merging."""
+    """Exact L^p(I) distance, computed by breakpoint merging; where |f - g|^p under-
+    or overflows (large p), m times that of (f - g) / m, m = max |f - g| on I."""
     diff = subtract(f, g)
     p = window.p
-    total = integrate_transform(diff, window, lambda v: np.abs(v) ** p)
-    return float(total ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = integrate_transform(diff, window, lambda v: np.abs(v) ** p)
+    if np.finfo(float).tiny <= total < np.inf:
+        return float(total ** (1.0 / p))
+    _, lefts, _ = _segments_in_window(diff.breakpoints, window)
+    peak = float(np.max(np.abs(diff(lefts)))) or 1.0  # f = g on I: any m gives 0
+    return peak * integrate_transform(diff, window, lambda v: (np.abs(v) / peak) ** p) ** (1.0 / p)
 
 
 def lp_norm(f: StepFunction, window: EnergyWindow) -> float:
@@ -475,19 +481,32 @@ def _sliced(band: tuple[np.ndarray, float], T: float, count: int) -> np.ndarray 
     return np.concatenate(found)
 
 
-def eigenvalues(B: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
-    """All eigenvalues <= ceiling of the band B, sorted ascending with multiplicity.
+def _lapack(name: str, matrix: str, *args, **kwargs) -> list:
+    """The outputs of the LAPACK routine name but info; a nonzero info raises
+    NumericalFailure naming the routine and matrix (say "a matrix of order 5")."""
+    *out, info = getattr(scipy.linalg.lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise NumericalFailure(f"LAPACK {name} failed with info={info} on {matrix}")
+    return out
 
-    B is checked as _checked does.  A finite ceiling certifies the count
+
+def eigenvalues(B: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
+    """All eigenvalues <= ceiling of the band B, sorted ascending with multiplicity;
+    for a stack of bands of shape (m, N, w + 1), the (m, N) array of all eigenvalues.
+
+    B is checked as _checked does, a stack at once.  A stack takes no finite
+    ceiling (ValueError).  A finite ceiling certifies the count
     as certified_below does.  On a large band (large_band) the ceiling's count comes first,
     from one sparse factorization; when it is trusted and at most
     SLICE_MAX_SHARE * N * (w + 1), the eigenvalues come from spectrum
     slicing (_sliced).  Otherwise, or when a slice fails, LAPACK ?sbevd/?hbevd
-    gives them (a nonzero info raises NumericalFailure), and certified_below
+    gives them, band by band (a nonzero info raises NumericalFailure), and certified_below
     applies its tie rule when the ceiling's count was not trusted.
     """
     ab, _ = band = _checked(B)
     T = float(ceiling)
+    if ab.ndim == 3 and T != np.inf:
+        raise ValueError(f"a stack of bands takes no finite ceiling, got {T}")
     count = None
     if np.isfinite(T) and large_band(ab):
         [count] = _sparse_inertia(ab[None], [T])  # None at a tie: the banded solve decides
@@ -496,11 +515,11 @@ def eigenvalues(B: np.ndarray, ceiling: float = np.inf) -> np.ndarray:
             if sliced is not None:
                 return sliced
     name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"
-    eigs, _, info = getattr(scipy.linalg.lapack, name)(ab, compute_v=0, lower=1, overwrite_ab=0)
-    if info != 0:
-        raise NumericalFailure(f"LAPACK {name} failed with info={info} on a band matrix of order {len(B)}")
-    if T == np.inf:
-        return eigs
+    eigs = [_lapack(name, f"a band matrix of order {a.shape[1]}", a, compute_v=0, lower=1, overwrite_ab=0)[0]
+            for a in (ab if ab.ndim == 3 else [ab])]
+    if ab.ndim == 3 or T == np.inf:
+        return np.array(eigs) if ab.ndim == 3 else eigs[0]
+    [eigs] = eigs
     if count is not None and np.count_nonzero(eigs <= T) == count:
         return eigs[eigs <= T]  # certified by the count that chose the solver
     return certified_below([B], [eigs], T)[0][0]
@@ -666,9 +685,7 @@ def tridiagonal_masses(
     for row in np.flatnonzero(~trusted.all(axis=1)):
         # a one-site chain never gets here: its mass has dm = 0
         cols = ~trusted[row]
-        z, info = scipy.linalg.lapack.dstein(D[row], E[row], W[row, cols], iblock, isplit)
-        if info != 0:
-            raise NumericalFailure(f"LAPACK dstein failed with info={info} on a matrix of order {n}")
+        [z] = _lapack("dstein", f"a matrix of order {n}", D[row], E[row], W[row, cols], iblock, isplit)
         out[row, cols] = np.sum(z[lo : hi + 1] ** 2, axis=0)
     return out
 
@@ -703,23 +720,36 @@ def tridiagonal_counts(
     return counts
 
 
-def eigensystem(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition (ascending eigenvalues, orthonormal columns) of the band B.
+def eigensystem(B: np.ndarray, span: float = np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of the band B, ascending, and the orthonormal eigenvectors of
+    those within span of the lowest, as the columns of a Fortran-ordered array.
 
-    B is checked as _checked does.  The band fills the lower triangle of a
-    Fortran-ordered matrix that this function owns, and LAPACK
-    ?syevd/?heevd, as np.linalg.eigh calls it, writes the eigenvectors over
-    it.  A nonzero info raises NumericalFailure.
+    B is checked as _checked does.  The steps and workspaces are LAPACK ?syevd's:
+    the band fills a Fortran-ordered matrix owned here, which ?sytrd/?hetrd reduces
+    in place to a real tridiagonal T = Q^H H Q; dstevd solves T; ?ormqr/?unmqr
+    applies Q (its first row and column are e_1) to rows 2..N of the kept
+    eigenvectors of T, as ?ormtr does.  At the full span the results are
+    np.linalg.eigh's bit for bit, but for the sign of a zero imaginary part below
+    order 26 (there ?heevd rotates complex vectors).  A finite span keeps the
+    eigenvalues' bits, and the kept eigenvectors to rounding (BLAS kernels group
+    columns by their number).  A nonzero info raises NumericalFailure.
     """
     _checked(B)
     n, width = B.shape
     H = np.zeros((n, n), dtype=B.dtype, order="F")
     for k in range(width):
         np.fill_diagonal(H[k:], B[: n - k, k])  # H[j + k, j] = B[j, k]
-    name = "zheevd" if np.iscomplexobj(B) else "dsyevd"
-    w, U, info = getattr(scipy.linalg.lapack, name)(H, compute_v=1, lower=1, overwrite_a=1)
-    if info != 0:
-        raise NumericalFailure(f"LAPACK {name} failed with info={info} on a matrix of order {n}")
+    # ?ormqr blocks by its workspace: ?syevd leaves ?ormtr n^2 + 4n + 1 doubles, ?heevd n
+    trd, mqr, left = ("zhetrd", "zunmqr", n) if np.iscomplexobj(B) else ("dsytrd", "dormqr", n * n + 4 * n + 1)
+    matrix = f"a matrix of order {n}"
+    [lwork] = _lapack(trd + "_lwork", matrix, n, lower=1)
+    _, d, e, tau = _lapack(trd, matrix, H, lower=1, lwork=int(lwork.real), overwrite_a=1)
+    w, Z = _lapack("dstevd", matrix, d, e if n > 1 else np.zeros(1))
+    U = np.asfortranarray(Z[:, : np.searchsorted(w, w[0] + span, side="right")], dtype=B.dtype)
+    if n > 1:
+        # the reflectors lie below H's diagonal: rows 2..N of its first N - 1 columns
+        V = H.reshape(-1, order="F")[1 : n * n - n + 1].reshape(n, n - 1, order="F")
+        [U[1:], _] = _lapack(mqr, matrix, "L", "N", V, tau, np.asfortranarray(U[1:]), left, overwrite_c=1)
     return w, U
 
 

@@ -47,6 +47,10 @@ SHIFT_MERGE_TOL = 1e-8
 ENVELOPE_SLACK = 0.05
 # a heat-semigroup bound's last term at or below this counts as settled
 HS_TAIL_TOL = 1e-14
+# exp(-H) keeps the eigenvectors within this of H's lowest eigenvalue: a dropped
+# weight e^-lambda is below eps^2 * ||exp(-H)||, so by Weyl's inequality no
+# singular value of V_eff moves by more than 2 eps^2 * ||exp(-H)||
+SEMIGROUP_SPAN = -2.0 * math.log(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,8 @@ def _shift(eigs_a: np.ndarray, eigs_b: np.ndarray, window: EnergyWindow) -> Spec
 
 
 def _semigroup(w: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """exp(-H) from H's eigendecomposition (time parameter fixed to 1)."""
-    return (U * np.exp(-w)) @ U.conj().T
+    """exp(-H) from H's eigenvalues w and the eigenvectors U of the lowest (time 1)."""
+    return (U * np.exp(-w[: U.shape[1]])) @ U.conj().T
 
 
 def _difference_singular_values(
@@ -178,7 +182,7 @@ def semigroup_difference_singular_values(
 
 def _solve_once(B: np.ndarray, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
     """Certified eigenvalues <= ceiling and exp(-H) of the band B, from one eigensystem."""
-    w, U = eigensystem(B)
+    w, U = eigensystem(B, SEMIGROUP_SPAN)
     [below], _ = certified_below([B], [w], ceiling)
     return below, _semigroup(w, U)
 
@@ -343,10 +347,18 @@ def facet_ssf_norm_bound(
 
     Upper bound on the L^p(I) norm of any single facet's shift function,
     computed once per experiment from a designated single-facet pair; it is
-    the scale entering the boundary term of the averaging engine.
+    the scale entering the boundary term of the averaging engine.  Where
+    F(n) = n^p overflows, as at large p, the sum is taken in logarithms.
     """
-    bound = hs_bound(series, PowerGauge(window.p), window.sup)
-    return float(bound.value ** (1.0 / window.p))
+    p = window.p
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = hs_bound(series, PowerGauge(p), window.sup).value
+        if math.isfinite(value):
+            return float(value ** (1.0 / p))
+        # phi(n) mu_n = n^p (1 - (1 - 1/n)^p) mu_n
+        n = np.flatnonzero(series.mu > 0) + 1
+        logs = p * np.log(n) + np.log(-np.expm1(p * np.log1p(-1.0 / n))) + np.log(series.mu[n - 1])
+    return math.exp((window.sup + np.logaddexp.reduce(logs)) / p)
 
 
 def young_check(

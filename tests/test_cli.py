@@ -196,6 +196,35 @@ def test_ssf_with_too_few_singular_values_above_the_floor_exits_1(tmp_path, caps
     assert "Traceback" not in err
 
 
+def test_ssf_names_a_failed_eigensystem_step(tmp_path, capsys, monkeypatch):
+    # the facet cube's tridiagonal eigenproblem, the second step of eigensystem
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dstevd", lambda d, e, **kwargs: (d, np.eye(len(d)), 3)
+    )
+    path = write_cfg(tmp_path, backend="continuum", resolution=2, ssf={"cells": 6, "count": 10})
+    assert main(["ssf", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: LAPACK dstevd failed with info=3 on a matrix of order" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"sequence": {"sides": [8, 16]}},
+    {"dimension": 2, "backend": "continuum", "resolution": 4, "sequence": {"sides": [2, 4]},
+     "coloring": {"kind": "periodic", "period": [2, 2],
+                  "cell": {"0,0": "a", "1,0": "b", "0,1": "b", "1,1": "a"}},
+     "window": {"hi": 60.0}},
+], ids=["lattice-d1", "continuum-d2"])
+def test_ids_at_a_large_p_reports_finite_numbers(tmp_path, capsys, overrides):
+    # |N_1 - N_2|^p underflows and F(n) = n^p overflows at p = 1000
+    path = write_cfg(tmp_path, window={"p": 1000.0, **overrides.pop("window", {})}, **overrides)
+    assert main(["ids", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "o" / "ids_report.json").read_text())
+    rows = report["route_distances"]
+    assert all(0 < row["distance"] <= row["bound"] < np.inf for row in rows)
+
+
 SMALL_RANDOM = {"samples": 6, "truncation_radius": 3, "lambda_points": 11,
                 "omegas": [0], "compare_volumes": [4, 8]}
 

@@ -226,10 +226,14 @@ def test_every_parameter_default_is_overridden_somewhere():
 
 # every eigensolver call, by the name of numpy's or scipy's function or of the
 # LAPACK routine, and the only functions that make it: eigenvectors come from
-# spectral.eigensystem alone, eigenvalues alone from the band solver, the
+# spectral.eigensystem alone, by ?syevd's three steps (the tridiagonal reduction,
+# dstevd, and the back-transform), eigenvalues alone from the band solver, the
 # spectrum slices, the inertia of 2x2 pivot blocks and V_eff, and eigenvectors
 # of given eigenvalues by inverse iteration from the chain masses alone
-EIGENVECTORS = re.compile(r"eigh|eig_banded|eigh_tridiagonal|[sd]syevd|[cz]heevd|[sd]stevd")
+DENSE_SOLVERS = re.compile(r"[sd]syevd|[cz]heevd")
+EIGENVECTORS = re.compile(
+    r"eigh|eig_banded|eigh_tridiagonal|[sd]syevd|[cz]heevd|[sd]stevd|[sd]sytrd|[cz]hetrd|[sd]ormqr|[cz]unmqr"
+)
 EIGENVALUES = re.compile(
     r"eigvals_banded|eigvalsh|eigvalsh_tridiagonal|eigsh|[sd]sterf|[sd]sbevd|[cz]hbevd"
 )
@@ -286,6 +290,10 @@ def test_checker_flags_dense_eigenvector_solves():
         "        return eigh(H), scipy.linalg.eigh(H), scipy.linalg.lapack.cheevd(H)\n"
         "def chain(d, e):\n"
         "    return scipy.linalg.lapack.dstevd(d, e), scipy.linalg.eigh_tridiagonal(d, e)\n"
+        "def steps(H, C):\n"
+        "    trd = 'zhetrd' if np.iscomplexobj(H) else 'dsytrd'\n"
+        "    _, d, e, tau, _ = getattr(scipy.linalg.lapack, trd)(H)\n"
+        "    return scipy.linalg.lapack.dormqr('L', 'N', H, tau, C, -1), lapack.cunmqr(H, tau, C)\n"
         "def unrelated(H):\n"
         "    return 'eigh is a word in this docstring'\n"
     )
@@ -297,12 +305,18 @@ def test_checker_flags_dense_eigenvector_solves():
         "m.py: Field.vectors calls cheevd",
         "m.py: chain calls dstevd",
         "m.py: chain calls eigh_tridiagonal",
+        "m.py: steps calls zhetrd",
+        "m.py: steps calls dsytrd",
+        "m.py: steps calls dormqr",
+        "m.py: steps calls cunmqr",
     ]
 
 
 def test_one_dense_eigenvector_solve_site():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert calls_outside(sources, EIGENVECTORS, SOLVER_SITES[EIGENVECTORS]) == []
+    # eigensystem runs ?syevd's steps itself, so nothing calls ?syevd/?heevd
+    assert calls_outside(sources, DENSE_SOLVERS, set()) == []
 
 
 def test_checker_flags_eigenvalue_only_solves():

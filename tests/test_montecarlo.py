@@ -303,19 +303,19 @@ def test_chain_estimate_matches_per_sample_loop_bitwise(
 
 
 def test_magnetic_estimates_solve_complex_bands(monkeypatch):
-    # the Peierls phases make the bands complex, so every sample reaches zheevd
+    # the Peierls phases make the bands complex, so every sample reaches zhetrd
     calls = Counter()
-    solve = scipy.linalg.lapack.zheevd
+    solve = scipy.linalg.lapack.zhetrd
 
     def counted(*args, **kwargs):
-        calls["zheevd"] += 1
+        calls["zhetrd"] += 1
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "zheevd", counted)
+    monkeypatch.setattr(scipy.linalg.lapack, "zhetrd", counted)
     dist = SiteDistribution(("a", "b"), (0.3, 0.7), 5)
     for d in (1, 2):
         pastur_shubin_mc(dist, _sampled_library(3, d, True), [0.5, 5.5], 2, 1, "continuum")
-    assert calls == Counter(zheevd=4)
+    assert calls == Counter(zhetrd=4)
 
 
 def _count_per_sample_calls(monkeypatch):
@@ -338,8 +338,8 @@ def test_chain_estimate_assembles_and_draws_nothing_per_sample(monkeypatch):
     calls = _count_per_sample_calls(monkeypatch)
     dist = SiteDistribution.bernoulli("a", "b", seed=3)
     pastur_shubin_mc(dist, LIB_AB, np.linspace(0.0, 5.0, 11), samples=5, truncation_radius=4)
-    # eigenvalues alone per sample, and the origin masses of the group in one kernel call
-    assert calls == Counter(coded_bands=1, eigenvalues=5, tridiagonal_masses=1)
+    # the group's eigenvalues alone in one call, and its origin masses in one kernel call
+    assert calls == Counter(coded_bands=1, eigenvalues=1, tridiagonal_masses=1)
 
 
 @pytest.mark.parametrize("d, backend", [(1, "lattice"), (2, "lattice"), (1, "continuum"), (2, "continuum")])
@@ -353,8 +353,8 @@ def test_every_estimate_fills_once_per_group_and_draws_no_color(monkeypatch, d, 
     calls = _count_per_sample_calls(monkeypatch)
     # the grid's top is no eigenvalue of these integer models (see the tie test below)
     est = pastur_shubin_mc(DIST_AB, lib, np.linspace(0.0, 4.5, 10), samples, R, backend=backend)
-    # d=1 bands are chains: eigenvalues per sample and one mass kernel per group
-    solves = (Counter(eigenvalues=samples, tridiagonal_masses=4) if d == 1
+    # d=1 bands are chains: one eigenvalues call and one mass kernel per group
+    solves = (Counter(eigenvalues=4, tridiagonal_masses=4) if d == 1
               else Counter(eigensystem=samples))
     assert calls == Counter(coded_bands=4) + solves
     monkeypatch.undo()
@@ -391,7 +391,15 @@ def test_the_benchmark_and_criterion_8_estimates_group_by_the_band_bound(monkeyp
     # GROUP_BAND_ENTRIES // (N x 2) chains per group: 84 of N = 97, 126 of N = 65
     calls = _count_per_sample_calls(monkeypatch)
     pastur_shubin_mc(DIST_AB, LIB_AB, np.linspace(0.0, 4.5, 201), samples, R)
-    assert calls == Counter(coded_bands=groups, eigenvalues=samples, tridiagonal_masses=groups)
+    assert calls == Counter(coded_bands=groups, eigenvalues=groups, tridiagonal_masses=groups)
+
+
+def test_each_chain_group_is_checked_once_by_each_solver(monkeypatch):
+    # eigenvalues and certified_below each check the group's stack once; 126 chains of N = 65 per group
+    check, checked = spectral._checked, []
+    monkeypatch.setattr(spectral, "_checked", lambda B: checked.append(np.shape(B)) or check(B))
+    pastur_shubin_mc(DIST_AB, LIB_AB, np.linspace(0.0, 4.5, 201), 200, 32)
+    assert checked == [(126, 65, 2)] * 2 + [(74, 65, 2)] * 2
 
 
 def test_estimate_memory_does_not_grow_with_the_sample_count():
@@ -535,7 +543,7 @@ def test_chain_estimate_with_a_wrong_count_fails(monkeypatch):
         pastur_shubin_mc(dist, LIB_AB, [0.5, 2.5], samples=4, truncation_radius=3)
 
 
-@pytest.mark.parametrize("d, backend, solver", [(2, "lattice", "dsyevd"), (1, "continuum", "dsbevd")])
+@pytest.mark.parametrize("d, backend, solver", [(2, "lattice", "dstevd"), (1, "continuum", "dsbevd")])
 def test_per_sample_estimate_with_a_wrong_count_fails(monkeypatch, d, backend, solver):
     solve = getattr(scipy.linalg.lapack, solver)
 

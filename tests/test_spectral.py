@@ -91,6 +91,17 @@ def test_scale():
 # exact L^p arithmetic
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("p", [2.0, 1000.0, 1100.0, 1e6])
+def test_lp_distance_at_large_p_neither_underflows_nor_overflows(p):
+    # |f|^p underflows at p = 1100 (0.5^1100 < 2^-1074), |2^1000 f|^p overflows at every p here
+    f = StepFunction([1.0, 4.5], [0.0, 0.5, 0.0])
+    window = EnergyWindow(0.0, 5.0, p)
+    assert lp_distance(f, StepFunction.constant(0.0), window) == 0.5 * 3.5 ** (1 / p)
+    big = lp_distance(f.scale(2.0**1000), StepFunction.constant(0.0), window)
+    assert big == pytest.approx(2.0**999 * 3.5 ** (1 / p), rel=1e-15)
+    assert lp_distance(f, f, window) == 0.0
+
+
 def test_lp_distance_trivial_and_unit_box():
     f = counting_function([1.0, 3.0], I04)
     assert lp_distance(f, f, I04) == 0.0
@@ -297,11 +308,11 @@ def test_eigensystem_tridiagonal_matches_dense(H):
 
 def test_tridiagonal_eigensystem_names_a_lapack_failure(monkeypatch):
     # a chain's eigenvectors come from the one dense solver as well
-    def failing(a, compute_v=1, lower=0, overwrite_a=0):
-        return np.zeros(len(a)), np.eye(len(a)), 1
+    def failing(d, e, compute_v=1):
+        return np.zeros(len(d)), np.eye(len(d)), 1
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", failing)
-    with pytest.raises(NumericalFailure, match="dsyevd failed with info=1 on a matrix of order 5"):
+    monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing)
+    with pytest.raises(NumericalFailure, match="dstevd failed with info=1 on a matrix of order 5"):
         eigensystem(lower_band(_chain(5)))
 
 
@@ -539,12 +550,12 @@ def test_eigensystem_in_place_gives_numpys_bytes(monkeypatch, name, order):
     H = np.array(DENSE[name], order=order)
     before = H.tobytes()
     w0, U0 = np.linalg.eigh(H)
-    lapack = "zheevd" if np.iscomplexobj(H) else "dsyevd"
+    lapack = "zhetrd" if np.iscomplexobj(H) else "dsytrd"
     solve, solved = getattr(scipy.linalg.lapack, lapack), []
 
     def spy(a, **kwargs):
         out = solve(a, **kwargs)
-        solved.append((a, out[1]))
+        solved.append((a, out[0]))
         return out
 
     monkeypatch.setattr(scipy.linalg.lapack, lapack, spy)
@@ -552,20 +563,63 @@ def test_eigensystem_in_place_gives_numpys_bytes(monkeypatch, name, order):
     w, U = eigensystem(B)
     assert H.tobytes() == before and not np.shares_memory(U, B)
     assert w.tobytes() == w0.tobytes() and U.tobytes() == U0.tobytes()
-    # the eigenvectors overwrite the one dense matrix, which eigensystem owns
-    [(a, vectors)] = solved
-    assert a.flags.f_contiguous and np.shares_memory(vectors, a)
+    # the reflectors overwrite the one dense matrix, which eigensystem owns
+    [(a, reflectors)] = solved
+    assert a.flags.f_contiguous and np.shares_memory(reflectors, a)
 
 
-@pytest.mark.parametrize("name", ["dsyevd", "zheevd"])
+@pytest.mark.parametrize("name", ["dsytrd", "zhetrd", "dstevd", "dormqr", "zunmqr"])
 def test_eigensystem_names_a_lapack_failure(monkeypatch, name):
-    def failing(a, compute_v=1, lower=0, overwrite_a=0):
-        return np.zeros(len(a)), np.eye(len(a)), 2
+    # each of the three steps, for real and complex matrices
+    solve = getattr(scipy.linalg.lapack, name)
+
+    def failing(*args, **kwargs):
+        *out, _ = solve(*args, **kwargs)
+        return (*out, 2)
 
     monkeypatch.setattr(scipy.linalg.lapack, name, failing)
-    H = DENSE["magnetic-1d" if name == "zheevd" else "lattice-2d"]
-    with pytest.raises(NumericalFailure, match=f"{name} failed with info=2"):
+    H = DENSE["magnetic-1d" if name in ("zhetrd", "zunmqr") else "lattice-2d"]
+    with pytest.raises(NumericalFailure, match=f"LAPACK {name} failed with info=2 on a matrix of order {len(H)}"):
         eigensystem(lower_band(H))
+
+
+def _random_band(rng, n, complex_, width=4):
+    """A random (n, min(n, width)) band with a real diagonal."""
+    B = rng.normal(size=(n, min(n, width)))
+    if complex_:
+        B = B + 1j * rng.normal(size=B.shape)
+        B[:, 0] = B[:, 0].real
+    return B
+
+
+# 25 is LAPACK's SMLSIZ: from order 26 on, dstedc divides and conquers
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 25, 26, 300])
+def test_eigensystem_at_full_span_gives_numpys_bytes_on_random_bands(n, complex_):
+    B = _random_band(np.random.default_rng(n), n, complex_)
+    w, U = eigensystem(B)
+    w0, U0 = np.linalg.eigh(dense(B))
+    assert w.tobytes() == w0.tobytes() and U.flags.f_contiguous
+    if complex_ and n <= 25:
+        # zheevd rotates complex eigenvectors of T there (zsteqr), dstevd real ones, so
+        # the zero imaginary parts of the first row, which Q leaves alone, may differ in sign
+        assert not U[0].imag.any() and not U0[0].imag.any()
+        assert U[0].real.tobytes() == U0[0].real.tobytes()
+        U, U0 = U[1:], U0[1:]
+    assert U.tobytes() == U0.tobytes()
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [2, 26, 70, 300])
+def test_a_finite_span_keeps_the_lowest_eigenvectors(n, complex_):
+    B = _random_band(np.random.default_rng(n), n, complex_)
+    w, U = eigensystem(B)
+    for span in (0.0, 1.0, 3.0, np.inf):
+        ws, Us = eigensystem(B, span)
+        kept = np.count_nonzero(w <= w[0] + span)
+        assert ws.tobytes() == w.tobytes() and Us.shape == (n, kept) and Us.flags.f_contiguous
+        # the BLAS kernels group the columns by their number, so the bits may differ
+        assert np.max(np.abs(Us - U[:, :kept])) <= 1e-14
 
 
 def test_fd_chain_spectrum_matches_analytic():
@@ -1113,6 +1167,21 @@ def test_masses_refuse_a_reducible_chain_and_bad_sites():
         spectral.tridiagonal_masses(d[0], e[0], w[0], range(2, 3))
 
 
+def test_a_stack_of_bands_is_checked_once_and_solved_band_by_band(monkeypatch):
+    check, checked = spectral._checked, []
+    monkeypatch.setattr(spectral, "_checked", lambda B: checked.append(np.shape(B)) or check(B))
+    rng = np.random.default_rng(5)
+    for complex_ in (False, True):
+        stack = np.array([_random_band(rng, 9, complex_, width=3) for _ in range(4)])
+        one_by_one = np.array([eigenvalues(B) for B in stack])
+        checked.clear()
+        got = eigenvalues(stack)
+        assert checked == [(4, 9, 3)] and got.shape == (4, 9)
+        assert got.tobytes() == one_by_one.tobytes()
+        with pytest.raises(ValueError, match="a stack of bands takes no finite ceiling"):
+            eigenvalues(stack, 2.0)
+
+
 def test_eigenvalues_alone_match_the_eigensystem():
     rng = np.random.default_rng(2)
     for n in (1, 2, 9):
@@ -1129,7 +1198,7 @@ def test_eigenvalues_of_the_benchmark_chains_are_lapack_dsterf_bits(monkeypatch)
 
     def spy(B):
         w = solve(B)
-        chains.append((B.copy(), w))
+        chains.extend(zip(B.copy(), w))
         return w
 
     monkeypatch.setattr(montecarlo, "eigenvalues", spy)

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -346,6 +347,32 @@ def test_hs_bound_single_term():
     series = SingularValueSeries(mu=np.array([1.0]))
     got = hs_bound(series, PowerGauge(2.0), T=0.0)
     assert got.value == pytest.approx(1.0)
+
+
+def test_norm_bound_at_large_p_is_the_exact_sum():
+    # F(n) = n^p overflows from n = 3 on at p = 1000; the exact sum of phi(n) mu_n in integers
+    mu = np.exp(-0.7 * np.arange(1, 41))
+    window = EnergyWindow(0.0, 60.0, p=1000.0)
+    exact = sum((n**1000 - (n - 1) ** 1000) * Fraction(m) for n, m in enumerate(mu, start=1))
+    log_sum = math.log(exact.numerator) - math.log(exact.denominator)
+    got = ssf.facet_ssf_norm_bound(SingularValueSeries(mu=mu), window)
+    assert got == pytest.approx(math.exp((60.0 + log_sum) / 1000.0), rel=1e-12)
+    # where F(n) does not overflow, the bound is taken as before
+    series = SingularValueSeries(mu=mu)
+    direct = hs_bound(series, PowerGauge(2.0), 60.0).value ** 0.5
+    assert ssf.facet_ssf_norm_bound(series, EnergyWindow(0.0, 60.0, p=2.0)) == direct
+
+
+def test_semigroup_keeps_the_eigenvectors_it_can_see():
+    # a d=2 continuum band whose spectrum spans about 500, far beyond SEMIGROUP_SPAN
+    _, _, specA, _, _ = next(p for p in _facet_pairs() if p[0] == "d2-checker-3c-n8")
+    B = discretize(specA)
+    assert ssf.SEMIGROUP_SPAN == pytest.approx(72.08, abs=0.01)
+    w, U = ssf.eigensystem(B)
+    ws, Us = ssf.eigensystem(B, ssf.SEMIGROUP_SPAN)
+    assert np.count_nonzero(w <= w[0] + ssf.SEMIGROUP_SPAN) == Us.shape[1] < len(B) // 4
+    full, kept = ssf._semigroup(w, U), ssf._semigroup(ws, Us)
+    assert np.max(np.abs(kept - full)) <= 1e-15 * np.exp(-w[0])
 
 
 def test_hs_bound_dominates_direct_integral():
