@@ -257,7 +257,7 @@ def cmd_ssf(cfg: ExperimentConfig, out: Path) -> int:
         "young_trials": {"passed": young_ok, "total": trials},
     })
     print(f"facet experiment: c_hat={fit.c_hat:.4f}, envelope ok, "
-          f"{len(bounds)} L^p bounds hold, young {young_ok}/{trials}")
+          f"{sum(b['holds'] for b in bounds.values())} L^p bounds hold, young {young_ok}/{trials}")
     write_manifest(out, "ssf", cfg, outputs)
     return 0
 

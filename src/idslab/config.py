@@ -75,7 +75,7 @@ _COLORING_SYMBOLS = {
 def _finite(val, path: str) -> float:
     try:
         x = float(val)
-    except (TypeError, ValueError):
+    except (OverflowError, TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x):
         raise ConfigError(f"{path}: expected a finite number, got {val!r}")
@@ -189,6 +189,7 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         val = cfg.constants[key]
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"config.constants.{key}: expected a number")
+        _finite(val, f"config.constants.{key}")
         if val < lo:
             raise ConfigError(f"config.constants.{key}: must be >= {lo}")
     if cfg.constants["delta"] >= 1.0:
@@ -211,9 +212,9 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
     _check_int(cfg.ssf, "young_trials", 0, "config.ssf")
     powers = cfg.ssf["powers"]
     if not isinstance(powers, list) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) and p >= 1 for p in powers
+        isinstance(p, (int, float)) and not isinstance(p, bool) and 1 <= p < math.inf for p in powers
     ):
-        raise ConfigError("config.ssf.powers: need a list of numbers >= 1")
+        raise ConfigError(f"config.ssf.powers: need a list of finite numbers >= 1, got {powers!r}")
 
     cfg.random = _section(raw, cfg, "random")
     _check_weights(cfg.random["weights"], "config.random.weights")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -172,6 +171,9 @@ class Pattern:
         except KeyError:
             raise KeyError(f"site {site} outside pattern domain") from None
 
+    def colors(self, sites: Iterable[Site]) -> list[str]:
+        return [self.color(s) for s in sites]
+
     def translated(self, x: Site) -> "Pattern":
         sites = tuple(tuple(s + dx for s, dx in zip(p, x)) for p in self.sites)
         return Pattern(sites, self.symbols)
@@ -202,11 +204,15 @@ class Coloring:
     def color(self, site: Site) -> str:
         raise NotImplementedError
 
+    def colors(self, sites: Iterable[Site]) -> list[str]:
+        """The symbol at each site, in order; one call colors a whole batch."""
+        return [self.color(s) for s in sites]
+
     def restrict(self, Q: frozenset[Site]) -> Pattern:
         if not Q:
             raise ValueError("cannot restrict to the empty set")
         sites = tuple(sorted(Q))
-        return Pattern(sites, tuple(self.color(s) for s in sites))
+        return Pattern(sites, tuple(self.colors(sites)))
 
 
 @dataclass(frozen=True)
@@ -272,22 +278,15 @@ class WindowColoring(Coloring):
 _KEY_MASK = 0x7FFFFFFFFFFFFFFF
 
 
-def _site_hash(seed: int, site: Site) -> int:
-    """Deterministic 64-bit hash keyed by (seed, site), by blake2b.
+def _site_hashes(seeds: Sequence[int], sites: np.ndarray) -> np.ndarray:
+    """Deterministic 64-bit hash of (seeds[i], sites[j]) at [i, j], as uint64, by blake2b.
 
     Counter-based: the same site always hashes to the same value, so
     overlapping windows and any evaluation order see a consistent coloring.
-    """
-    buf = struct.pack(f"<q{len(site)}q", seed & _KEY_MASK, *site)
-    return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
-
-
-def _site_hashes(seeds: Sequence[int], sites: np.ndarray) -> np.ndarray:
-    """_site_hash(seeds[i], sites[j]) at [i, j], as uint64, for an (M, d) integer site array.
-
-    Each message is packed by numpy as _site_hash packs it, little-endian
-    int64s "<q{d}q"; the messages of one seed are hashed at a time, so no
-    more than M digests are held as Python objects.
+    Each message is the little-endian int64s "<q{d}q" of the masked seed and
+    the site's d coordinates of the (M, d) integer site array; the messages
+    of one seed are hashed at a time, so no more than M digests are held as
+    Python objects.
     """
     sites = np.asarray(sites, dtype=np.int64)
     m, d = sites.shape
@@ -304,6 +303,22 @@ def _site_hashes(seeds: Sequence[int], sites: np.ndarray) -> np.ndarray:
     return out
 
 
+def iid_seeds(seed: int, indices: Iterable[int]) -> list[int]:
+    """The seed of each indexed member of the i.i.d. family seeded by seed: the hash of (seed, (i,))."""
+    return _site_hashes([seed], np.reshape(list(indices), (-1, 1)))[0].tolist()
+
+
+def iid_codes(seeds: Sequence[int], weights: Sequence[float], sites) -> np.ndarray:
+    """The i.i.d. coloring rule: the symbol index at sites[j] under seeds[i], at [i, j].
+
+    Each (seed, site) hash over 2^64 is a uniform u in [0, 1]; its code is the
+    first symbol whose running weight (a sequential float sum) exceeds u, else
+    the last, which so takes the remainder of weights whose float sum is below 1.
+    """
+    u = _site_hashes(seeds, sites) / 2.0**64
+    return np.minimum(np.searchsorted(np.cumsum(weights), u, side="right"), len(weights) - 1)
+
+
 def check_weights(symbols: Sequence[str], weights: Sequence[float]) -> None:
     """ValueError unless weights are a probability vector parallel to symbols."""
     if len(symbols) != len(weights):
@@ -316,14 +331,12 @@ def check_weights(symbols: Sequence[str], weights: Sequence[float]) -> None:
 
 @dataclass(frozen=True)
 class RandomColoring(Coloring):
-    """Seeded i.i.d. coloring; color at a site is a pure function of (seed, site)."""
+    """Seeded i.i.d. coloring; color at a site is a pure function of (seed, site) (iid_codes)."""
 
     seed: int
     symbols: tuple[str, ...]
     weights: tuple[float, ...]
     dim: int
-    # colors already drawn, by site; kept out of eq, hash and repr (spec_digest reads repr)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         check_weights(self.symbols, self.weights)
@@ -337,17 +350,11 @@ class RandomColoring(Coloring):
         return self.dim
 
     def color(self, site: Site) -> str:
-        sym = self._memo.get(site)
-        if sym is None:
-            u = _site_hash(self.seed, site) / 2.0**64  # uniform in [0, 1)
-            acc = 0.0
-            # the first symbol whose cumulative weight exceeds u, else the last one
-            for sym, w in zip(self.symbols, self.weights):
-                acc += w
-                if u < acc:
-                    break
-            self._memo[site] = sym
-        return sym
+        return self.colors([site])[0]
+
+    def colors(self, sites: Iterable[Site]) -> list[str]:
+        codes = iid_codes([self.seed], self.weights, np.reshape(list(sites), (-1, self.dim)))
+        return [self.symbols[k] for k in codes[0].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +403,7 @@ def enumerate_window_patterns(
     # each site colored once; symbols numbered in the order first seen
     number: dict[str, int] = {}
     codes = np.zeros(mask.shape, dtype=np.int64)
-    codes[at] = [number.setdefault(C.color(s), len(number)) for s in sites]
+    codes[at] = [number.setdefault(sym, len(number)) for sym in C.colors(sites)]
     # anchors x in row-major order, each window's codes in sorted-offset order
     inside = _box_reduce(mask, M, 0, np.all)
     rows = sliding_window_view(codes, (M,) * d)[inside].reshape(-1, M**d)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .ergodic import AlmostAdditiveField
-from .lattice import Coloring, RandomColoring, Site, _site_hash, _site_hashes, check_weights, cube
+from .lattice import Coloring, RandomColoring, Site, check_weights, cube, iid_codes, iid_seeds
 from .operators import (
     LATTICE,
     OperatorSpec,
@@ -71,7 +71,7 @@ class SiteDistribution:
 def sample_coloring(dist: SiteDistribution, sample_index: int, d: int) -> RandomColoring:
     """Deterministic coloring for one sample: pure function of (seed, index, site)."""
     return RandomColoring(
-        seed=_site_hash(dist.seed, (sample_index,)),
+        seed=iid_seeds(dist.seed, [sample_index])[0],
         symbols=dist.symbols,
         weights=dist.weights,
         dim=d,
@@ -142,7 +142,7 @@ def _own_spectrum(spec: OperatorSpec, lambda_grid: Sequence[float]) -> tuple[np.
     """_origin_spectra of spec under its own coloring, certified below the grid's top."""
     ceiling = _ceiling(lambda_grid)
     geometry = _cells(spec)
-    codes = spec.library.codes(map(spec.color_of, geometry[0]))
+    codes = spec.library.codes(spec.coloring.colors(geometry[0]))
     [spectrum] = _origin_spectra(spec, geometry, codes[None], ceiling)
     return spectrum
 
@@ -163,16 +163,6 @@ def localized_counting(spec: OperatorSpec, lambda_grid: np.ndarray) -> np.ndarra
     coloring, so its count below the grid's top is certified.
     """
     return _mass_below(*_own_spectrum(spec, lambda_grid), lambda_grid)
-
-
-def _symbol_codes(weights: Sequence[float], u: np.ndarray) -> np.ndarray:
-    """Per uniform, the index of the first symbol whose running weight exceeds it, else the last.
-
-    RandomColoring.color's rule: the running weights are the same sequential
-    float sums, so a remainder left by weights whose float sum falls below
-    1 goes to the last symbol.
-    """
-    return np.minimum(np.searchsorted(np.cumsum(weights), u, side="right"), len(weights) - 1)
 
 
 @dataclass(frozen=True)
@@ -210,7 +200,7 @@ def pastur_shubin_mc(
     grid of the Hamiltonian on the centered box, under sample s's coloring
     (sample_coloring); the library fixes the dimension d and the cell grid.
     One path serves every backend and d: the box geometry is built once, one
-    _site_hashes pass and _symbol_codes color every sample, and
+    iid_codes call colors every sample, and
     _origin_spectra fills, solves and certifies them in groups, of which
     only each sample's row is kept.  Mean and standard error are taken
     across samples.
@@ -223,10 +213,8 @@ def pastur_shubin_mc(
     box = centered_box(truncation_radius, d)
     spec = OperatorSpec(box, None, library, backend, library.resolution)
     geometry = _cells(spec)
-    seeds = _site_hashes([dist.seed], np.arange(samples)[:, None])[0]
-    u = _site_hashes(seeds, geometry[0]) / 2.0**64  # uniform in [0, 1]
-    codes = library.codes(dist.symbols)[_symbol_codes(dist.weights, u)]
-    del u  # not held through the solves
+    seeds = iid_seeds(dist.seed, range(samples))
+    codes = library.codes(dist.symbols)[iid_codes(seeds, dist.weights, geometry[0])]
     rows = np.empty((samples, len(grid)))
     for s, spectrum in enumerate(_origin_spectra(spec, geometry, codes, ceiling)):
         rows[s] = _mass_below(*spectrum, grid)

@@ -177,7 +177,7 @@ class Facet:
 class OperatorSpec:
     """Everything needed to assemble one finite-volume Hamiltonian.
 
-    Only coloring.color(cell) is read, for the cells of Q, so a Pattern on
+    Only coloring.colors(cells) is read, for the cells of Q, so a Pattern on
     the domain Q serves as the coloring as well.
     """
 
@@ -213,12 +213,6 @@ class OperatorSpec:
     @property
     def dimension(self) -> int:
         return dimension_of(self.Q)
-
-    def color_of(self, cell: Site) -> str:
-        sym = self.coloring.color(cell)
-        if sym not in self.library:
-            raise KeyError(f"no prototype for symbol {sym!r} used at cell {cell}")
-        return sym
 
 
 def facet_within(f: Facet, Q: frozenset[Site]) -> bool:
@@ -395,7 +389,7 @@ def discretize(spec: OperatorSpec) -> np.ndarray:
     grid points minus removed-facet points.  Lattice: see lattice_model.
     """
     geometry = _cells(spec)
-    return coded_bands(spec, geometry, spec.library.codes(map(spec.color_of, geometry[0])))
+    return coded_bands(spec, geometry, spec.library.codes(spec.coloring.colors(geometry[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -271,10 +271,6 @@ class PowerGauge:
     def __call__(self, x):
         return np.asarray(x, dtype=float) ** self.p
 
-    def increments(self, count: int) -> np.ndarray:
-        """phi(n) = F(n) - F(n-1) for n = 1..count."""
-        return np.diff(self(np.arange(0, count + 1, dtype=float)))
-
 
 def legendre(F: PowerGauge) -> Callable[[np.ndarray], np.ndarray]:
     """Closed-form Legendre transform G(y) = sup_{x >= 0} (x y - F(x))."""
@@ -312,25 +308,35 @@ class HsBound:
     terms: int
 
 
+def _phi_mu(mu: np.ndarray, F: PowerGauge) -> tuple[np.ndarray, float, bool]:
+    """The terms phi(n) mu_n of <phi, mu> (phi(n) = F(n) - F(n-1)), their sum, and whether
+    both are logarithms: they are where F(n) = n^p overflows, as at large p, with
+    log(phi(n) mu_n) = p log n + log(1 - (1 - 1/n)^p) + log mu_n.  Vanished
+    singular values contribute nothing (0, or -inf as a logarithm) even when phi overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        terms = np.where(mu > 0, np.diff(F(np.arange(len(mu) + 1.0))) * mu, 0.0)
+        total = float(np.sum(terms))
+        if math.isfinite(total):
+            return terms, total, False
+        n = np.arange(1, len(mu) + 1)
+        logs = F.p * np.log(n) + np.log(-np.expm1(F.p * np.log1p(-1.0 / n))) + np.log(mu)
+    return logs, float(np.logaddexp.reduce(logs)), True
+
+
 def hs_bound(series: SingularValueSeries, F: PowerGauge, T: float) -> HsBound:
-    """Upper bound exp(T) <phi, mu> for the integral of F(|xi|) below T."""
+    """Upper bound exp(T) <phi, mu> for the integral of F(|xi|) below T; +inf where it overflows."""
     mu = series.mu
     if len(mu) == 0:
         return HsBound(value=0.0, tail_ok=True, terms=0)
-    phi = F.increments(len(mu))
-    # Vanished singular values contribute nothing even when phi overflows.
-    terms = np.zeros_like(mu)
-    mask = mu > 0
-    terms[mask] = phi[mask] * mu[mask]
-    total = float(np.sum(terms))
+    terms, total, in_logs = _phi_mu(mu, F)
     # Divergence diagnostic: the partial sums have settled when the last
     # term is negligible or the terms are still decaying at the tail.
+    negligible = math.log(HS_TAIL_TOL) + total if in_logs else max(HS_TAIL_TOL, HS_TAIL_TOL * abs(total))
     tail = terms[-min(5, len(terms)):]
-    tail_ok = bool(
-        terms[-1] <= max(HS_TAIL_TOL, HS_TAIL_TOL * abs(total))
-        or np.all(np.diff(tail) <= 0)
-    )
-    return HsBound(value=float(math.exp(T) * total), tail_ok=tail_ok, terms=len(mu))
+    tail_ok = bool(terms[-1] <= negligible or np.all(tail[1:] <= tail[:-1]))
+    value = math.inf if in_logs else float(math.exp(T) * total)
+    return HsBound(value=value, tail_ok=tail_ok, terms=len(mu))
 
 
 def ssf_lp_integral(shift: SpectralShift, p: float) -> float:
@@ -351,14 +357,11 @@ def facet_ssf_norm_bound(
     F(n) = n^p overflows, as at large p, the sum is taken in logarithms.
     """
     p = window.p
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value = hs_bound(series, PowerGauge(p), window.sup).value
-        if math.isfinite(value):
-            return float(value ** (1.0 / p))
-        # phi(n) mu_n = n^p (1 - (1 - 1/n)^p) mu_n
-        n = np.flatnonzero(series.mu > 0) + 1
-        logs = p * np.log(n) + np.log(-np.expm1(p * np.log1p(-1.0 / n))) + np.log(series.mu[n - 1])
-    return math.exp((window.sup + np.logaddexp.reduce(logs)) / p)
+    _, total, in_logs = _phi_mu(series.mu, PowerGauge(p))
+    value = math.inf if in_logs else math.exp(window.sup) * total
+    if math.isfinite(value):
+        return float(value ** (1.0 / p))
+    return math.exp((window.sup + (total if in_logs else math.log(total))) / p)
 
 
 def young_check(

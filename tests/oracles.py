@@ -1,5 +1,7 @@
 """Independent computations the tests compare idslab's results against."""
 
+import hashlib
+import struct
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -25,6 +27,14 @@ def dense(B: np.ndarray) -> np.ndarray:
         H[j, j + k] = np.conjugate(B[: n - k, k])
         H[j + k, j] = B[: n - k, k]
     return H
+
+
+def _site_hash(seed: int, site) -> int:
+    """The 64-bit blake2b hash of (seed, site), one site at a time: the bitwise
+    reference for lattice._site_hashes.  The message packs the seed's low 63
+    bits and the site's coordinates as little-endian int64s, "<q{d}q"."""
+    buf = struct.pack(f"<q{len(site)}q", seed & (2**63 - 1), *site)
+    return int.from_bytes(hashlib.blake2b(buf, digest_size=8).digest(), "little")
 
 
 def pattern_from_word(word: str) -> Pattern:
@@ -54,10 +64,10 @@ def period_loop_frequencies(C, M: int) -> dict:
 def per_sample_mc(dist, library, grid, samples, R, backend=LATTICE):
     """Mean and standard error of the localized counting over samples, one sample at a time.
 
-    Each sample draws its coloring site by site (RandomColoring.color),
+    Each sample colours its own box (sample_coloring, RandomColoring.colors),
     assembles its operator on the centered box (discretize) and solves it
     through localized_counting, where pastur_shubin_mc colours all samples
-    by one hash pass and fills and solves them in groups.
+    by one iid_codes call and fills and solves them in groups.
     """
     d = library.dimension
     box = centered_box(R, d)

@@ -139,6 +139,12 @@ def test_bad_values_rejected():
     ("ids", {"prototypes": {"kind": "zero", "alphabet": 5}}, "config.prototypes.alphabet"),
     # sample_coloring packs each omega as a signed 64-bit integer
     ("random", {"random": {"omegas": [0, 2**63]}}, "config.random.omegas"),
+    # non-finite exponents and constants
+    ("ssf", {"backend": "continuum", "ssf": {"powers": [float("inf")]}}, "config.ssf.powers"),
+    ("ssf", {"backend": "continuum", "ssf": {"powers": [2, float("nan")]}}, "config.ssf.powers"),
+    ("ids", {"constants": {"C": float("nan")}}, "config.constants.C"),
+    ("weyl", {"constants": {"C1": float("inf")}}, "config.constants.C1"),
+    ("ids", {"constants": {"c_pd": 10**400}}, "config.constants.c_pd"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())
@@ -150,6 +156,18 @@ def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides
     assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+def test_ssf_at_a_large_power_reports_an_infinite_bound_that_holds(tmp_path, capsys):
+    # the p = 1000 bound exp(T) <phi, mu> has a logarithm of about 3,099
+    path = write_cfg(tmp_path, backend="continuum", resolution=4,
+                     ssf={"cells": 6, "count": 23, "powers": [2, 1000]})
+    assert main(["ssf", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert "2 L^p bounds hold" in capsys.readouterr().out
+    text = (tmp_path / "o" / "ssf_report.json").read_text()
+    bounds = json.loads(text)["lp_bounds"]
+    assert "NaN" not in text and bounds["p1000"]["hs_bound"] == float("inf")
+    assert bounds["p1000"]["holds"] is True and bounds["p2"]["holds"] is True
 
 
 def test_oversized_random_boxes_are_refused_before_any_is_listed(tmp_path):

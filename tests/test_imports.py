@@ -492,6 +492,36 @@ def test_counts_are_certified_in_one_place():
     assert calls_outside(sources, COUNT_CERTIFICATES, CERTIFICATE_SITES) == []
 
 
+# the i.i.d. coloring hashes sites in lattice alone, so a change of hash stays in one module
+SITE_HASHES = re.compile("_site_hashes")
+SITE_HASH_SITES = {"lattice.py: iid_seeds", "lattice.py: iid_codes"}
+
+
+def test_checker_flags_site_hash_calls():
+    source = (
+        "from lattice import _site_hashes\n"
+        "import lattice\n"
+        "def iid_codes(seeds, weights, sites):\n"
+        "    return _site_hashes(seeds, sites)\n"
+        "def sample_seeds(seed, count):\n"
+        "    return lattice._site_hashes([seed], np.arange(count)[:, None])[0]\n"
+        "def note():\n"
+        "    return '_site_hashes hashes (seed, site)'\n"
+    )
+    assert calls_outside({"lattice.py": source}, SITE_HASHES, {"lattice.py: iid_codes"}) == [
+        "lattice.py: sample_seeds calls _site_hashes",
+    ]
+    assert calls_outside({"montecarlo.py": source}, SITE_HASHES, SITE_HASH_SITES) == [
+        "montecarlo.py: iid_codes calls _site_hashes",
+        "montecarlo.py: sample_seeds calls _site_hashes",
+    ]
+
+
+def test_site_hashes_are_taken_only_in_lattice():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert calls_outside(sources, SITE_HASHES, SITE_HASH_SITES) == []
+
+
 def _outside(node: ast.AST, skip: str):
     """node and its descendants, leaving out the functions named skip."""
     yield node

@@ -320,6 +320,39 @@ def test_periodic_coloring_periodicity():
         assert C.color(site) == C.color(shifted)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=40),
+    st.integers(0, 2**64 - 1),
+)
+def test_colors_match_color_site_by_site(sites, seed):
+    random_coloring = RandomColoring(seed=seed, symbols=("a", "b", "c"), weights=(0.3, 0.0, 0.7), dim=2)
+    colorings = [
+        PeriodicColoring(period=(2, 3), cell={(x, y): "ab"[(x * y) % 2] for x in range(2) for y in range(3)}),
+        WindowColoring(window={(0, 0): "x", (1, -1): "y"}, background="b", dim=2),
+        random_coloring,
+        # a pattern on [-4, 4]^2: sites outside it raise KeyError
+        random_coloring.restrict(frozenset(product(range(-4, 5), repeat=2))),
+    ]
+    for C in colorings:
+        try:
+            want = [C.color(s) for s in sites]
+        except KeyError:
+            with pytest.raises(KeyError, match="outside pattern domain"):
+                C.colors(sites)
+        else:
+            assert C.colors(sites) == want
+    # the zero-weight symbol is never drawn
+    assert "b" not in random_coloring.colors(sites)
+
+
+def test_pattern_colors_refuse_a_site_outside_the_domain():
+    P = pattern_from_word("ab")
+    assert P.colors([(1,), (0,)]) == ["b", "a"]
+    with pytest.raises(KeyError, match="outside pattern domain"):
+        P.colors([(0,), (2,)])
+
+
 def test_random_coloring_deterministic_and_total():
     C = RandomColoring(seed=42, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
     v1 = [C.color((i, j)) for i in range(-5, 5) for j in range(-5, 5)]

@@ -8,11 +8,10 @@ import pytest
 import scipy.linalg
 
 from idslab import lattice, montecarlo, operators, spectral
-from idslab.lattice import _site_hash, _site_hashes, cube
+from idslab.lattice import _site_hashes, cube, iid_codes
 from idslab.montecarlo import (
     McEstimate,
     SiteDistribution,
-    _symbol_codes,
     centered_box,
     compare_random_ids,
     estimates_agree,
@@ -24,7 +23,7 @@ from idslab.montecarlo import (
 )
 from idslab.operators import OperatorSpec, Prototype, PrototypeLibrary, discretize
 from idslab.spectral import EnergyWindow, NumericalFailure
-from oracles import pattern_from_word, per_sample_mc
+from oracles import _site_hash, pattern_from_word, per_sample_mc
 
 LIB_A = PrototypeLibrary.constant_potentials({"a": 0.0}, 4, 1)
 LIB_AB = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 4, 1)
@@ -85,10 +84,16 @@ def test_site_hashes_match_site_hash_site_by_site(sites):
     got = _site_hashes(seeds, np.array(sites))
     assert got.dtype == np.uint64 and got.shape == (len(seeds), len(sites))
     assert got.tolist() == [[_site_hash(int(seed), tuple(x)) for x in sites] for seed in seeds]
+    # iid_codes draws each site's symbol from that site's hash
+    weights = (0.2, 0.5, 0.3)
+    assert iid_codes(seeds, weights, np.array(sites)).tolist() == [
+        [_first_exceeding(weights, _site_hash(int(seed), tuple(x)) / 2.0**64) for x in sites]
+        for seed in seeds
+    ]
 
 
 def _first_exceeding(weights, u):
-    # RandomColoring.color's loop
+    # the i.i.d. rule site by site: a running weight loop
     acc = 0.0
     for k, w in enumerate(weights):
         acc += w
@@ -98,7 +103,7 @@ def _first_exceeding(weights, u):
 
 
 @pytest.mark.parametrize("weights", [(0.2, 0.5, 0.3), (0.6, 0.0, 0.4), (0.1,) * 10, (1.0,)])
-def test_symbol_codes_follow_the_running_weight_rule(weights):
+def test_symbol_codes_follow_the_running_weight_rule(weights, monkeypatch):
     running = np.cumsum(weights)
     assert running[-1] <= 1.0  # for (0.1,) * 10 the float sum is 1 - 2**-53
     u = np.concatenate([
@@ -106,7 +111,13 @@ def test_symbol_codes_follow_the_running_weight_rule(weights):
         np.random.default_rng(0).random(200),
     ])
     u = u[u <= 1.0]
-    assert _symbol_codes(weights, u).tolist() == [_first_exceeding(weights, x) for x in u]
+    # the hashes that iid_codes divides by 2^64 to get these uniforms (2^64 - 1 rounds to 1)
+    hashes = np.array([min(int(x * 2.0**64), 2**64 - 1) for x in u], dtype=np.uint64)
+    monkeypatch.setattr(lattice, "_site_hashes", lambda seeds, sites: hashes[None])
+    u = hashes / 2.0**64
+    assert iid_codes([0], weights, np.zeros((len(u), 1)))[0].tolist() == [
+        _first_exceeding(weights, x) for x in u
+    ]
 
 
 def test_symbol_frequency_binomial():
@@ -324,7 +335,7 @@ def _count_per_sample_calls(monkeypatch):
     targets = [
         (montecarlo, "coded_bands"), (montecarlo, "eigensystem"),
         (montecarlo, "eigenvalues"), (montecarlo, "tridiagonal_masses"),
-        (lattice.RandomColoring, "color"),
+        (lattice.RandomColoring, "color"), (lattice.RandomColoring, "colors"),
     ]
     for owner, name in targets:
         def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
@@ -509,7 +520,7 @@ def test_chains_cut_by_a_facet_keep_the_eigensystem(monkeypatch):
     cut = operators.add_facet_dirichlet(spec, operators.Facet(anchor=(1,), axis=0))
     calls = _count_per_sample_calls(monkeypatch)
     counts = localized_counting(cut, np.linspace(0.0, 40.0, 9))
-    assert calls == Counter(coded_bands=1, eigensystem=1, color=5)
+    assert calls == Counter(coded_bands=1, eigensystem=1, colors=1)  # its five cells in one batch
     assert counts[-1] == pytest.approx(3.0)  # every eigenvalue is below 40: the origin's three points
 
 

@@ -12,6 +12,7 @@ import idslab.montecarlo
 import idslab.ssf
 from idslab.ergodic import AlmostAdditiveField
 from idslab.lattice import (
+    Coloring,
     Pattern,
     PeriodicColoring,
     RandomColoring,
@@ -245,7 +246,7 @@ def test_all_internal_facets_of_c2_2d():
     lib = PrototypeLibrary.zero(["a"], n, 2)
     C = periodic_word("a")
 
-    class Const2:
+    class Const2(Coloring):
         dimension = 2
         alphabet = ("a",)
 
@@ -433,7 +434,7 @@ def _dict_loop_discretize(spec):
     index = {p: i for i, p in enumerate(_set_loop_grid_points(spec))}
 
     def sample(p, component):
-        proto = spec.library[spec.color_of(tuple(c // n for c in p))]
+        proto = spec.library[spec.coloring.color(tuple(c // n for c in p))]
         local = tuple(c % n for c in p)
         return float((proto.v if component is None else proto.a[component])[local])
 

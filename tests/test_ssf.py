@@ -363,6 +363,23 @@ def test_norm_bound_at_large_p_is_the_exact_sum():
     assert ssf.facet_ssf_norm_bound(series, EnergyWindow(0.0, 60.0, p=2.0)) == direct
 
 
+@pytest.mark.parametrize("rate", [0.7, 40.0])
+def test_hs_bound_at_large_p_is_infinite_with_an_exact_tail_verdict(rate):
+    # at p = 1000 the terms n^p (1 - (1 - 1/n)^p) mu_n still grow at rate 0.7 and fall at rate 40
+    mu = np.exp(-rate * np.arange(1, 41))
+    got = hs_bound(SingularValueSeries(mu=mu), PowerGauge(1000.0), 60.0)
+    assert got.value == math.inf and got.terms == 40
+    exact = [(n**1000 - (n - 1) ** 1000) * Fraction(m) for n, m in enumerate(mu, start=1)]
+    settled = exact[-1] <= Fraction(ssf.HS_TAIL_TOL) * sum(exact)
+    decaying = all(b <= a for a, b in zip(exact[-5:], exact[-4:]))
+    assert got.tail_ok is (settled or decaying) is (rate > 1.0)
+    # where the sum is finite, the bound is the direct sum's
+    series = SingularValueSeries(mu=mu)
+    assert hs_bound(series, PowerGauge(3.0), 2.0).value == math.exp(2.0) * float(
+        np.sum(np.diff(np.arange(41.0) ** 3.0) * mu)
+    )
+
+
 def test_semigroup_keeps_the_eigenvectors_it_can_see():
     # a d=2 continuum band whose spectrum spans about 500, far beyond SEMIGROUP_SPAN
     _, _, specA, _, _ = next(p for p in _facet_pairs() if p[0] == "d2-checker-3c-n8")
