@@ -120,12 +120,13 @@ def _oracle_window_tally(C, U, M) -> dict[tuple, int]:
     """Window-pattern tally built from scratch: explicit min-corner shifting."""
     d = len(next(iter(U)))
     lo, hi = bounding_box(U)
+    color = dict(zip(U, C.colors(U)))  # one batch; a set iterates in one order
     tally: dict[tuple, int] = {}
     for x in product(*(range(lo[i] - 1, hi[i] + 2) for i in range(d))):
         cells = list(product(*(range(x[i], x[i] + M) for i in range(d))))
         if all(tuple(c) in U for c in cells):
             key = tuple(sorted(
-                (tuple(ci - xi for ci, xi in zip(c, x)), C.color(tuple(c)))
+                (tuple(ci - xi for ci, xi in zip(c, x)), color[tuple(c)])
                 for c in cells
             ))
             tally[key] = tally.get(key, 0) + 1

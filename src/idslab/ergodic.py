@@ -181,15 +181,15 @@ def calibration_pair(
         backend=backend, resolution=library.resolution,
     )
     band = discretize(spec)
-    _, ea = _solve_once(band, math.inf)
+    _, a = _solve_once(band, math.inf)
     if backend == CONTINUUM:
         specB = add_facet_dirichlet(spec, Facet(anchor=e1, axis=0))
         band, embed = discretize(specB), grid_embedding(spec, specB)
     else:
         # the bond from the origin (row 0) to e1 (row 1) is H[1, 0] = B[0, 1]
         band[0, 1], embed = 0.0, None
-    _, eb = _solve_once(band, math.inf)
-    mu = _difference_singular_values(ea, eb, embed, None)
+    _, b = _solve_once(band, math.inf)
+    mu = _difference_singular_values(a, b, embed, None)
     return SingularValueSeries(mu=mu, source=f"calibration {backend} d={d}")
 
 

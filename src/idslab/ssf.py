@@ -10,8 +10,9 @@ inequality) convert the singular values into bounds on integrals of the
 shift function.
 
 V_eff is Hermitian, so its singular values are the absolute values of its
-eigenvalues (one dense eigvalsh, no SVD).  facet_experiment solves each of
-its two operators once: the eigendecomposition that forms exp(-H) also
+eigenvalues: those of a problem of order k_A + k_B, from the k eigenpairs each
+semigroup keeps (no SVD, no N x N matrix).  facet_experiment solves each of
+its two operators once: the eigendecomposition that gives the eigenpairs also
 gives the eigenvalues of the shift function, whose counts below the window
 top are certified by Sylvester inertia as in spectral.eigenvalues.
 """
@@ -29,7 +30,6 @@ from .spectral import (
     EnergyWindow,
     NumericalFailure,
     StepFunction,
-    assert_hermitian,
     certified_below,
     counting_function,
     eigensystem,
@@ -51,6 +51,8 @@ HS_TAIL_TOL = 1e-14
 # weight e^-lambda is below eps^2 * ||exp(-H)||, so by Weyl's inequality no
 # singular value of V_eff moves by more than 2 eps^2 * ||exp(-H)||
 SEMIGROUP_SPAN = -2.0 * math.log(np.finfo(float).eps)
+# H's eigenvalues w, ascending, and the eigenvectors U of those within SEMIGROUP_SPAN
+Eigenpairs = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -126,37 +128,32 @@ def _shift(eigs_a: np.ndarray, eigs_b: np.ndarray, window: EnergyWindow) -> Spec
     return SpectralShift(xi=subtract(na, nb).coalesce(SHIFT_MERGE_TOL), window=window)
 
 
-def _semigroup(w: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """exp(-H) from H's eigenvalues w and the eigenvectors U of the lowest (time 1)."""
-    return (U * np.exp(-w[: U.shape[1]])) @ U.conj().T
-
-
 def _difference_singular_values(
-    ea: np.ndarray, eb: np.ndarray, embed: Sequence[int] | None, count: int | None
+    a: Eigenpairs, b: Eigenpairs, embed: Sequence[int] | None, count: int | None
 ) -> np.ndarray:
-    """Singular values of V_eff = eb - ea, descending; ea is overwritten by V_eff.
-
-    When eb acts on a subset of ea's index set, embed gives eb's row/column
-    positions inside ea's indexing and eb counts as zero at the removed
-    indices.  V_eff is Hermitian, so its singular values are the absolute
-    values of its eigenvalues.
+    """Singular values of V_eff = exp(-H_B) - exp(-H_A), descending, from a = (w_A, U_A)
+    and b = (w_B, U_B).  When H_B acts on a subset of H_A's index set, embed gives
+    H_B's row/column positions inside H_A's indexing and exp(-H_B) counts as zero
+    at the removed indices.  V_eff = W S W^H with W = [U_A, P U_B] (P places U_B's
+    rows at embed) and S = diag(-e^-w_A, e^-w_B); with W = Q R, its nonzero
+    eigenvalues are those of the Hermitian R S R^H, of order at most k_A + k_B.
     """
-    if embed is None and eb.shape != ea.shape:
+    (wa, Ua), (wb, Ub) = a, b
+    n, ka = Ua.shape
+    if embed is None and Ub.shape[0] != n:
         raise ValueError("need embedding indices when dimensions differ")
-    if embed is not None and len(embed) != eb.shape[0]:
+    if embed is not None and len(embed) != Ub.shape[0]:
         raise ValueError("embedding index count must match HB's dimension")
-    # -ea + eb has the bits of eb - ea, without a padded copy of eb
-    np.negative(ea, out=ea)
-    if embed is None:
-        ea += eb
-    else:
-        idx = np.asarray(embed, dtype=int)
-        ea[np.ix_(idx, idx)] += eb
-    assert_hermitian(ea)
+    W = np.zeros((n, ka + Ub.shape[1]), dtype=np.result_type(Ua, Ub))
+    W[:, :ka] = Ua
+    W[slice(None) if embed is None else np.asarray(embed, dtype=int), ka:] = Ub
+    s = np.concatenate([-np.exp(-wa[:ka]), np.exp(-wb[: Ub.shape[1]])])
+    R = np.linalg.qr(W, mode="r")
+    mu = np.zeros(n)
     try:
-        mu = np.sort(np.abs(np.linalg.eigvalsh(ea)))[::-1]
+        mu[: len(R)] = np.sort(np.abs(np.linalg.eigvalsh((R * s) @ R.conj().T)))[::-1]
     except np.linalg.LinAlgError as e:
-        raise NumericalFailure(f"np.linalg.eigvalsh failed ({e}) on V_eff of order {len(ea)}") from None
+        raise NumericalFailure(f"np.linalg.eigvalsh failed ({e}) on R S R^H of order {len(R)}") from None
     return mu if count is None else mu[:count]
 
 
@@ -175,16 +172,16 @@ def semigroup_difference_singular_values(
     zeros at the removed indices (the removed states are absent, which is
     the discrete counterpart of restriction to the slit domain).
     """
-    _, ea = _solve_once(lower_band(HA), np.inf)
-    _, eb = _solve_once(lower_band(HB), np.inf)
-    return _difference_singular_values(ea, eb, embed, count)
+    _, a = _solve_once(lower_band(HA), np.inf)
+    _, b = _solve_once(lower_band(HB), np.inf)
+    return _difference_singular_values(a, b, embed, count)
 
 
-def _solve_once(B: np.ndarray, ceiling: float) -> tuple[np.ndarray, np.ndarray]:
-    """Certified eigenvalues <= ceiling and exp(-H) of the band B, from one eigensystem."""
+def _solve_once(B: np.ndarray, ceiling: float) -> tuple[np.ndarray, Eigenpairs]:
+    """Certified eigenvalues <= ceiling and the Eigenpairs of the band B, from one eigensystem."""
     w, U = eigensystem(B, SEMIGROUP_SPAN)
     [below], _ = certified_below([B], [w], ceiling)
-    return below, _semigroup(w, U)
+    return below, (w, U)
 
 
 def _facet_pair(
@@ -199,12 +196,12 @@ def _facet_pair(
     """
     if not specs_facet_related(specA, specB):
         raise ValueError("specB must be specA plus extra Dirichlet facets")
-    eigs_a, ea = _solve_once(discretize(specA), ceiling)
-    eigs_b, eb = _solve_once(discretize(specB), ceiling)
-    mu = _difference_singular_values(ea, eb, grid_embedding(specA, specB), count)
+    eigs_a, a = _solve_once(discretize(specA), ceiling)
+    eigs_b, b = _solve_once(discretize(specB), ceiling)
+    mu = _difference_singular_values(a, b, grid_embedding(specA, specB), count)
     src = (
         f"facets+{len(specB.removed_facets) - len(specA.removed_facets)}"
-        f" dim={ea.shape[0]} n={specA.resolution}"
+        f" dim={len(a[1])} n={specA.resolution}"
     )
     return eigs_a, eigs_b, SingularValueSeries(mu=mu, source=src)
 

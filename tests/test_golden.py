@@ -11,7 +11,13 @@ of the Hermitian difference, and the shift function to the eigenvalues of
 the same eigendecompositions (changes of a few ulps).  The ``random`` files
 were re-recorded when the d=1 Monte Carlo estimates moved from eigenvector
 solves to eigenvalues plus twisted-factorization origin masses (changes of
-at most 7e-16).
+at most 7e-16).  The ``ssf`` ``singular_values.csv`` and ``ssf_report.json``
+and the ``ids-random-2d`` report were re-recorded when V_eff's eigenvalues
+moved from a dense eigvalsh of the N x N difference to a QR of the kept
+eigenvectors and a problem of order k_A + k_B: the singular values moved by at
+most 2.6e-3 relative, in the values near 1e-16; the decay fit by at most
+2.1e-7 (C2_hat); the ids-random-2d bounds by at most 2.8e-16; xi.csv did not
+move.
 """
 
 import hashlib
@@ -80,7 +86,7 @@ GOLDEN = {
         "direct_route_j256.csv": "673dcfc58374625ecc9ac7bb4946dfa33d08b931a959c43eef29537232a20c5a",
         "direct_route_j576.csv": "111cb29d4509e7d13c1ca54dbc5aff5486188ae7fb59b752aeec77629a482981",
         "direct_route_j64.csv": "7f60b6cf30977c8e66d5ca41062e16411e4adafadda90ec1706c085517bbf026",
-        "ids_report.json": "2ce81b31cdc881044957a37aab1dc131f96cd17a90b430afc8dd0a675675ac47",
+        "ids_report.json": "ec3aac586aef500a9d5a6708186b34db0e38da8f90b632124154550081ffc5fd",
         "pattern_route_M1.csv": "ffd0e698d58660f0a9608980849038b6928c1d25d239e7a1df1e9b7c18d7da47",
         "pattern_route_M2.csv": "d901c89f4959121a5377d1a8baaaafdf5fc9937cc64f55cf44f32149efaa77db",
         "pattern_route_M3.csv": "e582b70c315b9517c0618c5b3c808d97203bcca7b63621118e651c6435fa213d",
@@ -93,8 +99,8 @@ GOLDEN = {
         "random_report.json": "d3022e44223f3048fa0d8ddbd595e8b0f4cbc9f4a9c4f7724bc1fea8ecff3aba",
     },
     "ssf": {
-        "singular_values.csv": "c6f6af3b1e6d22123c1a8a4ab47672b4d7e302b7b4ef75115fcdb45c58856fec",
-        "ssf_report.json": "e70c067c85df09958a09da6057c5fd0c8c118493f1383cb8c865d459aacf161b",
+        "singular_values.csv": "e600268cd79e2edef0ab06e1913072fbb3695c621b2798756d723d947340d85b",
+        "ssf_report.json": "681b323f346452ac87ab027d860a9ec42b6b85d0e1874c94a26b36e97115deeb",
         "xi.csv": "0e350698c1ff2c661ac56f16dfbdd9707823ea3b50e34a023819338842be40f3",
     },
 }

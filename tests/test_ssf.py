@@ -2,20 +2,23 @@
 
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idslab import cli, ssf
+from idslab import cli, ergodic, ssf
 from idslab.acceptance import _facet_pairs
-from idslab.lattice import cube, periodic_word
+from idslab.lattice import PeriodicColoring, cube, periodic_word
 from idslab.operators import (
     Facet,
     OperatorSpec,
+    Prototype,
     PrototypeLibrary,
     add_facet_dirichlet,
     discretize,
@@ -192,16 +195,60 @@ def test_semigroup_difference_keeps_its_arguments():
         assert (HA.tobytes(), HB.tobytes()) == before
 
 
+def _pair(name):
+    return next(p for p in _facet_pairs() if p[0] == name)
+
+
+def _svd_oracle(specA, specB):
+    return svd_semigroup_difference_singular_values(
+        dense(discretize(specA)), dense(discretize(specB)), embed=grid_embedding(specA, specB)
+    )
+
+
 def test_facet_decay_fit_matches_svd_oracle():
-    """c_hat of the acceptance facet pairs is the SVD route's to 1e-7 relative."""
+    """c_hat of the acceptance facet pairs with potentials is the SVD route's to 1e-7
+    relative; the zero-potential pairs are checked against their exact values below."""
     for name, d, specA, specB, _window in _facet_pairs():
+        if name in EXACT_VEFF:
+            continue
         fit = fit_decay(veff_singular_values(specA, specB), d=d)
-        oracle = svd_semigroup_difference_singular_values(
-            dense(discretize(specA)), dense(discretize(specB)), embed=grid_embedding(specA, specB)
-        )
-        fit_oracle = fit_decay(SingularValueSeries(mu=oracle), d=d)
+        fit_oracle = fit_decay(SingularValueSeries(mu=_svd_oracle(specA, specB)), d=d)
         assert fit.points_used == fit_oracle.points_used, name
         assert fit.c_hat == pytest.approx(fit_oracle.c_hat, rel=1e-7), name
+
+
+# exact singular values of V_eff for the zero-potential facet pairs (tests/exact_veff.py)
+EXACT_VEFF = json.loads((Path(__file__).parent / "data" / "exact_veff.json").read_text())["pairs"]
+# the c_hat of each route's singular values lies within this of the exact c_hat
+# (2.3e-7 at most, on d1-zero-16c-n16)
+EXACT_C_HAT_RTOL = 1e-6
+# each singular value lies within this multiple of eps ||H_A|| mu_1 of the exact one:
+# the float64 eigenvalues of H_A and H_B are off by about eps ||H||, which moves
+# e^-lambda by that times e^-lambda, in both routes alike (1.04 at most, on d2-zero-3c-n8)
+EXACT_MU_ABS = 2.0
+# and each one above the decay fit's floor within this relative distance (2.3e-5 at most)
+EXACT_MU_RTOL = 1e-4
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_VEFF))
+def test_zero_potential_facet_pairs_match_their_exact_singular_values(name):
+    """The rank-k route and the dense SVD against singular values computed from the
+    closed-form eigenpairs at 40 digits (tests/exact_veff.py)."""
+    _, d, specA, specB, _window = _pair(name)
+    exact = EXACT_VEFF[name]
+    # the stored values are those at or above 1e-18; the rest are below it
+    mu_exact = np.array(exact["mu"] + [0.0] * (exact["order"] - len(exact["mu"])))
+    norm_HA = 4 * d * specA.resolution**2  # the Laplacian's spectrum lies in [0, 4 d n^2]
+    above = mu_exact >= ssf.SINGULAR_VALUE_FLOOR
+    routes = {"rank-k": veff_singular_values(specA, specB).mu, "svd": _svd_oracle(specA, specB)}
+    for route, mu in routes.items():
+        assert mu.shape == mu_exact.shape, route
+        fit = fit_decay(SingularValueSeries(mu=mu), d=d)
+        assert fit.points_used == exact["points_used"], route
+        assert fit.c_hat == pytest.approx(exact["c_hat"], rel=EXACT_C_HAT_RTOL), route
+        err = np.abs(mu - mu_exact)
+        assert np.max(err) <= EXACT_MU_ABS * np.finfo(float).eps * norm_HA * mu_exact[0], route
+        assert np.max(err[above] / mu_exact[above]) <= EXACT_MU_RTOL, route
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +428,82 @@ def test_hs_bound_at_large_p_is_infinite_with_an_exact_tail_verdict(rate):
 
 
 def test_semigroup_keeps_the_eigenvectors_it_can_see():
-    # a d=2 continuum band whose spectrum spans about 500, far beyond SEMIGROUP_SPAN
-    _, _, specA, _, _ = next(p for p in _facet_pairs() if p[0] == "d2-checker-3c-n8")
-    B = discretize(specA)
+    """The eigenpairs beyond SEMIGROUP_SPAN carry weights e^-lambda below eps^2 ||exp(-H)||,
+    so by Weyl's inequality no singular value of V_eff moves by more than 2 eps^2 ||exp(-H)||;
+    the kept-span and full-span routes then differ by their rounding alone."""
+    # a d=2 continuum pair whose spectra span about 500, far beyond SEMIGROUP_SPAN
+    _, _, specA, specB, _ = _pair("d2-checker-3c-n8")
     assert ssf.SEMIGROUP_SPAN == pytest.approx(72.08, abs=0.01)
-    w, U = ssf.eigensystem(B)
-    ws, Us = ssf.eigensystem(B, ssf.SEMIGROUP_SPAN)
-    assert np.count_nonzero(w <= w[0] + ssf.SEMIGROUP_SPAN) == Us.shape[1] < len(B) // 4
-    full, kept = ssf._semigroup(w, U), ssf._semigroup(ws, Us)
-    assert np.max(np.abs(kept - full)) <= 1e-15 * np.exp(-w[0])
+    bands = discretize(specA), discretize(specB)
+    full = [ssf.eigensystem(B) for B in bands]
+    kept = [ssf._solve_once(B, np.inf)[1] for B in bands]
+    eps = np.finfo(float).eps
+    norm = np.exp(-full[0][0][0])  # ||exp(-H_A)||, at least ||exp(-H_B)||
+    for (w, U), (ws, Us), B in zip(full, kept, bands):
+        k = Us.shape[1]
+        assert np.array_equal(w, ws) and np.count_nonzero(w <= w[0] + ssf.SEMIGROUP_SPAN) == k < len(B) // 4
+        assert np.exp(-w[k]) <= eps**2 * norm
+    embed = grid_embedding(specA, specB)
+    mu_full = ssf._difference_singular_values(*full, embed, None)
+    mu_kept = ssf._difference_singular_values(*kept, embed, None)
+    assert np.max(np.abs(mu_kept - mu_full)) <= 2 * eps**2 * norm + 1e-15 * norm
+
+
+def _calibration_pair_operators(coloring, lib, backend):
+    """The dense H_A, H_B and embedding of ergodic.calibration_pair, built independently."""
+    d = coloring.dimension
+    e1 = (1,) + (0,) * (d - 1)
+    specA = OperatorSpec(Q=frozenset({(0,) * d, e1}), coloring=coloring, library=lib,
+                         backend=backend, resolution=lib.resolution)
+    HA = dense(discretize(specA))
+    if backend == "lattice":
+        HB = HA.copy()
+        HB[0, 1] = HB[1, 0] = 0.0  # the bond between the two cells is cut
+        return HA, HB, None
+    specB = add_facet_dirichlet(specA, Facet(anchor=e1, axis=0))
+    return HA, dense(discretize(specB)), grid_embedding(specA, specB)
+
+
+CHECKER = PeriodicColoring(period=(2, 2), cell={(0, 0): "a", (1, 0): "b", (0, 1): "b", (1, 1): "a"})
+
+
+@pytest.mark.parametrize("coloring, a_value, backend", [
+    (periodic_word("ab"), None, "continuum"), (CHECKER, None, "lattice"),
+    (CHECKER, [0.3, -0.2], "continuum"),
+], ids=["wide-R", "bond-cut", "magnetic"])
+def test_calibration_pairs_match_svd_oracle(coloring, a_value, backend):
+    """The rank-k step where k_A + k_B >= N (R is wide), without an embedding (the
+    lattice bond cut), and on complex bands agrees with the dense SVD."""
+    d, n = coloring.dimension, 4
+    lib = PrototypeLibrary([Prototype.constant("a", 0.0, n, d, a_value),
+                            Prototype.constant("b", 1.0, n, d)])
+    HA, HB, embed = _calibration_pair_operators(coloring, lib, backend)
+    (_, (_, UA)), (_, (_, UB)) = (ssf._solve_once(ssf.lower_band(H), np.inf) for H in (HA, HB))
+    if a_value is None:
+        assert UA.shape[1] + UB.shape[1] >= len(HA)
+    else:
+        assert np.iscomplexobj(HA) and np.iscomplexobj(UA)
+    mu = ergodic.calibration_pair(coloring, lib, backend).mu
+    oracle = svd_semigroup_difference_singular_values(HA, HB, embed=embed)
+    assert mu.shape == oracle.shape
+    assert np.max(np.abs(mu - oracle)) <= 1e-14 * max(1.0, oracle[0])
+
+
+def test_difference_singular_values_form_no_square_matrix():
+    """On d2-checker-3c-n8 (N = 529, k = 49 + 48) the rank-k step allocates less than one
+    N x N float64 array at its peak."""
+    _, _, specA, specB, _ = _pair("d2-checker-3c-n8")
+    a, b = (ssf._solve_once(discretize(spec), np.inf)[1] for spec in (specA, specB))
+    embed = grid_embedding(specA, specB)
+    n = len(a[1])
+    assert (n, a[1].shape[1], b[1].shape[1]) == (529, 49, 48)
+    tracemalloc.start()
+    try:
+        ssf._difference_singular_values(a, b, embed, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
 
 
 def test_hs_bound_dominates_direct_integral():
