@@ -175,13 +175,13 @@ def criterion_1_pattern_oracles():
         size = rng.randint(2, min(400, len(box)))
         Q = frozenset(rng.sample(box, size))
         M = rng.randint(1, 3)
-        got = _tally_to_oracle_key(enumerate_window_patterns(C, Q, M))
+        Pp = C.restrict(Q)
+        got = _tally_to_oracle_key(enumerate_window_patterns(Pp, M))
         want = _oracle_window_tally(C, Q, M)
         if got != want:
             mismatches += 1
         small = frozenset(rng.sample(sorted(Q), min(len(Q), rng.randint(1, 5))))
         P = C.restrict(small)
-        Pp = C.restrict(Q)
         if occurrences(P, Pp) != _oracle_occurrences(P, Pp):
             mismatches += 1
     return mismatches == 0, {"instances": ORACLE_INSTANCES, "mismatches": mismatches}
@@ -227,15 +227,16 @@ def criterion_2_frequencies():
     for name, C in _acceptance_colorings().items():
         d = C.dimension
         js = list(range(8, 65)) if d == 1 else [8, 9, 12, 13, 16, 17, 24, 25, 32, 33, 48, 49, 63, 64]
+        cubes = {j: C.restrict(cube(j, d)) for j in js}
         for M in (1, 2, 3):
             table = exact_frequency_table(C, M)
             if table.total() != 1:
                 sums_exact = False
-            tallies = {j: enumerate_window_patterns(C, cube(j, d), M) for j in js}
+            tallies = {j: enumerate_window_patterns(cubes[j], M) for j in js}
             bounds_count = {j: len(boundary(cube(j, d), M)) for j in js}
             for P, nu in table.entries.items():
                 def deficit(j):
-                    occ = tallies[j].get(P.canonical(), 0)
+                    occ = tallies[j].get(P, 0)
                     return abs(Fraction(occ) - nu * Fraction(j**d))
 
                 K_P = fit_frequency_rate_constant(

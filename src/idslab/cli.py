@@ -97,8 +97,8 @@ def _check_exp_hi(window) -> None:
 def _frequency_tables(cfg: ExperimentConfig, coloring, Ms):
     if isinstance(coloring, PeriodicColoring):
         return {M: exact_frequency_table(coloring, M) for M in Ms}
-    U = build_sequence(cfg)[-1]
-    return {M: estimated_frequency_table(coloring, U, M) for M in Ms}
+    P = coloring.restrict(build_sequence(cfg)[-1])
+    return {M: estimated_frequency_table(P, M) for M in Ms}
 
 
 def _check_cap(cfg: ExperimentConfig, key: str, boxes) -> int:
@@ -144,7 +144,10 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     if window.sup + c["C"] < 0:
         raise ConfigError("config.window.hi: the counting-form bound needs hi + constants.C >= 0")
     _check_exp_hi(window)
-    d = cfg.dimension
+    d, last = cfg.dimension, cfg.sequence["sides"][-1]
+    if not isinstance(coloring, PeriodicColoring) and max(cfg.M_list) > last:
+        raise ConfigError(f"config.M_list: M = {max(cfg.M_list)} exceeds the last box side "
+                          f"{last}, whose windows estimate the frequency table")
     _check_cap(cfg, "matrix_cap", [(s,) * d for s in [*cfg.sequence["sides"], *cfg.M_list]])
     # the calibration pair on the cells 0 and e_1
     _check_cap(cfg, "dense_cap", [(2,) + (1,) * (d - 1)])

@@ -190,8 +190,9 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"config.constants.{key}: expected a number")
         _finite(val, f"config.constants.{key}")
-        if val < lo:
-            raise ConfigError(f"config.constants.{key}: must be >= {lo}")
+        strict = key in ("C", "c_pd")  # the counting-form bound needs both positive
+        if val < lo or (strict and val == lo):
+            raise ConfigError(f"config.constants.{key}: must be {'>' if strict else '>='} {lo}")
     if cfg.constants["delta"] >= 1.0:
         raise ConfigError("config.constants.delta: must be < 1")
 

@@ -266,26 +266,22 @@ class DirectRoute:
     consecutive_distances: tuple[float, ...]
 
 
-def direct_route(
-    field: AlmostAdditiveField, sequence: Sequence[frozenset[Site]]
-) -> DirectRoute:
-    """F(U_j)/#U_j for each member of a van Hove sequence; VanHoveError unless
-    its last 1-boundary ratio is below its first."""
-    if not sequence:
+def direct_route(field: AlmostAdditiveField, patterns: Sequence[Pattern]) -> DirectRoute:
+    """F(P_j)/#D(P_j) for the field's restriction P_j to each member of a van Hove
+    sequence; VanHoveError unless its last 1-boundary ratio is below its first."""
+    if not patterns:
         raise ValueError("need a nonempty sequence")
-    ratios = van_hove_ratios(sequence, 1)
+    ratios = van_hove_ratios([P.domain for P in patterns], 1)
     if len(ratios) > 1 and ratios[-1] >= ratios[0]:
         raise VanHoveError(
             "sequence fails the van Hove sanity check: boundary/volume ratios do not decay"
         )
-    normalized = [
-        field.evaluate(U).scale(1.0 / len(U)) for U in sequence
-    ]
+    normalized = [field.evaluate_pattern(P).scale(1.0 / len(P.sites)) for P in patterns]
     dists = tuple(
         lp_distance(a, b, field.window) for a, b in zip(normalized, normalized[1:])
     )
     return DirectRoute(
-        volumes=tuple(len(U) for U in sequence),
+        volumes=tuple(len(P.sites) for P in patterns),
         normalized=tuple(normalized),
         consecutive_distances=dists,
     )
@@ -419,28 +415,22 @@ def two_route_experiment(
 
     tables maps window side M to the frequency table used by the pattern
     route; the bound for a pair (U_j, M) uses the two-sided M-boundary ratio
-    of U_j and the summed frequency deviations measured on U_j.
+    of U_j and the summed frequency deviations measured on U_j.  Each U_j is
+    restricted once; the direct route and the deviation tallies read that pattern.
     """
-    route = direct_route(field, sequence)
+    patterns = [field.coloring.restrict(U) for U in sequence]
+    route = direct_route(field, patterns)
     pattern_values = {M: pattern_route(field, tables[M]) for M in tables}
     rows = []
-    for j_idx, U in enumerate(sequence):
+    for U, P, normalized in zip(sequence, patterns, route.normalized):
         vol = len(U)
         for M, table in sorted(tables.items()):
             ratio = len(two_sided_boundary(U, M)) / vol
-            tally = enumerate_window_patterns(field.coloring, U, M)
-            dev = 0.0
-            seen = set()
-            for P, k in tally.items():
-                nu = float(table.entries.get(P, 0.0))
-                dev += abs(k / vol - nu)
-                seen.add(P)
-            for P, nu in table.entries.items():
-                if P not in seen:
-                    dev += float(nu)
-            dist = lp_distance(
-                route.normalized[j_idx], pattern_values[M], field.window
-            )
+            tally = enumerate_window_patterns(P, M)
+            dev = 0.0  # added in order, not by sum(): Python 3.12's sum() compensates
+            for W in dict.fromkeys([*tally, *table.entries]):
+                dev += abs(tally.get(W, 0) / vol - float(table.entries.get(W, 0)))
+            dist = lp_distance(normalized, pattern_values[M], field.window)
             bound = field_error_bound(field, M, ratio, dev)
             rows.append(
                 {

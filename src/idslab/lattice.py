@@ -181,7 +181,7 @@ class Pattern:
     def canonical(self) -> "Pattern":
         """Representative of the translation class: bounding-box min corner at 0."""
         lo, _ = bounding_box(self.domain)
-        return self.translated(tuple(-c for c in lo))
+        return self.translated(tuple(-c for c in lo)) if any(lo) else self
 
     def key(self) -> str:
         """Deterministic string key for the canonical class (used in tables)."""
@@ -209,6 +209,8 @@ class Coloring:
         return [self.color(s) for s in sites]
 
     def restrict(self, Q: frozenset[Site]) -> Pattern:
+        """The coloring on Q, read by one colors call: the pattern that window
+        tallies and field evaluations of Q take their symbols from."""
         if not Q:
             raise ValueError("cannot restrict to the empty set")
         sites = tuple(sorted(Q))
@@ -381,29 +383,24 @@ def occurrences(P: Pattern, P_prime: Pattern) -> int:
     return count
 
 
-def enumerate_window_patterns(
-    C: Coloring, U: frozenset[Site], M: int
-) -> Counter[Pattern]:
-    """Tally canonical M-window patterns of C over all windows inside U.
+def enumerate_window_patterns(P: Pattern, M: int) -> Counter[Pattern]:
+    """Tally canonical M-window patterns of P over all windows inside its domain.
 
-    For every x with C_M + x contained in U, the canonicalized restriction
-    of C to that window is counted once; the total tally equals the number
-    of admissible x.  Classes appear in the order of their first window,
-    windows taken in lexicographic order of x.
+    For every x with C_M + x contained in the domain, the canonicalized
+    restriction of P to that window is counted once; the total tally equals
+    the number of admissible x.  Classes appear in the order of their first
+    window, windows taken in lexicographic order of x.
     """
     if M < 1:
         raise ValueError(f"window parameter must be >= 1, got {M}")
-    if not U:
-        return Counter()
-    sites = list(U)
-    mask, _, at = _site_mask(sites, 0)
+    mask, _, at = _site_mask(P.sites, 0)
     if min(mask.shape) < M:
         return Counter()
     d = mask.ndim
-    # each site colored once; symbols numbered in the order first seen
+    # symbols numbered in the order first seen
     number: dict[str, int] = {}
     codes = np.zeros(mask.shape, dtype=np.int64)
-    codes[at] = [number.setdefault(sym, len(number)) for sym in C.colors(sites)]
+    codes[at] = [number.setdefault(sym, len(number)) for sym in P.symbols]
     # anchors x in row-major order, each window's codes in sorted-offset order
     inside = _box_reduce(mask, M, 0, np.all)
     rows = sliding_window_view(codes, (M,) * d)[inside].reshape(-1, M**d)
@@ -461,16 +458,16 @@ def exact_frequency_table(C: PeriodicColoring, M: int) -> FrequencyTable:
     box of sides p_i + M - 1, tallied by enumerate_window_patterns.
     """
     box = frozenset(product(*(range(p + M - 1) for p in C.period)))
-    tally = enumerate_window_patterns(C, box, M)
+    tally = enumerate_window_patterns(C.restrict(box), M)
     entries = {P: Fraction(k, C.cell_volume) for P, k in tally.items()}
     return FrequencyTable(M=M, entries=entries, exact=True)
 
 
-def estimated_frequency_table(C: Coloring, U: frozenset[Site], M: int) -> FrequencyTable:
-    """Table estimated from one finite window U, normalized by #U per the limit formula."""
-    tally = enumerate_window_patterns(C, U, M)
-    vol = len(U)
-    entries = {P: k / vol for P, k in tally.items()}
+def estimated_frequency_table(P: Pattern, M: int) -> FrequencyTable:
+    """Table estimated from one finite pattern P, normalized by #D(P) per the limit formula."""
+    tally = enumerate_window_patterns(P, M)
+    vol = len(P.sites)
+    entries = {W: k / vol for W, k in tally.items()}
     return FrequencyTable(
         M=M, entries=entries, exact=False, sample_windows=sum(tally.values())
     )

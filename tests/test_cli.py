@@ -145,6 +145,13 @@ def test_bad_values_rejected():
     ("ids", {"constants": {"C": float("nan")}}, "config.constants.C"),
     ("weyl", {"constants": {"C1": float("inf")}}, "config.constants.C1"),
     ("ids", {"constants": {"c_pd": 10**400}}, "config.constants.c_pd"),
+    # an estimated table whose box holds no window of side M
+    ("ids", {"coloring": {"kind": "random"}, "M_list": [1, 65]}, "config.M_list"),
+    ("ids", {"coloring": {"kind": "window", "background": "a"}, "M_list": [1, 9],
+             "sequence": {"kind": "cubes", "sides": [4, 8]}}, "config.M_list"),
+    # the counting-form bound needs positive constants
+    ("ids", {"constants": {"C": 0.0}}, "config.constants.C"),
+    ("ids", {"constants": {"c_pd": 0}}, "config.constants.c_pd"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())

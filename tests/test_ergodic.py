@@ -177,7 +177,8 @@ def test_defect_below_budget_2d_lattice():
 
 def test_direct_route_constant_coloring_converges_to_band_ids():
     field = lattice_field(coloring=periodic_word("a"), lib=LIB_A)
-    route = direct_route(field, cube_sequence([8, 16, 32, 64], 1))
+    sequence = cube_sequence([8, 16, 32, 64], 1)
+    route = direct_route(field, [field.coloring.restrict(U) for U in sequence])
     d = route.consecutive_distances
     assert all(y <= 1.5 * x for x, y in zip(d, d[1:]))
     last = route.normalized[-1]
@@ -188,7 +189,7 @@ def test_direct_route_constant_coloring_converges_to_band_ids():
 
 def test_direct_route_single_element():
     field = lattice_field()
-    route = direct_route(field, [cube(4, 1)])
+    route = direct_route(field, [field.coloring.restrict(cube(4, 1))])
     assert len(route.normalized) == 1
     assert route.consecutive_distances == ()
 
@@ -196,7 +197,7 @@ def test_direct_route_single_element():
 def test_direct_route_rejects_non_van_hove():
     field = lattice_field()
     with pytest.raises(ValueError):
-        direct_route(field, [cube(4, 1), cube(4, 1), cube(4, 1)])
+        direct_route(field, [field.coloring.restrict(cube(4, 1))] * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def test_pattern_route_solves_each_class_once_and_factors_once_per_band_shape(mo
     count(scipy.sparse.linalg, "splu")
     coloring = RandomColoring(seed=3, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 8, 2)
-    tables = [estimated_frequency_table(coloring, cube(12, 2), M) for M in (2, 3)]
+    tables = [estimated_frequency_table(coloring.restrict(cube(12, 2)), M) for M in (2, 3)]
     field = AlmostAdditiveField(coloring, lib, I045, backend="lattice")
     for table in tables:
         calls.clear()
@@ -338,8 +339,8 @@ def test_periodic_coloring_and_its_window_give_the_same_fields(p1, p2, seed, M, 
     def field(coloring):
         return AlmostAdditiveField(coloring, lib, window, backend=backend)
 
-    table = estimated_frequency_table(periodic, U, M)
-    assert table.entries == estimated_frequency_table(written, U, M).entries
+    table = estimated_frequency_table(periodic.restrict(U), M)
+    assert table.entries == estimated_frequency_table(written.restrict(U), M).entries
     assert set(table.entries) == set(exact_frequency_table(periodic, M).entries)
     fp, fw = field(periodic), field(written)
     classes = sorted(table.entries, key=lambda P: P.key())
@@ -403,6 +404,29 @@ def test_two_route_report_serializes():
     assert obj["fitted_K"] > 0 and obj["fitted_D"] > 0
     table = report.summary_table()
     assert table.splitlines()[0].startswith("j\tM")
+
+
+def test_two_route_experiment_colors_each_member_once(monkeypatch):
+    from idslab import lattice
+
+    coloring = RandomColoring(seed=5, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
+    lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 8, 2)
+    sequence = cube_sequence([4, 6, 8], 2)
+    tables = {M: estimated_frequency_table(coloring.restrict(sequence[-1]), M) for M in (1, 2, 3)}
+    field = AlmostAdditiveField(coloring, lib, I045, backend="lattice")
+    digests = []
+    hashes = lattice._site_hashes
+
+    def counted(seeds, sites):
+        out = hashes(seeds, sites)
+        digests.append(out.size)
+        return out
+
+    monkeypatch.setattr(lattice, "_site_hashes", counted)
+    two_route_experiment(field, sequence, tables)
+    # every member's sites once, for the direct route and every M's tally,
+    # and the two cells of the calibration pair
+    assert sum(digests) == sum(len(U) for U in sequence) + 2
 
 
 def test_calibration_positive_for_both_backends():

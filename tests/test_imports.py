@@ -522,6 +522,44 @@ def test_site_hashes_are_taken_only_in_lattice():
     assert calls_outside(sources, SITE_HASHES, SITE_HASH_SITES) == []
 
 
+# a region's colours are read once, by Coloring.restrict; window tallies and field
+# evaluations read the Pattern it returns
+COLOR_READS = re.compile("colors")
+COLOR_READ_SITES = {
+    "lattice.py: Coloring.restrict", "lattice.py: RandomColoring.color",
+    "operators.py: discretize", "montecarlo.py: _own_spectrum",
+    "acceptance.py: _oracle_window_tally",
+}
+
+
+def test_checker_flags_color_reads():
+    source = (
+        "class Coloring:\n"
+        "    def restrict(self, Q):\n"
+        "        return Pattern(sorted(Q), self.colors(sorted(Q)))\n"
+        "def enumerate_window_patterns(C, U, M):\n"
+        "    return tally(C.colors(list(U)), M)\n"
+        "def route(field, U):\n"
+        "    return getattr(field.coloring, 'colors')(U)\n"
+        "def note():\n"
+        "    return 'colors are read by restrict'\n"
+    )
+    assert calls_outside({"lattice.py": source}, COLOR_READS, COLOR_READ_SITES) == [
+        "lattice.py: enumerate_window_patterns calls colors",
+        "lattice.py: route calls colors",
+    ]
+    assert calls_outside({"ergodic.py": source}, COLOR_READS, COLOR_READ_SITES) == [
+        "ergodic.py: Coloring.restrict calls colors",
+        "ergodic.py: enumerate_window_patterns calls colors",
+        "ergodic.py: route calls colors",
+    ]
+
+
+def test_regions_are_colored_only_by_restrict():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert calls_outside(sources, COLOR_READS, COLOR_READ_SITES) == []
+
+
 def _outside(node: ast.AST, skip: str):
     """node and its descendants, leaving out the functions named skip."""
     yield node

@@ -182,7 +182,7 @@ def test_boundary_rejects_empty_set_and_width_below_one():
     with pytest.raises(ValueError):
         inner_boundary(cube(2, 2), 0)
     with pytest.raises(ValueError):
-        enumerate_window_patterns(periodic_word("a"), cube(2, 1), 0)
+        enumerate_window_patterns(periodic_word("a").restrict(cube(2, 1)), 0)
 
 
 # side of the sampling box per dimension, small enough for the set loops in d=3
@@ -226,7 +226,7 @@ def test_window_tally_matches_scan_in_order():
     empty = 0
     for k, (U, M) in enumerate(_oracle_cases()):
         for C in _coloring_cases(len(next(iter(U))), seed=k):
-            got = enumerate_window_patterns(C, U, M)
+            got = enumerate_window_patterns(C.restrict(U), M)
             want = window_tally_scan(C, U, M)
             assert list(got.items()) == list(want.items())
             assert all(type(v) is int for v in got.values())
@@ -375,6 +375,8 @@ def test_pattern_canonical_translation():
     c = P.canonical()
     assert c.sites == ((0,), (2,))
     assert c.symbols == ("a", "b")
+    # a pattern already at the origin is its own representative, not a copy
+    assert c.canonical() is c
 
 
 def test_occurrences_word_example():
@@ -421,22 +423,22 @@ def test_occurrences_matches_oracle_randomized():
 
 def test_enumerate_window_patterns_word():
     C = periodic_word("ab")
-    tally = enumerate_window_patterns(C, cube(6, 1), 2)
+    tally = enumerate_window_patterns(C.restrict(cube(6, 1)), 2)
     by_word = {"".join(p.symbols): k for p, k in tally.items()}
     assert by_word == {"ab": 3, "ba": 2}
 
 
 def test_enumerate_constant_and_empty():
     C = periodic_word("a")
-    tally = enumerate_window_patterns(C, cube(5, 1), 1)
+    tally = enumerate_window_patterns(C.restrict(cube(5, 1)), 1)
     assert sum(tally.values()) == 5 and len(tally) == 1
-    assert enumerate_window_patterns(C, cube(2, 1), 5) == {}
+    assert enumerate_window_patterns(C.restrict(cube(2, 1)), 5) == {}
 
 
 def test_enumerate_total_tally_formula():
     C = RandomColoring(seed=3, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
     for L, M in [(5, 2), (6, 3)]:
-        tally = enumerate_window_patterns(C, cube(L, 2), M)
+        tally = enumerate_window_patterns(C.restrict(cube(L, 2)), M)
         assert sum(tally.values()) == (L - M + 1) ** 2
 
 
@@ -492,7 +494,7 @@ def test_exact_table_is_the_period_loop(C, M):
 
 def test_estimated_table_normalization_is_window_fraction():
     C = periodic_word("ab")
-    table = estimated_frequency_table(C, cube(10, 1), 2)
+    table = estimated_frequency_table(C.restrict(cube(10, 1)), 2)
     # sum of occurrence ratios equals (#windows)/#U, approaching 1
     assert abs(float(table.total()) - 9 / 10) < 1e-12
 
@@ -502,7 +504,7 @@ def test_estimate_converges_to_exact():
     P = pattern_from_word("ab")
     exact = exact_frequency_table(C, 2).entries[P]
     errors = [
-        abs(estimated_frequency_table(C, U, 2).entries[P] - exact)
+        abs(estimated_frequency_table(C.restrict(U), 2).entries[P] - exact)
         for U in cube_sequence([9, 27, 81], 1)
     ]
     assert errors[-1] <= errors[0]
