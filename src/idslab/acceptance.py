@@ -23,7 +23,6 @@ import numpy as np
 
 from .ergodic import AlmostAdditiveField, additivity_defect, two_route_experiment
 from .lattice import (
-    Pattern,
     PeriodicColoring,
     RandomColoring,
     boundary,
@@ -32,7 +31,6 @@ from .lattice import (
     cube_sequence,
     enumerate_window_patterns,
     exact_frequency_table,
-    occurrences,
     periodic_word,
     site_set,
 )
@@ -98,24 +96,6 @@ def _criterion(index: int, name: str, limit: float):
 # independent brute-force oracles (criterion 1)
 # ---------------------------------------------------------------------------
 
-def _oracle_occurrences(P: Pattern, Pp: Pattern) -> int:
-    """Scan every translate inside an enlarged bounding window."""
-    loP, hiP = bounding_box(P.domain)
-    loQ, hiQ = bounding_box(Pp.domain)
-    d = len(loP)
-    table = dict(zip(Pp.sites, Pp.symbols))
-    count = 0
-    for x in product(*(range(loQ[i] - hiP[i] - 1, hiQ[i] - loP[i] + 2) for i in range(d))):
-        match = True
-        for s, sym in zip(P.sites, P.symbols):
-            if table.get(tuple(si + xi for si, xi in zip(s, x))) != sym:
-                match = False
-                break
-        if match:
-            count += 1
-    return count
-
-
 def _oracle_window_tally(C, U, M) -> dict[tuple, int]:
     """Window-pattern tally built from scratch: explicit min-corner shifting."""
     d = len(next(iter(U)))
@@ -179,10 +159,6 @@ def criterion_1_pattern_oracles():
         got = _tally_to_oracle_key(enumerate_window_patterns(Pp, M))
         want = _oracle_window_tally(C, Q, M)
         if got != want:
-            mismatches += 1
-        small = frozenset(rng.sample(sorted(Q), min(len(Q), rng.randint(1, 5))))
-        P = C.restrict(small)
-        if occurrences(P, Pp) != _oracle_occurrences(P, Pp):
             mismatches += 1
     return mismatches == 0, {"instances": ORACLE_INSTANCES, "mismatches": mismatches}
 
@@ -480,9 +456,8 @@ def criterion_7_two_routes():
     # deep binary alloy: the b-sublattice band sits far above the window
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 10.0}, 8, 1)
     fld = AlmostAdditiveField(coloring, lib, window, backend="lattice")
-    tables = {M: exact_frequency_table(coloring, M) for M in range(1, 7)}
     sequence = cube_sequence([8, 16, 32, 64, 128, 256], 1)
-    report = two_route_experiment(fld, sequence, tables)
+    report = two_route_experiment(fld, sequence, range(1, 7))
     bound_violations = sum(
         1 for row in report.route_distances if row["distance"] > row["bound"]
     )

@@ -31,13 +31,8 @@ from .config import (
     config_to_json,
     load_config,
 )
-from .ergodic import (
-    AlmostAdditiveField,
-    VanHoveError,
-    error_bound_counting,
-    two_route_experiment,
-)
-from .lattice import PeriodicColoring, cube, estimated_frequency_table, exact_frequency_table
+from .ergodic import AlmostAdditiveField, VanHoveError, two_route_experiment
+from .lattice import PeriodicColoring, cube, frequency_tables
 from .montecarlo import SiteDistribution, random_ids_experiment
 from .operators import (
     Facet,
@@ -94,13 +89,6 @@ def _check_exp_hi(window) -> None:
         ) from None
 
 
-def _frequency_tables(cfg: ExperimentConfig, coloring, Ms):
-    if isinstance(coloring, PeriodicColoring):
-        return {M: exact_frequency_table(coloring, M) for M in Ms}
-    P = coloring.restrict(build_sequence(cfg)[-1])
-    return {M: estimated_frequency_table(P, M) for M in Ms}
-
-
 def _check_cap(cfg: ExperimentConfig, key: str, boxes) -> int:
     """The largest dimension of the operators on boxes (tuples of cell sides),
     checked against config.<key>.
@@ -122,7 +110,7 @@ def _check_cap(cfg: ExperimentConfig, key: str, boxes) -> int:
 
 def cmd_patterns(cfg: ExperimentConfig, out: Path) -> int:
     coloring = build_coloring(cfg)
-    tables = _frequency_tables(cfg, coloring, cfg.M_list)
+    tables = frequency_tables(coloring, cfg.M_list, build_sequence(cfg)[-1])
     outputs = []
     for M, table in sorted(tables.items()):
         name = f"frequencies_M{M}.json"
@@ -140,9 +128,6 @@ def cmd_patterns(cfg: ExperimentConfig, out: Path) -> int:
 def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     coloring, library = build_model(cfg)
     window = build_window(cfg)
-    c = cfg.constants
-    if window.sup + c["C"] < 0:
-        raise ConfigError("config.window.hi: the counting-form bound needs hi + constants.C >= 0")
     _check_exp_hi(window)
     d, last = cfg.dimension, cfg.sequence["sides"][-1]
     if not isinstance(coloring, PeriodicColoring) and max(cfg.M_list) > last:
@@ -153,9 +138,8 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
     _check_cap(cfg, "dense_cap", [(2,) + (1,) * (d - 1)])
     sequence = build_sequence(cfg)
     field = AlmostAdditiveField(coloring, library, window, backend=cfg.backend)
-    tables = _frequency_tables(cfg, coloring, cfg.M_list)
     try:
-        report = two_route_experiment(field, sequence, tables)
+        report = two_route_experiment(field, sequence, cfg.M_list)
     except VanHoveError as e:
         raise ConfigError(f"config.sequence.sides: {e}") from None
 
@@ -169,23 +153,12 @@ def cmd_ids(cfg: ExperimentConfig, out: Path) -> int:
         (out / name).write_text(f.to_csv(window=window))
         outputs.append(name)
 
-    rows = []
     for row in report.route_distances:
-        row = dict(row)
-        row["bound_counting_form"] = error_bound_counting(
-            M=row["M"], boundary_ratio=row["boundary_ratio"],
-            freq_deviation_sum=row["freq_deviation_sum"],
-            C=float(c["C"]), c_pd=float(c["c_pd"]),
-            T=window.sup, p=window.p, d=d,
-        )
-        rows.append(row)
         if row["distance"] > row["bound"]:
             raise NumericalFailure(
                 f"two-route distance exceeds the fitted error bound at j={row['j']}, M={row['M']}"
             )
-    doc = report.to_json_dict()
-    doc["route_distances"] = rows
-    write_json(out / "ids_report.json", doc)
+    write_json(out / "ids_report.json", report.to_json_dict())
     outputs.append("ids_report.json")
     print(report.summary_table())
     write_manifest(out, "ids", cfg, outputs)

@@ -108,8 +108,7 @@ class ExperimentConfig:
         "kind": "cubes", "sides": [8, 16, 32, 64]})
     window: dict = field(default_factory=lambda: {"lo": 0.0, "hi": 4.5, "p": 2.0})
     M_list: list = field(default_factory=lambda: [1, 2, 3])
-    constants: dict = field(default_factory=lambda: {
-        "C": 1.0, "c_pd": 1.0, "C1": 0.0, "delta": 0.0})
+    constants: dict = field(default_factory=lambda: {"C1": 0.0, "delta": 0.0})
     seed: int = 1234
     jobs: int = 1
     matrix_cap: int = DEFAULT_MATRIX_CAP
@@ -185,14 +184,13 @@ def validate_config(raw: Mapping[str, Any]) -> ExperimentConfig:
         raise ConfigError("config.M_list: need a nonempty list of positive integers")
 
     cfg.constants = _section(raw, cfg, "constants")
-    for key, lo in (("C", 0.0), ("c_pd", 0.0), ("C1", -1e30), ("delta", 0.0)):
+    for key, lo in (("C1", -1e30), ("delta", 0.0)):
         val = cfg.constants[key]
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise ConfigError(f"config.constants.{key}: expected a number")
         _finite(val, f"config.constants.{key}")
-        strict = key in ("C", "c_pd")  # the counting-form bound needs both positive
-        if val < lo or (strict and val == lo):
-            raise ConfigError(f"config.constants.{key}: must be {'>' if strict else '>='} {lo}")
+        if val < lo:
+            raise ConfigError(f"config.constants.{key}: must be >= {lo}")
     if cfg.constants["delta"] >= 1.0:
         raise ConfigError("config.constants.delta: must be < 1")
 

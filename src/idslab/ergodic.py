@@ -6,9 +6,9 @@ preserve the coloring pattern and almost-additive with a boundary term
 proportional to the inner combinatorial boundary, which feeds two
 approximation routes to the same limit: normalized counting functions along
 a van Hove sequence, and frequency-weighted averages over window pattern
-classes.  The quantitative error bound combining both routes is evaluated
-exactly as stated, in both its counting-constant and boundary-term
-parameterizations.
+classes.  The quantitative error bound combining both routes has one form,
+the boundary-term one, evaluated with constants fitted from the field
+itself: K from single cells, D and b(C_M) from one calibration pair.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .lattice import (
     Coloring,
@@ -25,6 +25,7 @@ from .lattice import (
     Site,
     cube,
     enumerate_window_patterns,
+    frequency_tables,
     inner_boundary,
     van_hove_ratios,
 )
@@ -305,31 +306,6 @@ def pattern_route(
 # Quantitative error bounds
 # ---------------------------------------------------------------------------
 
-def error_bound_counting(
-    M: int,
-    boundary_ratio: float,
-    freq_deviation_sum: float,
-    C: float,
-    c_pd: float,
-    T: float,
-    p: float,
-    d: int,
-) -> float:
-    """Three-term bound in the counting-constant parameterization.
-
-    C/M + (C (T+C)^(d/2) + c_pd C^(1/p)) * boundary_ratio
-        + C (T+C)^(d/2) * freq_deviation_sum
-    """
-    if min(M, C, c_pd, p) <= 0 or boundary_ratio < 0 or freq_deviation_sum < 0 or T + C < 0:
-        raise ValueError("inputs must be nonnegative, constants positive, T + C >= 0")
-    weyl = C * (T + C) ** (d / 2.0)
-    return (
-        C / M
-        + (weyl + c_pd * C ** (1.0 / p)) * boundary_ratio
-        + weyl * freq_deviation_sum
-    )
-
-
 def error_bound_additive(
     M: int,
     boundary_ratio: float,
@@ -409,17 +385,20 @@ class ErgodicReport:
 def two_route_experiment(
     field: AlmostAdditiveField,
     sequence: Sequence[frozenset[Site]],
-    tables: Mapping[int, FrequencyTable],
+    Ms: Iterable[int],
 ) -> ErgodicReport:
     """Run both routes and evaluate the error bound for every (j, M) pair.
 
-    tables maps window side M to the frequency table used by the pattern
-    route; the bound for a pair (U_j, M) uses the two-sided M-boundary ratio
-    of U_j and the summed frequency deviations measured on U_j.  Each U_j is
-    restricted once; the direct route and the deviation tallies read that pattern.
+    The pattern route of each window side M in Ms averages over the field's
+    frequency table (lattice.frequency_tables, estimated from the last U_j
+    unless the coloring is periodic); the bound for a pair (U_j, M) uses the
+    two-sided M-boundary ratio of U_j and the summed frequency deviations
+    measured on U_j.  Each U_j is restricted once; the direct route, the
+    deviation tallies and an estimated table read that pattern.
     """
     patterns = [field.coloring.restrict(U) for U in sequence]
     route = direct_route(field, patterns)
+    tables = frequency_tables(field.coloring, Ms, patterns[-1])
     pattern_values = {M: pattern_route(field, tables[M]) for M in tables}
     rows = []
     for U, P, normalized in zip(sequence, patterns, route.normalized):

@@ -360,28 +360,8 @@ class RandomColoring(Coloring):
 
 
 # ---------------------------------------------------------------------------
-# Occurrence counting and window enumeration
+# Window enumeration and frequency tables
 # ---------------------------------------------------------------------------
-
-def occurrences(P: Pattern, P_prime: Pattern) -> int:
-    """Number of translates x with D(P)+x inside D(P') matching P' there."""
-    if len(P.sites) > len(P_prime.sites):
-        return 0
-    big = dict(zip(P_prime.sites, P_prime.symbols))
-    anchor = P.sites[0]
-    count = 0
-    for y in P_prime.sites:
-        x = tuple(yc - ac for yc, ac in zip(y, anchor))
-        ok = True
-        for s, sym in zip(P.sites, P.symbols):
-            t = tuple(sc + xc for sc, xc in zip(s, x))
-            if big.get(t) != sym:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
 
 def enumerate_window_patterns(P: Pattern, M: int) -> Counter[Pattern]:
     """Tally canonical M-window patterns of P over all windows inside its domain.
@@ -471,6 +451,18 @@ def estimated_frequency_table(P: Pattern, M: int) -> FrequencyTable:
     return FrequencyTable(
         M=M, entries=entries, exact=False, sample_windows=sum(tally.values())
     )
+
+
+def frequency_tables(
+    coloring: Coloring, Ms: Iterable[int], region: Pattern | frozenset[Site]
+) -> dict[int, FrequencyTable]:
+    """The M-window table of coloring for each M in Ms: exact for a periodic
+    coloring, else estimated from region, a Pattern of coloring or a site set
+    that is restricted only then."""
+    if isinstance(coloring, PeriodicColoring):
+        return {M: exact_frequency_table(coloring, M) for M in Ms}
+    P = region if isinstance(region, Pattern) else coloring.restrict(region)
+    return {M: estimated_frequency_table(P, M) for M in Ms}
 
 
 def cube_sequence(js: Sequence[int], d: int) -> list[frozenset[Site]]:

@@ -16,6 +16,7 @@ from idslab.config import (
     ExperimentConfig,
     build_coloring,
     build_library,
+    config_to_json,
     load_config,
     validate_config,
 )
@@ -48,6 +49,8 @@ def test_default_config_file_is_valid_and_complete():
 
     assert set(raw) == {f.name for f in fields(ExperimentConfig)}
     assert cfg.backend == "lattice"
+    # ... with the default value of each
+    assert config_to_json(cfg) == config_to_json(ExperimentConfig())
 
 
 def test_unknown_keys_rejected():
@@ -139,19 +142,18 @@ def test_bad_values_rejected():
     ("ids", {"prototypes": {"kind": "zero", "alphabet": 5}}, "config.prototypes.alphabet"),
     # sample_coloring packs each omega as a signed 64-bit integer
     ("random", {"random": {"omegas": [0, 2**63]}}, "config.random.omegas"),
-    # non-finite exponents and constants
+    # non-finite exponents
     ("ssf", {"backend": "continuum", "ssf": {"powers": [float("inf")]}}, "config.ssf.powers"),
     ("ssf", {"backend": "continuum", "ssf": {"powers": [2, float("nan")]}}, "config.ssf.powers"),
-    ("ids", {"constants": {"C": float("nan")}}, "config.constants.C"),
+    # C and c_pd, the constants of the deleted counting-form bound, are unknown keys
+    # ("config error: config.constants: unknown keys ['C']"); C1 must be finite
+    ("ids", {"constants": {"C": 1.0}}, "unknown keys ['C']"),
     ("weyl", {"constants": {"C1": float("inf")}}, "config.constants.C1"),
-    ("ids", {"constants": {"c_pd": 10**400}}, "config.constants.c_pd"),
+    ("ids", {"constants": {"c_pd": 1.0}}, "unknown keys ['c_pd']"),
     # an estimated table whose box holds no window of side M
     ("ids", {"coloring": {"kind": "random"}, "M_list": [1, 65]}, "config.M_list"),
     ("ids", {"coloring": {"kind": "window", "background": "a"}, "M_list": [1, 9],
              "sequence": {"kind": "cubes", "sides": [4, 8]}}, "config.M_list"),
-    # the counting-form bound needs positive constants
-    ("ids", {"constants": {"C": 0.0}}, "config.constants.C"),
-    ("ids", {"constants": {"c_pd": 0}}, "config.constants.c_pd"),
 ])
 def test_bad_inputs_exit_2_naming_their_key(tmp_path, capsys, command, overrides, key):
     raw = json.loads(DEFAULT.read_text())
@@ -400,7 +402,6 @@ def test_ids_command_small(tmp_path):
     report = json.loads((out / "ids_report.json").read_text())
     for row in report["route_distances"]:
         assert row["distance"] <= row["bound"]
-        assert row["bound_counting_form"] > 0
     assert (out / "direct_route_j4.csv").exists()
     assert (out / "pattern_route_M2.csv").exists()
 
@@ -430,7 +431,7 @@ def test_ids_builds_no_dense_matrix(tmp_path, monkeypatch, overrides):
 @pytest.mark.parametrize("window, status", [
     ({"lo": -1.0, "hi": 0.0}, 0),
     ({"lo": -3.0, "hi": -1.0}, 0),
-    ({"lo": -5.0, "hi": -3.0}, 2),  # hi + constants.C < 0
+    ({"lo": -5.0, "hi": -3.0}, 0),
 ])
 def test_ids_windows_at_or_below_zero(tmp_path, capsys, window, status):
     cfg = write_cfg(tmp_path, window=window)
@@ -438,13 +439,9 @@ def test_ids_windows_at_or_below_zero(tmp_path, capsys, window, status):
     assert main(["ids", "--config", str(cfg), "--out", str(out)]) == status
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if status == 2:
-        assert "config.window.hi" in err
-        return
     report = json.loads((out / "ids_report.json").read_text())
     assert isinstance(report["fitted_K"], float)
     for row in report["route_distances"]:
-        assert isinstance(row["bound_counting_form"], float)
         assert row["distance"] <= row["bound"]
 
 

@@ -17,7 +17,6 @@ from idslab.ergodic import (
     calibrate_boundary_scale,
     direct_route,
     error_bound_additive,
-    error_bound_counting,
     pattern_route,
     two_route_experiment,
 )
@@ -355,29 +354,6 @@ def test_periodic_coloring_and_its_window_give_the_same_fields(p1, p2, seed, M, 
 # error bounds
 # ---------------------------------------------------------------------------
 
-def test_error_bound_counting_rejects_negative_T_plus_C():
-    kw = dict(M=1, boundary_ratio=0.1, freq_deviation_sum=0.0, c_pd=1.0, p=2.0, d=1)
-    assert error_bound_counting(C=1.0, T=-1.0, **kw) == pytest.approx(1.1)
-    with pytest.raises(ValueError):
-        error_bound_counting(C=1.0, T=-3.0, **kw)
-
-
-def test_error_bound_counting_arithmetic_example():
-    got = error_bound_counting(
-        M=10, boundary_ratio=0.1, freq_deviation_sum=0.05,
-        C=1.0, c_pd=1.0, T=1.0, p=1.0, d=1,
-    )
-    expect = 0.1 + (math.sqrt(2.0) + 1.0) * 0.1 + math.sqrt(2.0) * 0.05
-    assert got == pytest.approx(expect)
-    assert got == pytest.approx(0.41213, abs=5e-6)
-
-
-def test_error_bound_counting_degenerate_terms():
-    assert error_bound_counting(10, 0.0, 0.0, C=1.0, c_pd=1.0, T=1.0, p=1.0, d=1) == 0.1
-    big_M = error_bound_counting(10**9, 0.0, 0.0, C=1.0, c_pd=1.0, T=1.0, p=1.0, d=1)
-    assert big_M < 1e-8
-
-
 def test_error_bound_additive_form():
     got = error_bound_additive(
         M=2, boundary_ratio=0.25, freq_deviation_sum=0.1, b_of_CM=3.0, K=2.0, D=1.5, d=1
@@ -386,20 +362,16 @@ def test_error_bound_additive_form():
 
 
 def test_cross_route_distance_below_field_bound():
-    coloring = periodic_word("ab")
     field = lattice_field()
-    tables = {M: exact_frequency_table(coloring, M) for M in (1, 2, 3)}
-    report = two_route_experiment(field, cube_sequence([8, 16, 32], 1), tables)
+    report = two_route_experiment(field, cube_sequence([8, 16, 32], 1), (1, 2, 3))
     assert report.route_distances
     for row in report.route_distances:
         assert row["distance"] <= row["bound"]
 
 
 def test_two_route_report_serializes():
-    coloring = periodic_word("ab")
     field = lattice_field()
-    tables = {1: exact_frequency_table(coloring, 1)}
-    report = two_route_experiment(field, cube_sequence([4, 8], 1), tables)
+    report = two_route_experiment(field, cube_sequence([4, 8], 1), [1])
     obj = report.to_json_dict()
     assert obj["fitted_K"] > 0 and obj["fitted_D"] > 0
     table = report.summary_table()
@@ -412,7 +384,6 @@ def test_two_route_experiment_colors_each_member_once(monkeypatch):
     coloring = RandomColoring(seed=5, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
     lib = PrototypeLibrary.constant_potentials({"a": 0.0, "b": 1.0}, 8, 2)
     sequence = cube_sequence([4, 6, 8], 2)
-    tables = {M: estimated_frequency_table(coloring.restrict(sequence[-1]), M) for M in (1, 2, 3)}
     field = AlmostAdditiveField(coloring, lib, I045, backend="lattice")
     digests = []
     hashes = lattice._site_hashes
@@ -423,9 +394,9 @@ def test_two_route_experiment_colors_each_member_once(monkeypatch):
         return out
 
     monkeypatch.setattr(lattice, "_site_hashes", counted)
-    two_route_experiment(field, sequence, tables)
-    # every member's sites once, for the direct route and every M's tally,
-    # and the two cells of the calibration pair
+    two_route_experiment(field, sequence, (1, 2, 3))
+    # every member's sites once, for the direct route, every M's tally and the
+    # tables estimated from the last member, and the two cells of the calibration pair
     assert sum(digests) == sum(len(U) for U in sequence) + 2
 
 

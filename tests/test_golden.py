@@ -17,7 +17,9 @@ moved from a dense eigvalsh of the N x N difference to a QR of the kept
 eigenvectors and a problem of order k_A + k_B: the singular values moved by at
 most 2.6e-3 relative, in the values near 1e-16; the decay fit by at most
 2.1e-7 (C2_hat); the ids-random-2d bounds by at most 2.8e-16; xi.csv did not
-move.
+move.  The two ``ids_report.json`` files were re-recorded when the unfitted
+counting-form bound and its ``bound_counting_form`` key left each row; every
+other byte of them stayed as it was.
 """
 
 import hashlib
@@ -77,7 +79,7 @@ GOLDEN = {
         "direct_route_j32.csv": "d1dfeeeac93d40fcd20d17f547f5dbd77ae062fd53c156b64bde96935e309e17",
         "direct_route_j64.csv": "c343595401afe1a9ac0b9629cb9cf4fe988364015bae9dab486d220733513d9f",
         "direct_route_j8.csv": "b2f14bf73c8d31d01ff5b600c3519d3a388f7cdd945ea92f952d5f698a95c849",
-        "ids_report.json": "3e8da57c1a9574476dc949569c73742d0650bc20a634f7d5eb64c60e58b20c70",
+        "ids_report.json": "b3e9e98c5b7ee74dc3c6c0154f709d79d4497dfca702a268fc2cb20990aba60b",
         "pattern_route_M1.csv": "ef1d29cba6a06dc099e73f463971d807e7236ca47d066fd7739884ae61dcbba8",
         "pattern_route_M2.csv": "ddcad51715b08649c6c72fb2cd2d460cbebf1bcad5eb7f64e0f4cff371707380",
         "pattern_route_M3.csv": "05a3052a937a841024d6236bf07f08baabf8455de7a32f02c53da9ddd8ed5e1f",
@@ -86,7 +88,7 @@ GOLDEN = {
         "direct_route_j256.csv": "673dcfc58374625ecc9ac7bb4946dfa33d08b931a959c43eef29537232a20c5a",
         "direct_route_j576.csv": "111cb29d4509e7d13c1ca54dbc5aff5486188ae7fb59b752aeec77629a482981",
         "direct_route_j64.csv": "7f60b6cf30977c8e66d5ca41062e16411e4adafadda90ec1706c085517bbf026",
-        "ids_report.json": "ec3aac586aef500a9d5a6708186b34db0e38da8f90b632124154550081ffc5fd",
+        "ids_report.json": "08c70ed9053f4aae2845fd92aea8af88fb8966884c10eab52f827ff114a177fe",
         "pattern_route_M1.csv": "ffd0e698d58660f0a9608980849038b6928c1d25d239e7a1df1e9b7c18d7da47",
         "pattern_route_M2.csv": "d901c89f4959121a5377d1a8baaaafdf5fc9937cc64f55cf44f32149efaa77db",
         "pattern_route_M3.csv": "e582b70c315b9517c0618c5b3c808d97203bcca7b63621118e651c6435fa213d",

@@ -22,8 +22,8 @@ from idslab.lattice import (
     enumerate_window_patterns,
     estimated_frequency_table,
     exact_frequency_table,
+    frequency_tables,
     inner_boundary,
-    occurrences,
     periodic_word,
     site_set,
     van_hove_ratios,
@@ -55,26 +55,6 @@ def boundary_oracle(Q, M):
         elif dist_to_Q <= M:
             out.add(x)
     return frozenset(out)
-
-
-def occurrences_oracle(P, Pp):
-    """Exhaustive scan of every translate within an enlarged bounding window."""
-    loP, hiP = bounding_box(P.domain)
-    loQ, hiQ = bounding_box(Pp.domain)
-    d = len(loP)
-    big = dict(zip(Pp.sites, Pp.symbols))
-    count = 0
-    shifts = product(*(range(loQ[i] - hiP[i] - 1, hiQ[i] - loP[i] + 2) for i in range(d)))
-    for x in shifts:
-        ok = True
-        for s, sym in zip(P.sites, P.symbols):
-            t = tuple(sc + xc for sc, xc in zip(s, x))
-            if t not in big or big[t] != sym:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
 
 
 def _ball_offsets(M, d):
@@ -367,7 +347,7 @@ def test_random_coloring_weight_validation():
 
 
 # ---------------------------------------------------------------------------
-# patterns, occurrences, enumeration
+# patterns and enumeration
 # ---------------------------------------------------------------------------
 
 def test_pattern_canonical_translation():
@@ -377,48 +357,6 @@ def test_pattern_canonical_translation():
     assert c.symbols == ("a", "b")
     # a pattern already at the origin is its own representative, not a copy
     assert c.canonical() is c
-
-
-def test_occurrences_word_example():
-    P = pattern_from_word("ab")
-    Pp = pattern_from_word("ababab")
-    assert occurrences(P, Pp) == 3
-
-
-def test_occurrences_identity_and_too_big():
-    P = pattern_from_word("abc")
-    assert occurrences(P, P) == 1
-    assert occurrences(pattern_from_word("abcd"), P) == 0
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 1),
-    st.data(),
-)
-def test_occurrences_translation_invariance(dim_choice, data):
-    d = dim_choice + 1
-    rng = random.Random(data.draw(st.integers(0, 10**6)))
-    C = RandomColoring(seed=rng.randint(0, 2**31), symbols=("a", "b"), weights=(0.5, 0.5), dim=d)
-    P = C.restrict(cube(2, d))
-    Pp = C.restrict(cube(4, d))
-    x = tuple(rng.randint(-5, 5) for _ in range(d))
-    assert occurrences(P, Pp) == occurrences(P.translated(x), Pp.translated(x))
-
-
-def test_occurrences_matches_oracle_randomized():
-    rng = random.Random(11)
-    for _ in range(60):
-        d = rng.choice([1, 2])
-        C = RandomColoring(
-            seed=rng.randint(0, 2**31),
-            symbols=("a", "b"),
-            weights=(0.5, 0.5),
-            dim=d,
-        )
-        P = C.restrict(random_connectedish_set(rng, d, 6))
-        Pp = C.restrict(random_connectedish_set(rng, d, 50))
-        assert occurrences(P, Pp) == occurrences_oracle(P, Pp)
 
 
 def test_enumerate_window_patterns_word():
@@ -509,6 +447,18 @@ def test_estimate_converges_to_exact():
     ]
     assert errors[-1] <= errors[0]
     assert errors[-1] < 0.02
+
+
+def test_frequency_tables_are_exact_for_periodic_colorings_else_estimated():
+    C = periodic_word("ab")
+    tables = frequency_tables(C, [2, 1], cube(8, 1))
+    assert list(tables) == [2, 1]
+    assert all(tables[M].entries == exact_frequency_table(C, M).entries for M in (1, 2))
+    R = RandomColoring(seed=3, symbols=("a", "b"), weights=(0.5, 0.5), dim=2)
+    P = R.restrict(cube(6, 2))
+    for region in (P, cube(6, 2)):
+        assert {M: t.entries for M, t in frequency_tables(R, (1, 2), region).items()} == {
+            M: estimated_frequency_table(P, M).entries for M in (1, 2)}
 
 
 def test_frequency_table_serialization_round_trip_keys():
