@@ -66,13 +66,18 @@ def write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
 
 
-def write_manifest(out: Path, command: str, cfg: ExperimentConfig, outputs: list[str]) -> None:
+def write_manifest(
+    out: Path, command: str, cfg: ExperimentConfig, outputs: list[str], pools: dict | None = None
+) -> None:
+    """manifest.json: the command, its config and outputs, each pooled stage's
+    in_workers record (workers, OpenBLAS thread counts before the pin) and the time."""
     manifest = {
         "command": command,
         "version": __version__,
         "seed": cfg.seed,
         "config": json.loads(config_to_json(cfg)),
         "outputs": sorted(outputs),
+        "pools": pools or {},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     write_json(out / "manifest.json", manifest)
@@ -313,7 +318,8 @@ def cmd_random(cfg: ExperimentConfig, out: Path) -> int:
         raise NumericalFailure(
             "independent-seed Monte Carlo estimates disagree beyond the Bonferroni threshold"
         )
-    write_manifest(out, "random", cfg, ["mc_estimate.csv", "random_report.json"])
+    write_manifest(out, "random", cfg, ["mc_estimate.csv", "random_report.json"],
+                   pools={"montecarlo.estimates": exp.pool})
     return 0
 
 

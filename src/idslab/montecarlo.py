@@ -34,6 +34,7 @@ from .spectral import (
     certified_below,
     eigensystem,
     eigenvalues,
+    in_workers,
     lp_distance,
     tridiagonal_masses,
 )
@@ -336,6 +337,7 @@ class RandomIdsExperiment:
     comparison: RandomIdsReport
     semigroup_diagnostic: float
     projector_change: float
+    pool: dict  # how the estimate and the twin ran (in_workers' record)
 
 
 def random_ids_experiment(
@@ -352,14 +354,16 @@ def random_ids_experiment(
 ) -> RandomIdsExperiment:
     """Monte Carlo IDS with an independent-seed twin, per-omega distances and truncation checks.
 
-    The twin repeats the estimate with dist's weights under twin_seed; the
-    seeds agree as estimates_agree decides.  The truncation pair runs the
+    The twin repeats the estimate with dist's weights under twin_seed, the
+    two at once in forked workers (in_workers); the seeds agree as
+    estimates_agree decides.  The truncation pair runs the
     point mass on dist's first symbol at radii R and 2R.
     """
-    estimate = pastur_shubin_mc(dist, library, grid, samples, R, backend)
-    twin = pastur_shubin_mc(
-        SiteDistribution(dist.symbols, dist.weights, twin_seed), library, grid, samples, R, backend
-    )
+    twin_dist = SiteDistribution(dist.symbols, dist.weights, twin_seed)
+    (estimate, twin), pool = in_workers(pastur_shubin_mc, {
+        f"the estimate at seed {dist.seed}": (dist, library, grid, samples, R, backend),
+        f"the twin at seed {twin_seed}": (twin_dist, library, grid, samples, R, backend),
+    })
     comparison = compare_random_ids(dist, library, window, estimate, volumes, omegas, backend)
     point = SiteDistribution.point_mass(dist.symbols[0], seed=dist.seed)
     sg_diag, projector_change = semigroup_truncation_diagnostic(
@@ -373,4 +377,5 @@ def random_ids_experiment(
         comparison=comparison,
         semigroup_diagnostic=sg_diag,
         projector_change=projector_change,
+        pool=pool,
     )

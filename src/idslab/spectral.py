@@ -7,7 +7,9 @@ breakpoint merging, never by quadrature.
 
 from __future__ import annotations
 
+import ctypes
 import io
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -488,6 +490,79 @@ def _lapack(name: str, matrix: str, *args, **kwargs) -> list:
     if info != 0:
         raise NumericalFailure(f"LAPACK {name} failed with info={info} on {matrix}")
     return out
+
+
+def _openblas() -> dict[str, tuple[Callable[[], int], Callable[[int], None]]]:
+    """The bundled OpenBLAS libraries this process has loaded, by file name, each
+    with its thread-count getter and setter: numpy's libscipy_openblas64_
+    (symbols suffixed 64_) and scipy's libscipy_openblas.  Empty where
+    /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps if "libscipy_openblas" in line}
+    except OSError:
+        return {}
+    found = {}
+    for path in sorted(paths):
+        name = os.path.basename(path)
+        suffix = "64_" if name.startswith("libscipy_openblas64_") else ""
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        put.argtypes, put.restype = [ctypes.c_int], None
+        found[name] = (get, put)
+    return found
+
+
+# the function and argument tuples of in_workers' current pool, which its forked workers inherit
+_TASKS: tuple = ()
+
+
+def _run_task(index: int):
+    fn, arguments = _TASKS
+    return fn(*arguments[index])
+
+
+def in_workers(fn: Callable, tasks: dict[str, tuple]) -> tuple[list, dict]:
+    """fn(*arguments) for each named argument tuple of tasks, in order, and a record
+    of how they ran: {"workers": count, "openblas": each library's thread count}.
+
+    The calls are independent.  They run in min(len(tasks), CPUs of this
+    process's affinity) processes forked from this one, or in this process
+    when that is 1.  Workers inherit fn and the arguments; only the results
+    are pickled back.  Before the fork, every bundled OpenBLAS (_openblas) is
+    pinned to one thread, so the workers do not oversubscribe the cores; the
+    thread counts the record gives are restored once the pool has shut down.
+    An exception a call raises reaches the caller; a worker that dies raises
+    NumericalFailure naming the tasks lost with it.
+    """
+    global _TASKS
+    blas = _openblas()
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
+    record = {"workers": workers, "openblas": {name: get() for name, (get, _) in blas.items()}}
+    if workers <= 1:
+        return [fn(*arguments) for arguments in tasks.values()], record
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    _TASKS = (fn, list(tasks.values()))
+    for _, set_threads in blas.values():
+        set_threads(1)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+        try:
+            return [future.result() for future in futures], record
+        except BrokenProcessPool:
+            lost = [name for name, f in zip(tasks, futures) if isinstance(f.exception(), BrokenProcessPool)]
+            raise NumericalFailure(f"a worker process died computing {' and '.join(lost)}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _TASKS = ()
+        for name, (_, set_threads) in blas.items():
+            set_threads(record["openblas"][name])
 
 
 def eigenvalues(B: np.ndarray, ceiling: float = np.inf) -> np.ndarray:

@@ -1,9 +1,11 @@
 """CLI subcommands, config validation, artifact determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +281,44 @@ def test_random_names_a_failed_inverse_iteration(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "numerical failure: LAPACK dstein failed with info=1 on a matrix of order 7" in err
     assert "Traceback" not in err
+
+
+def test_random_names_the_estimate_whose_worker_died(tmp_path, capsys, monkeypatch):
+    from idslab import montecarlo
+
+    solve = montecarlo.pastur_shubin_mc
+
+    def dies_at_the_twin(dist, *args):
+        if dist.seed == 2:
+            os._exit(3)
+        return solve(dist, *args)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(montecarlo, "pastur_shubin_mc", dies_at_the_twin)
+    path = write_cfg(tmp_path, seed=1, random=SMALL_RANDOM)
+    start = time.monotonic()
+    assert main(["random", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert time.monotonic() - start < 60
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: a worker process died computing")
+    assert "the twin at seed 2" in err and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
+def test_random_data_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    path = write_cfg(tmp_path, random=SMALL_RANDOM)
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        subprocess.run([sys.executable, "-m", "idslab.cli", "random", "--config", str(path),
+                        "--out", str(out)], env=env, capture_output=True, check=True, timeout=120)
+        outs[threads] = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+        pools = json.loads((out / "manifest.json").read_text())["pools"]
+        assert pools["montecarlo.estimates"]["workers"] >= 1
+    assert set(outs["1"]) == {"mc_estimate.csv", "random_report.json"}
+    assert outs["1"] == outs["2"]
 
 
 def test_ssf_names_a_failed_eigenvalue_solve(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,9 @@ config field is read, every eigensolver is called only at its sites
 (eigenvectors in spectral.eigensystem), every band is written by the
 assembly fill, every dense matrix is turned into a band only where
 it enters from outside, every eigenvalue count is certified through
-spectral.certified_below (no linter is installed, so this test is the lint),
-and importing the CLI stays cheap."""
+spectral.certified_below, the program forks only in spectral.in_workers (no
+linter is installed, so this test is the lint), and importing the CLI stays
+cheap."""
 
 import ast
 import os
@@ -248,11 +249,30 @@ SOLVER_SITES = {
 }
 
 
-def calls_outside(sources: dict[str, str], names: re.Pattern, allowed: set[str]) -> list[str]:
-    """Calls of a function whose name fullmatches names, outside the functions
-    named in allowed ("file: qualname").  A call names the function directly
-    (np.linalg.eigh, scipy.linalg.eigh, lapack.dsyevd) or through a string, as
-    getattr takes it."""
+def _called(node: ast.AST) -> list[str]:
+    """The name a call node calls, directly or through a string, as getattr takes it."""
+    if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+        return [node.func.id if isinstance(node.func, ast.Name) else node.func.attr]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def _spelled(node: ast.AST) -> list[str]:
+    """Every name a node spells: a variable, an attribute, each dotted part of an
+    import, or a string."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return node.name.split(".")
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")
+    return [node.value] if isinstance(node, ast.Constant) and isinstance(node.value, str) else []
+
+
+def _outside_sites(sources, names, allowed, names_of, verb) -> list[str]:
     found = []
 
     def visit(node, filename, qualname):
@@ -260,19 +280,28 @@ def calls_outside(sources: dict[str, str], names: re.Pattern, allowed: set[str])
             inner = qualname
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = child.name if qualname == "<module>" else f"{qualname}.{child.name}"
-            name = None
-            if isinstance(child, ast.Call) and isinstance(child.func, (ast.Name, ast.Attribute)):
-                name = child.func.id if isinstance(child.func, ast.Name) else child.func.attr
-            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-                name = child.value
             where = f"{filename}: {inner}"
-            if name and names.fullmatch(name) and where not in allowed:
-                found.append(f"{where} calls {name}")
+            if where not in allowed:
+                found.extend(f"{where} {verb} {n}" for n in names_of(child) if names.fullmatch(n))
             visit(child, filename, inner)
 
     for filename, source in sources.items():
         visit(ast.parse(source), filename, "<module>")
     return found
+
+
+def calls_outside(sources: dict[str, str], names: re.Pattern, allowed: set[str]) -> list[str]:
+    """Calls of a function whose name fullmatches names, outside the functions
+    named in allowed ("file: qualname").  A call names the function directly
+    (np.linalg.eigh, scipy.linalg.eigh, lapack.dsyevd) or through a string, as
+    getattr takes it."""
+    return _outside_sites(sources, names, allowed, _called, "calls")
+
+
+def names_outside(sources: dict[str, str], names: re.Pattern, allowed: set[str]) -> list[str]:
+    """As calls_outside, for every mention of a name that fullmatches names: an
+    import, a variable, an attribute or a string, called or not."""
+    return _outside_sites(sources, names, allowed, _spelled, "names")
 
 
 def test_checker_flags_dense_eigenvector_solves():
@@ -558,6 +587,45 @@ def test_checker_flags_color_reads():
 def test_regions_are_colored_only_by_restrict():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert calls_outside(sources, COLOR_READS, COLOR_READ_SITES) == []
+
+
+# the program forks in one place: spectral.in_workers runs independent calls in
+# forked workers, with BLAS pinned to one thread around the fork
+FORKS = re.compile("ProcessPoolExecutor|BrokenProcessPool|multiprocessing|fork")
+FORK_SITES = {"spectral.py: in_workers"}
+
+
+def test_checker_flags_forks():
+    source = (
+        "import multiprocessing\n"
+        "import os\n"
+        "def in_workers(fn, tasks):\n"
+        "    from concurrent.futures import ProcessPoolExecutor\n"
+        "    return ProcessPoolExecutor(2, mp_context=multiprocessing.get_context('fork'))\n"
+        "def solve_pair(a, b):\n"
+        "    import concurrent.futures, multiprocessing.pool\n"
+        "    pid = os.fork()\n"
+        "    return concurrent.futures.ProcessPoolExecutor(2)\n"
+        "class Pool:\n"
+        "    method = 'fork'\n"
+        "    def start(self):\n"
+        "        from multiprocessing.pool import ThreadPool\n"
+        "def note():\n"
+        "    return 'multiprocessing forks in_workers alone'\n"
+    )
+    assert names_outside({"spectral.py": source}, FORKS, FORK_SITES) == [
+        "spectral.py: <module> names multiprocessing",
+        "spectral.py: solve_pair names multiprocessing",
+        "spectral.py: solve_pair names fork",
+        "spectral.py: solve_pair names ProcessPoolExecutor",
+        "spectral.py: Pool names fork",
+        "spectral.py: Pool.start names multiprocessing",
+    ]
+
+
+def test_the_program_forks_in_one_place():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert names_outside(sources, FORKS, FORK_SITES) == []
 
 
 def _outside(node: ast.AST, skip: str):

@@ -1,5 +1,7 @@
 """Random colorings, localized traces, Monte Carlo estimates, truncation."""
 
+import multiprocessing
+import os
 import tracemalloc
 from collections import Counter
 
@@ -18,6 +20,7 @@ from idslab.montecarlo import (
     localized_counting,
     mc_step_function,
     pastur_shubin_mc,
+    random_ids_experiment,
     sample_coloring,
     semigroup_truncation_diagnostic,
 )
@@ -652,3 +655,63 @@ def test_compare_bernoulli_distance_decreases():
         dist, LIB_AB, window, ref, volumes=[16, 128], omegas=[0, 1, 2]
     )
     assert report.decreased()
+
+
+# ---------------------------------------------------------------------------
+# the estimate and its twin in forked workers
+# ---------------------------------------------------------------------------
+
+def _small_experiment():
+    return random_ids_experiment(
+        SiteDistribution.bernoulli("a", "b", seed=5), 6, LIB_AB, EnergyWindow(0.0, 4.5),
+        np.linspace(0.0, 4.5, 31), samples=40, R=6, omegas=[0], volumes=[4, 8],
+    )
+
+
+def test_estimates_are_bitwise_equal_with_one_worker_and_with_two(monkeypatch):
+    runs = {}
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        runs[len(cpus)] = exp = _small_experiment()
+        assert exp.pool["workers"] == len(cpus)
+    for one, two in ((runs[1].estimate, runs[2].estimate), (runs[1].twin, runs[2].twin)):
+        assert one.mean.tobytes() == two.mean.tobytes()
+        assert one.stderr.tobytes() == two.stderr.tobytes()
+        assert one.to_csv() == two.to_csv()
+    assert runs[1].estimate.to_csv() != runs[1].twin.to_csv()
+
+
+def test_workers_leave_no_child_and_the_openblas_thread_counts_as_they_were(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    before = {name: get() for name, (get, _) in spectral._openblas().items()}
+    exp = _small_experiment()
+    assert exp.pool == {"workers": 2, "openblas": before}
+    assert multiprocessing.active_children() == []
+    assert {name: get() for name, (get, _) in spectral._openblas().items()} == before
+
+
+def test_an_exception_in_a_worker_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def fails(seed):
+        if seed == 2:
+            raise NumericalFailure(f"sample 3 of seed {seed}")
+        return seed
+
+    with pytest.raises(NumericalFailure, match="^sample 3 of seed 2$"):
+        spectral.in_workers(fails, {"one": (1,), "two": (2,)})
+    assert multiprocessing.active_children() == []
+    assert spectral.in_workers(fails, {"one": (1,), "three": (3,)}) == (
+        [1, 3], {"workers": 2, "openblas": {n: g() for n, (g, _) in spectral._openblas().items()}}
+    )
+
+
+def test_workers_run_openblas_on_one_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def counts():
+        return {name: get() for name, (get, _) in spectral._openblas().items()}
+
+    results, record = spectral.in_workers(counts, {"one": (), "two": ()})
+    assert results == [{name: 1 for name in record["openblas"]}] * 2
+    assert counts() == record["openblas"]
